@@ -34,7 +34,7 @@ import numpy as np
 
 from .corrections import load_table
 from .ghz import entanglement_swap
-from .parties import run_session
+from .parties import run_session, session_seed
 from .protocol import EprInput, enumerate_branches
 from .verify import DEFAULT_SEED, run_all
 
@@ -64,9 +64,12 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     if len(parts) != n:
         raise ConfigError(f"{what} needs {n} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what}: values must be finite, got {text!r}")
+    return values
 
 
 def _parse_amplitudes(text: str, what: str) -> EprInput:
@@ -98,10 +101,10 @@ def _resolve_inputs(args: argparse.Namespace) -> tuple[EprInput, EprInput]:
 
 
 def _seed(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
-    return seed
+    try:
+        return session_seed(args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from None
 
 
 def _pair(c: complex) -> list[float]:
@@ -149,12 +152,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     rows = [
         {
             "leaf": leaf.index,
-            "a1": leaf.a1,
-            "A2": leaf.A2,
-            "b3": leaf.b3,
-            "B2": leaf.B2,
-            "A1": leaf.A1,
-            "B1": leaf.B1,
+            **leaf.outcomes(),
             "probability": leaf.probability,
             "bob_ops": leaf.bob_ops,
             "alice_ops": leaf.alice_ops,
@@ -210,7 +208,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     counts = np.zeros(64, dtype=int)
     ok = True
     for i in range(args.trials):
-        result = run_session(alpha, beta, seed=(seed + i) % 2**64,
+        result = run_session(alpha, beta, seed=session_seed(seed, i),
                              cooperation=cooperation, table=table)
         counts[result.leaf] += 1
         # only the cooperative directions are gated on perfect fidelity
@@ -375,8 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="play seeded sessions")
     _add_input_flags(run)
     _add_output_flags(run)
-    run.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                     help=f"base seed (default {hex(DEFAULT_SEED)}); trial i uses seed+i")
+    run.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+                     help=f"base seed (default {hex(DEFAULT_SEED)}); trial i uses "
+                          "(seed + i) mod 2**64")
     run.add_argument("--trials", type=int, default=1, help="number of sessions (default 1)")
     run.add_argument("--cooperation", choices=sorted(_COOPERATION_FLAGS), default="full",
                      help="withhold one second-round announcement")
@@ -391,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     swap.set_defaults(func=_cmd_swap)
 
     verify = sub.add_parser("verify", help="run the self-verification battery")
-    verify.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                        help=f"battery seed (default {hex(DEFAULT_SEED)})")
+    verify.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+                        help=f"battery seed (default {hex(DEFAULT_SEED)}); session i of "
+                             "the sampling criterion uses (seed + i) mod 2**64")
     verify.add_argument("--correction-table", metavar="PATH", default=None,
                         help="verify against a correction table loaded from PATH")
     _add_output_flags(verify, default_format="text")

@@ -26,17 +26,21 @@ from functools import lru_cache
 from importlib import resources
 from itertools import product
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Collection, Mapping, Sequence
 
 from .qsim import Register, apply_gate1, equal_up_to_global_phase
 
 __all__ = [
     "FACTORS",
+    "MEASUREMENT_PLAN",
     "TABLE_SCHEMA",
     "TABULATED_RULES",
     "apply_factor",
     "apply_ops",
+    "correction_key",
     "encode_ops",
+    "leaf_index",
     "load_table",
     "minimal_correction",
     "parse_ops",
@@ -46,6 +50,15 @@ __all__ = [
 ]
 
 TABLE_SCHEMA = "bqtsim.correction-table/1"
+
+#: The protocol's six measurements as (qubit, basis): round one, then round
+#: two.  Table keys, leaf indices and a session's six uniform draws all
+#: follow this order.
+MEASUREMENT_PLAN = (
+    (("a1", "Z"), ("A2", "X"), ("b3", "Z"), ("B2", "X")),
+    (("A1", "X"), ("B1", "X")),
+)
+_KEY_PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 
 #: Legal per-qubit correction factors, in preference order after identity.
 FACTORS = ("I", "Z", "X", "XZ")
@@ -64,10 +77,32 @@ TABULATED_RULES: dict[tuple[str, str], tuple[str, str]] = {
 _PM = {"+": "p", "-": "m"}
 _MP = {"p": "+", "m": "-"}
 
-#: Table keys in memory: (a1, A2, b3, B2, A1, B1) with ints for Z outcomes
-#: and "+"/"-" for X outcomes.
+#: Table keys in memory: outcomes in MEASUREMENT_PLAN order, with ints for Z
+#: outcomes and "+"/"-" for X outcomes.
 TableKey = tuple[int, str, int, str, str, str]
 Table = Mapping[TableKey, tuple[str, str]]
+
+
+def leaf_index(a1: int, A2: str, b3: int, B2: str, A1: str, B1: str) -> int:
+    """Pack the six outcomes into 0..63 (plan order, 0/"+" = zero bit)."""
+    bits = (a1, A2 == "-", b3, B2 == "-", A1 == "-", B1 == "-")
+    idx = 0
+    for bit in bits:
+        idx = (idx << 1) | int(bit)
+    return idx
+
+
+def correction_key(known: Mapping[str, int | str], owned: Collection[str] = ()) -> TableKey:
+    """Table key from every result a party knows: its own and those announced to it.
+
+    A missing second-round result of a qubit outside ``owned`` is a withheld
+    announcement and defaults to "+"; any other missing result raises
+    KeyError.
+    """
+    withholdable = {q for q, _ in MEASUREMENT_PLAN[1]}.difference(owned)
+    return tuple(
+        known.get(q, "+") if q in withholdable else known[q] for q, _ in _KEY_PLAN
+    )
 
 
 def apply_factor(reg: Register, qubit: str, factor: str) -> Register:
@@ -133,27 +168,11 @@ def minimal_correction(state: Register, target: Register, tol: float = 1e-10) ->
 def table_to_records(table: Table) -> list[dict]:
     """Serializable, deterministically ordered records for a table."""
     records = []
-    for key in sorted(table, key=_key_sort):
-        a1, A2, b3, B2, A1, B1 = key
+    for key in sorted(table, key=lambda k: leaf_index(*k)):
         bob_ops, alice_ops = table[key]
-        records.append(
-            {
-                "a1": a1,
-                "A2": _PM[A2],
-                "b3": b3,
-                "B2": _PM[B2],
-                "A1": _PM[A1],
-                "B1": _PM[B1],
-                "bob_ops": bob_ops,
-                "alice_ops": alice_ops,
-            }
-        )
+        record = {q: o if basis == "Z" else _PM[o] for (q, basis), o in zip(_KEY_PLAN, key)}
+        records.append({**record, "bob_ops": bob_ops, "alice_ops": alice_ops})
     return records
-
-
-def _key_sort(key: TableKey) -> tuple:
-    a1, A2, b3, B2, A1, B1 = key
-    return (a1, A2 == "-", b3, B2 == "-", A1 == "-", B1 == "-")
 
 
 def records_to_table(records: Sequence[Mapping]) -> dict[TableKey, tuple[str, str]]:
@@ -161,18 +180,13 @@ def records_to_table(records: Sequence[Mapping]) -> dict[TableKey, tuple[str, st
     table: dict[TableKey, tuple[str, str]] = {}
     for rec in records:
         try:
-            key = (
-                int(rec["a1"]),
-                _MP[rec["A2"]],
-                int(rec["b3"]),
-                _MP[rec["B2"]],
-                _MP[rec["A1"]],
-                _MP[rec["B1"]],
+            key = tuple(
+                int(rec[q]) if basis == "Z" else _MP[rec[q]] for q, basis in _KEY_PLAN
             )
             ops = (str(rec["bob_ops"]), str(rec["alice_ops"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed correction record {rec!r}") from exc
-        if key[0] not in (0, 1) or key[2] not in (0, 1):
+        if any(o not in (0, 1) for o, (_, basis) in zip(key, _KEY_PLAN) if basis == "Z"):
             raise ValueError(f"bad Z outcome in record {rec!r}")
         for ops_str in ops:
             parse_ops(ops_str)
@@ -190,7 +204,7 @@ def write_table(table: Table, path: str | Path) -> None:
 
 
 @lru_cache(maxsize=8)
-def _load_cached(resolved: str | None) -> dict:
+def _load_cached(resolved: str | None) -> Table:
     if resolved is None:
         text = (
             resources.files("bqtsim").joinpath("assets/correction_table.json").read_text()
@@ -200,11 +214,14 @@ def _load_cached(resolved: str | None) -> dict:
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("schema") != TABLE_SCHEMA:
         raise ValueError(f"not a {TABLE_SCHEMA} document")
-    return records_to_table(payload.get("entries", []))
+    return MappingProxyType(records_to_table(payload.get("entries", [])))
 
 
-def load_table(path: str | Path | None = None) -> dict[TableKey, tuple[str, str]]:
+def load_table(path: str | Path | None = None) -> Table:
     """Load and validate a correction table (packaged asset by default).
+
+    Tables are cached per path and returned read-only, so no caller can
+    change what a later call sees.
 
     The generator that derives the packaged table from the protocol itself
     lives in :func:`bqtsim.protocol.generate_correction_table`.

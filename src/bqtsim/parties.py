@@ -3,8 +3,9 @@
 Alice owns {a1, a2, a3, A1, A2} and Bob owns {b1, b2, b3, B1, B2}.  Every
 gate, measurement, classical announcement, correction, and final fidelity
 is recorded as a transcript event.  A session consumes exactly six uniform
-draws from its seeded generator, one per measurement, in the fixed order
-a1, A2, b3, B2, A1, B1.
+draws from its seeded generator, one per measurement, in
+``MEASUREMENT_PLAN`` order.  Trial ``i`` of a run seeded with ``base``
+uses seed ``(base + i) mod 2**64`` (:func:`session_seed`).
 
 Announcements travel in two rounds, Alice first within each round: after
 the first measurement round each party announces both of its results, and
@@ -32,19 +33,27 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .corrections import Table, apply_ops, load_table
+from .corrections import (
+    MEASUREMENT_PLAN,
+    Table,
+    TableKey,
+    apply_ops,
+    correction_key,
+    leaf_index,
+    load_table,
+)
 from .protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
     EprInput,
-    leaf_index,
+    deprived_fidelities,
     prepare_channel,
     prepare_full_state,
-    step4_measure,
+    walk_round,
 )
 from .qsim import Register, apply_cnot, fidelity_pure, measure, reduced_density
 
@@ -61,6 +70,7 @@ __all__ = [
     "Transcript",
     "ownership_check",
     "run_session",
+    "session_seed",
 ]
 
 ALICE = "Alice"
@@ -73,9 +83,20 @@ OWNED: dict[str, frozenset[str]] = {
 
 COOPERATION_MODES = ("full", "alice_withholds_A1", "bob_withholds_B1")
 
+#: The second-round announcement each withholding mode suppresses.
+_WITHHELD = {"alice_withholds_A1": "A1", "bob_withholds_B1": "B1"}
+
 TRANSCRIPT_SCHEMA = "bqtsim.transcript/1"
 
-_MAX_SEED = 2**64 - 1
+
+def session_seed(base: int, trial: int = 0) -> int:
+    """Seed of session ``trial`` in a run seeded with ``base``: (base + trial) mod 2**64.
+
+    ``base`` must be an integer in [0, 2**64); anything else raises ValueError.
+    """
+    if not isinstance(base, int) or isinstance(base, bool) or not 0 <= base < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {base!r}")
+    return (base + trial) % 2**64
 
 
 @dataclass(frozen=True)
@@ -140,12 +161,10 @@ class Party:
     received: list[Message] = field(default_factory=list)
     outcomes: dict[str, int | str] = field(default_factory=dict)
 
-    def heard(self, qubit: str, default: int | str | None = None) -> int | str | None:
-        for message in self.received:
-            for label, _basis, outcome in message.payload:
-                if label == qubit:
-                    return outcome
-        return default
+    def correction_key(self) -> TableKey:
+        """Table key from this party's own outcomes plus what it was told."""
+        heard = {label: outcome for m in self.received for label, _basis, outcome in m.payload}
+        return correction_key({**heard, **self.outcomes}, self.owned)
 
 
 @dataclass(frozen=True)
@@ -158,27 +177,6 @@ class SessionResult:
     outcomes: dict[str, int | str]
     seed: int
     cooperation: str
-
-
-def _correction_key(party: Party) -> tuple:
-    """Assemble the six-outcome table key from what this party can know."""
-    if party.name == BOB:
-        return (
-            party.heard("a1"),
-            party.heard("A2"),
-            party.outcomes["b3"],
-            party.outcomes["B2"],
-            party.heard("A1", "+"),
-            party.outcomes["B1"],
-        )
-    return (
-        party.outcomes["a1"],
-        party.outcomes["A2"],
-        party.heard("b3"),
-        party.heard("B2"),
-        party.outcomes["A1"],
-        party.heard("B1", "+"),
-    )
 
 
 def run_session(
@@ -197,8 +195,7 @@ def run_session(
     likely withheld outcomes (``|c0|**4 + |c1|**4`` of the undelivered
     input); under full cooperation it is None.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _MAX_SEED:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    session_seed(seed)  # range check
     if cooperation not in COOPERATION_MODES:
         raise ValueError(f"cooperation must be one of {COOPERATION_MODES}")
     if table is None:
@@ -216,30 +213,15 @@ def run_session(
     state = _gate(t, state, 2, ALICE, ("A1", "a1"))
     state = _gate(t, state, 2, BOB, ("B1", "b3"))
 
-    for step, party, qubit, basis in (
-        (3, alice, "a1", "Z"),
-        (3, alice, "A2", "X"),
-        (3, bob, "b3", "Z"),
-        (3, bob, "B2", "X"),
-    ):
-        state = _measure(t, state, step, party, qubit, basis, rng)
-
-    _announce(t, 3, alice, bob, 1, (("a1", "Z"), ("A2", "X")))
-    _announce(t, 3, bob, alice, 1, (("b3", "Z"), ("B2", "X")))
-
+    withheld = _WITHHELD.get(cooperation)
+    state = _play_round(t, state, 1, alice, bob, rng)
     pre_step4 = state  # kept for the counterfactual average under withholding
-    for step, party, qubit in ((4, alice, "A1"), (4, bob, "B1")):
-        state = _measure(t, state, step, party, qubit, "X", rng)
+    state = _play_round(t, state, 2, alice, bob, rng, withheld)
 
-    if cooperation != "alice_withholds_A1":
-        _announce(t, 4, alice, bob, 2, (("A1", "X"),))
-    if cooperation != "bob_withholds_B1":
-        _announce(t, 4, bob, alice, 2, (("B1", "X"),))
-
-    bob_ops = table[_correction_key(bob)][0]
+    bob_ops = table[bob.correction_key()][0]
     state = apply_ops(state, BOB_PAYLOAD_LABELS, bob_ops)
     t.add(Event(4, BOB, "correct", BOB_PAYLOAD_LABELS, outcome=bob_ops))
-    alice_ops = table[_correction_key(alice)][1]
+    alice_ops = table[alice.correction_key()][1]
     state = apply_ops(state, ALICE_PAYLOAD_LABELS, alice_ops)
     t.add(Event(4, ALICE, "correct", ALICE_PAYLOAD_LABELS, outcome=alice_ops))
 
@@ -252,30 +234,51 @@ def run_session(
     t.add(Event(4, BOB, "fidelity", BOB_PAYLOAD_LABELS, outcome=fid_a2b))
     t.add(Event(4, ALICE, "fidelity", ALICE_PAYLOAD_LABELS, outcome=fid_b2a))
 
-    expected = None
-    if cooperation != "full":
-        expected = _expected_deprived_fidelity(
-            pre_step4, alice, bob, cooperation, table
-        )
-
     outcomes = {**alice.outcomes, **bob.outcomes}
+    key = correction_key(outcomes)
+    expected = None
+    if withheld is not None:
+        # Re-walk round two with only the withheld result left open.
+        first_plan, second_plan = MEASUREMENT_PLAN
+        pinned = [None if q == withheld else outcomes[q] for q, _ in second_plan]
+        leaves = (
+            (key[: len(first_plan)] + second, prob, payload)
+            for second, prob, payload in walk_round(pre_step4, second_plan, pinned)
+        )
+        sent = alice_input if withheld == "A1" else bob_input
+        ((_, expected),) = deprived_fidelities(leaves, withheld, sent, table)
+
     return SessionResult(
         transcript=t,
         fidelity_alice_to_bob=fid_a2b,
         fidelity_bob_to_alice=fid_b2a,
         expected_fidelity=expected,
-        leaf=leaf_index(
-            outcomes["a1"],
-            outcomes["A2"],
-            outcomes["b3"],
-            outcomes["B2"],
-            outcomes["A1"],
-            outcomes["B1"],
-        ),
+        leaf=leaf_index(*key),
         outcomes=outcomes,
         seed=seed,
         cooperation=cooperation,
     )
+
+
+def _play_round(
+    t: Transcript,
+    state: Register,
+    round_no: int,
+    alice: Party,
+    bob: Party,
+    rng: np.random.Generator,
+    withheld: str | None = None,
+) -> Register:
+    """Measure one round of the plan, then announce it, Alice first."""
+    step, plan = round_no + 2, MEASUREMENT_PLAN[round_no - 1]
+    for qubit, basis in plan:
+        party = alice if qubit in alice.owned else bob
+        state = _measure(t, state, step, party, qubit, basis, rng)
+    for sender, receiver in ((alice, bob), (bob, alice)):
+        items = tuple((q, b) for q, b in plan if q in sender.owned and q != withheld)
+        if items:
+            _announce(t, step, sender, receiver, round_no, items)
+    return state
 
 
 def _gate(t: Transcript, state: Register, step: int, actor: str, qubits: tuple) -> Register:
@@ -330,33 +333,6 @@ def _announce(
     )
 
 
-def _expected_deprived_fidelity(
-    pre_step4: Register,
-    alice: Party,
-    bob: Party,
-    cooperation: str,
-    table: Table,
-) -> float:
-    """Average the deprived receiver's corrected state over the withheld bit."""
-    if cooperation == "alice_withholds_A1":
-        receiver, labels, slot, target = bob, BOB_PAYLOAD_LABELS, 0, alice.input
-        known = ("B1", receiver.outcomes["B1"])
-    else:
-        receiver, labels, slot, target = alice, ALICE_PAYLOAD_LABELS, 1, bob.input
-        known = ("A1", receiver.outcomes["A1"])
-    ops = table[_correction_key(receiver)][slot]
-    mixed = np.zeros((4, 4), dtype=complex)
-    total = 0.0
-    for hidden in ("+", "-"):
-        forced = (hidden, known[1]) if known[0] == "B1" else (known[1], hidden)
-        s4 = step4_measure(pre_step4, force=forced)
-        fixed = apply_ops(s4.payload, labels, ops)
-        mixed += s4.probability * reduced_density(fixed, labels).mat
-        total += s4.probability
-    target_vec = target.register(labels).amps
-    return float(np.real(np.vdot(target_vec, (mixed / total) @ target_vec)))
-
-
 def _other(name: str) -> str:
     return BOB if name == ALICE else ALICE
 
@@ -398,38 +374,11 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
                     return False
                 heard[_other(actor)][label] = outcome
         elif event.kind == "correct":
-            expected = _audit_correction(actor, own_outcomes[actor], heard[actor], table)
-            if expected is None or event.outcome != expected:
+            try:
+                key = correction_key({**heard[actor], **own_outcomes[actor]}, OWNED[actor])
+                expected = table[key][0 if actor == BOB else 1]
+            except KeyError:
+                return False
+            if event.outcome != expected:
                 return False
     return True
-
-
-def _audit_correction(
-    actor: str,
-    own: dict[str, int | str],
-    heard: dict[str, int | str],
-    table: Table,
-) -> str | None:
-    """Reconstruct the correction the actor could justify, or None."""
-    try:
-        if actor == BOB:
-            key = (
-                heard["a1"],
-                heard["A2"],
-                own["b3"],
-                own["B2"],
-                heard.get("A1", "+"),
-                own["B1"],
-            )
-            return table[key][0]
-        key = (
-            own["a1"],
-            own["A2"],
-            heard["b3"],
-            heard["B2"],
-            own["A1"],
-            heard.get("B1", "+"),
-        )
-        return table[key][1]
-    except KeyError:
-        return None

@@ -12,21 +12,37 @@ regardless of the inputs.
 The conventions used throughout:
 
 * full register label order: (a1, b1, b2, a2, a3, b3, A1, A2, B1, B2);
-* first measurement round order: a1, A2, b3, B2; second round: A1, B1;
-* ``leaf_index`` packs outcomes into six bits in that same order, with
-  0 / "+" as the zero bit.
+* measurement order and bases: ``MEASUREMENT_PLAN`` (defined in
+  :mod:`bqtsim.corrections`, which owns the table-key format);
+* ``leaf_index`` packs outcomes into six bits in plan order, with 0 / "+"
+  as the zero bit.
+
+Every caller that needs measurement leaves walks them with
+:func:`walk_round` or :func:`walk_leaves`.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corrections import Table, apply_ops, encode_ops, load_table, minimal_correction
+from .corrections import (
+    MEASUREMENT_PLAN,
+    Table,
+    apply_ops,
+    correction_key,
+    encode_ops,
+    leaf_index,
+    load_table,
+    minimal_correction,
+)
 from .ghz import ghz_state
 from .qsim import (
+    X_OUTCOMES,
+    Z_OUTCOMES,
     Register,
     apply_cnot,
     fidelity_pure,
@@ -42,6 +58,7 @@ __all__ = [
     "BOB_PAYLOAD_LABELS",
     "CHANNEL_LABELS",
     "FULL_LABELS",
+    "MEASUREMENT_PLAN",
     "PAYLOAD_LABELS",
     "REMAINDER_LABELS",
     "BranchLeaf",
@@ -49,6 +66,7 @@ __all__ = [
     "Step3Result",
     "Step4Result",
     "correct",
+    "deprived_fidelities",
     "encode",
     "enumerate_branches",
     "generate_correction_table",
@@ -58,6 +76,8 @@ __all__ = [
     "prepare_full_state",
     "step3_measure",
     "step4_measure",
+    "walk_leaves",
+    "walk_round",
 ]
 
 CHANNEL_LABELS = ("a1", "b1", "b2", "a2", "a3", "b3")
@@ -73,7 +93,7 @@ PAYLOAD_LABELS = ("b1", "b2", "a2", "a3")
 BOB_PAYLOAD_LABELS = ("b1", "b2")
 ALICE_PAYLOAD_LABELS = ("a2", "a3")
 
-_X = ("+", "-")
+_OUTCOMES = {"Z": Z_OUTCOMES, "X": X_OUTCOMES}
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,8 @@ class EprInput:
     def __post_init__(self) -> None:
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "c1", complex(self.c1))
+        if not (cmath.isfinite(self.c0) and cmath.isfinite(self.c1)):
+            raise ValueError(f"amplitudes must be finite, got ({self.c0!r}, {self.c1!r})")
         norm_sq = abs(self.c0) ** 2 + abs(self.c1) ** 2
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"|c0|^2 + |c1|^2 = {norm_sq!r} is not 1")
@@ -141,6 +163,71 @@ class Step4Result(NamedTuple):
     payload: Register  # over PAYLOAD_LABELS
 
 
+Leaf = tuple[tuple, float, Register]  # (outcomes, probability, register)
+
+
+def walk_round(
+    state: Register,
+    plan: Sequence[tuple[str, str]],
+    force: Sequence[int | str | None] | None = None,
+    rng: np.random.Generator | None = None,
+) -> Iterator[Leaf]:
+    """Measure ``plan`` in order and yield every resulting leaf.
+
+    ``force`` pins one outcome per step (None leaves the step open).  An
+    open step samples one uniform draw from ``rng`` when given, and
+    otherwise branches over both outcomes, 0/"+" first.  A measured prefix
+    is shared by every leaf below it, and a leaf's probability multiplies
+    its step probabilities from 1.0 in plan order.
+    """
+    force = tuple(force) if force is not None else (None,) * len(plan)
+
+    def descend(state: Register, k: int, outcomes: tuple, prob: float) -> Iterator[Leaf]:
+        if k == len(plan):
+            yield outcomes, prob, state
+            return
+        qubit, basis = plan[k]
+        open_step = force[k] is None and rng is None
+        for want in _OUTCOMES[basis] if open_step else (force[k],):
+            res = measure(state, qubit, basis, force=want, rng=rng if want is None else None)
+            yield from descend(
+                res.register, k + 1, outcomes + (res.outcome,), prob * res.probability
+            )
+
+    return descend(state, 0, (), 1.0)
+
+
+def walk_leaves(
+    encoded: Register, force: Sequence[int | str | None] | None = None
+) -> Iterator[Leaf]:
+    """Every measurement leaf of ``encoded``: (outcomes, probability, payload).
+
+    Both rounds are walked with :func:`walk_round`; ``force`` pins outcomes
+    in plan order.  Leaves come in :func:`leaf_index` order, and a leaf's
+    probability is its round-one probability times its round-two one.
+    """
+    first_plan, second_plan = MEASUREMENT_PLAN
+    force, split = tuple(force or (None,) * 6), len(first_plan)
+    for first, p1, remainder in walk_round(encoded, first_plan, force[:split]):
+        for second, p2, payload in walk_round(remainder, second_plan, force[split:]):
+            yield first + second, p1 * p2, payload
+
+
+def _measure_round(
+    state: Register,
+    plan: Sequence[tuple[str, str]],
+    force: Sequence[int | str] | None,
+    rng: np.random.Generator | None,
+) -> Leaf:
+    if (force is None) == (rng is None):
+        raise ValueError("provide exactly one of force= or rng=")
+    if force is not None and len(tuple(force)) != len(plan):
+        names = ", ".join(q for q, _ in plan)
+        raise ValueError(f"force must give ({names}), got {force!r}")
+    (leaf,) = walk_round(state, plan, force, rng)
+    return leaf
+
+
 def step3_measure(
     encoded: Register,
     *,
@@ -153,20 +240,8 @@ def step3_measure(
     uniform draws in that fixed order.  The reported probability is the
     joint Born probability of the four outcomes.
     """
-    if (force is None) == (rng is None):
-        raise ValueError("provide exactly one of force= or rng=")
-    wanted = tuple(force) if force is not None else (None,) * 4
-    if len(wanted) != 4:
-        raise ValueError(f"force must give (a1, A2, b3, B2), got {force!r}")
-    state, prob = encoded, 1.0
-    outcomes = []
-    for (qubit, basis), want in zip(
-        (("a1", "Z"), ("A2", "X"), ("b3", "Z"), ("B2", "X")), wanted
-    ):
-        res = measure(state, qubit, basis, force=want, rng=rng if want is None else None)
-        state, prob = res.register, prob * res.probability
-        outcomes.append(res.outcome)
-    return Step3Result(outcomes[0], outcomes[1], outcomes[2], outcomes[3], prob, state)
+    outcomes, prob, register = _measure_round(encoded, MEASUREMENT_PLAN[0], force, rng)
+    return Step3Result(*outcomes, prob, register)
 
 
 def step4_measure(
@@ -176,18 +251,8 @@ def step4_measure(
     rng: np.random.Generator | None = None,
 ) -> Step4Result:
     """Second measurement round: X on A1, then X on B1 (two draws if sampled)."""
-    if (force is None) == (rng is None):
-        raise ValueError("provide exactly one of force= or rng=")
-    wanted = tuple(force) if force is not None else (None, None)
-    if len(wanted) != 2:
-        raise ValueError(f"force must give (A1, B1), got {force!r}")
-    state, prob = remainder, 1.0
-    outcomes = []
-    for qubit, want in zip(("A1", "B1"), wanted):
-        res = measure(state, qubit, "X", force=want, rng=rng if want is None else None)
-        state, prob = res.register, prob * res.probability
-        outcomes.append(res.outcome)
-    return Step4Result(outcomes[0], outcomes[1], prob, state)
+    outcomes, prob, payload = _measure_round(remainder, MEASUREMENT_PLAN[1], force, rng)
+    return Step4Result(*outcomes, prob, payload)
 
 
 def correct(
@@ -206,15 +271,6 @@ def correct(
     bob_ops, alice_ops = table[(a1, A2, b3, B2, A1, B1)]
     fixed = apply_ops(payload, BOB_PAYLOAD_LABELS, bob_ops)
     return apply_ops(fixed, ALICE_PAYLOAD_LABELS, alice_ops)
-
-
-def leaf_index(a1: int, A2: str, b3: int, B2: str, A1: str, B1: str) -> int:
-    """Pack the six outcomes into 0..63 (measurement order, 0/+ = zero bit)."""
-    bits = (a1, A2 == "-", b3, B2 == "-", A1 == "-", B1 == "-")
-    idx = 0
-    for bit in bits:
-        idx = (idx << 1) | int(bit)
-    return idx
 
 
 @dataclass(frozen=True)
@@ -249,14 +305,6 @@ class BranchLeaf:
         }
 
 
-def _step3_combinations() -> Iterable[tuple[int, str, int, str]]:
-    for a1 in (0, 1):
-        for A2 in _X:
-            for b3 in (0, 1):
-                for B2 in _X:
-                    yield a1, A2, b3, B2
-
-
 def enumerate_branches(
     alice: EprInput, bob: EprInput, table: Table | None = None
 ) -> list[BranchLeaf]:
@@ -271,33 +319,24 @@ def enumerate_branches(
     target_bob = alice.register(BOB_PAYLOAD_LABELS)
     target_alice = bob.register(ALICE_PAYLOAD_LABELS)
     leaves = []
-    for a1, A2, b3, B2 in _step3_combinations():
-        s3 = step3_measure(encoded, force=(a1, A2, b3, B2))
-        for A1 in _X:
-            for B1 in _X:
-                s4 = step4_measure(s3.register, force=(A1, B1))
-                fixed = correct(s4.payload, a1, A2, b3, B2, A1, B1, table)
-                bob_ops, alice_ops = table[(a1, A2, b3, B2, A1, B1)]
-                leaves.append(
-                    BranchLeaf(
-                        a1=a1,
-                        A2=A2,
-                        b3=b3,
-                        B2=B2,
-                        A1=A1,
-                        B1=B1,
-                        probability=s3.probability * s4.probability,
-                        post_state=s4.payload,
-                        bob_ops=bob_ops,
-                        alice_ops=alice_ops,
-                        fidelity_alice_to_bob=fidelity_pure(
-                            reduced_density(fixed, BOB_PAYLOAD_LABELS), target_bob
-                        ),
-                        fidelity_bob_to_alice=fidelity_pure(
-                            reduced_density(fixed, ALICE_PAYLOAD_LABELS), target_alice
-                        ),
-                    )
-                )
+    for key, prob, payload in walk_leaves(encoded):
+        fixed = correct(payload, *key, table)
+        bob_ops, alice_ops = table[key]
+        leaves.append(
+            BranchLeaf(
+                *key,
+                probability=prob,
+                post_state=payload,
+                bob_ops=bob_ops,
+                alice_ops=alice_ops,
+                fidelity_alice_to_bob=fidelity_pure(
+                    reduced_density(fixed, BOB_PAYLOAD_LABELS), target_bob
+                ),
+                fidelity_bob_to_alice=fidelity_pure(
+                    reduced_density(fixed, ALICE_PAYLOAD_LABELS), target_alice
+                ),
+            )
+        )
     return leaves
 
 
@@ -337,25 +376,41 @@ def generate_correction_table() -> dict[tuple, tuple[str, str]]:
     target_bob = alice.register(BOB_PAYLOAD_LABELS)
     target_alice = bob.register(ALICE_PAYLOAD_LABELS)
     table: dict[tuple, tuple[str, str]] = {}
-    for a1, A2, b3, B2 in _step3_combinations():
-        s3 = step3_measure(encoded, force=(a1, A2, b3, B2))
-        for A1 in _X:
-            for B1 in _X:
-                s4 = step4_measure(s3.register, force=(A1, B1))
-                bob_part, alice_part = _payload_factors(s4.payload)
-                table[(a1, A2, b3, B2, A1, B1)] = (
-                    encode_ops(minimal_correction(bob_part, target_bob)),
-                    encode_ops(minimal_correction(alice_part, target_alice)),
-                )
+    for key, _prob, payload in walk_leaves(encoded):
+        bob_part, alice_part = _payload_factors(payload)
+        table[key] = (
+            encode_ops(minimal_correction(bob_part, target_bob)),
+            encode_ops(minimal_correction(alice_part, target_alice)),
+        )
     return table
 
 
-def _withheld_substituted(key: tuple, withheld: str) -> tuple:
-    """Table key with the withheld announcement replaced by its "+" default."""
-    slot = {"A1": 4, "B1": 5}[withheld]
-    out = list(key)
-    out[slot] = "+"
-    return tuple(out)
+def deprived_fidelities(
+    leaves: Iterable[Leaf], withheld: str, sent: EprInput, table: Table
+) -> list[tuple[float, float]]:
+    """Fidelity at the receiver starved of the ``withheld`` announcement.
+
+    ``leaves`` gives (outcomes in plan order, weight, payload).  Leaves that
+    differ only in the withheld result look alike to the receiver: it
+    applies the correction its own key selects (the withheld result
+    defaulted to "+") and holds their weighted mixture.  Returns, per such
+    group in first-seen order, its total weight and the mixture's fidelity
+    against ``sent``.
+    """
+    labels, slot = (BOB_PAYLOAD_LABELS, 0) if withheld == "A1" else (ALICE_PAYLOAD_LABELS, 1)
+    qubits = [q for round_plan in MEASUREMENT_PLAN for q, _ in round_plan]
+    groups: dict[tuple, list] = {}
+    for outcomes, weight, payload in leaves:
+        key = correction_key({q: o for q, o in zip(qubits, outcomes) if q != withheld})
+        fixed = apply_ops(payload, labels, table[key][slot])
+        group = groups.setdefault(key, [0.0, np.zeros((4, 4), dtype=complex)])
+        group[1] += weight * reduced_density(fixed, labels).mat
+        group[0] += weight
+    target = sent.register(labels).amps
+    return [
+        (total, float(np.real(np.vdot(target, (mixed / total) @ target))))
+        for total, mixed in groups.values()
+    ]
 
 
 def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
@@ -373,36 +428,9 @@ def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     table = load_table()
     # The cooperative direction's input never influences the deprived side.
     other = EprInput(np.sqrt(0.5), np.sqrt(0.5))
-    if withheld == "A1":
-        alice, bob = epr, other
-        receiver_labels, ops_slot = BOB_PAYLOAD_LABELS, 0
-    else:
-        alice, bob = other, epr
-        receiver_labels, ops_slot = ALICE_PAYLOAD_LABELS, 1
-    target = epr.register(receiver_labels)
+    alice, bob = (epr, other) if withheld == "A1" else (other, epr)
     encoded = encode(prepare_full_state(alice, bob))
     expected = 0.0
-    for a1, A2, b3, B2 in _step3_combinations():
-        s3 = step3_measure(encoded, force=(a1, A2, b3, B2))
-        for known_val in _X:
-            group_prob = 0.0
-            mixed = np.zeros((4, 4), dtype=complex)
-            for hidden_val in _X:
-                A1, B1 = (
-                    (hidden_val, known_val)
-                    if withheld == "A1"
-                    else (known_val, hidden_val)
-                )
-                s4 = step4_measure(s3.register, force=(A1, B1))
-                key = _withheld_substituted((a1, A2, b3, B2, A1, B1), withheld)
-                ops = table[key][ops_slot]
-                fixed = apply_ops(s4.payload, receiver_labels, ops)
-                rho = reduced_density(fixed, receiver_labels).mat
-                weight = s3.probability * s4.probability
-                mixed += weight * rho
-                group_prob += weight
-            fidelity = float(
-                np.real(np.vdot(target.amps, (mixed / group_prob) @ target.amps))
-            )
-            expected += group_prob * fidelity
+    for weight, fidelity in deprived_fidelities(walk_leaves(encoded), withheld, epr, table):
+        expected += weight * fidelity
     return expected

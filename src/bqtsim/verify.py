@@ -9,16 +9,17 @@ the given seed, so a verification run is reproducible end to end.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .corrections import TABULATED_RULES, Table, apply_ops, load_table
+from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, apply_ops, load_table
 from .ghz import entanglement_swap
-from .parties import run_session
+from .parties import run_session, session_seed
 from .protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
@@ -28,8 +29,8 @@ from .protocol import (
     enumerate_branches,
     noncooperation_fidelity,
     prepare_full_state,
-    step3_measure,
-    step4_measure,
+    walk_leaves,
+    walk_round,
 )
 from .qsim import (
     Register,
@@ -57,7 +58,7 @@ __all__ = [
 #: and is the documented constant used when none is supplied.
 DEFAULT_SEED = 0xB97
 
-_X = ("+", "-")
+_REGISTERED: list[str] = []  # criterion names, in definition (= battery) order
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,33 @@ def _random_epr(rng: np.random.Generator) -> EprInput:
     return EprInput.normalized(c0, c1)
 
 
-def _timed(name: str, budget: float | None, check: Callable[[], tuple[bool, str]]) -> CriterionResult:
-    start = time.perf_counter()
-    try:
-        ok, detail = check()
-    except Exception as exc:  # a crashed criterion is a failed criterion
-        elapsed = time.perf_counter() - start
-        return CriterionResult(name, False, elapsed, f"raised {type(exc).__name__}: {exc}")
-    elapsed = time.perf_counter() - start
-    if budget is not None and elapsed >= budget:
-        ok = False
-        detail += f"; exceeded {budget:.0f}s budget"
-    return CriterionResult(name, ok, elapsed, detail)
+def _criterion(name: str, budget: float | None = None):
+    """Register a battery criterion under ``name``.
+
+    The decorated check returns (passed, detail); calling it times the
+    check and returns a :class:`CriterionResult`.  A check that raises, or
+    that runs past ``budget`` seconds, fails.
+    """
+    _REGISTERED.append(name)
+
+    def decorate(check: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
+        @functools.wraps(check)
+        def timed(*args, **kwargs) -> CriterionResult:
+            start = time.perf_counter()
+            try:
+                ok, detail = check(*args, **kwargs)
+            except Exception as exc:  # a crashed criterion is a failed criterion
+                elapsed = time.perf_counter() - start
+                return CriterionResult(name, False, elapsed, f"raised {type(exc).__name__}: {exc}")
+            elapsed = time.perf_counter() - start
+            if budget is not None and elapsed >= budget:
+                ok = False
+                detail += f"; exceeded {budget:.0f}s budget"
+            return CriterionResult(name, ok, elapsed, detail)
+
+        return timed
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +157,9 @@ def find_reference_permutations(
         [alice.c1 * bob.c0, alice.c1 * bob.c1],
     ]
     encoded = encode(prepare_full_state(alice, bob))
-    simulated = {}
-    for a1 in (0, 1):
-        for A2 in _X:
-            for b3 in (0, 1):
-                for B2 in _X:
-                    res = step3_measure(encoded, force=(a1, A2, b3, B2))
-                    simulated[(a1, A2, b3, B2)] = res.register
+    simulated = {
+        branch: reg for branch, _prob, reg in walk_round(encoded, MEASUREMENT_PLAN[0])
+    }
     matches = []
     for perm in permutations(REMAINDER_LABELS):
         if all(
@@ -180,237 +192,203 @@ def _branch_matches(
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_swap_reference() -> CriterionResult:
+@_criterion("swap-reference-pairing", 1.0)
+def criterion_swap_reference() -> tuple[bool, str]:
     """Swapping two index-0 triples pairs outcomes {0,1,6,7} with {0,1,2,3}."""
-
-    def check() -> tuple[bool, str]:
-        expected = {0: 0, 1: 1, 6: 2, 7: 3}
-        outcomes = entanglement_swap(0, 0)
-        ok = len(outcomes) == 4
-        for o in outcomes:
-            ok = ok and abs(o.probability - 0.25) <= 1e-12
-            ok = ok and expected.get(o.outcome, -1) == o.matched
-        found = {o.outcome: o.matched for o in outcomes}
-        return ok, f"outcome->remainder map {found} at 1/4 each"
-
-    return _timed("swap-reference-pairing", 1.0, check)
+    expected = {0: 0, 1: 1, 6: 2, 7: 3}
+    outcomes = entanglement_swap(0, 0)
+    ok = len(outcomes) == 4
+    for o in outcomes:
+        ok = ok and abs(o.probability - 0.25) <= 1e-12
+        ok = ok and expected.get(o.outcome, -1) == o.matched
+    found = {o.outcome: o.matched for o in outcomes}
+    return ok, f"outcome->remainder map {found} at 1/4 each"
 
 
-def criterion_swap_exhaustive() -> CriterionResult:
+@_criterion("swap-exhaustive", 5.0)
+def criterion_swap_exhaustive() -> tuple[bool, str]:
     """Every (i, j) channel pair yields four 1/4 outcomes with GHZ remainders."""
-
-    def check() -> tuple[bool, str]:
-        for i in range(8):
-            for j in range(8):
-                outcomes = entanglement_swap(i, j)
-                if len(outcomes) != 4:
-                    return False, f"channel ({i},{j}) produced {len(outcomes)} outcomes"
-                for o in outcomes:
-                    if abs(o.probability - 0.25) > 1e-12 or o.matched is None:
-                        return False, f"channel ({i},{j}) outcome {o.outcome} failed"
-        return True, "64 channel pairs, 4 outcomes each at 1/4, all remainders classified"
-
-    return _timed("swap-exhaustive", 5.0, check)
+    for i in range(8):
+        for j in range(8):
+            outcomes = entanglement_swap(i, j)
+            if len(outcomes) != 4:
+                return False, f"channel ({i},{j}) produced {len(outcomes)} outcomes"
+            for o in outcomes:
+                if abs(o.probability - 0.25) > 1e-12 or o.matched is None:
+                    return False, f"channel ({i},{j}) outcome {o.outcome} failed"
+    return True, "64 channel pairs, 4 outcomes each at 1/4, all remainders classified"
 
 
-def criterion_branch_uniformity(seed: int, n_inputs: int = 100) -> CriterionResult:
+@_criterion("branch-uniformity", 10.0)
+def criterion_branch_uniformity(seed: int, n_inputs: int = 100) -> tuple[bool, str]:
     """All 16 first-round outcome combinations have probability exactly 1/16."""
-
-    def check() -> tuple[bool, str]:
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_inputs):
-            encoded = encode(prepare_full_state(_random_epr(rng), _random_epr(rng)))
-            for a1 in (0, 1):
-                for A2 in _X:
-                    for b3 in (0, 1):
-                        for B2 in _X:
-                            res = step3_measure(encoded, force=(a1, A2, b3, B2))
-                            worst = max(worst, abs(res.probability - 1 / 16))
-        return worst <= 1e-12, f"{n_inputs} random input pairs, max |p - 1/16| = {worst:.2e}"
-
-    return _timed("branch-uniformity", 10.0, check)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_inputs):
+        encoded = encode(prepare_full_state(_random_epr(rng), _random_epr(rng)))
+        for _branch, prob, _reg in walk_round(encoded, MEASUREMENT_PLAN[0]):
+            worst = max(worst, abs(prob - 1 / 16))
+    return worst <= 1e-12, f"{n_inputs} random input pairs, max |p - 1/16| = {worst:.2e}"
 
 
-def criterion_reference_branches(seed: int) -> CriterionResult:
+@_criterion("reference-branch-content")
+def criterion_reference_branches(seed: int) -> tuple[bool, str]:
     """Published branch rows match simulation under one fixed relabeling."""
+    rng = np.random.default_rng(seed)
+    alice, bob = _random_epr(rng), _random_epr(rng)
+    perms = find_reference_permutations(alice, bob)
+    if not perms:
+        return False, "no slot permutation reproduces all sixteen branch rows"
+    if not _worked_branch_factorization(alice, bob):
+        return False, "worked-branch payloads do not factor as published"
+    shown = ",".join(perms[0])
+    return True, f"{len(perms)} matching permutation(s); canonical slots = ({shown})"
 
-    def check() -> tuple[bool, str]:
-        rng = np.random.default_rng(seed)
-        alice, bob = _random_epr(rng), _random_epr(rng)
-        perms = find_reference_permutations(alice, bob)
-        if not perms:
-            return False, "no slot permutation reproduces all sixteen branch rows"
-        if not _worked_branch_factorization(alice, bob):
-            return False, "worked-branch payloads do not factor as published"
-        shown = ",".join(perms[0])
-        return True, f"{len(perms)} matching permutation(s); canonical slots = ({shown})"
 
-    return _timed("reference-branch-content", None, check)
+def _worked_branch_payloads(alice: EprInput, bob: EprInput) -> Iterator[tuple[str, str, Register]]:
+    """(A1, B1, payload) for the four leaves of the worked first-round branch."""
+    encoded = encode(prepare_full_state(alice, bob))
+    for outcomes, _prob, payload in walk_leaves(encoded, (0, "+", 0, "+", None, None)):
+        yield outcomes[4], outcomes[5], payload
 
 
 def _worked_branch_factorization(alice: EprInput, bob: EprInput, tol: float = 1e-12) -> bool:
     """Payloads of branch (0,+,0,+) equal the published sign-keyed products."""
-    encoded = encode(prepare_full_state(alice, bob))
-    s3 = step3_measure(encoded, force=(0, "+", 0, "+"))
-    for A1 in _X:
-        for B1 in _X:
-            s4 = step4_measure(s3.register, force=(A1, B1))
-            sa = 1.0 if A1 == "+" else -1.0
-            sb = 1.0 if B1 == "+" else -1.0
-            expected = tensor(
-                make_register(
-                    [("00", alice.c0), ("11", sa * alice.c1)], BOB_PAYLOAD_LABELS
-                ),
-                make_register(
-                    [("00", bob.c0), ("11", sb * bob.c1)], ALICE_PAYLOAD_LABELS
-                ),
-            )
-            if not np.allclose(s4.payload.amps, expected.amps, atol=tol, rtol=0.0):
-                return False
+    for A1, B1, payload in _worked_branch_payloads(alice, bob):
+        sa = 1.0 if A1 == "+" else -1.0
+        sb = 1.0 if B1 == "+" else -1.0
+        expected = tensor(
+            make_register([("00", alice.c0), ("11", sa * alice.c1)], BOB_PAYLOAD_LABELS),
+            make_register([("00", bob.c0), ("11", sb * bob.c1)], ALICE_PAYLOAD_LABELS),
+        )
+        if not np.allclose(payload.amps, expected.amps, atol=tol, rtol=0.0):
+            return False
     return True
 
 
+@_criterion("bidirectional-reconstruction", 60.0)
 def criterion_reconstruction(
     seed: int, n_inputs: int = 100, table: Table | None = None
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """All 64 corrected leaves reach fidelity 1 in both directions."""
-
-    def check() -> tuple[bool, str]:
-        tbl = table if table is not None else load_table()
-        rng = np.random.default_rng(seed)
-        worst = 1.0
-        for _ in range(n_inputs):
-            leaves = enumerate_branches(_random_epr(rng), _random_epr(rng), tbl)
-            if len(leaves) != 64:
-                return False, f"expected 64 leaves, got {len(leaves)}"
-            for leaf in leaves:
-                if abs(leaf.probability - 1 / 64) > 1e-12:
-                    return False, f"leaf {leaf.index} probability {leaf.probability!r}"
-                worst = min(worst, leaf.fidelity_alice_to_bob, leaf.fidelity_bob_to_alice)
-        ok = worst >= 1.0 - 1e-10
-        return ok, f"{n_inputs} random input pairs, worst corrected fidelity {worst:.15f}"
-
-    return _timed("bidirectional-reconstruction", 60.0, check)
+    tbl = table if table is not None else load_table()
+    rng = np.random.default_rng(seed)
+    worst = 1.0
+    for _ in range(n_inputs):
+        leaves = enumerate_branches(_random_epr(rng), _random_epr(rng), tbl)
+        if len(leaves) != 64:
+            return False, f"expected 64 leaves, got {len(leaves)}"
+        for leaf in leaves:
+            if abs(leaf.probability - 1 / 64) > 1e-12:
+                return False, f"leaf {leaf.index} probability {leaf.probability!r}"
+            worst = min(worst, leaf.fidelity_alice_to_bob, leaf.fidelity_bob_to_alice)
+    ok = worst >= 1.0 - 1e-10
+    return ok, f"{n_inputs} random input pairs, worst corrected fidelity {worst:.15f}"
 
 
-def criterion_correction_rules() -> CriterionResult:
+@_criterion("correction-rules")
+def criterion_correction_rules() -> tuple[bool, str]:
     """Announcement-keyed published rules fix the worked branch exactly."""
-
-    def check() -> tuple[bool, str]:
-        alice = EprInput(0.6, 0.8)
-        bob = EprInput.normalized(0.8, 0.6j)
-        encoded = encode(prepare_full_state(alice, bob))
-        s3 = step3_measure(encoded, force=(0, "+", 0, "+"))
-        worst = 1.0
-        for (A1, B1), (bob_ops, alice_ops) in TABULATED_RULES.items():
-            s4 = step4_measure(s3.register, force=(A1, B1))
-            fixed = apply_ops(s4.payload, BOB_PAYLOAD_LABELS, bob_ops)
-            fixed = apply_ops(fixed, ALICE_PAYLOAD_LABELS, alice_ops)
-            fb = fidelity_pure(
-                reduced_density(fixed, BOB_PAYLOAD_LABELS),
-                alice.register(BOB_PAYLOAD_LABELS),
-            )
-            fa = fidelity_pure(
-                reduced_density(fixed, ALICE_PAYLOAD_LABELS),
-                bob.register(ALICE_PAYLOAD_LABELS),
-            )
-            worst = min(worst, fb, fa)
-        # Z on both qubits is the identity on the span of |00> and |11>.
-        epr = alice.register(("q0", "q1"))
-        zz = apply_gate1(apply_gate1(epr, "q0", "Z"), "q1", "Z")
-        span_ok = bool(np.allclose(zz.amps, epr.amps, atol=1e-12, rtol=0.0))
-        ok = abs(worst - 1.0) <= 1e-12 and span_ok
-        return ok, f"four rules, worst fidelity {worst:.15f}; Z(x)Z span identity: {span_ok}"
-
-    return _timed("correction-rules", None, check)
-
-
-def criterion_noncooperation() -> CriterionResult:
-    """Withholding degrades the deprived direction to |c0|^4 + |c1|^4."""
-
-    def check() -> tuple[bool, str]:
-        cases = [
-            (EprInput.normalized(1, 1), 0.5),
-            (EprInput(0.6, 0.8), 0.5392),
-            (EprInput(1, 0), 1.0),
-        ]
-        worst = 0.0
-        for epr, expected in cases:
-            for withheld in ("A1", "B1"):
-                got = noncooperation_fidelity(epr, withheld)
-                worst = max(worst, abs(got - expected))
-        return worst <= 1e-12, f"balanced=0.5, (0.6,0.8)=0.5392, degenerate=1; max err {worst:.2e}"
-
-    return _timed("non-cooperation-bound", None, check)
-
-
-def criterion_sampling(seed: int, trials: int = 4096) -> CriterionResult:
-    """Seeded sessions hit every leaf uniformly and replay byte-identically."""
-
-    def check() -> tuple[bool, str]:
-        alice, bob = EprInput(0.6, 0.8), EprInput.normalized(1, 1)
-        counts = np.zeros(64, dtype=int)
-        for i in range(trials):
-            counts[run_session(alice, bob, seed=seed + i).leaf] += 1
-        p = 1 / 64
-        sigma = np.sqrt(p * (1 - p) / trials)
-        max_z = float(np.max(np.abs(counts / trials - p)) / sigma)
-        replay = (
-            run_session(alice, bob, seed=seed).transcript.to_json()
-            == run_session(alice, bob, seed=seed).transcript.to_json()
+    alice = EprInput(0.6, 0.8)
+    bob = EprInput.normalized(0.8, 0.6j)
+    worst = 1.0
+    for A1, B1, payload in _worked_branch_payloads(alice, bob):
+        bob_ops, alice_ops = TABULATED_RULES[(A1, B1)]
+        fixed = apply_ops(payload, BOB_PAYLOAD_LABELS, bob_ops)
+        fixed = apply_ops(fixed, ALICE_PAYLOAD_LABELS, alice_ops)
+        fb = fidelity_pure(
+            reduced_density(fixed, BOB_PAYLOAD_LABELS),
+            alice.register(BOB_PAYLOAD_LABELS),
         )
-        ok = max_z <= 4.0 and replay
-        return ok, f"{trials} sessions, max |z| = {max_z:.2f} (gate 4.0); byte-identical replay: {replay}"
+        fa = fidelity_pure(
+            reduced_density(fixed, ALICE_PAYLOAD_LABELS),
+            bob.register(ALICE_PAYLOAD_LABELS),
+        )
+        worst = min(worst, fb, fa)
+    # Z on both qubits is the identity on the span of |00> and |11>.
+    epr = alice.register(("q0", "q1"))
+    zz = apply_gate1(apply_gate1(epr, "q0", "Z"), "q1", "Z")
+    span_ok = bool(np.allclose(zz.amps, epr.amps, atol=1e-12, rtol=0.0))
+    ok = abs(worst - 1.0) <= 1e-12 and span_ok
+    return ok, f"four rules, worst fidelity {worst:.15f}; Z(x)Z span identity: {span_ok}"
 
-    return _timed("sampling-consistency", None, check)
+
+@_criterion("non-cooperation-bound")
+def criterion_noncooperation() -> tuple[bool, str]:
+    """Withholding degrades the deprived direction to |c0|^4 + |c1|^4."""
+    cases = [
+        (EprInput.normalized(1, 1), 0.5),
+        (EprInput(0.6, 0.8), 0.5392),
+        (EprInput(1, 0), 1.0),
+    ]
+    worst = 0.0
+    for epr, expected in cases:
+        for withheld in ("A1", "B1"):
+            got = noncooperation_fidelity(epr, withheld)
+            worst = max(worst, abs(got - expected))
+    return worst <= 1e-12, f"balanced=0.5, (0.6,0.8)=0.5392, degenerate=1; max err {worst:.2e}"
 
 
-def criterion_engine_properties(seed: int, cases: int = 1000) -> CriterionResult:
+@_criterion("sampling-consistency")
+def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
+    """Seeded sessions hit every leaf uniformly and replay byte-identically."""
+    alice, bob = EprInput(0.6, 0.8), EprInput.normalized(1, 1)
+    counts = np.zeros(64, dtype=int)
+    for i in range(trials):
+        counts[run_session(alice, bob, seed=session_seed(seed, i)).leaf] += 1
+    p = 1 / 64
+    sigma = np.sqrt(p * (1 - p) / trials)
+    max_z = float(np.max(np.abs(counts / trials - p)) / sigma)
+    replay = (
+        run_session(alice, bob, seed=seed).transcript.to_json()
+        == run_session(alice, bob, seed=seed).transcript.to_json()
+    )
+    ok = max_z <= 4.0 and replay
+    return ok, f"{trials} sessions, max |z| = {max_z:.2f} (gate 4.0); byte-identical replay: {replay}"
+
+
+@_criterion("engine-properties", 30.0)
+def criterion_engine_properties(seed: int, cases: int = 1000) -> tuple[bool, str]:
     """Gate unitarity, Born completeness, collapse norms, partial-trace purity."""
-
-    def check() -> tuple[bool, str]:
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        # norm preservation and involutions under random gate words
-        for _ in range(cases):
-            reg = _random_register(rng, rng.integers(1, 7))
-            q = reg.labels[rng.integers(0, reg.n_qubits)]
-            gate = ("X", "Z", "H")[rng.integers(0, 3)]
-            once = apply_gate1(reg, q, gate)
-            twice = apply_gate1(once, q, gate)
-            worst = max(worst, abs(np.linalg.norm(once.amps) - 1.0))
-            worst = max(worst, float(np.max(np.abs(twice.amps - reg.amps))))
-            if reg.n_qubits >= 2:
-                r = reg.labels[(reg.axis(q) + 1) % reg.n_qubits]
-                flipped = apply_cnot(reg, q, r)
-                worst = max(worst, abs(np.linalg.norm(flipped.amps) - 1.0))
-                worst = max(
-                    worst, float(np.max(np.abs(apply_cnot(flipped, q, r).amps - reg.amps)))
-                )
-        # Born completeness and forced/sampled agreement
-        for _ in range(cases):
-            reg = _random_register(rng, rng.integers(1, 7))
-            q = reg.labels[rng.integers(0, reg.n_qubits)]
-            basis = "ZX"[rng.integers(0, 2)]
-            p0, p1 = outcome_probabilities(reg, q, basis)
-            worst = max(worst, abs(p0 + p1 - 1.0))
-            sampled = measure(reg, q, basis, rng=rng)
-            forced = measure(reg, q, basis, force=sampled.outcome)
-            worst = max(worst, abs(sampled.probability - forced.probability))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    # norm preservation and involutions under random gate words
+    for _ in range(cases):
+        reg = _random_register(rng, rng.integers(1, 7))
+        q = reg.labels[rng.integers(0, reg.n_qubits)]
+        gate = ("X", "Z", "H")[rng.integers(0, 3)]
+        once = apply_gate1(reg, q, gate)
+        twice = apply_gate1(once, q, gate)
+        worst = max(worst, abs(np.linalg.norm(once.amps) - 1.0))
+        worst = max(worst, float(np.max(np.abs(twice.amps - reg.amps))))
+        if reg.n_qubits >= 2:
+            r = reg.labels[(reg.axis(q) + 1) % reg.n_qubits]
+            flipped = apply_cnot(reg, q, r)
+            worst = max(worst, abs(np.linalg.norm(flipped.amps) - 1.0))
             worst = max(
-                worst, float(np.max(np.abs(sampled.register.amps - forced.register.amps)))
+                worst, float(np.max(np.abs(apply_cnot(flipped, q, r).amps - reg.amps)))
             )
-            worst = max(worst, abs(np.linalg.norm(sampled.register.amps) - 1.0))
-        # product-state partial trace is pure
-        for _ in range(cases):
-            left = _random_register(rng, rng.integers(1, 4), prefix="l")
-            right = _random_register(rng, rng.integers(1, 4), prefix="r")
-            rho = reduced_density(tensor(left, right), left.labels)
-            worst = max(worst, abs(rho.purity() - 1.0))
-        return worst <= 1e-12, f"{cases} cases per property, max deviation {worst:.2e}"
-
-    return _timed("engine-properties", 30.0, check)
+    # Born completeness and forced/sampled agreement
+    for _ in range(cases):
+        reg = _random_register(rng, rng.integers(1, 7))
+        q = reg.labels[rng.integers(0, reg.n_qubits)]
+        basis = "ZX"[rng.integers(0, 2)]
+        p0, p1 = outcome_probabilities(reg, q, basis)
+        worst = max(worst, abs(p0 + p1 - 1.0))
+        sampled = measure(reg, q, basis, rng=rng)
+        forced = measure(reg, q, basis, force=sampled.outcome)
+        worst = max(worst, abs(sampled.probability - forced.probability))
+        worst = max(
+            worst, float(np.max(np.abs(sampled.register.amps - forced.register.amps)))
+        )
+        worst = max(worst, abs(np.linalg.norm(sampled.register.amps) - 1.0))
+    # product-state partial trace is pure
+    for _ in range(cases):
+        left = _random_register(rng, rng.integers(1, 4), prefix="l")
+        right = _random_register(rng, rng.integers(1, 4), prefix="r")
+        rho = reduced_density(tensor(left, right), left.labels)
+        worst = max(worst, abs(rho.purity() - 1.0))
+    return worst <= 1e-12, f"{cases} cases per property, max deviation {worst:.2e}"
 
 
 def _random_register(rng: np.random.Generator, n: int, prefix: str = "q") -> Register:
@@ -435,14 +413,4 @@ def run_all(seed: int = DEFAULT_SEED, table: Table | None = None) -> list[Criter
 
 
 #: Criterion names in battery order (stable identifiers for reports).
-CRITERIA = (
-    "swap-reference-pairing",
-    "swap-exhaustive",
-    "branch-uniformity",
-    "reference-branch-content",
-    "bidirectional-reconstruction",
-    "correction-rules",
-    "non-cooperation-bound",
-    "sampling-consistency",
-    "engine-properties",
-)
+CRITERIA = tuple(_REGISTERED)

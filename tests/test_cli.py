@@ -7,11 +7,14 @@ checks, 0 success.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from bqtsim.cli import INPUT_NORM_TOL, OUTPUT_DIR_ENV, main
 from bqtsim.corrections import load_table, write_table
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +65,10 @@ def test_alpha_needs_four_numbers(capsys):
     assert "4 comma-separated" in err
     code, _out, err = run_cli(capsys, "enumerate", "--alpha", "0.6,x,0.8,0")
     assert code == 2
+    for argv in (("enumerate", "--alpha", "nan,0,0,0"), ("run", "--angles", "0.5,inf")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "must be finite" in err
 
 
 def test_angles_exclusive_with_amplitudes(capsys):
@@ -226,6 +233,11 @@ def test_verify_json_format(capsys):
         "sampling-consistency",
         "engine-properties",
     ]
+    # name/passed/detail are pinned by a golden file (see tests/test_golden.py)
+    golden = json.loads((GOLDEN / "verify-criteria.json").read_text())
+    assert [
+        {k: c[k] for k in ("name", "passed", "detail")} for c in report["criteria"]
+    ] == golden
 
 
 def test_verify_detects_corrupted_table(tmp_path, capsys):

@@ -12,6 +12,7 @@ from bqtsim.corrections import (
     TABULATED_RULES,
     apply_factor,
     apply_ops,
+    correction_key,
     encode_ops,
     load_table,
     minimal_correction,
@@ -269,3 +270,26 @@ def test_load_table_caches_by_path(tmp_path, table):
     write_table(table, path)
     assert load_table(path) is load_table(path)
     assert load_table() is load_table()
+
+
+def test_load_table_is_read_only():
+    table = load_table()
+    key = (0, "+", 0, "+", "+", "+")
+    with pytest.raises(TypeError):
+        table[key] = ("XX", "XX")
+    with pytest.raises(TypeError):
+        del table[key]
+    assert load_table()[key] == ("II", "II")
+
+
+def test_correction_key_defaults_only_withheld_announcements():
+    alice_own = {"a1": 1, "A2": "-", "A1": "-"}
+    heard = {"b3": 0, "B2": "+"}
+    owned = ("a1", "A2", "A1")
+    assert correction_key({**heard, **alice_own}, owned) == (1, "-", 0, "+", "-", "+")
+    assert correction_key({**heard, **alice_own, "B1": "-"}, owned)[5] == "-"
+    # a party's own second-round result and any first-round result never default
+    with pytest.raises(KeyError):
+        correction_key({**heard, "a1": 1, "A2": "-"}, owned)
+    with pytest.raises(KeyError):
+        correction_key({"b3": 0, **alice_own}, owned)

@@ -20,6 +20,7 @@ from bqtsim.parties import (
     Transcript,
     ownership_check,
     run_session,
+    session_seed,
 )
 from bqtsim.protocol import EprInput
 
@@ -67,6 +68,10 @@ def test_seed_validation():
     for bad in (-1, 2**64, True, 1.0, "7"):
         with pytest.raises(ValueError):
             run_session(ALPHA, BETA, seed=bad)
+
+
+def test_session_seed_wraps_past_2_64():
+    assert [session_seed(2**64 - 2, i) for i in range(4)] == [2**64 - 2, 2**64 - 1, 0, 1]
 
 
 def test_cooperation_validation():

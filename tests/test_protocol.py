@@ -11,12 +11,14 @@ import math
 import numpy as np
 import pytest
 
+import bqtsim.protocol as protocol
 from bqtsim.corrections import load_table
 from bqtsim.protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
     CHANNEL_LABELS,
     FULL_LABELS,
+    MEASUREMENT_PLAN,
     PAYLOAD_LABELS,
     REMAINDER_LABELS,
     EprInput,
@@ -30,8 +32,9 @@ from bqtsim.protocol import (
     prepare_full_state,
     step3_measure,
     step4_measure,
+    walk_leaves,
 )
-from bqtsim.qsim import equal_up_to_global_phase, make_register, permute, tensor
+from bqtsim.qsim import equal_up_to_global_phase, make_register, measure, permute, tensor
 
 ALPHA = EprInput(0.6, 0.8)
 BETA = EprInput.normalized(2.0, 1.0j)
@@ -58,6 +61,9 @@ class TestEprInput:
             EprInput(1.0, 1.0)
         with pytest.raises(ValueError, match="not 1"):
             EprInput(0.6, 0.80001)
+        for pair in ((float("nan"), 0), (complex(0.6, float("inf")), 0.8)):
+            with pytest.raises(ValueError, match="finite"):
+                EprInput(*pair)
 
     def test_normalized_constructor(self):
         epr = EprInput.normalized(3, 4)
@@ -285,6 +291,37 @@ def test_branch_probabilities_input_independent():
 
 def test_generate_table_matches_packaged_asset():
     assert generate_correction_table() == load_table()
+
+
+# ---------------------------------------------------------------------------
+# leaf walk
+# ---------------------------------------------------------------------------
+
+def test_walk_leaves_matches_sequential_measurement():
+    # oracle: measure each leaf from scratch, one qsim.measure call per step
+    encoded = encode(prepare_full_state(ALPHA, EprInput(0.8, complex(0.36, 0.48))))
+    leaves = list(walk_leaves(encoded))
+    assert [leaf_index(*outcomes) for outcomes, _p, _r in leaves] == list(range(64))
+    for outcomes, prob, payload in leaves:
+        state, forced, round_probs = encoded, iter(outcomes), []
+        for round_plan in MEASUREMENT_PLAN:
+            round_prob = 1.0
+            for qubit, basis in round_plan:
+                res = measure(state, qubit, basis, force=next(forced))
+                state, round_prob = res.register, round_prob * res.probability
+            round_probs.append(round_prob)
+        assert prob == round_probs[0] * round_probs[1]
+        assert payload.labels == state.labels
+        assert np.array_equal(payload.amps, state.amps)
+
+
+def test_walk_leaves_shares_measured_prefixes(monkeypatch):
+    calls = []
+    real = protocol.measure
+    monkeypatch.setattr(protocol, "measure", lambda *a, **k: calls.append(1) or real(*a, **k))
+    encoded = encode(prepare_full_state(ALPHA, BETA))
+    assert len(list(walk_leaves(encoded))) == 64
+    assert len(calls) == (2 + 4 + 8 + 16) + 16 * (2 + 4)
 
 
 # ---------------------------------------------------------------------------

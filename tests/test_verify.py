@@ -14,6 +14,7 @@ from bqtsim.verify import (
     CRITERIA,
     DEFAULT_SEED,
     criterion_reconstruction,
+    criterion_sampling,
     find_reference_permutations,
     reference_branch_terms,
     run_all,
@@ -111,3 +112,9 @@ def test_run_all_propagates_bad_table():
     # criteria that do not consult the injected table still pass
     assert by_name["swap-reference-pairing"].passed
     assert by_name["branch-uniformity"].passed
+
+
+def test_sampling_criterion_wraps_seeds_past_2_64():
+    # sessions 1..63 of this battery seed wrap to 0..62 instead of raising
+    result = criterion_sampling(2**64 - 1, trials=64)
+    assert result.detail.startswith("64 sessions, max |z|"), result.detail
