@@ -34,9 +34,9 @@ import numpy as np
 
 from .corrections import load_table
 from .ghz import entanglement_swap
-from .parties import run_session, session_seed
-from .protocol import EprInput, enumerate_branches
-from .verify import DEFAULT_SEED, run_all
+from .parties import WITHHELD, run_session, session_seed
+from .protocol import DIRECTIONS, FIDELITY_FLOOR, EprInput, enumerate_branches
+from .verify import DEFAULT_SEED, SIGMA_GATE, leaf_histogram_gate, run_all
 
 __all__ = ["main", "entry"]
 
@@ -148,7 +148,6 @@ def _emit(args: argparse.Namespace, report: dict, text: str) -> None:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     alpha, beta = _resolve_inputs(args)
     leaves = enumerate_branches(alpha, beta)
-    threshold = 1.0 - 1e-10
     rows = [
         {
             "leaf": leaf.index,
@@ -165,11 +164,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     ok = (
         len(leaves) == 64
         and abs(total - 1.0) <= 1e-12
-        and all(
-            r["fidelity_alice_to_bob"] >= threshold
-            and r["fidelity_bob_to_alice"] >= threshold
-            for r in rows
-        )
+        and all(r[d.field] >= FIDELITY_FLOOR for r in rows for d in DIRECTIONS.values())
     )
     report = {
         "schema": "bqtsim.leaf-report/1",
@@ -202,7 +197,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("--trials must be at least 1")
     cooperation = _COOPERATION_FLAGS[args.cooperation]
     table = load_table()
-    threshold = 1.0 - 1e-10
+    # only the cooperative directions are gated on perfect fidelity
+    withheld = WITHHELD.get(cooperation)
+    gated = [d.field for announcement, d in DIRECTIONS.items() if announcement != withheld]
     trials = []
     transcripts = []
     counts = np.zeros(64, dtype=int)
@@ -211,11 +208,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = run_session(alpha, beta, seed=session_seed(seed, i),
                              cooperation=cooperation, table=table)
         counts[result.leaf] += 1
-        # only the cooperative directions are gated on perfect fidelity
-        if cooperation != "alice_withholds_A1":
-            ok = ok and result.fidelity_alice_to_bob >= threshold
-        if cooperation != "bob_withholds_B1":
-            ok = ok and result.fidelity_bob_to_alice >= threshold
+        ok = ok and all(getattr(result, f) >= FIDELITY_FLOOR for f in gated)
         trials.append(
             {
                 "trial": i,
@@ -229,11 +222,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         if args.transcripts:
             transcripts.append(result.transcript.to_json_obj())
-    p = 1.0 / 64.0
-    sigma = math.sqrt(p * (1 - p) / args.trials)
-    freqs = counts / args.trials
-    max_z = float(np.max(np.abs(freqs - p)) / sigma)
-    expected_count = args.trials * p
+    max_z, within = leaf_histogram_gate(counts)
+    expected_count = args.trials / 64
     chi_square = float(np.sum((counts - expected_count) ** 2 / expected_count))
     report = {
         "schema": "bqtsim.session-report/1",
@@ -250,7 +240,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "counts": [int(c) for c in counts],
             "expected_count": expected_count,
             "max_abs_z": max_z,
-            "within_4_sigma": max_z <= 4.0,
+            "within_4_sigma": within,
             "chi_square": chi_square,
             "degrees_of_freedom": 63,
         },
@@ -269,8 +259,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if len(trials) > 20:
         lines.append(f"  ... {len(trials) - 20} more trials elided ...")
     lines.append(
-        f"leaf histogram: max |z| = {max_z:.3f}, within 4 sigma: "
-        f"{'yes' if max_z <= 4.0 else 'no'} (informational), "
+        f"leaf histogram: max |z| = {max_z:.3f}, within {SIGMA_GATE:g} sigma: "
+        f"{'yes' if within else 'no'} (informational), "
         f"chi-square {chi_square:.1f} on 63 dof"
     )
     lines.append("PASS" if ok else "FAIL")

@@ -29,11 +29,13 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
-from .qsim import Register, apply_gate1, equal_up_to_global_phase
+from .qsim import X_OUTCOMES, Z_OUTCOMES, Register, apply_gate1, equal_up_to_global_phase
 
 __all__ = [
     "FACTORS",
     "MEASUREMENT_PLAN",
+    "OUTCOMES",
+    "PLAN_QUBITS",
     "TABLE_SCHEMA",
     "TABULATED_RULES",
     "apply_factor",
@@ -60,6 +62,12 @@ MEASUREMENT_PLAN = (
 )
 _KEY_PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 
+#: The six measured qubits in plan order: the fields of a table key.
+PLAN_QUBITS = tuple(q for q, _ in _KEY_PLAN)
+
+#: Outcome alphabet of each measurement basis; the first outcome is the zero bit.
+OUTCOMES = {"Z": Z_OUTCOMES, "X": X_OUTCOMES}
+
 #: Legal per-qubit correction factors, in preference order after identity.
 FACTORS = ("I", "Z", "X", "XZ")
 
@@ -85,10 +93,9 @@ Table = Mapping[TableKey, tuple[str, str]]
 
 def leaf_index(a1: int, A2: str, b3: int, B2: str, A1: str, B1: str) -> int:
     """Pack the six outcomes into 0..63 (plan order, 0/"+" = zero bit)."""
-    bits = (a1, A2 == "-", b3, B2 == "-", A1 == "-", B1 == "-")
     idx = 0
-    for bit in bits:
-        idx = (idx << 1) | int(bit)
+    for (_, basis), outcome in zip(_KEY_PLAN, (a1, A2, b3, B2, A1, B1)):
+        idx = (idx << 1) | OUTCOMES[basis].index(outcome)
     return idx
 
 
@@ -101,7 +108,7 @@ def correction_key(known: Mapping[str, int | str], owned: Collection[str] = ()) 
     """
     withholdable = {q for q, _ in MEASUREMENT_PLAN[1]}.difference(owned)
     return tuple(
-        known.get(q, "+") if q in withholdable else known[q] for q, _ in _KEY_PLAN
+        known.get(q, "+") if q in withholdable else known[q] for q in PLAN_QUBITS
     )
 
 
@@ -204,26 +211,27 @@ def write_table(table: Table, path: str | Path) -> None:
 
 
 @lru_cache(maxsize=8)
-def _load_cached(resolved: str | None) -> Table:
-    if resolved is None:
-        text = (
-            resources.files("bqtsim").joinpath("assets/correction_table.json").read_text()
-        )
-    else:
-        text = Path(resolved).read_text()
+def _parse_table(text: str) -> Table:
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("schema") != TABLE_SCHEMA:
         raise ValueError(f"not a {TABLE_SCHEMA} document")
     return MappingProxyType(records_to_table(payload.get("entries", [])))
 
 
+@lru_cache(maxsize=1)
+def _packaged_text() -> str:
+    return resources.files("bqtsim").joinpath("assets/correction_table.json").read_text()
+
+
 def load_table(path: str | Path | None = None) -> Table:
     """Load and validate a correction table (packaged asset by default).
 
-    Tables are cached per path and returned read-only, so no caller can
-    change what a later call sees.
+    The packaged asset is read once; an explicit ``path`` is read on every
+    call, so a later edit to the file is always seen.  Parsed tables are
+    cached by content and returned read-only, so no caller can change what
+    a later call sees.
 
     The generator that derives the packaged table from the protocol itself
     lives in :func:`bqtsim.protocol.generate_correction_table`.
     """
-    return _load_cached(str(Path(path).resolve()) if path is not None else None)
+    return _parse_table(_packaged_text() if path is None else Path(path).read_text())

@@ -33,29 +33,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .corrections import (
-    MEASUREMENT_PLAN,
-    Table,
-    TableKey,
-    apply_ops,
-    correction_key,
-    leaf_index,
-    load_table,
-)
+from .corrections import MEASUREMENT_PLAN, Table, TableKey, correction_key, leaf_index, load_table
 from .protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
+    DIRECTIONS,
     EprInput,
+    deliver,
+    delivery_targets,
     deprived_fidelities,
     prepare_channel,
     prepare_full_state,
     walk_round,
 )
-from .qsim import Register, apply_cnot, fidelity_pure, measure, reduced_density
+from .qsim import Register, apply_cnot, measure
 
 __all__ = [
     "ALICE",
@@ -63,8 +57,8 @@ __all__ = [
     "COOPERATION_MODES",
     "OWNED",
     "TRANSCRIPT_SCHEMA",
+    "WITHHELD",
     "Event",
-    "Message",
     "Party",
     "SessionResult",
     "Transcript",
@@ -84,7 +78,7 @@ OWNED: dict[str, frozenset[str]] = {
 COOPERATION_MODES = ("full", "alice_withholds_A1", "bob_withholds_B1")
 
 #: The second-round announcement each withholding mode suppresses.
-_WITHHELD = {"alice_withholds_A1": "A1", "bob_withholds_B1": "B1"}
+WITHHELD = {"alice_withholds_A1": "A1", "bob_withholds_B1": "B1"}
 
 TRANSCRIPT_SCHEMA = "bqtsim.transcript/1"
 
@@ -97,15 +91,6 @@ def session_seed(base: int, trial: int = 0) -> int:
     if not isinstance(base, int) or isinstance(base, bool) or not 0 <= base < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {base!r}")
     return (base + trial) % 2**64
-
-
-@dataclass(frozen=True)
-class Message:
-    """One classical announcement: (qubit, basis, outcome) triples."""
-
-    sender: str
-    round: int
-    payload: tuple[tuple[str, str, int | str], ...]
 
 
 @dataclass(frozen=True)
@@ -158,13 +143,12 @@ class Party:
     name: str
     owned: frozenset[str]
     input: EprInput
-    received: list[Message] = field(default_factory=list)
-    outcomes: dict[str, int | str] = field(default_factory=dict)
+    heard: dict[str, int | str] = field(default_factory=dict)  # announced to it
+    outcomes: dict[str, int | str] = field(default_factory=dict)  # its own
 
     def correction_key(self) -> TableKey:
         """Table key from this party's own outcomes plus what it was told."""
-        heard = {label: outcome for m in self.received for label, _basis, outcome in m.payload}
-        return correction_key({**heard, **self.outcomes}, self.owned)
+        return correction_key({**self.heard, **self.outcomes}, self.owned)
 
 
 @dataclass(frozen=True)
@@ -213,24 +197,18 @@ def run_session(
     state = _gate(t, state, 2, ALICE, ("A1", "a1"))
     state = _gate(t, state, 2, BOB, ("B1", "b3"))
 
-    withheld = _WITHHELD.get(cooperation)
+    withheld = WITHHELD.get(cooperation)
     state = _play_round(t, state, 1, alice, bob, rng)
     pre_step4 = state  # kept for the counterfactual average under withholding
     state = _play_round(t, state, 2, alice, bob, rng, withheld)
 
     bob_ops = table[bob.correction_key()][0]
-    state = apply_ops(state, BOB_PAYLOAD_LABELS, bob_ops)
-    t.add(Event(4, BOB, "correct", BOB_PAYLOAD_LABELS, outcome=bob_ops))
     alice_ops = table[alice.correction_key()][1]
-    state = apply_ops(state, ALICE_PAYLOAD_LABELS, alice_ops)
+    _, fid_a2b, fid_b2a = deliver(
+        state, (bob_ops, alice_ops), delivery_targets(alice_input, bob_input)
+    )
+    t.add(Event(4, BOB, "correct", BOB_PAYLOAD_LABELS, outcome=bob_ops))
     t.add(Event(4, ALICE, "correct", ALICE_PAYLOAD_LABELS, outcome=alice_ops))
-
-    fid_a2b = fidelity_pure(
-        reduced_density(state, BOB_PAYLOAD_LABELS), alice_input.register(BOB_PAYLOAD_LABELS)
-    )
-    fid_b2a = fidelity_pure(
-        reduced_density(state, ALICE_PAYLOAD_LABELS), bob_input.register(ALICE_PAYLOAD_LABELS)
-    )
     t.add(Event(4, BOB, "fidelity", BOB_PAYLOAD_LABELS, outcome=fid_a2b))
     t.add(Event(4, ALICE, "fidelity", ALICE_PAYLOAD_LABELS, outcome=fid_b2a))
 
@@ -245,7 +223,7 @@ def run_session(
             (key[: len(first_plan)] + second, prob, payload)
             for second, prob, payload in walk_round(pre_step4, second_plan, pinned)
         )
-        sent = alice_input if withheld == "A1" else bob_input
+        sent = (alice_input, bob_input)[DIRECTIONS[withheld].slot]
         ((_, expected),) = deprived_fidelities(leaves, withheld, sent, table)
 
     return SessionResult(
@@ -273,64 +251,27 @@ def _play_round(
     step, plan = round_no + 2, MEASUREMENT_PLAN[round_no - 1]
     for qubit, basis in plan:
         party = alice if qubit in alice.owned else bob
-        state = _measure(t, state, step, party, qubit, basis, rng)
+        res = measure(state, qubit, basis, rng=rng)
+        party.outcomes[qubit] = res.outcome
+        state = res.register
+        t.add(Event(step, party.name, "measure", (qubit,), basis=basis,
+                    outcome=res.outcome, probability=res.probability))
     for sender, receiver in ((alice, bob), (bob, alice)):
-        items = tuple((q, b) for q, b in plan if q in sender.owned and q != withheld)
-        if items:
-            _announce(t, step, sender, receiver, round_no, items)
+        payload = [
+            [q, basis, sender.outcomes[q]]
+            for q, basis in plan
+            if q in sender.owned and q != withheld
+        ]
+        if payload:
+            receiver.heard.update((q, outcome) for q, _basis, outcome in payload)
+            t.add(Event(step, sender.name, "message", tuple(q for q, *_ in payload),
+                        outcome=payload, message_round=round_no))
     return state
 
 
 def _gate(t: Transcript, state: Register, step: int, actor: str, qubits: tuple) -> Register:
     t.add(Event(step, actor, "gate", qubits, outcome="CNOT"))
     return apply_cnot(state, *qubits)
-
-
-def _measure(
-    t: Transcript,
-    state: Register,
-    step: int,
-    party: Party,
-    qubit: str,
-    basis: str,
-    rng: np.random.Generator,
-) -> Register:
-    res = measure(state, qubit, basis, rng=rng)
-    party.outcomes[qubit] = res.outcome
-    t.add(
-        Event(
-            step,
-            party.name,
-            "measure",
-            (qubit,),
-            basis=basis,
-            outcome=res.outcome,
-            probability=res.probability,
-        )
-    )
-    return res.register
-
-
-def _announce(
-    t: Transcript,
-    step: int,
-    sender: Party,
-    receiver: Party,
-    round_no: int,
-    items: Iterable[tuple[str, str]],
-) -> None:
-    payload = tuple((q, basis, sender.outcomes[q]) for q, basis in items)
-    receiver.received.append(Message(sender.name, round_no, payload))
-    t.add(
-        Event(
-            step,
-            sender.name,
-            "message",
-            tuple(q for q, _ in items),
-            outcome=[[q, basis, outcome] for q, basis, outcome in payload],
-            message_round=round_no,
-        )
-    )
 
 
 def _other(name: str) -> str:

@@ -15,7 +15,9 @@ The conventions used throughout:
 * measurement order and bases: ``MEASUREMENT_PLAN`` (defined in
   :mod:`bqtsim.corrections`, which owns the table-key format);
 * ``leaf_index`` packs outcomes into six bits in plan order, with 0 / "+"
-  as the zero bit.
+  as the zero bit;
+* :func:`deliver` corrects and scores both directions, ``DIRECTIONS`` names
+  the one each withheld announcement starves, ``FIDELITY_FLOOR`` gates them.
 
 Every caller that needs measurement leaves walks them with
 :func:`walk_round` or :func:`walk_leaves`.
@@ -31,6 +33,8 @@ import numpy as np
 
 from .corrections import (
     MEASUREMENT_PLAN,
+    OUTCOMES,
+    PLAN_QUBITS,
     Table,
     apply_ops,
     correction_key,
@@ -41,8 +45,7 @@ from .corrections import (
 )
 from .ghz import ghz_state
 from .qsim import (
-    X_OUTCOMES,
-    Z_OUTCOMES,
+    DensityMatrix,
     Register,
     apply_cnot,
     fidelity_pure,
@@ -57,15 +60,20 @@ __all__ = [
     "ALICE_PAYLOAD_LABELS",
     "BOB_PAYLOAD_LABELS",
     "CHANNEL_LABELS",
+    "DIRECTIONS",
+    "FIDELITY_FLOOR",
     "FULL_LABELS",
     "MEASUREMENT_PLAN",
     "PAYLOAD_LABELS",
     "REMAINDER_LABELS",
     "BranchLeaf",
+    "Direction",
     "EprInput",
     "Step3Result",
     "Step4Result",
     "correct",
+    "deliver",
+    "delivery_targets",
     "deprived_fidelities",
     "encode",
     "enumerate_branches",
@@ -93,7 +101,25 @@ PAYLOAD_LABELS = ("b1", "b2", "a2", "a3")
 BOB_PAYLOAD_LABELS = ("b1", "b2")
 ALICE_PAYLOAD_LABELS = ("a2", "a3")
 
-_OUTCOMES = {"Z": Z_OUTCOMES, "X": X_OUTCOMES}
+#: A delivered payload counts as reconstructed at or above this fidelity.
+FIDELITY_FLOOR = 1.0 - 1e-10
+
+
+class Direction(NamedTuple):
+    """One teleportation direction: where its payload lands and how it is scored."""
+
+    labels: tuple[str, str]  # the receiver's payload qubits
+    slot: int  # its column in a table entry, and its sender in (alice, bob)
+    field: str  # its fidelity's name on BranchLeaf, SessionResult and report rows
+
+
+#: Each withholdable second-round announcement and the direction it starves:
+#: without A1, Bob cannot finish Alice's payload; without B1, Alice cannot
+#: finish Bob's.  Iteration order is the fixed correction order, Bob first.
+DIRECTIONS = {
+    "A1": Direction(BOB_PAYLOAD_LABELS, 0, "fidelity_alice_to_bob"),
+    "B1": Direction(ALICE_PAYLOAD_LABELS, 1, "fidelity_bob_to_alice"),
+}
 
 
 @dataclass(frozen=True)
@@ -188,7 +214,7 @@ def walk_round(
             return
         qubit, basis = plan[k]
         open_step = force[k] is None and rng is None
-        for want in _OUTCOMES[basis] if open_step else (force[k],):
+        for want in OUTCOMES[basis] if open_step else (force[k],):
             res = measure(state, qubit, basis, force=want, rng=rng if want is None else None)
             yield from descend(
                 res.register, k + 1, outcomes + (res.outcome,), prob * res.probability
@@ -255,6 +281,35 @@ def step4_measure(
     return Step4Result(*outcomes, prob, payload)
 
 
+def delivery_targets(alice: EprInput, bob: EprInput) -> tuple[Register, Register]:
+    """Each input written on its receiver's labels, in :data:`DIRECTIONS` order."""
+    inputs = (alice, bob)
+    return tuple(inputs[d.slot].register(d.labels) for d in DIRECTIONS.values())
+
+
+def deliver(
+    payload: Register,
+    ops: tuple[str, str],
+    targets: tuple[Register, Register] | None = None,
+) -> tuple[Register, float | None, float | None]:
+    """Finish both teleportations: (corrected payload, a->b and b->a fidelity).
+
+    ``ops`` is a table entry (bob_ops, alice_ops); Bob's act on (b1, b2)
+    first, then Alice's on (a2, a3).  Each corrected half is scored against
+    its entry of ``targets`` (see :func:`delivery_targets`); without targets
+    both fidelities are None.
+    """
+    for d in DIRECTIONS.values():
+        payload = apply_ops(payload, d.labels, ops[d.slot])
+    if targets is None:
+        return payload, None, None
+    to_bob, to_alice = (
+        fidelity_pure(reduced_density(payload, d.labels), target)
+        for d, target in zip(DIRECTIONS.values(), targets)
+    )
+    return payload, to_bob, to_alice
+
+
 def correct(
     payload: Register,
     a1: int,
@@ -268,9 +323,8 @@ def correct(
     """Apply both parties' outcome-keyed corrections to the four-qubit payload."""
     if table is None:
         table = load_table()
-    bob_ops, alice_ops = table[(a1, A2, b3, B2, A1, B1)]
-    fixed = apply_ops(payload, BOB_PAYLOAD_LABELS, bob_ops)
-    return apply_ops(fixed, ALICE_PAYLOAD_LABELS, alice_ops)
+    fixed, _, _ = deliver(payload, table[(a1, A2, b3, B2, A1, B1)])
+    return fixed
 
 
 @dataclass(frozen=True)
@@ -292,17 +346,10 @@ class BranchLeaf:
 
     @property
     def index(self) -> int:
-        return leaf_index(self.a1, self.A2, self.b3, self.B2, self.A1, self.B1)
+        return leaf_index(*self.outcomes().values())
 
     def outcomes(self) -> dict[str, int | str]:
-        return {
-            "a1": self.a1,
-            "A2": self.A2,
-            "b3": self.b3,
-            "B2": self.B2,
-            "A1": self.A1,
-            "B1": self.B1,
-        }
+        return {q: getattr(self, q) for q in PLAN_QUBITS}
 
 
 def enumerate_branches(
@@ -316,27 +363,11 @@ def enumerate_branches(
     if table is None:
         table = load_table()
     encoded = encode(prepare_full_state(alice, bob))
-    target_bob = alice.register(BOB_PAYLOAD_LABELS)
-    target_alice = bob.register(ALICE_PAYLOAD_LABELS)
+    targets = delivery_targets(alice, bob)
     leaves = []
     for key, prob, payload in walk_leaves(encoded):
-        fixed = correct(payload, *key, table)
-        bob_ops, alice_ops = table[key]
-        leaves.append(
-            BranchLeaf(
-                *key,
-                probability=prob,
-                post_state=payload,
-                bob_ops=bob_ops,
-                alice_ops=alice_ops,
-                fidelity_alice_to_bob=fidelity_pure(
-                    reduced_density(fixed, BOB_PAYLOAD_LABELS), target_bob
-                ),
-                fidelity_bob_to_alice=fidelity_pure(
-                    reduced_density(fixed, ALICE_PAYLOAD_LABELS), target_alice
-                ),
-            )
-        )
+        _, to_bob, to_alice = deliver(payload, table[key], targets)
+        leaves.append(BranchLeaf(*key, prob, payload, *table[key], to_bob, to_alice))
     return leaves
 
 
@@ -373,8 +404,7 @@ def generate_correction_table() -> dict[tuple, tuple[str, str]]:
     """
     alice, bob = _GENERIC_ALICE, _GENERIC_BOB
     encoded = encode(prepare_full_state(alice, bob))
-    target_bob = alice.register(BOB_PAYLOAD_LABELS)
-    target_alice = bob.register(ALICE_PAYLOAD_LABELS)
+    target_bob, target_alice = delivery_targets(alice, bob)
     table: dict[tuple, tuple[str, str]] = {}
     for key, _prob, payload in walk_leaves(encoded):
         bob_part, alice_part = _payload_factors(payload)
@@ -388,7 +418,7 @@ def generate_correction_table() -> dict[tuple, tuple[str, str]]:
 def deprived_fidelities(
     leaves: Iterable[Leaf], withheld: str, sent: EprInput, table: Table
 ) -> list[tuple[float, float]]:
-    """Fidelity at the receiver starved of the ``withheld`` announcement.
+    """Fidelity at the receiver ``DIRECTIONS[withheld]`` starved of one announcement.
 
     ``leaves`` gives (outcomes in plan order, weight, payload).  Leaves that
     differ only in the withheld result look alike to the receiver: it
@@ -397,18 +427,17 @@ def deprived_fidelities(
     group in first-seen order, its total weight and the mixture's fidelity
     against ``sent``.
     """
-    labels, slot = (BOB_PAYLOAD_LABELS, 0) if withheld == "A1" else (ALICE_PAYLOAD_LABELS, 1)
-    qubits = [q for round_plan in MEASUREMENT_PLAN for q, _ in round_plan]
+    labels, slot, _ = DIRECTIONS[withheld]
     groups: dict[tuple, list] = {}
     for outcomes, weight, payload in leaves:
-        key = correction_key({q: o for q, o in zip(qubits, outcomes) if q != withheld})
+        key = correction_key({q: o for q, o in zip(PLAN_QUBITS, outcomes) if q != withheld})
         fixed = apply_ops(payload, labels, table[key][slot])
         group = groups.setdefault(key, [0.0, np.zeros((4, 4), dtype=complex)])
         group[1] += weight * reduced_density(fixed, labels).mat
         group[0] += weight
-    target = sent.register(labels).amps
+    target = sent.register(labels)
     return [
-        (total, float(np.real(np.vdot(target, (mixed / total) @ target))))
+        (total, fidelity_pure(DensityMatrix(labels, mixed / total), target))
         for total, mixed in groups.values()
     ]
 
@@ -423,13 +452,13 @@ def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     the receiver's corrected reduced state over the two equally likely
     withheld outcomes and equals ``|c0|**4 + |c1|**4``.
     """
-    if withheld not in ("A1", "B1"):
+    if withheld not in DIRECTIONS:
         raise ValueError(f"withheld must be 'A1' or 'B1', got {withheld!r}")
     table = load_table()
     # The cooperative direction's input never influences the deprived side.
-    other = EprInput(np.sqrt(0.5), np.sqrt(0.5))
-    alice, bob = (epr, other) if withheld == "A1" else (other, epr)
-    encoded = encode(prepare_full_state(alice, bob))
+    inputs = [EprInput(np.sqrt(0.5), np.sqrt(0.5))] * 2
+    inputs[DIRECTIONS[withheld].slot] = epr
+    encoded = encode(prepare_full_state(*inputs))
     expected = 0.0
     for weight, fidelity in deprived_fidelities(walk_leaves(encoded), withheld, epr, table):
         expected += weight * fidelity

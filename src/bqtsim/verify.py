@@ -17,14 +17,18 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, apply_ops, load_table
+from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, load_table
 from .ghz import entanglement_swap
 from .parties import run_session, session_seed
 from .protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
+    DIRECTIONS,
+    FIDELITY_FLOOR,
     REMAINDER_LABELS,
     EprInput,
+    deliver,
+    delivery_targets,
     encode,
     enumerate_branches,
     noncooperation_fidelity,
@@ -36,7 +40,6 @@ from .qsim import (
     Register,
     apply_cnot,
     apply_gate1,
-    fidelity_pure,
     make_register,
     measure,
     outcome_probabilities,
@@ -47,8 +50,10 @@ from .qsim import (
 __all__ = [
     "CRITERIA",
     "DEFAULT_SEED",
+    "SIGMA_GATE",
     "CriterionResult",
     "find_reference_permutations",
+    "leaf_histogram_gate",
     "reference_branch_terms",
     "run_all",
 ]
@@ -57,6 +62,10 @@ __all__ = [
 #: spells the protocol initials in hex-adjacent digits (B, 9 for Q, 7 for T)
 #: and is the documented constant used when none is supplied.
 DEFAULT_SEED = 0xB97
+
+#: Sampled leaf frequencies pass when every one is within this many standard
+#: deviations of the uniform 1/64.
+SIGMA_GATE = 4.0
 
 _REGISTERED: list[str] = []  # criterion names, in definition (= battery) order
 
@@ -71,6 +80,15 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status}  {self.name}  ({self.elapsed:.2f}s)  {self.detail}"
+
+
+def leaf_histogram_gate(counts: np.ndarray) -> tuple[float, bool]:
+    """Largest |z| of the sampled leaf frequencies against 1/64, and whether it passes."""
+    trials = int(counts.sum())
+    p = 1 / 64
+    sigma = np.sqrt(p * (1 - p) / trials)
+    max_z = float(np.max(np.abs(counts / trials - p)) / sigma)
+    return max_z, max_z <= SIGMA_GATE
 
 
 def _random_epr(rng: np.random.Generator) -> EprInput:
@@ -248,8 +266,9 @@ def criterion_reference_branches(seed: int) -> tuple[bool, str]:
 def _worked_branch_payloads(alice: EprInput, bob: EprInput) -> Iterator[tuple[str, str, Register]]:
     """(A1, B1, payload) for the four leaves of the worked first-round branch."""
     encoded = encode(prepare_full_state(alice, bob))
-    for outcomes, _prob, payload in walk_leaves(encoded, (0, "+", 0, "+", None, None)):
-        yield outcomes[4], outcomes[5], payload
+    worked, second_round_open = (0, "+", 0, "+"), (None,) * len(MEASUREMENT_PLAN[1])
+    for outcomes, _prob, payload in walk_leaves(encoded, worked + second_round_open):
+        yield (*outcomes[len(worked):], payload)
 
 
 def _worked_branch_factorization(alice: EprInput, bob: EprInput, tol: float = 1e-12) -> bool:
@@ -282,7 +301,7 @@ def criterion_reconstruction(
             if abs(leaf.probability - 1 / 64) > 1e-12:
                 return False, f"leaf {leaf.index} probability {leaf.probability!r}"
             worst = min(worst, leaf.fidelity_alice_to_bob, leaf.fidelity_bob_to_alice)
-    ok = worst >= 1.0 - 1e-10
+    ok = worst >= FIDELITY_FLOOR
     return ok, f"{n_inputs} random input pairs, worst corrected fidelity {worst:.15f}"
 
 
@@ -291,19 +310,10 @@ def criterion_correction_rules() -> tuple[bool, str]:
     """Announcement-keyed published rules fix the worked branch exactly."""
     alice = EprInput(0.6, 0.8)
     bob = EprInput.normalized(0.8, 0.6j)
+    targets = delivery_targets(alice, bob)
     worst = 1.0
     for A1, B1, payload in _worked_branch_payloads(alice, bob):
-        bob_ops, alice_ops = TABULATED_RULES[(A1, B1)]
-        fixed = apply_ops(payload, BOB_PAYLOAD_LABELS, bob_ops)
-        fixed = apply_ops(fixed, ALICE_PAYLOAD_LABELS, alice_ops)
-        fb = fidelity_pure(
-            reduced_density(fixed, BOB_PAYLOAD_LABELS),
-            alice.register(BOB_PAYLOAD_LABELS),
-        )
-        fa = fidelity_pure(
-            reduced_density(fixed, ALICE_PAYLOAD_LABELS),
-            bob.register(ALICE_PAYLOAD_LABELS),
-        )
+        _, fb, fa = deliver(payload, TABULATED_RULES[(A1, B1)], targets)
         worst = min(worst, fb, fa)
     # Z on both qubits is the identity on the span of |00> and |11>.
     epr = alice.register(("q0", "q1"))
@@ -323,7 +333,7 @@ def criterion_noncooperation() -> tuple[bool, str]:
     ]
     worst = 0.0
     for epr, expected in cases:
-        for withheld in ("A1", "B1"):
+        for withheld in DIRECTIONS:
             got = noncooperation_fidelity(epr, withheld)
             worst = max(worst, abs(got - expected))
     return worst <= 1e-12, f"balanced=0.5, (0.6,0.8)=0.5392, degenerate=1; max err {worst:.2e}"
@@ -336,15 +346,15 @@ def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
     counts = np.zeros(64, dtype=int)
     for i in range(trials):
         counts[run_session(alice, bob, seed=session_seed(seed, i)).leaf] += 1
-    p = 1 / 64
-    sigma = np.sqrt(p * (1 - p) / trials)
-    max_z = float(np.max(np.abs(counts / trials - p)) / sigma)
+    max_z, uniform = leaf_histogram_gate(counts)
     replay = (
         run_session(alice, bob, seed=seed).transcript.to_json()
         == run_session(alice, bob, seed=seed).transcript.to_json()
     )
-    ok = max_z <= 4.0 and replay
-    return ok, f"{trials} sessions, max |z| = {max_z:.2f} (gate 4.0); byte-identical replay: {replay}"
+    return uniform and replay, (
+        f"{trials} sessions, max |z| = {max_z:.2f} (gate {SIGMA_GATE}); "
+        f"byte-identical replay: {replay}"
+    )
 
 
 @_criterion("engine-properties", 30.0)

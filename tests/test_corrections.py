@@ -272,6 +272,16 @@ def test_load_table_caches_by_path(tmp_path, table):
     assert load_table() is load_table()
 
 
+def test_load_table_rereads_an_edited_file(tmp_path, table):
+    path = tmp_path / "edited.json"
+    write_table(table, path)
+    key = (0, "+", 0, "+", "+", "+")
+    assert load_table(path)[key] == ("II", "II")
+    write_table({**table, key: ("XX", "II")}, path)
+    assert load_table(path)[key] == ("XX", "II")
+    assert load_table()[key] == ("II", "II")
+
+
 def test_load_table_is_read_only():
     table = load_table()
     key = (0, "+", 0, "+", "+", "+")

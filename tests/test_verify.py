@@ -16,6 +16,7 @@ from bqtsim.verify import (
     criterion_reconstruction,
     criterion_sampling,
     find_reference_permutations,
+    leaf_histogram_gate,
     reference_branch_terms,
     run_all,
 )
@@ -25,6 +26,19 @@ CANONICAL_SLOTS = ("A1", "B1", "b1", "b2", "a2", "a3")
 
 def test_default_seed_value():
     assert DEFAULT_SEED == 0xB97
+
+
+def test_leaf_histogram_gate():
+    assert leaf_histogram_gate(np.full(64, 64)) == (0.0, True)
+    # Over 4096 trials, k extra hits on one leaf give z = k / sqrt(63):
+    # 31 hits sit 3.91 sigma out, 32 hits 4.03.
+    for extra, within in ((31, True), (32, False)):
+        counts = np.full(64, 64)
+        counts[0] += extra
+        counts[1] -= extra
+        max_z, ok = leaf_histogram_gate(counts)
+        assert ok is within
+        assert max_z == pytest.approx(extra / np.sqrt(63), rel=1e-12)
 
 
 def test_reference_branch_terms_worked_branch():
