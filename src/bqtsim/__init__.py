@@ -5,12 +5,15 @@ The package layers as follows:
 * :mod:`bqtsim.qsim` — dense state-vector engine over named qubits.
 * :mod:`bqtsim.ghz` — the eight-state GHZ basis, GHZ-basis measurement, and
   the entanglement-swapping table for a pair of triples.
-* :mod:`bqtsim.protocol` — channel preparation, encoding, the staged
-  measurements, branch enumeration, and the non-cooperation fidelity bound.
+* :mod:`bqtsim.protocol` — channel preparation, encoding (``ENCODING``),
+  the one measurement walk (``walk_round``/``walk_leaves``) that every
+  enumerated, forced or sampled measurement goes through, delivery, branch
+  enumeration, and the non-cooperation fidelity bound.
 * :mod:`bqtsim.corrections` — announcement-keyed Pauli-correction table
   (generation, minimality, serialization, packaged asset).
-* :mod:`bqtsim.parties` — two-party sessions with ownership tracking,
-  announcement rounds, replayable transcripts, and a structural audit.
+* :mod:`bqtsim.parties` — two-party sessions that play the protocol's own
+  steps and add ownership tracking, announcement rounds, replayable
+  transcripts, and a structural audit.
 * :mod:`bqtsim.verify` — the nine-criterion self-verification battery.
 * :mod:`bqtsim.cli` — the ``bqtsim`` command-line front end.
 """
@@ -36,8 +39,6 @@ from .protocol import (
     noncooperation_fidelity,
     prepare_channel,
     prepare_full_state,
-    step3_measure,
-    step4_measure,
 )
 from .qsim import (
     DensityMatrix,
@@ -100,8 +101,6 @@ __all__ = [
     "reduced_density",
     "run_all",
     "run_session",
-    "step3_measure",
-    "step4_measure",
     "tensor",
     "write_table",
     "__version__",

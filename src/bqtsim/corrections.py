@@ -182,18 +182,28 @@ def table_to_records(table: Table) -> list[dict]:
     return records
 
 
-def records_to_table(records: Sequence[Mapping]) -> dict[TableKey, tuple[str, str]]:
-    """Validate and index raw records; raises ValueError on a malformed table."""
+def records_to_table(records: list[Mapping]) -> dict[TableKey, tuple[str, str]]:
+    """Validate and index raw records; raises ValueError on a malformed table.
+
+    ``records`` must be a list of objects; a Z outcome must be the integer 0
+    or 1 (not a bool, float or string).
+    """
+    if not isinstance(records, list):
+        raise ValueError(f"correction entries must be a list, got {type(records).__name__}")
     table: dict[TableKey, tuple[str, str]] = {}
     for rec in records:
+        if not isinstance(rec, Mapping):
+            raise ValueError(f"malformed correction record {rec!r}")
         try:
-            key = tuple(
-                int(rec[q]) if basis == "Z" else _MP[rec[q]] for q, basis in _KEY_PLAN
-            )
+            key = tuple(rec[q] if basis == "Z" else _MP[rec[q]] for q, basis in _KEY_PLAN)
             ops = (str(rec["bob_ops"]), str(rec["alice_ops"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed correction record {rec!r}") from exc
-        if any(o not in (0, 1) for o, (_, basis) in zip(key, _KEY_PLAN) if basis == "Z"):
+        if any(
+            type(o) is not int or o not in (0, 1)
+            for o, (_, basis) in zip(key, _KEY_PLAN)
+            if basis == "Z"
+        ):
             raise ValueError(f"bad Z outcome in record {rec!r}")
         for ops_str in ops:
             parse_ops(ops_str)

@@ -1,10 +1,13 @@
 """Two-party protocol sessions with auditable transcripts.
 
-Alice owns {a1, a2, a3, A1, A2} and Bob owns {b1, b2, b3, B1, B2}.  Every
-gate, measurement, classical announcement, correction, and final fidelity
-is recorded as a transcript event.  A session consumes exactly six uniform
-draws from its seeded generator, one per measurement, in
-``MEASUREMENT_PLAN`` order.  Trial ``i`` of a run seeded with ``base``
+Alice owns {a1, a2, a3, A1, A2} and Bob owns {b1, b2, b3, B1, B2}.  A
+session performs no protocol step of its own: it encodes with
+:func:`bqtsim.protocol.encode` and samples each measurement round with
+:func:`bqtsim.protocol.walk_round`, and adds only who did what and who
+knows what.  Every gate, measurement, classical announcement, correction,
+and final fidelity is recorded as a transcript event.  A session consumes
+exactly six uniform draws from its seeded generator, one per measurement,
+in ``MEASUREMENT_PLAN`` order.  Trial ``i`` of a run seeded with ``base``
 uses seed ``(base + i) mod 2**64`` (:func:`session_seed`).
 
 Announcements travel in two rounds, Alice first within each round: after
@@ -32,24 +35,29 @@ string; fidelity events give the measured overlap.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corrections import MEASUREMENT_PLAN, Table, TableKey, correction_key, leaf_index, load_table
 from .protocol import (
+    ALICE_INPUT_LABELS,
     ALICE_PAYLOAD_LABELS,
+    BOB_INPUT_LABELS,
     BOB_PAYLOAD_LABELS,
+    CHANNEL_LABELS,
     DIRECTIONS,
+    ENCODING,
     EprInput,
     deliver,
     delivery_targets,
     deprived_fidelities,
-    prepare_channel,
+    encode,
     prepare_full_state,
     walk_round,
 )
-from .qsim import Register, apply_cnot, measure
+from .qsim import Register
 
 __all__ = [
     "ALICE",
@@ -189,13 +197,12 @@ def run_session(
     alice = Party(ALICE, OWNED[ALICE], alice_input)
     bob = Party(BOB, OWNED[BOB], bob_input)
 
-    t.add(Event(1, "channel", "prepare", prepare_channel().labels))
-    t.add(Event(1, ALICE, "prepare", ("A1", "A2")))
-    t.add(Event(1, BOB, "prepare", ("B1", "B2")))
-    state = prepare_full_state(alice_input, bob_input)
-
-    state = _gate(t, state, 2, ALICE, ("A1", "a1"))
-    state = _gate(t, state, 2, BOB, ("B1", "b3"))
+    t.add(Event(1, "channel", "prepare", CHANNEL_LABELS))
+    t.add(Event(1, ALICE, "prepare", ALICE_INPUT_LABELS))
+    t.add(Event(1, BOB, "prepare", BOB_INPUT_LABELS))
+    state = encode(prepare_full_state(alice_input, bob_input))
+    for control, target in ENCODING:
+        t.add(Event(2, _owner(control), "gate", (control, target), outcome="CNOT"))
 
     withheld = WITHHELD.get(cooperation)
     state = _play_round(t, state, 1, alice, bob, rng)
@@ -220,8 +227,8 @@ def run_session(
         first_plan, second_plan = MEASUREMENT_PLAN
         pinned = [None if q == withheld else outcomes[q] for q, _ in second_plan]
         leaves = (
-            (key[: len(first_plan)] + second, prob, payload)
-            for second, prob, payload in walk_round(pre_step4, second_plan, pinned)
+            (key[: len(first_plan)] + second, math.prod(probs), payload)
+            for second, probs, payload in walk_round(pre_step4, second_plan, pinned)
         )
         sent = (alice_input, bob_input)[DIRECTIONS[withheld].slot]
         ((_, expected),) = deprived_fidelities(leaves, withheld, sent, table)
@@ -247,15 +254,14 @@ def _play_round(
     rng: np.random.Generator,
     withheld: str | None = None,
 ) -> Register:
-    """Measure one round of the plan, then announce it, Alice first."""
+    """Sample one round of the plan, then announce it, Alice first."""
     step, plan = round_no + 2, MEASUREMENT_PLAN[round_no - 1]
-    for qubit, basis in plan:
+    ((outcomes, probs, state),) = walk_round(state, plan, rng=rng)
+    for (qubit, basis), outcome, prob in zip(plan, outcomes, probs):
         party = alice if qubit in alice.owned else bob
-        res = measure(state, qubit, basis, rng=rng)
-        party.outcomes[qubit] = res.outcome
-        state = res.register
+        party.outcomes[qubit] = outcome
         t.add(Event(step, party.name, "measure", (qubit,), basis=basis,
-                    outcome=res.outcome, probability=res.probability))
+                    outcome=outcome, probability=prob))
     for sender, receiver in ((alice, bob), (bob, alice)):
         payload = [
             [q, basis, sender.outcomes[q]]
@@ -269,9 +275,8 @@ def _play_round(
     return state
 
 
-def _gate(t: Transcript, state: Register, step: int, actor: str, qubits: tuple) -> Register:
-    t.add(Event(step, actor, "gate", qubits, outcome="CNOT"))
-    return apply_cnot(state, *qubits)
+def _owner(qubit: str) -> str:
+    return ALICE if qubit in OWNED[ALICE] else BOB
 
 
 def _other(name: str) -> str:

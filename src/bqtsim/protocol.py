@@ -19,13 +19,17 @@ The conventions used throughout:
 * :func:`deliver` corrects and scores both directions, ``DIRECTIONS`` names
   the one each withheld announcement starves, ``FIDELITY_FLOOR`` gates them.
 
-Every caller that needs measurement leaves walks them with
-:func:`walk_round` or :func:`walk_leaves`.
+This module performs every step of the protocol: :func:`encode` applies
+the CNOTs of ``ENCODING``, and every measurement -- enumerated, forced or
+sampled -- goes through :func:`walk_round` (both rounds at once:
+:func:`walk_leaves`).  Sessions (:mod:`bqtsim.parties`) play these same
+functions and only record who did what and who knows what.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -57,10 +61,13 @@ from .qsim import (
 )
 
 __all__ = [
+    "ALICE_INPUT_LABELS",
     "ALICE_PAYLOAD_LABELS",
+    "BOB_INPUT_LABELS",
     "BOB_PAYLOAD_LABELS",
     "CHANNEL_LABELS",
     "DIRECTIONS",
+    "ENCODING",
     "FIDELITY_FLOOR",
     "FULL_LABELS",
     "MEASUREMENT_PLAN",
@@ -69,8 +76,6 @@ __all__ = [
     "BranchLeaf",
     "Direction",
     "EprInput",
-    "Step3Result",
-    "Step4Result",
     "correct",
     "deliver",
     "delivery_targets",
@@ -82,8 +87,6 @@ __all__ = [
     "noncooperation_fidelity",
     "prepare_channel",
     "prepare_full_state",
-    "step3_measure",
-    "step4_measure",
     "walk_leaves",
     "walk_round",
 ]
@@ -92,6 +95,10 @@ CHANNEL_LABELS = ("a1", "b1", "b2", "a2", "a3", "b3")
 ALICE_INPUT_LABELS = ("A1", "A2")
 BOB_INPUT_LABELS = ("B1", "B2")
 FULL_LABELS = CHANNEL_LABELS + ALICE_INPUT_LABELS + BOB_INPUT_LABELS
+
+#: The two local CNOTs (control, target) that couple the inputs to the
+#: channel: Alice's A1 -> a1, then Bob's B1 -> b3.
+ENCODING = (("A1", "a1"), ("B1", "b3"))
 
 #: Unmeasured qubits after the first measurement round, in register order.
 REMAINDER_LABELS = ("b1", "b2", "a2", "a3", "A1", "B1")
@@ -165,31 +172,27 @@ def prepare_full_state(alice: EprInput, bob: EprInput) -> Register:
 
 
 def encode(full: Register) -> Register:
-    """Couple the inputs to the channel: CNOT A1->a1 and CNOT B1->b3."""
+    """Couple the inputs to the channel: the CNOTs of ``ENCODING``, in order."""
     if sorted(full.labels) != sorted(FULL_LABELS):
         raise ValueError(f"expected the ten protocol qubits, got {full.labels!r}")
     state = permute(full, FULL_LABELS)
-    state = apply_cnot(state, "A1", "a1")
-    return apply_cnot(state, "B1", "b3")
-
-
-class Step3Result(NamedTuple):
-    a1: int
-    A2: str
-    b3: int
-    B2: str
-    probability: float
-    register: Register  # over REMAINDER_LABELS
-
-
-class Step4Result(NamedTuple):
-    A1: str
-    B1: str
-    probability: float
-    payload: Register  # over PAYLOAD_LABELS
+    for control, target in ENCODING:
+        state = apply_cnot(state, control, target)
+    return state
 
 
 Leaf = tuple[tuple, float, Register]  # (outcomes, probability, register)
+
+
+def _pinned(force: Sequence[int | str | None] | None, plan: Sequence[tuple[str, str]]) -> tuple:
+    """``force`` as one entry per step of ``plan``; None means every step open."""
+    if force is None:
+        return (None,) * len(plan)
+    pinned = tuple(force)
+    if len(pinned) != len(plan):
+        names = ", ".join(q for q, _ in plan)
+        raise ValueError(f"force must give ({names}), got {force!r}")
+    return pinned
 
 
 def walk_round(
@@ -197,30 +200,32 @@ def walk_round(
     plan: Sequence[tuple[str, str]],
     force: Sequence[int | str | None] | None = None,
     rng: np.random.Generator | None = None,
-) -> Iterator[Leaf]:
+) -> Iterator[tuple[tuple, tuple[float, ...], Register]]:
     """Measure ``plan`` in order and yield every resulting leaf.
 
-    ``force`` pins one outcome per step (None leaves the step open).  An
-    open step samples one uniform draw from ``rng`` when given, and
-    otherwise branches over both outcomes, 0/"+" first.  A measured prefix
-    is shared by every leaf below it, and a leaf's probability multiplies
-    its step probabilities from 1.0 in plan order.
+    Each leaf is (outcomes, step probabilities, register): the Born
+    probability of every step given the ones before it, in plan order, so
+    ``math.prod`` of them is the leaf's probability.  ``force`` pins one
+    outcome per step (None leaves the step open).  An open step samples one
+    uniform draw from ``rng`` when given, and otherwise branches over both
+    outcomes, 0/"+" first.  A measured prefix is shared by every leaf below
+    it.  This is the only place the protocol's measurements are performed.
     """
-    force = tuple(force) if force is not None else (None,) * len(plan)
+    force = _pinned(force, plan)
 
-    def descend(state: Register, k: int, outcomes: tuple, prob: float) -> Iterator[Leaf]:
+    def descend(state: Register, k: int, outcomes: tuple, probs: tuple) -> Iterator:
         if k == len(plan):
-            yield outcomes, prob, state
+            yield outcomes, probs, state
             return
         qubit, basis = plan[k]
         open_step = force[k] is None and rng is None
         for want in OUTCOMES[basis] if open_step else (force[k],):
             res = measure(state, qubit, basis, force=want, rng=rng if want is None else None)
             yield from descend(
-                res.register, k + 1, outcomes + (res.outcome,), prob * res.probability
+                res.register, k + 1, outcomes + (res.outcome,), probs + (res.probability,)
             )
 
-    return descend(state, 0, (), 1.0)
+    return descend(state, 0, (), ())
 
 
 def walk_leaves(
@@ -233,52 +238,11 @@ def walk_leaves(
     probability is its round-one probability times its round-two one.
     """
     first_plan, second_plan = MEASUREMENT_PLAN
-    force, split = tuple(force or (None,) * 6), len(first_plan)
-    for first, p1, remainder in walk_round(encoded, first_plan, force[:split]):
-        for second, p2, payload in walk_round(remainder, second_plan, force[split:]):
-            yield first + second, p1 * p2, payload
-
-
-def _measure_round(
-    state: Register,
-    plan: Sequence[tuple[str, str]],
-    force: Sequence[int | str] | None,
-    rng: np.random.Generator | None,
-) -> Leaf:
-    if (force is None) == (rng is None):
-        raise ValueError("provide exactly one of force= or rng=")
-    if force is not None and len(tuple(force)) != len(plan):
-        names = ", ".join(q for q, _ in plan)
-        raise ValueError(f"force must give ({names}), got {force!r}")
-    (leaf,) = walk_round(state, plan, force, rng)
-    return leaf
-
-
-def step3_measure(
-    encoded: Register,
-    *,
-    force: Sequence[int | str] | None = None,
-    rng: np.random.Generator | None = None,
-) -> Step3Result:
-    """First measurement round: Z on a1 and b3, X on A2 and B2.
-
-    ``force`` is an (a1, A2, b3, B2) outcome tuple; sampling consumes four
-    uniform draws in that fixed order.  The reported probability is the
-    joint Born probability of the four outcomes.
-    """
-    outcomes, prob, register = _measure_round(encoded, MEASUREMENT_PLAN[0], force, rng)
-    return Step3Result(*outcomes, prob, register)
-
-
-def step4_measure(
-    remainder: Register,
-    *,
-    force: Sequence[str] | None = None,
-    rng: np.random.Generator | None = None,
-) -> Step4Result:
-    """Second measurement round: X on A1, then X on B1 (two draws if sampled)."""
-    outcomes, prob, payload = _measure_round(remainder, MEASUREMENT_PLAN[1], force, rng)
-    return Step4Result(*outcomes, prob, payload)
+    force, split = _pinned(force, first_plan + second_plan), len(first_plan)
+    for first, probs1, remainder in walk_round(encoded, first_plan, force[:split]):
+        p1 = math.prod(probs1)
+        for second, probs2, payload in walk_round(remainder, second_plan, force[split:]):
+            yield first + second, p1 * math.prod(probs2), payload
 
 
 def delivery_targets(alice: EprInput, bob: EprInput) -> tuple[Register, Register]:

@@ -10,6 +10,7 @@ the given seed, so a verification run is reproducible end to end.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 from itertools import permutations
@@ -176,7 +177,7 @@ def find_reference_permutations(
     ]
     encoded = encode(prepare_full_state(alice, bob))
     simulated = {
-        branch: reg for branch, _prob, reg in walk_round(encoded, MEASUREMENT_PLAN[0])
+        branch: reg for branch, _probs, reg in walk_round(encoded, MEASUREMENT_PLAN[0])
     }
     matches = []
     for perm in permutations(REMAINDER_LABELS):
@@ -244,8 +245,8 @@ def criterion_branch_uniformity(seed: int, n_inputs: int = 100) -> tuple[bool, s
     worst = 0.0
     for _ in range(n_inputs):
         encoded = encode(prepare_full_state(_random_epr(rng), _random_epr(rng)))
-        for _branch, prob, _reg in walk_round(encoded, MEASUREMENT_PLAN[0]):
-            worst = max(worst, abs(prob - 1 / 16))
+        for _branch, probs, _reg in walk_round(encoded, MEASUREMENT_PLAN[0]):
+            worst = max(worst, abs(math.prod(probs) - 1 / 16))
     return worst <= 1e-12, f"{n_inputs} random input pairs, max |p - 1/16| = {worst:.2e}"
 
 
@@ -343,13 +344,14 @@ def criterion_noncooperation() -> tuple[bool, str]:
 def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
     """Seeded sessions hit every leaf uniformly and replay byte-identically."""
     alice, bob = EprInput(0.6, 0.8), EprInput.normalized(1, 1)
+    table = load_table()  # always the packaged one: an injected table feeds reconstruction
     counts = np.zeros(64, dtype=int)
     for i in range(trials):
-        counts[run_session(alice, bob, seed=session_seed(seed, i)).leaf] += 1
+        counts[run_session(alice, bob, session_seed(seed, i), table=table).leaf] += 1
     max_z, uniform = leaf_histogram_gate(counts)
     replay = (
-        run_session(alice, bob, seed=seed).transcript.to_json()
-        == run_session(alice, bob, seed=seed).transcript.to_json()
+        run_session(alice, bob, seed, table=table).transcript.to_json()
+        == run_session(alice, bob, seed, table=table).transcript.to_json()
     )
     return uniform and replay, (
         f"{trials} sessions, max |z| = {max_z:.2f} (gate {SIGMA_GATE}); "

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from bqtsim.cli import INPUT_NORM_TOL, OUTPUT_DIR_ENV, main
-from bqtsim.corrections import load_table, write_table
+from bqtsim.corrections import load_table, table_to_records, write_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -256,6 +256,27 @@ def test_verify_rejects_unreadable_table(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "verify", "--correction-table", str(path))
     assert code == 2
     assert "--correction-table" in err
+
+
+@pytest.mark.parametrize("entries", [5, None], ids=["int", "null"])
+def test_verify_rejects_malformed_table_entries(tmp_path, capsys, entries):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "bqtsim.correction-table/1", "entries": entries}))
+    code, out, err = run_cli(capsys, "verify", "--correction-table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --correction-table:")
+
+
+def test_verify_rejects_non_integer_z_outcomes(tmp_path, capsys):
+    payload = {"schema": "bqtsim.correction-table/1",
+               "entries": table_to_records(load_table())}
+    payload["entries"][0]["a1"] = 0.9
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(payload))
+    code, _out, err = run_cli(capsys, "verify", "--correction-table", str(path))
+    assert code == 2
+    assert err.count("\n") == 1 and "bad Z outcome" in err
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,27 @@ def test_records_to_table_validation(table):
         records_to_table(broken)
 
 
+@pytest.mark.parametrize(
+    "entries", [5, None, "entries", {"a1": 0}], ids=["int", "null", "string", "object"]
+)
+def test_records_to_table_requires_a_list_of_objects(entries, table):
+    with pytest.raises(ValueError, match="must be a list"):
+        records_to_table(entries)
+    with pytest.raises(ValueError, match="malformed"):
+        records_to_table(table_to_records(table)[:-1] + [entries])
+
+
+@pytest.mark.parametrize(
+    "value", [0.9, 1.0, True, False, "0", None],
+    ids=["float", "integral-float", "true", "false", "string", "null"],
+)
+def test_records_to_table_requires_integer_z_outcomes(value, table):
+    broken = table_to_records(table)
+    broken[0] = {**broken[0], "a1": value}
+    with pytest.raises(ValueError, match="bad Z outcome|malformed"):
+        records_to_table(broken)
+
+
 def test_load_table_rejects_wrong_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "something-else/9", "entries": []}))

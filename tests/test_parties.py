@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bqtsim.corrections import MEASUREMENT_PLAN, leaf_index
 from bqtsim.parties import (
     ALICE,
     BOB,
@@ -22,7 +23,8 @@ from bqtsim.parties import (
     run_session,
     session_seed,
 )
-from bqtsim.protocol import EprInput
+from bqtsim.protocol import EprInput, encode, prepare_full_state
+from bqtsim.qsim import measure
 
 ALPHA = EprInput(0.6, 0.8)
 BETA = EprInput.normalized(1, 1)
@@ -77,6 +79,31 @@ def test_session_seed_wraps_past_2_64():
 def test_cooperation_validation():
     with pytest.raises(ValueError, match="cooperation"):
         run_session(ALPHA, BETA, seed=0, cooperation="partial")
+
+
+#: Seeds for the direct-measurement replay: both ends of the seed range plus
+#: an arbitrary spread in between.
+ORACLE_SEEDS = (
+    0, 1, 2, 3, 7, 42, 99, 2024, 0xB97, 65535, 2**31 - 1, 2**31, 2**32 + 5,
+    123456789, 987654321012, 2**53 + 1, 2**63, 2**64 - 4097, 2**64 - 2, 2**64 - 1,
+)
+
+
+@pytest.mark.parametrize("cooperation", COOPERATION_MODES)
+def test_session_draws_match_direct_measure_replay(cooperation):
+    # oracle: six direct qsim.measure calls in plan order on the same seed
+    alice, bob = ALPHA, EprInput(0.8, complex(0.36, 0.48))
+    for seed in ORACLE_SEEDS:
+        rng = np.random.default_rng(seed)
+        state, outcomes, probs = encode(prepare_full_state(alice, bob)), {}, []
+        for qubit, basis in MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]:
+            res = measure(state, qubit, basis, rng=rng)
+            state, outcomes[qubit] = res.register, res.outcome
+            probs.append(res.probability)
+        result = run_session(alice, bob, seed, cooperation)
+        assert result.outcomes == outcomes
+        assert result.leaf == leaf_index(*outcomes.values())
+        assert [e.probability for e in result.transcript.of_kind("measure")] == probs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Protocol-level tests: preparation, encoding, staged measurement, branch
-enumeration, corrections, and the non-cooperation bound.
+"""Protocol-level tests: preparation, encoding, the two measurement rounds
+(paper steps 3 and 4) through the leaf walk, branch enumeration,
+corrections, and the non-cooperation bound.
 
 The worked-branch literals (remainder amplitudes, factored payloads) are
 frozen hand derivations; statistical claims use exact forced probabilities
@@ -30,9 +31,8 @@ from bqtsim.protocol import (
     noncooperation_fidelity,
     prepare_channel,
     prepare_full_state,
-    step3_measure,
-    step4_measure,
     walk_leaves,
+    walk_round,
 )
 from bqtsim.qsim import equal_up_to_global_phase, make_register, measure, permute, tensor
 
@@ -135,14 +135,24 @@ def test_encode_flips_channel_bits_with_inputs():
 
 
 # ---------------------------------------------------------------------------
-# staged measurements
+# measurement rounds: step 3 (a1, A2, b3, B2) and step 4 (A1, B1)
 # ---------------------------------------------------------------------------
+
+FIRST_ROUND, SECOND_ROUND = MEASUREMENT_PLAN
+WORKED = (0, "+", 0, "+")
+
+
+def _round(state, plan, force=None, rng=None):
+    """The single leaf of a fully forced or sampled round."""
+    (leaf,) = walk_round(state, plan, force, rng)
+    return leaf
+
 
 def test_step3_worked_branch_literal():
     encoded = encode(prepare_full_state(ALPHA, BETA))
-    res = step3_measure(encoded, force=(0, "+", 0, "+"))
-    assert res.probability == pytest.approx(1 / 16, abs=1e-12)
-    assert res.register.labels == REMAINDER_LABELS
+    _outcomes, probs, remainder = _round(encoded, FIRST_ROUND, WORKED)
+    assert math.prod(probs) == pytest.approx(1 / 16, abs=1e-12)
+    assert remainder.labels == REMAINDER_LABELS
     expected = make_register(
         [
             ("000000", ALPHA.c0 * BETA.c0),
@@ -152,7 +162,7 @@ def test_step3_worked_branch_literal():
         ],
         REMAINDER_LABELS,
     )
-    assert np.allclose(res.register.amps, expected.amps, atol=1e-12)
+    assert np.allclose(remainder.amps, expected.amps, atol=1e-12)
 
 
 def test_step3_all_branches_uniform():
@@ -161,37 +171,33 @@ def test_step3_all_branches_uniform():
         for A2 in X:
             for b3 in (0, 1):
                 for B2 in X:
-                    res = step3_measure(encoded, force=(a1, A2, b3, B2))
-                    assert res.probability == pytest.approx(1 / 16, abs=1e-12)
-                    assert (res.a1, res.A2, res.b3, res.B2) == (a1, A2, b3, B2)
+                    outcomes, probs, _ = _round(encoded, FIRST_ROUND, (a1, A2, b3, B2))
+                    assert math.prod(probs) == pytest.approx(1 / 16, abs=1e-12)
+                    assert outcomes == (a1, A2, b3, B2)
 
 
 def test_step3_sampling_mode():
     encoded = encode(prepare_full_state(ALPHA, BETA))
-    res = step3_measure(encoded, rng=np.random.default_rng(5))
-    assert res.a1 in (0, 1) and res.b3 in (0, 1)
-    assert res.A2 in X and res.B2 in X
-    assert res.probability == pytest.approx(1 / 16, abs=1e-12)
+    (a1, A2, b3, B2), probs, _ = _round(encoded, FIRST_ROUND, rng=np.random.default_rng(5))
+    assert a1 in (0, 1) and b3 in (0, 1)
+    assert A2 in X and B2 in X
+    assert math.prod(probs) == pytest.approx(1 / 16, abs=1e-12)
 
 
 def test_step3_argument_errors():
     encoded = encode(prepare_full_state(ALPHA, BETA))
-    with pytest.raises(ValueError, match="exactly one"):
-        step3_measure(encoded)
-    with pytest.raises(ValueError, match="exactly one"):
-        step3_measure(encoded, force=(0, "+", 0, "+"), rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="force must give"):
-        step3_measure(encoded, force=(0, "+"))
+        walk_round(encoded, FIRST_ROUND, (0, "+"))
 
 
 def test_step4_worked_branch_factored_payloads():
     encoded = encode(prepare_full_state(ALPHA, BETA))
-    s3 = step3_measure(encoded, force=(0, "+", 0, "+"))
+    _, _, remainder = _round(encoded, FIRST_ROUND, WORKED)
     for A1 in X:
         for B1 in X:
-            s4 = step4_measure(s3.register, force=(A1, B1))
-            assert s4.probability == pytest.approx(0.25, abs=1e-12)
-            assert s4.payload.labels == PAYLOAD_LABELS
+            _, probs, payload = _round(remainder, SECOND_ROUND, (A1, B1))
+            assert math.prod(probs) == pytest.approx(0.25, abs=1e-12)
+            assert payload.labels == PAYLOAD_LABELS
             sa = 1 if A1 == "+" else -1
             sb = 1 if B1 == "+" else -1
             expected = tensor(
@@ -202,16 +208,14 @@ def test_step4_worked_branch_factored_payloads():
                     [("00", BETA.c0), ("11", sb * BETA.c1)], ALICE_PAYLOAD_LABELS
                 ),
             )
-            assert np.allclose(s4.payload.amps, expected.amps, atol=1e-12)
+            assert np.allclose(payload.amps, expected.amps, atol=1e-12)
 
 
 def test_step4_argument_errors():
     encoded = encode(prepare_full_state(ALPHA, BETA))
-    s3 = step3_measure(encoded, force=(0, "+", 0, "+"))
+    _, _, remainder = _round(encoded, FIRST_ROUND, WORKED)
     with pytest.raises(ValueError, match="force must give"):
-        step4_measure(s3.register, force=("+",))
-    with pytest.raises(ValueError, match="exactly one"):
-        step4_measure(s3.register)
+        walk_round(remainder, SECOND_ROUND, ("+",))
 
 
 def test_leaf_index_packing():
@@ -231,9 +235,8 @@ def test_leaf_index_packing():
 
 def test_correct_worked_branch_sign_case():
     encoded = encode(prepare_full_state(ALPHA, BETA))
-    s3 = step3_measure(encoded, force=(0, "+", 0, "+"))
-    s4 = step4_measure(s3.register, force=("-", "-"))
-    fixed = correct(s4.payload, 0, "+", 0, "+", "-", "-")
+    ((_, _, payload),) = walk_leaves(encoded, WORKED + ("-", "-"))
+    fixed = correct(payload, 0, "+", 0, "+", "-", "-")
     expected = tensor(
         ALPHA.register(BOB_PAYLOAD_LABELS), BETA.register(ALICE_PAYLOAD_LABELS)
     )
@@ -273,11 +276,11 @@ def test_corrected_payload_is_exact_product_state():
             alice.register(BOB_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS)
         )
         for branch in ((1, "-", 0, "+"), (0, "-", 1, "-"), (1, "+", 1, "+")):
-            s3 = step3_measure(encoded, force=branch)
+            _, _, remainder = _round(encoded, FIRST_ROUND, branch)
             for A1 in X:
                 for B1 in X:
-                    s4 = step4_measure(s3.register, force=(A1, B1))
-                    fixed = correct(s4.payload, *branch, A1, B1, table)
+                    _, _, payload = _round(remainder, SECOND_ROUND, (A1, B1))
+                    fixed = correct(payload, *branch, A1, B1, table)
                     assert equal_up_to_global_phase(fixed, expected)
 
 
@@ -313,6 +316,39 @@ def test_walk_leaves_matches_sequential_measurement():
         assert prob == round_probs[0] * round_probs[1]
         assert payload.labels == state.labels
         assert np.array_equal(payload.amps, state.amps)
+
+
+def test_walk_round_yields_each_step_probability():
+    # oracle: one direct qsim.measure call per step, probabilities compared exactly
+    encoded = encode(prepare_full_state(ALPHA, BETA))
+    leaves = list(walk_round(encoded, FIRST_ROUND))
+    assert len(leaves) == 16
+    for outcomes, probs, remainder in leaves:
+        state, direct = encoded, []
+        for (qubit, basis), outcome in zip(FIRST_ROUND, outcomes):
+            res = measure(state, qubit, basis, force=outcome)
+            state = res.register
+            direct.append(res.probability)
+        assert probs == tuple(direct)
+        assert np.array_equal(remainder.amps, state.amps)
+
+
+@pytest.mark.parametrize(
+    "force", [WORKED + ("+",), WORKED[:3], ()], ids=["too-long", "too-short", "empty"]
+)
+def test_walk_round_checks_force_length(force):
+    encoded = encode(prepare_full_state(ALPHA, BETA))
+    with pytest.raises(ValueError, match=r"force must give \(a1, A2, b3, B2\)"):
+        list(walk_round(encoded, FIRST_ROUND, force))
+
+
+@pytest.mark.parametrize(
+    "force", [WORKED + ("+", "+", "+"), WORKED + ("+",), ()], ids=["too-long", "too-short", "empty"]
+)
+def test_walk_leaves_checks_force_length(force):
+    encoded = encode(prepare_full_state(ALPHA, BETA))
+    with pytest.raises(ValueError, match=r"force must give \(a1, A2, b3, B2, A1, B1\)"):
+        list(walk_leaves(encoded, force))
 
 
 def test_walk_leaves_shares_measured_prefixes(monkeypatch):
@@ -368,7 +404,6 @@ def test_global_phase_on_inputs_does_not_matter():
             payloads = []
             for alice in (ALPHA, rotated_alpha):
                 encoded = encode(prepare_full_state(alice, BETA))
-                s3 = step3_measure(encoded, force=branch)
-                s4 = step4_measure(s3.register, force=(A1, B1))
-                payloads.append(correct(s4.payload, *branch, A1, B1))
+                ((_, _, payload),) = walk_leaves(encoded, branch + (A1, B1))
+                payloads.append(correct(payload, *branch, A1, B1))
             assert equal_up_to_global_phase(payloads[0], payloads[1])
