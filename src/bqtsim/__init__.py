@@ -2,9 +2,10 @@
 
 The package layers as follows:
 
-* :mod:`bqtsim.qsim` — dense state-vector engine over named qubits.
-* :mod:`bqtsim.ghz` — the eight-state GHZ basis, GHZ-basis measurement, and
-  the entanglement-swapping table for a pair of triples.
+* :mod:`bqtsim.qsim` — dense state-vector engine over named qubits; the one
+  place a state is collapsed by a measurement.
+* :mod:`bqtsim.ghz` — the eight-state GHZ basis; GHZ-basis measurement and
+  entanglement swapping go through ``qsim``'s collapse.
 * :mod:`bqtsim.protocol` — channel preparation, encoding (``ENCODING``),
   the one measurement walk (``walk_round``/``walk_leaves``) that every
   enumerated, forced or sampled measurement goes through, delivery, branch
@@ -26,7 +27,7 @@ from .corrections import (
     parse_ops,
     write_table,
 )
-from .ghz import GhzMeasureResult, SwapOutcome, entanglement_swap, ghz_basis_measure, ghz_state
+from .ghz import SwapOutcome, entanglement_swap, ghz_basis_measure, ghz_state
 from .parties import COOPERATION_MODES, SessionResult, Transcript, ownership_check, run_session
 from .protocol import (
     BranchLeaf,
@@ -67,7 +68,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DensityMatrix",
     "EprInput",
-    "GhzMeasureResult",
     "MeasureResult",
     "Register",
     "SessionResult",

@@ -137,8 +137,11 @@ def _emit(args: argparse.Namespace, report: dict, text: str) -> None:
         base = os.environ.get(OUTPUT_DIR_ENV)
         if base:
             path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(rendered)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(rendered)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

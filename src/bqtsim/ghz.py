@@ -1,9 +1,10 @@
-"""The eight-state GHZ basis, GHZ-basis measurement, and entanglement
-swapping between two GHZ triples.
+"""The eight-state GHZ basis; GHZ-basis measurement and entanglement
+swapping between two GHZ triples collapse through :mod:`bqtsim.qsim`.
 
 Basis convention: index ``2k`` is ``(|s> + |s~>)/sqrt(2)`` and ``2k+1`` is
 ``(|s> - |s~>)/sqrt(2)`` where ``s`` runs over 000, 100, 010, 110 and
-``s~`` is its bitwise complement.
+``s~`` is its bitwise complement.  A GHZ-basis measurement reports the
+basis index as its outcome.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ import numpy as np
 
 from .qsim import (
     MIN_FORCE_PROB,
+    MeasureResult,
     Register,
+    _born,
+    _collapse,
+    _front,
     equal_up_to_global_phase,
     make_register,
     tensor,
@@ -22,7 +27,6 @@ from .qsim import (
 
 __all__ = [
     "GHZ_TERMS",
-    "GhzMeasureResult",
     "SwapOutcome",
     "entanglement_swap",
     "ghz_basis_measure",
@@ -41,6 +45,9 @@ GHZ_TERMS: tuple[tuple[str, str, int], ...] = (
     ("110", "001", -1),
 )
 
+#: Outcome alphabet of a GHZ-basis measurement: the basis indices.
+GHZ_OUTCOMES = tuple(range(8))
+
 
 def ghz_state(index: int, labels: Sequence[str]) -> Register:
     """GHZ basis state ``index`` (0..7) on three named qubits."""
@@ -52,22 +59,9 @@ def ghz_state(index: int, labels: Sequence[str]) -> Register:
     return make_register([(first, 1.0), (second, float(sign))], labels)
 
 
-def _basis_matrix() -> np.ndarray:
-    rows = np.zeros((8, 8), dtype=complex)
-    for i, (first, second, sign) in enumerate(GHZ_TERMS):
-        rows[i, int(first, 2)] = 1.0
-        rows[i, int(second, 2)] = float(sign)
-    return rows / np.sqrt(2.0)
-
-
-_BASIS = _basis_matrix()
+#: Row ``k`` holds the amplitudes of basis state ``k``.
+_BASIS = np.array([ghz_state(k, ("x", "y", "z")).amps for k in GHZ_OUTCOMES])
 _BASIS.flags.writeable = False
-
-
-class GhzMeasureResult(NamedTuple):
-    index: int
-    probability: float
-    register: Register
 
 
 class SwapOutcome(NamedTuple):
@@ -77,17 +71,11 @@ class SwapOutcome(NamedTuple):
     matched: int | None
 
 
-def _ghz_branches(reg: Register, triple: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and unnormalized remainders for all 8 GHZ outcomes."""
-    triple = tuple(triple)
+def _ghz_branches(reg: Register, triple: tuple[str, ...]) -> np.ndarray:
+    """Unnormalized remainders for all 8 GHZ outcomes on ``triple``, one per row."""
     if len(set(triple)) != 3:
         raise ValueError(f"need three distinct labels, got {triple!r}")
-    axes = [reg.axis(q) for q in triple]
-    psi = np.moveaxis(reg.amps.reshape((2,) * reg.n_qubits), axes, range(3))
-    psi = psi.reshape(8, -1)
-    branches = _BASIS.conj() @ psi
-    probs = np.real(np.einsum("ij,ij->i", branches, branches.conj()))
-    return probs, branches
+    return _BASIS.conj() @ _front(reg, triple)
 
 
 def ghz_basis_measure(
@@ -96,30 +84,18 @@ def ghz_basis_measure(
     *,
     force: int | None = None,
     rng: np.random.Generator | None = None,
-) -> GhzMeasureResult:
+) -> MeasureResult:
     """Project three qubits onto the GHZ basis and remove them.
 
     Sampling mode consumes one uniform draw; forcing a (near-)zero
     probability outcome raises.  The remaining qubits keep their original
     relative order.
     """
-    if (force is None) == (rng is None):
-        raise ValueError("provide exactly one of force= or rng=")
+    if force is not None and (not isinstance(force, int) or not 0 <= force <= 7):
+        raise ValueError(f"GHZ outcome must be an int in 0..7, got {force!r}")
     triple = tuple(triple)
-    probs, branches = _ghz_branches(reg, triple)
-    if force is not None:
-        if not isinstance(force, int) or not 0 <= force <= 7:
-            raise ValueError(f"GHZ outcome must be an int in 0..7, got {force!r}")
-        pick = force
-    else:
-        pick = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        pick = min(pick, 7)
-    prob = float(probs[pick])
-    if prob < MIN_FORCE_PROB:
-        raise ValueError(f"GHZ outcome {pick} has probability {prob:.3e}")
-    remaining = tuple(l for l in reg.labels if l not in triple)
-    collapsed = Register(remaining, branches[pick] / np.sqrt(prob))
-    return GhzMeasureResult(pick, prob, collapsed)
+    branches = _ghz_branches(reg, triple)
+    return _collapse(reg, triple, branches, _born(branches), GHZ_OUTCOMES, force, rng)
 
 
 def entanglement_swap(i: int, j: int) -> list[SwapOutcome]:
@@ -130,23 +106,18 @@ def entanglement_swap(i: int, j: int) -> list[SwapOutcome]:
     GHZ basis up to global phase (``matched`` is None if unclassifiable,
     which does not occur for GHZ inputs).
     """
-    left = ghz_state(i, ("1", "2", "3"))
-    right = ghz_state(j, ("4", "5", "6"))
-    probs, branches = _ghz_branches(tensor(left, right), ("1", "3", "5"))
+    reg = tensor(ghz_state(i, ("1", "2", "3")), ghz_state(j, ("4", "5", "6")))
+    triple = ("1", "3", "5")
+    branches = _ghz_branches(reg, triple)
+    probs = _born(branches)
     outcomes = []
-    for k in range(8):
-        prob = float(probs[k])
-        if prob < MIN_FORCE_PROB:
+    for k in GHZ_OUTCOMES:
+        if probs[k] < MIN_FORCE_PROB:
             continue
-        remainder = Register(("2", "4", "6"), branches[k] / np.sqrt(prob))
+        _, prob, remainder = _collapse(reg, triple, branches, probs, GHZ_OUTCOMES, force=k)
         matched = next(
-            (
-                m
-                for m in range(8)
-                if equal_up_to_global_phase(
-                    remainder, ghz_state(m, ("2", "4", "6")), tol=1e-10
-                )
-            ),
+            (m for m in GHZ_OUTCOMES
+             if equal_up_to_global_phase(remainder, ghz_state(m, remainder.labels), tol=1e-10)),
             None,
         )
         outcomes.append(SwapOutcome(k, prob, remainder, matched))

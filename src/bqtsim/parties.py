@@ -37,10 +37,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .corrections import MEASUREMENT_PLAN, Table, TableKey, correction_key, leaf_index, load_table
+from .corrections import MEASUREMENT_PLAN, Table, correction_key, leaf_index, load_table
 from .protocol import (
     ALICE_INPUT_LABELS,
     ALICE_PAYLOAD_LABELS,
@@ -67,7 +68,6 @@ __all__ = [
     "TRANSCRIPT_SCHEMA",
     "WITHHELD",
     "Event",
-    "Party",
     "SessionResult",
     "Transcript",
     "ownership_check",
@@ -144,19 +144,23 @@ class Transcript:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
-@dataclass
-class Party:
-    """A protocol participant: its qubits, its input, and what it knows."""
+def _knowledge(events: Iterable[Event]) -> dict[str, dict[str, int | str]]:
+    """What each party knows after ``events``: its own measurement results
+    plus every result announced to it, as qubit -> result."""
+    known: dict[str, dict[str, int | str]] = {ALICE: {}, BOB: {}}
+    for event in events:
+        if event.actor not in known:
+            continue
+        if event.kind == "measure":
+            known[event.actor][event.qubits[0]] = event.outcome
+        elif event.kind == "message":
+            known[_other(event.actor)].update((q, result) for q, _basis, result in event.outcome)
+    return known
 
-    name: str
-    owned: frozenset[str]
-    input: EprInput
-    heard: dict[str, int | str] = field(default_factory=dict)  # announced to it
-    outcomes: dict[str, int | str] = field(default_factory=dict)  # its own
 
-    def correction_key(self) -> TableKey:
-        """Table key from this party's own outcomes plus what it was told."""
-        return correction_key({**self.heard, **self.outcomes}, self.owned)
+def _correction(known: dict[str, dict[str, int | str]], actor: str, table: Table) -> str:
+    """The ops ``actor`` applies, given what each party knows."""
+    return table[correction_key(known[actor], OWNED[actor])][0 if actor == BOB else 1]
 
 
 @dataclass(frozen=True)
@@ -194,8 +198,7 @@ def run_session(
         table = load_table()
     rng = np.random.default_rng(seed)
     t = Transcript()
-    alice = Party(ALICE, OWNED[ALICE], alice_input)
-    bob = Party(BOB, OWNED[BOB], bob_input)
+    outcomes: dict[str, int | str] = {}
 
     t.add(Event(1, "channel", "prepare", CHANNEL_LABELS))
     t.add(Event(1, ALICE, "prepare", ALICE_INPUT_LABELS))
@@ -205,12 +208,13 @@ def run_session(
         t.add(Event(2, _owner(control), "gate", (control, target), outcome="CNOT"))
 
     withheld = WITHHELD.get(cooperation)
-    state = _play_round(t, state, 1, alice, bob, rng)
+    state = _play_round(t, state, 1, outcomes, rng)
     pre_step4 = state  # kept for the counterfactual average under withholding
-    state = _play_round(t, state, 2, alice, bob, rng, withheld)
+    state = _play_round(t, state, 2, outcomes, rng, withheld)
 
-    bob_ops = table[bob.correction_key()][0]
-    alice_ops = table[alice.correction_key()][1]
+    known = _knowledge(t.events)
+    bob_ops = _correction(known, BOB, table)
+    alice_ops = _correction(known, ALICE, table)
     _, fid_a2b, fid_b2a = deliver(
         state, (bob_ops, alice_ops), delivery_targets(alice_input, bob_input)
     )
@@ -219,7 +223,6 @@ def run_session(
     t.add(Event(4, BOB, "fidelity", BOB_PAYLOAD_LABELS, outcome=fid_a2b))
     t.add(Event(4, ALICE, "fidelity", ALICE_PAYLOAD_LABELS, outcome=fid_b2a))
 
-    outcomes = {**alice.outcomes, **bob.outcomes}
     key = correction_key(outcomes)
     expected = None
     if withheld is not None:
@@ -249,28 +252,25 @@ def _play_round(
     t: Transcript,
     state: Register,
     round_no: int,
-    alice: Party,
-    bob: Party,
+    outcomes: dict[str, int | str],
     rng: np.random.Generator,
     withheld: str | None = None,
 ) -> Register:
-    """Sample one round of the plan, then announce it, Alice first."""
+    """Sample one round of the plan into ``outcomes``, then announce it, Alice first."""
     step, plan = round_no + 2, MEASUREMENT_PLAN[round_no - 1]
-    ((outcomes, probs, state),) = walk_round(state, plan, rng=rng)
-    for (qubit, basis), outcome, prob in zip(plan, outcomes, probs):
-        party = alice if qubit in alice.owned else bob
-        party.outcomes[qubit] = outcome
-        t.add(Event(step, party.name, "measure", (qubit,), basis=basis,
+    ((results, probs, state),) = walk_round(state, plan, rng=rng)
+    for (qubit, basis), outcome, prob in zip(plan, results, probs):
+        outcomes[qubit] = outcome
+        t.add(Event(step, _owner(qubit), "measure", (qubit,), basis=basis,
                     outcome=outcome, probability=prob))
-    for sender, receiver in ((alice, bob), (bob, alice)):
+    for sender in (ALICE, BOB):
         payload = [
-            [q, basis, sender.outcomes[q]]
+            [q, basis, outcomes[q]]
             for q, basis in plan
-            if q in sender.owned and q != withheld
+            if q in OWNED[sender] and q != withheld
         ]
         if payload:
-            receiver.heard.update((q, outcome) for q, _basis, outcome in payload)
-            t.add(Event(step, sender.name, "message", tuple(q for q, *_ in payload),
+            t.add(Event(step, sender, "message", tuple(q for q, *_ in payload),
                         outcome=payload, message_round=round_no))
     return state
 
@@ -295,10 +295,9 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
     """
     if table is None:
         table = load_table()
-    own_outcomes: dict[str, dict[str, int | str]] = {ALICE: {}, BOB: {}}
-    heard: dict[str, dict[str, int | str]] = {ALICE: {}, BOB: {}}
+    events = transcript.events
     last_round = {ALICE: 0, BOB: 0}
-    for event in transcript.events:
+    for n, event in enumerate(events):
         actor = event.actor
         if actor not in (ALICE, BOB):
             if event.kind in ("gate", "measure", "message", "correct"):
@@ -307,22 +306,19 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
         qubits = set(event.qubits)
         if event.kind in ("prepare", "gate", "measure", "correct") and not qubits <= OWNED[actor]:
             return False
-        if event.kind == "measure":
-            own_outcomes[actor][event.qubits[0]] = event.outcome
-        elif event.kind == "message":
+        if event.kind == "message":
             if event.message_round is None or event.message_round <= last_round[actor]:
                 return False
             last_round[actor] = event.message_round
             if not qubits <= OWNED[actor]:
                 return False
+            known = _knowledge(events[:n])[actor]
             for label, _basis, outcome in event.outcome:
-                if label not in OWNED[actor] or own_outcomes[actor].get(label) != outcome:
+                if label not in OWNED[actor] or known.get(label) != outcome:
                     return False
-                heard[_other(actor)][label] = outcome
         elif event.kind == "correct":
             try:
-                key = correction_key({**heard[actor], **own_outcomes[actor]}, OWNED[actor])
-                expected = table[key][0 if actor == BOB else 1]
+                expected = _correction(_knowledge(events[:n]), actor, table)
             except KeyError:
                 return False
             if event.outcome != expected:

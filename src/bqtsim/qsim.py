@@ -5,16 +5,17 @@ unit-norm amplitude vector; ``labels[0]`` is the most significant bit of
 the basis-state index.  Every operation is a pure function that returns a
 fresh register, so values can be shared between threads without locking.
 
-Measurements either sample an outcome (consuming exactly one uniform draw
-from a caller-supplied ``numpy.random.Generator``) or force a requested
-outcome; both report the exact Born probability, and the measured qubit is
-removed from the collapsed register.
+Every measurement, single-qubit here or GHZ-basis in :mod:`bqtsim.ghz`,
+collapses in one place, :func:`_collapse`: it samples an outcome (one
+uniform draw from a caller's ``numpy.random.Generator``) or forces one,
+reports its exact Born probability, and removes the measured qubits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -128,7 +129,10 @@ class Register:
             raise ValueError("assignment must cover exactly the register labels")
         idx = 0
         for label in self.labels:
-            idx = (idx << 1) | (assignment[label] & 1)
+            bit = assignment[label]
+            if bit not in (0, 1):
+                raise ValueError(f"bit for {label!r} must be 0 or 1, got {bit!r}")
+            idx = (idx << 1) | bit
         return idx
 
     def amplitude(self, bits: str) -> complex:
@@ -208,14 +212,17 @@ def tensor(first: Register, second: Register) -> Register:
     return Register(first.labels + second.labels, np.kron(first.amps, second.amps))
 
 
+def _front(reg: Register, qubits: Sequence[str]) -> np.ndarray:
+    """Amplitudes as a ``(2**k, rest)`` matrix: rows index ``qubits``, columns the rest."""
+    axes = [reg.axis(q) for q in qubits]
+    order = axes + [k for k in range(reg.n_qubits) if k not in axes]
+    return reg.amps.reshape((2,) * reg.n_qubits).transpose(order).reshape(1 << len(axes), -1)
+
+
 def _apply_matrix(reg: Register, qubits: Sequence[str], matrix: np.ndarray) -> np.ndarray:
     """Apply ``matrix`` to the listed qubits; returns the new flat vector."""
-    n = reg.n_qubits
-    axes = [reg.axis(q) for q in qubits]
-    k = len(axes)
-    psi = np.moveaxis(reg.amps.reshape((2,) * n), axes, range(k))
-    psi = (matrix @ psi.reshape(1 << k, -1)).reshape((2,) * n)
-    return np.moveaxis(psi, range(k), axes).reshape(-1)
+    psi = (matrix @ _front(reg, qubits)).reshape((2,) * reg.n_qubits)
+    return np.moveaxis(psi, tuple(range(len(qubits))), [reg.axis(q) for q in qubits]).reshape(-1)
 
 
 def apply_gate1(reg: Register, qubit: str, gate: str) -> Register:
@@ -236,20 +243,51 @@ def _branch_vectors(reg: Register, qubit: str, basis: str) -> tuple[np.ndarray, 
     """Unnormalized post-measurement vectors for the two outcomes of ``qubit``."""
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    axis = reg.axis(qubit)
-    psi = np.moveaxis(reg.amps.reshape((2,) * reg.n_qubits), axis, 0).reshape(2, -1)
+    psi = _front(reg, (qubit,))
     if basis == "Z":
-        return psi[0].copy(), psi[1].copy()
+        return psi[0], psi[1]
     return (psi[0] + psi[1]) * _SQRT_HALF, (psi[0] - psi[1]) * _SQRT_HALF
+
+
+def _born(branches: Iterable[np.ndarray]) -> list[float]:
+    """Born probability of each unnormalized branch vector."""
+    return [float(np.real(np.vdot(b, b))) for b in branches]
+
+
+def _collapse(
+    reg: Register,
+    measured: Sequence[str],
+    branches: Sequence[np.ndarray],
+    probs: Sequence[float],
+    alphabet: Sequence,
+    force: object = None,
+    rng: np.random.Generator | None = None,
+) -> MeasureResult:
+    """Pick outcome ``alphabet[k]`` and renormalize ``branches[k]`` (Born probability ``probs[k]``).
+
+    ``force`` (already checked against ``alphabet``) picks directly; sampling
+    picks the first outcome whose running probability sum exceeds one draw.
+    """
+    if (force is None) == (rng is None):
+        raise ValueError("provide exactly one of force= or rng=")
+    if force is None:
+        u = rng.random()
+        for pick, total in enumerate(accumulate(probs)):  # the last outcome if none exceeds u
+            if u < total:
+                break
+    else:
+        pick = alphabet.index(force)
+    prob = probs[pick]
+    if prob < MIN_FORCE_PROB:
+        raise ValueError(f"outcome {alphabet[pick]!r} on {measured!r} has probability {prob:.3e}")
+    remaining = tuple(l for l in reg.labels if l not in measured)
+    collapsed = Register(remaining, branches[pick] / math.sqrt(prob))
+    return MeasureResult(alphabet[pick], prob, collapsed)
 
 
 def outcome_probabilities(reg: Register, qubit: str, basis: str = "Z") -> tuple[float, float]:
     """Born probabilities of the two outcomes, in alphabet order (0/1 or +/-)."""
-    lo, hi = _branch_vectors(reg, qubit, basis)
-    return (
-        float(np.real(np.vdot(lo, lo))),
-        float(np.real(np.vdot(hi, hi))),
-    )
+    return tuple(_born(_branch_vectors(reg, qubit, basis)))
 
 
 def measure(
@@ -268,25 +306,11 @@ def measure(
     outcome, and the collapsed register does not depend on which mode chose
     it.  Measuring the last qubit leaves an empty (scalar) register.
     """
-    if (force is None) == (rng is None):
-        raise ValueError("provide exactly one of force= or rng=")
     alphabet: tuple = Z_OUTCOMES if basis == "Z" else X_OUTCOMES
+    if force is not None and force not in alphabet:
+        raise ValueError(f"outcome {force!r} not in {alphabet!r} for basis {basis}")
     branches = _branch_vectors(reg, qubit, basis)
-    probs = [float(np.real(np.vdot(b, b))) for b in branches]
-    if force is not None:
-        if force not in alphabet:
-            raise ValueError(f"outcome {force!r} not in {alphabet!r} for basis {basis}")
-        pick = alphabet.index(force)
-    else:
-        pick = 0 if rng.random() < probs[0] else 1
-    prob = probs[pick]
-    if prob < MIN_FORCE_PROB:
-        raise ValueError(
-            f"outcome {alphabet[pick]!r} on {qubit!r} has probability {prob:.3e}"
-        )
-    remaining = tuple(l for l in reg.labels if l != qubit)
-    collapsed = Register(remaining, branches[pick] / math.sqrt(prob))
-    return MeasureResult(alphabet[pick], prob, collapsed)
+    return _collapse(reg, (qubit,), branches, _born(branches), alphabet, force, rng)
 
 
 def reduced_density(reg: Register, keep: Sequence[str]) -> DensityMatrix:
@@ -296,10 +320,7 @@ def reduced_density(reg: Register, keep: Sequence[str]) -> DensityMatrix:
         raise ValueError("keep must name at least one qubit")
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate labels in keep list {keep!r}")
-    axes = [reg.axis(q) for q in keep]
-    k = len(axes)
-    psi = np.moveaxis(reg.amps.reshape((2,) * reg.n_qubits), axes, range(k))
-    psi = psi.reshape(1 << k, -1)
+    psi = _front(reg, keep)
     return DensityMatrix(keep, psi @ psi.conj().T)
 
 

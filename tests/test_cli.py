@@ -305,3 +305,12 @@ def test_out_absolute_ignores_env(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert target.exists()
     assert not (tmp_path / "unused").exists()
+
+
+def test_out_unwritable_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory\n")
+    for target in (blocker / "report.json", tmp_path):
+        code, out, err = run_cli(capsys, "swap", "0", "0", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --out")

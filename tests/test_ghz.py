@@ -59,7 +59,7 @@ def test_ghz_measure_projects_basis_state_onto_itself():
     for index in range(8):
         reg = ghz_state(index, ("x", "y", "z"))
         res = ghz_basis_measure(reg, ("x", "y", "z"), force=index)
-        assert res.index == index
+        assert res.outcome == index
         assert res.probability == pytest.approx(1.0, abs=1e-12)
         assert res.register.labels == ()
 
@@ -97,7 +97,7 @@ def test_ghz_measure_sampling_consumes_one_draw():
     res = ghz_basis_measure(reg, ("1", "3", "5"), rng=rng)
     clone.random()
     assert rng.random() == clone.random()
-    assert res.index in (0, 1, 6, 7)
+    assert res.outcome in (0, 1, 6, 7)
     assert res.register.labels == ("2", "4", "6")
 
 
@@ -144,3 +144,73 @@ def test_swap_remainders_are_ghz_states():
         for o in entanglement_swap(i, 5):
             rebuilt = ghz_state(o.matched, ("2", "4", "6"))
             assert equal_up_to_global_phase(o.remainder, rebuilt)
+
+
+def _ghz_projector_oracle(reg, triple, index):
+    """Born probability and collapsed remainder of GHZ outcome ``index``.
+
+    Built from the explicit projector ``|g><g| x I`` on the flat vector, with
+    every basis index decoded bit by bit rather than through axis moves.
+    """
+    n = reg.n_qubits
+    g = ghz_state(index, triple).amps
+    pos = [reg.labels.index(q) for q in triple]
+    rest = [p for p in range(n) if p not in pos]
+
+    def split(x):
+        bits = [(x >> (n - 1 - p)) & 1 for p in range(n)]
+        t = sum(bits[p] << (2 - k) for k, p in enumerate(pos))
+        r = sum(bits[p] << (len(rest) - 1 - k) for k, p in enumerate(rest))
+        return t, r
+
+    proj = np.zeros((1 << n, 1 << n), dtype=complex)
+    for x in range(1 << n):
+        tx, rx = split(x)
+        for y in range(1 << n):
+            ty, ry = split(y)
+            if rx == ry:
+                proj[x, y] = g[tx] * np.conj(g[ty])
+    prob = float(np.real(np.vdot(reg.amps, proj @ reg.amps)))
+    collapsed = (proj @ reg.amps) / math.sqrt(prob) if prob >= 1e-12 else None
+    kept = np.zeros(1 << len(rest), dtype=complex)
+    if collapsed is not None:
+        for x in range(1 << n):
+            t, r = split(x)
+            kept[r] += np.conj(g[t]) * collapsed[x]
+    return prob, kept
+
+
+def _rand_register(rng, n):
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return Register(tuple(f"q{k}" for k in range(n)), vec)
+
+
+def test_ghz_measure_against_projector_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(3, 6))
+        reg = _rand_register(rng, n)
+        triple = tuple(str(q) for q in rng.permutation(reg.labels)[:3])
+        remaining = tuple(q for q in reg.labels if q not in triple)
+        for index in range(8):
+            expected_p, kept = _ghz_projector_oracle(reg, triple, index)
+            if expected_p < 1e-12:
+                continue
+            outcome, prob, collapsed = ghz_basis_measure(reg, triple, force=index)
+            assert outcome == index
+            assert prob == pytest.approx(expected_p, abs=1e-12)
+            assert collapsed.labels == remaining
+            assert np.allclose(collapsed.amps, kept, atol=1e-10)
+
+
+def test_ghz_sampled_and_forced_collapse_agree():
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        reg = _rand_register(rng, int(rng.integers(3, 6)))
+        triple = tuple(str(q) for q in rng.permutation(reg.labels)[:3])
+        outcome, prob, collapsed = ghz_basis_measure(reg, triple, rng=rng)
+        f_outcome, f_prob, f_collapsed = ghz_basis_measure(reg, triple, force=outcome)
+        assert f_outcome == outcome
+        assert f_prob == prob
+        assert f_collapsed.labels == collapsed.labels
+        assert np.array_equal(f_collapsed.amps, collapsed.amps)

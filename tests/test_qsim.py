@@ -49,6 +49,12 @@ class TestRegister:
         assert reg.index_of({"q0": 1, "q1": 0}) == 2
         assert reg.index_of({"q0": 0, "q1": 1}) == 1
 
+    def test_index_of_rejects_non_bits(self):
+        reg = Register(("a", "b"), [1, 0, 0, 0])
+        for bad in ({"a": 3, "b": 2}, {"a": 0, "b": -1}):
+            with pytest.raises(ValueError, match="0 or 1"):
+                reg.index_of(bad)
+
     def test_normalizes_on_entry(self):
         reg = Register(("q",), [3.0, 4.0])
         assert reg.amps[0] == pytest.approx(0.6)
