@@ -19,8 +19,8 @@ from .qsim import (
     Register,
     _born,
     _collapse,
+    _equal_up_to_phase,
     _front,
-    equal_up_to_global_phase,
     make_register,
     tensor,
 )
@@ -95,7 +95,7 @@ def ghz_basis_measure(
         raise ValueError(f"GHZ outcome must be an int in 0..7, got {force!r}")
     triple = tuple(triple)
     branches = _ghz_branches(reg, triple)
-    return _collapse(reg, triple, branches, _born(branches), GHZ_OUTCOMES, force, rng)
+    return _collapse(reg.labels, triple, branches, _born(branches), GHZ_OUTCOMES, force, rng)
 
 
 def entanglement_swap(i: int, j: int) -> list[SwapOutcome]:
@@ -103,8 +103,8 @@ def entanglement_swap(i: int, j: int) -> list[SwapOutcome]:
 
     Prepares ``ghz(i) x ghz(j)``, projects qubits (1,3,5) onto the GHZ
     basis, and classifies each nonzero remainder on (2,4,6) against the
-    GHZ basis up to global phase (``matched`` is None if unclassifiable,
-    which does not occur for GHZ inputs).
+    rows of the GHZ basis up to global phase (``matched`` is None if
+    unclassifiable, which does not occur for GHZ inputs).
     """
     reg = tensor(ghz_state(i, ("1", "2", "3")), ghz_state(j, ("4", "5", "6")))
     triple = ("1", "3", "5")
@@ -114,10 +114,10 @@ def entanglement_swap(i: int, j: int) -> list[SwapOutcome]:
     for k in GHZ_OUTCOMES:
         if probs[k] < MIN_FORCE_PROB:
             continue
-        _, prob, remainder = _collapse(reg, triple, branches, probs, GHZ_OUTCOMES, force=k)
+        _, prob, remainder = _collapse(reg.labels, triple, branches, probs, GHZ_OUTCOMES, force=k)
         matched = next(
             (m for m in GHZ_OUTCOMES
-             if equal_up_to_global_phase(remainder, ghz_state(m, remainder.labels), tol=1e-10)),
+             if _equal_up_to_phase(remainder.amps, _BASIS[m], tol=1e-10)),
             None,
         )
         outcomes.append(SwapOutcome(k, prob, remainder, matched))

@@ -22,8 +22,12 @@ The conventions used throughout:
 This module performs every step of the protocol: :func:`encode` applies
 the CNOTs of ``ENCODING``, and every measurement -- enumerated, forced or
 sampled -- goes through :func:`walk_round` (both rounds at once:
-:func:`walk_leaves`).  Sessions (:mod:`bqtsim.parties`) play these same
-functions and only record who did what and who knows what.
+:func:`walk_leaves`).  The walk is level-batched: each open branch is one
+row of an array that is split for all rows at once, while each row's
+probability and collapse are computed exactly as :func:`bqtsim.qsim.measure`
+computes them, so its leaves are bit-identical to that sequential oracle.
+Sessions (:mod:`bqtsim.parties`) play these same functions and only record
+who did what and who knows what.
 """
 
 from __future__ import annotations
@@ -51,10 +55,12 @@ from .ghz import ghz_state
 from .qsim import (
     DensityMatrix,
     Register,
+    _born,
+    _branch_rows,
+    _collapse,
     apply_cnot,
     fidelity_pure,
     make_register,
-    measure,
     permute,
     reduced_density,
     tensor,
@@ -192,6 +198,9 @@ def _pinned(force: Sequence[int | str | None] | None, plan: Sequence[tuple[str, 
     if len(pinned) != len(plan):
         names = ", ".join(q for q, _ in plan)
         raise ValueError(f"force must give ({names}), got {force!r}")
+    for (_, basis), want in zip(plan, pinned):
+        if want is not None and want not in OUTCOMES[basis]:
+            raise ValueError(f"outcome {want!r} not in {OUTCOMES[basis]!r} for basis {basis}")
     return pinned
 
 
@@ -208,24 +217,32 @@ def walk_round(
     ``math.prod`` of them is the leaf's probability.  ``force`` pins one
     outcome per step (None leaves the step open).  An open step samples one
     uniform draw from ``rng`` when given, and otherwise branches over both
-    outcomes, 0/"+" first.  A measured prefix is shared by every leaf below
-    it.  This is the only place the protocol's measurements are performed.
+    outcomes, 0/"+" first.  This is the only place the protocol's
+    measurements are performed.
+
+    The walk is level-batched: every open branch at a step is one row of
+    a single array, split for all rows at once (:func:`qsim._branch_rows`).
+    Reductions stay per row -- each row's Born probabilities and collapse
+    go through :func:`qsim._collapse`, exactly as :func:`qsim.measure` on
+    that row's register -- so every leaf is bit-identical to measuring it
+    step by step.  A measured prefix is shared by every leaf below it.
     """
     force = _pinned(force, plan)
-
-    def descend(state: Register, k: int, outcomes: tuple, probs: tuple) -> Iterator:
-        if k == len(plan):
-            yield outcomes, probs, state
-            return
-        qubit, basis = plan[k]
-        open_step = force[k] is None and rng is None
-        for want in OUTCOMES[basis] if open_step else (force[k],):
-            res = measure(state, qubit, basis, force=want, rng=rng if want is None else None)
-            yield from descend(
-                res.register, k + 1, outcomes + (res.outcome,), probs + (res.probability,)
-            )
-
-    return descend(state, 0, (), ())
+    level = [((), (), state)]  # (outcomes, step probabilities, register) per open branch
+    for (qubit, basis), want in zip(plan, force):
+        labels, alphabet = level[0][2].labels, OUTCOMES[basis]
+        rows = np.stack([reg.amps for _, _, reg in level])
+        splits = zip(*_branch_rows(rows, labels, qubit, basis))
+        children = []
+        for (outcomes, probs, _), branches in zip(level, splits):
+            born = _born(branches)
+            for pick in alphabet if want is None and rng is None else (want,):
+                res = _collapse(
+                    labels, (qubit,), branches, born, alphabet, pick, rng if pick is None else None
+                )
+                children.append((outcomes + (res.outcome,), probs + (res.probability,), res.register))
+        level = children
+    return iter(level)
 
 
 def walk_leaves(
@@ -233,16 +250,16 @@ def walk_leaves(
 ) -> Iterator[Leaf]:
     """Every measurement leaf of ``encoded``: (outcomes, probability, payload).
 
-    Both rounds are walked with :func:`walk_round`; ``force`` pins outcomes
-    in plan order.  Leaves come in :func:`leaf_index` order, and a leaf's
-    probability is its round-one probability times its round-two one.
+    Both rounds are walked at once by :func:`walk_round`; ``force`` pins
+    outcomes in plan order.  Leaves come in :func:`leaf_index` order, and a
+    leaf's probability is its round-one probability times its round-two one.
     """
     first_plan, second_plan = MEASUREMENT_PLAN
-    force, split = _pinned(force, first_plan + second_plan), len(first_plan)
-    for first, probs1, remainder in walk_round(encoded, first_plan, force[:split]):
-        p1 = math.prod(probs1)
-        for second, probs2, payload in walk_round(remainder, second_plan, force[split:]):
-            yield first + second, p1 * math.prod(probs2), payload
+    split = len(first_plan)
+    return (
+        (outcomes, math.prod(probs[:split]) * math.prod(probs[split:]), payload)
+        for outcomes, probs, payload in walk_round(encoded, first_plan + second_plan, force)
+    )
 
 
 def delivery_targets(alice: EprInput, bob: EprInput) -> tuple[Register, Register]:
@@ -401,7 +418,7 @@ def deprived_fidelities(
         group[0] += weight
     target = sent.register(labels)
     return [
-        (total, fidelity_pure(DensityMatrix(labels, mixed / total), target))
+        (total, fidelity_pure(DensityMatrix._trusted(labels, mixed / total), target))
         for total, mixed in groups.values()
     ]
 

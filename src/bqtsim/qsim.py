@@ -5,10 +5,20 @@ unit-norm amplitude vector; ``labels[0]`` is the most significant bit of
 the basis-state index.  Every operation is a pure function that returns a
 fresh register, so values can be shared between threads without locking.
 
-Every measurement, single-qubit here or GHZ-basis in :mod:`bqtsim.ghz`,
-collapses in one place, :func:`_collapse`: it samples an outcome (one
-uniform draw from a caller's ``numpy.random.Generator``) or forces one,
-reports its exact Born probability, and removes the measured qubits.
+Public constructors (``Register(...)``, :func:`make_register`,
+``DensityMatrix(...)``) validate their input.  Results computed from
+registers that are already valid -- gates, :func:`tensor`, :func:`permute`,
+collapses and :func:`reduced_density` -- are built with the trusted
+``_trusted`` constructors instead: the same normalising arithmetic, no
+re-validation.
+
+Every measurement, single-qubit here, GHZ-basis in :mod:`bqtsim.ghz` or
+one row of the level-batched walk in :mod:`bqtsim.protocol`, collapses in
+one place, :func:`_collapse`: it samples an outcome (one uniform draw from
+a caller's ``numpy.random.Generator``) or forces one, reports its exact
+Born probability, and removes the measured qubits.  :func:`measure` works
+on one register at a time and is the oracle that tests check the walk
+against.
 """
 
 from __future__ import annotations
@@ -112,6 +122,21 @@ class Register:
         self.labels = labels
         self.amps = vec
 
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], vec: np.ndarray) -> "Register":
+        """Register from parts derived from valid registers: normalized, not re-checked.
+
+        ``vec`` must be a flat complex vector of the right size with a
+        nonzero, finite norm; the normalising arithmetic is the public
+        constructor's, so the amplitudes are bit-identical.
+        """
+        reg = object.__new__(cls)
+        vec = vec / float(np.linalg.norm(vec))
+        vec.flags.writeable = False
+        reg.labels = labels
+        reg.amps = vec
+        return reg
+
     @property
     def n_qubits(self) -> int:
         return len(self.labels)
@@ -182,6 +207,15 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], mat: np.ndarray) -> "DensityMatrix":
+        """Density matrix built as ``psi psi^dagger`` (or a convex sum of them): not re-checked."""
+        rho = object.__new__(cls)
+        mat.flags.writeable = False
+        object.__setattr__(rho, "labels", labels)
+        object.__setattr__(rho, "mat", mat)
+        return rho
+
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
@@ -209,7 +243,10 @@ def tensor(first: Register, second: Register) -> Register:
         raise ValueError(
             f"label collision: {sorted(set(first.labels) & set(second.labels))}"
         )
-    return Register(first.labels + second.labels, np.kron(first.amps, second.amps))
+    labels = first.labels + second.labels
+    if len(labels) > MAX_QUBITS:
+        raise ValueError(f"{len(labels)} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    return Register._trusted(labels, np.kron(first.amps, second.amps))
 
 
 def _front(reg: Register, qubits: Sequence[str]) -> np.ndarray:
@@ -229,14 +266,14 @@ def apply_gate1(reg: Register, qubit: str, gate: str) -> Register:
     """Apply a named single-qubit gate (one of I, X, Z, H)."""
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(GATES)}")
-    return Register(reg.labels, _apply_matrix(reg, (qubit,), GATES[gate]))
+    return Register._trusted(reg.labels, _apply_matrix(reg, (qubit,), GATES[gate]))
 
 
 def apply_cnot(reg: Register, control: str, target: str) -> Register:
     """Apply a controlled-NOT from ``control`` onto ``target``."""
     if control == target:
         raise ValueError("control and target must differ")
-    return Register(reg.labels, _apply_matrix(reg, (control, target), _CNOT))
+    return Register._trusted(reg.labels, _apply_matrix(reg, (control, target), _CNOT))
 
 
 def _branch_vectors(reg: Register, qubit: str, basis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -249,13 +286,33 @@ def _branch_vectors(reg: Register, qubit: str, basis: str) -> tuple[np.ndarray, 
     return (psi[0] + psi[1]) * _SQRT_HALF, (psi[0] - psi[1]) * _SQRT_HALF
 
 
+def _branch_rows(
+    rows: np.ndarray, labels: tuple[str, ...], qubit: str, basis: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_branch_vectors` for a batch: row ``r`` of each result splits ``rows[r]``.
+
+    ``rows`` holds one register's amplitudes over ``labels`` per row.  The
+    split is elementwise, so every row is bit-identical to splitting its
+    register on its own.
+    """
+    if qubit not in labels:
+        raise ValueError(f"no qubit labeled {qubit!r} in {labels!r}")
+    k = labels.index(qubit)
+    order = [0, k + 1] + [j + 1 for j in range(len(labels)) if j != k]
+    psi = rows.reshape((len(rows),) + (2,) * len(labels)).transpose(order)
+    psi = psi.reshape(len(rows), 2, -1)
+    if basis == "Z":
+        return psi[:, 0], psi[:, 1]
+    return (psi[:, 0] + psi[:, 1]) * _SQRT_HALF, (psi[:, 0] - psi[:, 1]) * _SQRT_HALF
+
+
 def _born(branches: Iterable[np.ndarray]) -> list[float]:
     """Born probability of each unnormalized branch vector."""
     return [float(np.real(np.vdot(b, b))) for b in branches]
 
 
 def _collapse(
-    reg: Register,
+    labels: tuple[str, ...],
     measured: Sequence[str],
     branches: Sequence[np.ndarray],
     probs: Sequence[float],
@@ -265,6 +322,7 @@ def _collapse(
 ) -> MeasureResult:
     """Pick outcome ``alphabet[k]`` and renormalize ``branches[k]`` (Born probability ``probs[k]``).
 
+    ``branches`` split a register over ``labels`` on its ``measured`` qubits.
     ``force`` (already checked against ``alphabet``) picks directly; sampling
     picks the first outcome whose running probability sum exceeds one draw.
     """
@@ -280,8 +338,8 @@ def _collapse(
     prob = probs[pick]
     if prob < MIN_FORCE_PROB:
         raise ValueError(f"outcome {alphabet[pick]!r} on {measured!r} has probability {prob:.3e}")
-    remaining = tuple(l for l in reg.labels if l not in measured)
-    collapsed = Register(remaining, branches[pick] / math.sqrt(prob))
+    remaining = tuple(l for l in labels if l not in measured)
+    collapsed = Register._trusted(remaining, branches[pick] / math.sqrt(prob))
     return MeasureResult(alphabet[pick], prob, collapsed)
 
 
@@ -310,7 +368,7 @@ def measure(
     if force is not None and force not in alphabet:
         raise ValueError(f"outcome {force!r} not in {alphabet!r} for basis {basis}")
     branches = _branch_vectors(reg, qubit, basis)
-    return _collapse(reg, (qubit,), branches, _born(branches), alphabet, force, rng)
+    return _collapse(reg.labels, (qubit,), branches, _born(branches), alphabet, force, rng)
 
 
 def reduced_density(reg: Register, keep: Sequence[str]) -> DensityMatrix:
@@ -321,7 +379,7 @@ def reduced_density(reg: Register, keep: Sequence[str]) -> DensityMatrix:
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate labels in keep list {keep!r}")
     psi = _front(reg, keep)
-    return DensityMatrix(keep, psi @ psi.conj().T)
+    return DensityMatrix._trusted(keep, psi @ psi.conj().T)
 
 
 def fidelity_pure(rho: DensityMatrix, target: Register) -> float:
@@ -344,13 +402,17 @@ def equal_up_to_global_phase(first: Register, second: Register, tol: float = 1e-
         raise ValueError(
             f"label mismatch: {sorted(first.labels)} vs {sorted(second.labels)}"
         )
-    other = permute(second, first.labels).amps
-    k = int(np.argmax(np.abs(first.amps)))
+    return _equal_up_to_phase(first.amps, permute(second, first.labels).amps, tol)
+
+
+def _equal_up_to_phase(first: np.ndarray, other: np.ndarray, tol: float) -> bool:
+    """:func:`equal_up_to_global_phase` on two amplitude vectors in the same qubit order."""
+    k = int(np.argmax(np.abs(first)))
     if abs(other[k]) < 1e-12:
         return False
-    phase = first.amps[k] * np.conj(other[k])
+    phase = first[k] * np.conj(other[k])
     phase /= abs(phase)
-    return bool(np.linalg.norm(first.amps - phase * other) <= tol)
+    return bool(np.linalg.norm(first - phase * other) <= tol)
 
 
 def permute(reg: Register, new_order: Sequence[str]) -> Register:
@@ -362,4 +424,4 @@ def permute(reg: Register, new_order: Sequence[str]) -> Register:
         return reg
     axes = [reg.axis(l) for l in new_order]
     psi = reg.amps.reshape((2,) * reg.n_qubits).transpose(axes).reshape(-1)
-    return Register(new_order, psi)
+    return Register._trusted(new_order, psi)

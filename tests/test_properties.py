@@ -3,17 +3,28 @@
 Hypothesis draws the payload amplitudes; every property holds for any
 input pair, so a failure names a concrete counterexample.  Runs are
 derandomized: the same examples are drawn on every run.
+
+The level-batched walk is checked against two oracles that never share
+its code: a recursive walk with one ``qsim.measure`` call per node (exact
+equality), and a dense ``einsum`` kernel over all 64 leaves at once
+(within 1e-12; it sums in another order, so its last bits differ).
 """
+
+import math
+from itertools import product
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bqtsim.corrections import FACTORS, apply_ops, load_table
+from bqtsim.corrections import FACTORS, OUTCOMES, PLAN_QUBITS, apply_ops, load_table, parse_ops
 from bqtsim.protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
     FIDELITY_FLOOR,
+    FULL_LABELS,
+    MEASUREMENT_PLAN,
+    PAYLOAD_LABELS,
     EprInput,
     deliver,
     delivery_targets,
@@ -23,7 +34,7 @@ from bqtsim.protocol import (
     prepare_full_state,
     walk_leaves,
 )
-from bqtsim.qsim import fidelity_pure, reduced_density
+from bqtsim.qsim import ATOL, DensityMatrix, fidelity_pure, measure, reduced_density
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -76,3 +87,97 @@ def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_
     assert fidelities == [to_bob, to_alice]
     assert delivered.labels == fixed.labels
     assert np.array_equal(delivered.amps, fixed.amps)
+
+
+PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
+ROUND_ONE = len(MEASUREMENT_PLAN[0])
+
+#: Any partial force pattern: each step pinned to one of its outcomes or left open.
+_force = st.tuples(*(st.sampled_from((None,) + OUTCOMES[basis]) for _, basis in PLAN))
+
+
+def _measured_leaves(state, steps, force):
+    """Oracle: every leaf below ``state``, one ``qsim.measure`` call per node."""
+    if not steps:
+        yield (), (), state
+        return
+    (qubit, basis), want = steps[0], force[0]
+    for outcome in OUTCOMES[basis] if want is None else (want,):
+        res = measure(state, qubit, basis, force=outcome)
+        for outcomes, probs, leaf in _measured_leaves(res.register, steps[1:], force[1:]):
+            yield (res.outcome,) + outcomes, (res.probability,) + probs, leaf
+
+
+@PROPERTY
+@given(payloads(), payloads(), _force)
+def test_walk_leaves_equals_the_measure_oracle(alice, bob, force):
+    encoded = encode(prepare_full_state(alice, bob))
+    leaves = list(walk_leaves(encoded, force))
+    expected = list(_measured_leaves(encoded, PLAN, force))
+    assert len(leaves) == len(expected) == 2 ** force.count(None)
+    for (outcomes, prob, payload), (want, probs, state) in zip(leaves, expected):
+        assert outcomes == want
+        assert prob == math.prod(probs[:ROUND_ONE]) * math.prod(probs[ROUND_ONE:])
+        assert payload.labels == state.labels
+        assert np.array_equal(payload.amps, state.amps)
+
+
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_PAULI = {"I": np.eye(2), "Z": np.diag([1.0, -1.0]), "X": np.array([[0.0, 1.0], [1.0, 0.0]])}
+_PAULI["XZ"] = _PAULI["X"] @ _PAULI["Z"]  # Z first, then X
+
+
+def _ops_matrix(ops):
+    first, second = parse_ops(ops)
+    return np.kron(_PAULI[first], _PAULI[second])
+
+
+def _einsum_leaves(alice, bob, table):
+    """Dense kernel: every leaf's probability and both fidelities from one (64, 16) matrix."""
+    psi = encode(prepare_full_state(alice, bob)).amps.reshape((2,) * len(FULL_LABELS))
+    # H on every X-measured axis turns "+"/"-" into index 0/1.
+    axes = list(range(len(FULL_LABELS)))
+    operands, out = [psi, axes], list(axes)
+    for k, (qubit, _) in enumerate(step for step in PLAN if step[1] == "X"):
+        ax = FULL_LABELS.index(qubit)
+        operands += [_H, [len(axes) + k, ax]]
+        out[ax] = len(axes) + k
+    psi = np.einsum(*operands, out)
+    order = [FULL_LABELS.index(q) for q in PLAN_QUBITS + PAYLOAD_LABELS]
+    mat = psi.transpose(order).reshape(64, 16)  # rows in leaf_index order
+    probs = np.einsum("lk,lk->l", mat.conj(), mat).real
+    payloads = (mat / np.sqrt(probs)[:, None]).reshape(64, 4, 4)  # (b1 b2) x (a2 a3)
+    keys = product(*(OUTCOMES[basis] for _, basis in PLAN))
+    bob_ops, alice_ops = zip(*(table[key] for key in keys))
+    fixed = np.einsum(
+        "lab,lbd,lcd->lac",
+        np.array([_ops_matrix(o) for o in bob_ops]),
+        payloads,
+        np.array([_ops_matrix(o) for o in alice_ops]),
+    )
+    to_bob = np.abs(np.einsum("a,lac->lc", np.array([alice.c0, 0, 0, alice.c1]).conj(), fixed))
+    to_alice = np.abs(np.einsum("c,lac->la", np.array([bob.c0, 0, 0, bob.c1]).conj(), fixed))
+    return probs, (to_bob**2).sum(axis=1), (to_alice**2).sum(axis=1)
+
+
+@PROPERTY
+@given(payloads(), payloads())
+def test_enumerate_branches_agrees_with_the_einsum_kernel(alice, bob):
+    probs, to_bob, to_alice = _einsum_leaves(alice, bob, load_table())
+    leaves = enumerate_branches(alice, bob)
+    assert np.allclose([leaf.probability for leaf in leaves], probs, rtol=0, atol=ATOL)
+    assert np.allclose([leaf.fidelity_alice_to_bob for leaf in leaves], to_bob, rtol=0, atol=ATOL)
+    assert np.allclose([leaf.fidelity_bob_to_alice for leaf in leaves], to_alice, rtol=0, atol=ATOL)
+
+
+@PROPERTY
+@given(payloads(), payloads(), _force)
+def test_walk_payloads_keep_register_invariants(alice, bob, force):
+    # payloads are built by the trusted constructor: check what validation used to
+    for _, _, payload in walk_leaves(encode(prepare_full_state(alice, bob)), force):
+        assert not payload.amps.flags.writeable
+        assert np.all(np.isfinite(payload.amps))
+        assert abs(np.linalg.norm(payload.amps) - 1.0) <= ATOL
+        for labels in (BOB_PAYLOAD_LABELS, ALICE_PAYLOAD_LABELS, PAYLOAD_LABELS):
+            rho = reduced_density(payload, labels)
+            DensityMatrix(rho.labels, rho.mat)

@@ -351,13 +351,25 @@ def test_walk_leaves_checks_force_length(force):
         list(walk_leaves(encoded, force))
 
 
+def test_walk_round_checks_force_alphabet():
+    encoded = encode(prepare_full_state(ALPHA, BETA))
+    with pytest.raises(ValueError, match=r"outcome '\+' not in \(0, 1\) for basis Z"):
+        walk_round(encoded, FIRST_ROUND, ("+", "+", 0, "+"))
+    with pytest.raises(ValueError, match=r"outcome 0 not in \('\+', '-'\) for basis X"):
+        walk_round(encoded, FIRST_ROUND, (0, 0, 0, "+"))
+
+
 def test_walk_leaves_shares_measured_prefixes(monkeypatch):
+    # each level is split once; every open row collapses into both outcomes
     calls = []
-    real = protocol.measure
-    monkeypatch.setattr(protocol, "measure", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = protocol._branch_rows
+    monkeypatch.setattr(
+        protocol, "_branch_rows", lambda rows, *a: calls.append(2 * len(rows)) or real(rows, *a)
+    )
     encoded = encode(prepare_full_state(ALPHA, BETA))
     assert len(list(walk_leaves(encoded))) == 64
-    assert len(calls) == (2 + 4 + 8 + 16) + 16 * (2 + 4)
+    assert len(calls) == len(MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
+    assert sum(calls) == (2 + 4 + 8 + 16) + 16 * (2 + 4)
 
 
 # ---------------------------------------------------------------------------

@@ -395,3 +395,40 @@ def test_permute_identity_returns_same_object():
 def test_gates_table_is_unitary():
     for name, g in GATES.items():
         assert np.allclose(g @ g.conj().T, np.eye(2), atol=ATOL), name
+
+
+# ---------------------------------------------------------------------------
+# trusted internal results
+# ---------------------------------------------------------------------------
+
+def test_trusted_results_keep_register_invariants():
+    # gates, tensor, permute and collapses skip re-validation; their results
+    # must still be what the public constructor would accept and produce
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        reg = _rand_register(rng, int(rng.integers(2, 7)))
+        q0, q1 = (str(q) for q in rng.choice(reg.labels, size=2, replace=False))
+        results = [apply_gate1(reg, q0, gate) for gate in GATES]
+        results += [
+            apply_cnot(reg, q0, q1),
+            tensor(reg, _rand_register(rng, int(rng.integers(1, 4)), prefix="r")),
+            permute(reg, tuple(rng.permutation(reg.labels))),
+            measure(reg, q0, "Z", rng=rng).register,
+            measure(reg, q1, "X", rng=rng).register,
+        ]
+        for result in results:
+            assert not result.amps.flags.writeable
+            assert np.all(np.isfinite(result.amps))
+            assert abs(np.linalg.norm(result.amps) - 1.0) <= ATOL
+            shuffled = [str(q) for q in rng.permutation(result.labels)]
+            rho = reduced_density(result, shuffled[: 1 + rng.integers(min(3, result.n_qubits))])
+            DensityMatrix(rho.labels, rho.mat)  # the public validator accepts it
+
+
+def test_tensor_keeps_the_qubit_cap():
+    half = MAX_QUBITS // 2 + 1
+    with pytest.raises(ValueError, match="cap"):
+        tensor(
+            Register(tuple(f"a{k}" for k in range(half)), np.ones(1 << half)),
+            Register(tuple(f"b{k}" for k in range(half)), np.ones(1 << half)),
+        )
