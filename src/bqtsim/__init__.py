@@ -11,12 +11,14 @@ The package layers as follows:
   enumerated, forced or sampled measurement goes through, delivery, branch
   enumeration, and the non-cooperation fidelity bound.
 * :mod:`bqtsim.corrections` — announcement-keyed Pauli-correction table
-  (generation, minimality, serialization, packaged asset).
+  (keys, minimality, serialization, packaged asset); the table itself is
+  generated by ``protocol.generate_correction_table``.
 * :mod:`bqtsim.parties` — two-party sessions that play the protocol's own
   steps and add ownership tracking, announcement rounds, replayable
   transcripts, and a structural audit.
 * :mod:`bqtsim.verify` — the nine-criterion self-verification battery.
-* :mod:`bqtsim.cli` — the ``bqtsim`` command-line front end.
+* :mod:`bqtsim.cli` — the ``bqtsim`` command-line front end; every
+  subcommand's report is assembled and written by one builder.
 """
 
 from .corrections import (

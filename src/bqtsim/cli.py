@@ -12,10 +12,13 @@ or in angle form (``--angles theta,phi`` meaning ``cos(theta)|00> +
 exp(i*phi)*sin(theta)|11>``).  Amplitude pairs whose norm strays from 1 by
 more than 1e-9 are rejected; accepted pairs are normalized exactly.
 
-Reports are JSON by default (``--format text`` for a human summary) and are
-byte-identical for identical configuration and seed, except for the
-``timestamp`` field, which is excluded from that guarantee.  ``--out``
-writes the report to a file; a relative path is resolved against
+Every subcommand ends in one report builder, ``_report``: it adds the
+``schema``, ``timestamp``, ``config`` and ``pass`` fields, renders JSON or
+text, writes the result and maps the verdict to the exit status, so a field
+that every report carries is added there.  Reports are JSON by default (``--format text`` for a human
+summary) and are byte-identical for identical configuration and seed,
+except for the ``timestamp`` field, which is excluded from that guarantee.
+``--out`` writes the report to a file; a relative path is resolved against
 ``$BQTSIM_OUTPUT_DIR`` when that variable is set.  Exit status: 0 when all
 checks pass, 1 when a check fails, 2 for configuration errors.
 """
@@ -107,12 +110,10 @@ def _seed(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed: {exc}") from None
 
 
-def _pair(c: complex) -> list[float]:
-    return [float(c.real), float(c.imag)]
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _inputs_config(alpha: EprInput, beta: EprInput) -> dict:
+    """The ``alpha``/``beta`` config entries: each amplitude as ``[re, im]``."""
+    return {name: [[float(c.real), float(c.imag)] for c in (inp.c0, inp.c1)]
+            for name, inp in (("alpha", alpha), ("beta", beta))}
 
 
 def _json_default(obj):
@@ -123,25 +124,38 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _emit(args: argparse.Namespace, report: dict, text: str) -> None:
+def _report(
+    args: argparse.Namespace, schema: str, config: dict, body: dict, ok: bool, lines: list[str]
+) -> int:
+    """Write one report to stdout or ``--out``; return the exit status, 0 when ``ok``.
+
+    The JSON report is ``body`` plus the fields every report carries, which
+    are set here only; the text report is ``lines``.
+    """
     if args.format == "json":
+        report = {
+            "schema": schema,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "config": config,
+            **body,
+            "pass": ok,
+        }
         rendered = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     else:
-        rendered = text
-    out = getattr(args, "out", None)
-    if out is None:
+        rendered = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(rendered)
-        return
-    path = Path(out)
-    if not path.is_absolute():
+    else:
+        path = Path(args.out)
         base = os.environ.get(OUTPUT_DIR_ENV)
-        if base:
+        if base and not path.is_absolute():
             path = Path(base) / path
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rendered)
-    except OSError as exc:
-        raise ConfigError(f"--out: cannot write {path}: {exc}") from None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(rendered)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {path}: {exc}") from None
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +183,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         and abs(total - 1.0) <= 1e-12
         and all(r[d.field] >= FIDELITY_FLOOR for r in rows for d in DIRECTIONS.values())
     )
-    report = {
-        "schema": "bqtsim.leaf-report/1",
-        "timestamp": _timestamp(),
-        "config": {"alpha": [_pair(alpha.c0), _pair(alpha.c1)],
-                   "beta": [_pair(beta.c0), _pair(beta.c1)]},
-        "leaves": rows,
-        "total_probability": total,
-        "pass": ok,
-    }
     lines = [
         "leaf  a1 A2 b3 B2 A1 B1  prob      bob_ops alice_ops  fid(a->b)      fid(b->a)",
     ]
@@ -189,8 +194,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             f"{r['fidelity_bob_to_alice']:.12f}"
         )
     lines.append(f"total probability {total:.12f}  ->  {'PASS' if ok else 'FAIL'}")
-    _emit(args, report, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    body = {"leaves": rows, "total_probability": total}
+    return _report(args, "bqtsim.leaf-report/1", _inputs_config(alpha, beta), body, ok, lines)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -228,29 +233,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     max_z, within = leaf_histogram_gate(counts)
     expected_count = args.trials / 64
     chi_square = float(np.sum((counts - expected_count) ** 2 / expected_count))
-    report = {
-        "schema": "bqtsim.session-report/1",
-        "timestamp": _timestamp(),
-        "config": {
-            "alpha": [_pair(alpha.c0), _pair(alpha.c1)],
-            "beta": [_pair(beta.c0), _pair(beta.c1)],
-            "seed": seed,
-            "trials": args.trials,
-            "cooperation": cooperation,
-        },
-        "trials": trials,
-        "histogram": {
-            "counts": [int(c) for c in counts],
-            "expected_count": expected_count,
-            "max_abs_z": max_z,
-            "within_4_sigma": within,
-            "chi_square": chi_square,
-            "degrees_of_freedom": 63,
-        },
-        "pass": ok,
-    }
-    if args.transcripts:
-        report["transcripts"] = transcripts
     lines = [f"{args.trials} session(s), seed base {seed}, cooperation {cooperation}"]
     for t in trials[: min(len(trials), 20)]:
         exp = "-" if t["expected_fidelity"] is None else f"{t['expected_fidelity']:.6f}"
@@ -267,8 +249,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"chi-square {chi_square:.1f} on 63 dof"
     )
     lines.append("PASS" if ok else "FAIL")
-    _emit(args, report, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    config = {
+        **_inputs_config(alpha, beta),
+        "seed": seed,
+        "trials": args.trials,
+        "cooperation": cooperation,
+    }
+    body = {
+        "trials": trials,
+        "histogram": {
+            "counts": [int(c) for c in counts],
+            "expected_count": expected_count,
+            "max_abs_z": max_z,
+            "within_4_sigma": within,
+            "chi_square": chi_square,
+            "degrees_of_freedom": 63,
+        },
+    }
+    if args.transcripts:
+        body["transcripts"] = transcripts
+    return _report(args, "bqtsim.session-report/1", config, body, ok, lines)
 
 
 def _cmd_swap(args: argparse.Namespace) -> int:
@@ -279,25 +279,20 @@ def _cmd_swap(args: argparse.Namespace) -> int:
         and abs(total - 1.0) <= 1e-12
         and all(o.matched is not None for o in outcomes)
     )
-    report = {
-        "schema": "bqtsim.swap-report/1",
-        "timestamp": _timestamp(),
-        "config": {"i": args.i, "j": args.j},
-        "outcomes": [
-            {"outcome": o.outcome, "probability": o.probability, "matched": o.matched}
-            for o in outcomes
-        ],
-        "total_probability": total,
-        "pass": ok,
-    }
     lines = [f"channel ({args.i}, {args.j})"]
     for o in outcomes:
         lines.append(
             f"  outcome {o.outcome} -> remainder index {o.matched}  p = {o.probability:.12f}"
         )
     lines.append(f"total probability {total:.12f}  ->  {'PASS' if ok else 'FAIL'}")
-    _emit(args, report, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    body = {
+        "outcomes": [
+            {"outcome": o.outcome, "probability": o.probability, "matched": o.matched}
+            for o in outcomes
+        ],
+        "total_probability": total,
+    }
+    return _report(args, "bqtsim.swap-report/1", {"i": args.i, "j": args.j}, body, ok, lines)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -310,10 +305,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigError(f"--correction-table: {exc}") from None
     results = run_all(seed=seed, table=table)
     ok = all(r.passed for r in results)
-    report = {
-        "schema": "bqtsim.verify-report/1",
-        "timestamp": _timestamp(),
-        "config": {"seed": seed, "correction_table": args.correction_table},
+    lines = [r.line() for r in results]
+    lines.append(f"{'PASS' if ok else 'FAIL'}  ({sum(r.passed for r in results)}/{len(results)} criteria)")
+    config = {"seed": seed, "correction_table": args.correction_table}
+    body = {
         "criteria": [
             {
                 "name": r.name,
@@ -322,13 +317,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "detail": r.detail,
             }
             for r in results
-        ],
-        "pass": ok,
+        ]
     }
-    lines = [r.line() for r in results]
-    lines.append(f"{'PASS' if ok else 'FAIL'}  ({sum(r.passed for r in results)}/{len(results)} criteria)")
-    _emit(args, report, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return _report(args, "bqtsim.verify-report/1", config, body, ok, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
-from .qsim import X_OUTCOMES, Z_OUTCOMES, Register, apply_gate1, equal_up_to_global_phase
+from .qsim import OUTCOMES, Register, apply_gate1, equal_up_to_global_phase
 
 __all__ = [
     "FACTORS",
@@ -64,9 +64,6 @@ _KEY_PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 
 #: The six measured qubits in plan order: the fields of a table key.
 PLAN_QUBITS = tuple(q for q, _ in _KEY_PLAN)
-
-#: Outcome alphabet of each measurement basis; the first outcome is the zero bit.
-OUTCOMES = {"Z": Z_OUTCOMES, "X": X_OUTCOMES}
 
 #: Legal per-qubit correction factors, in preference order after identity.
 FACTORS = ("I", "Z", "X", "XZ")

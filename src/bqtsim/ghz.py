@@ -51,7 +51,7 @@ GHZ_OUTCOMES = tuple(range(8))
 
 def ghz_state(index: int, labels: Sequence[str]) -> Register:
     """GHZ basis state ``index`` (0..7) on three named qubits."""
-    if not isinstance(index, int) or not 0 <= index <= 7:
+    if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index <= 7:
         raise ValueError(f"GHZ index must be an int in 0..7, got {index!r}")
     if len(tuple(labels)) != 3:
         raise ValueError(f"a GHZ state needs exactly 3 labels, got {labels!r}")
@@ -91,7 +91,9 @@ def ghz_basis_measure(
     probability outcome raises.  The remaining qubits keep their original
     relative order.
     """
-    if force is not None and (not isinstance(force, int) or not 0 <= force <= 7):
+    if force is not None and (
+        not isinstance(force, int) or isinstance(force, bool) or not 0 <= force <= 7
+    ):
         raise ValueError(f"GHZ outcome must be an int in 0..7, got {force!r}")
     triple = tuple(triple)
     branches = _ghz_branches(reg, triple)

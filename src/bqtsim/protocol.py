@@ -41,7 +41,6 @@ import numpy as np
 
 from .corrections import (
     MEASUREMENT_PLAN,
-    OUTCOMES,
     PLAN_QUBITS,
     Table,
     apply_ops,
@@ -55,6 +54,7 @@ from .ghz import ghz_state
 from .qsim import (
     DensityMatrix,
     Register,
+    _alphabet,
     _born,
     _branch_rows,
     _collapse,
@@ -199,8 +199,7 @@ def _pinned(force: Sequence[int | str | None] | None, plan: Sequence[tuple[str, 
         names = ", ".join(q for q, _ in plan)
         raise ValueError(f"force must give ({names}), got {force!r}")
     for (_, basis), want in zip(plan, pinned):
-        if want is not None and want not in OUTCOMES[basis]:
-            raise ValueError(f"outcome {want!r} not in {OUTCOMES[basis]!r} for basis {basis}")
+        _alphabet(basis, want)
     return pinned
 
 
@@ -230,7 +229,7 @@ def walk_round(
     force = _pinned(force, plan)
     level = [((), (), state)]  # (outcomes, step probabilities, register) per open branch
     for (qubit, basis), want in zip(plan, force):
-        labels, alphabet = level[0][2].labels, OUTCOMES[basis]
+        labels, alphabet = level[0][2].labels, _alphabet(basis)
         rows = np.stack([reg.amps for _, _, reg in level])
         splits = zip(*_branch_rows(rows, labels, qubit, basis))
         children = []

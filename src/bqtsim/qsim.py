@@ -80,11 +80,9 @@ _CNOT = np.array(
     dtype=complex,
 )
 
-#: Outcome alphabet of a conjugate-basis (X) measurement.
-X_OUTCOMES = ("+", "-")
-
-#: Outcome alphabet of a computational-basis (Z) measurement.
-Z_OUTCOMES = (0, 1)
+#: Outcome alphabet of each measurement basis, computational (Z) and
+#: conjugate (X); the first outcome is the zero bit.
+OUTCOMES = {"Z": (0, 1), "X": ("+", "-")}
 
 
 class Register:
@@ -249,17 +247,26 @@ def tensor(first: Register, second: Register) -> Register:
     return Register._trusted(labels, np.kron(first.amps, second.amps))
 
 
+def _axis_order(labels: tuple[str, ...], qubits: Sequence[str]) -> list[int]:
+    """Axis permutation that puts ``qubits`` first, in the order given, then the rest."""
+    for q in qubits:
+        if q not in labels:
+            raise ValueError(f"no qubit labeled {q!r} in {labels!r}")
+    axes = [labels.index(q) for q in qubits]
+    return axes + [k for k in range(len(labels)) if k not in axes]
+
+
 def _front(reg: Register, qubits: Sequence[str]) -> np.ndarray:
     """Amplitudes as a ``(2**k, rest)`` matrix: rows index ``qubits``, columns the rest."""
-    axes = [reg.axis(q) for q in qubits]
-    order = axes + [k for k in range(reg.n_qubits) if k not in axes]
-    return reg.amps.reshape((2,) * reg.n_qubits).transpose(order).reshape(1 << len(axes), -1)
+    order = _axis_order(reg.labels, qubits)
+    return reg.amps.reshape((2,) * reg.n_qubits).transpose(order).reshape(1 << len(qubits), -1)
 
 
 def _apply_matrix(reg: Register, qubits: Sequence[str], matrix: np.ndarray) -> np.ndarray:
     """Apply ``matrix`` to the listed qubits; returns the new flat vector."""
     psi = (matrix @ _front(reg, qubits)).reshape((2,) * reg.n_qubits)
-    return np.moveaxis(psi, tuple(range(len(qubits))), [reg.axis(q) for q in qubits]).reshape(-1)
+    order = _axis_order(reg.labels, qubits)
+    return psi.transpose(sorted(range(reg.n_qubits), key=order.__getitem__)).reshape(-1)
 
 
 def apply_gate1(reg: Register, qubit: str, gate: str) -> Register:
@@ -276,34 +283,37 @@ def apply_cnot(reg: Register, control: str, target: str) -> Register:
     return Register._trusted(reg.labels, _apply_matrix(reg, (control, target), _CNOT))
 
 
-def _branch_vectors(reg: Register, qubit: str, basis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized post-measurement vectors for the two outcomes of ``qubit``."""
+def _alphabet(basis: str, force: object = None) -> tuple:
+    """Outcome alphabet of ``basis``; checks the basis, then a forced outcome if given."""
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    psi = _front(reg, (qubit,))
+    alphabet = OUTCOMES[basis]
+    if force is not None and force not in alphabet:
+        raise ValueError(f"outcome {force!r} not in {alphabet!r} for basis {basis}")
+    return alphabet
+
+
+def _split(psi: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized post-measurement vectors of both outcomes; ``psi[..., b, :]`` has bit ``b``."""
+    _alphabet(basis)
+    zero, one = psi[..., 0, :], psi[..., 1, :]
     if basis == "Z":
-        return psi[0], psi[1]
-    return (psi[0] + psi[1]) * _SQRT_HALF, (psi[0] - psi[1]) * _SQRT_HALF
+        return zero, one
+    return (zero + one) * _SQRT_HALF, (zero - one) * _SQRT_HALF
 
 
 def _branch_rows(
     rows: np.ndarray, labels: tuple[str, ...], qubit: str, basis: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_branch_vectors` for a batch: row ``r`` of each result splits ``rows[r]``.
+    """:func:`_split` on ``qubit`` for a batch: row ``r`` of each result splits ``rows[r]``.
 
     ``rows`` holds one register's amplitudes over ``labels`` per row.  The
     split is elementwise, so every row is bit-identical to splitting its
     register on its own.
     """
-    if qubit not in labels:
-        raise ValueError(f"no qubit labeled {qubit!r} in {labels!r}")
-    k = labels.index(qubit)
-    order = [0, k + 1] + [j + 1 for j in range(len(labels)) if j != k]
+    order = [0] + [k + 1 for k in _axis_order(labels, (qubit,))]
     psi = rows.reshape((len(rows),) + (2,) * len(labels)).transpose(order)
-    psi = psi.reshape(len(rows), 2, -1)
-    if basis == "Z":
-        return psi[:, 0], psi[:, 1]
-    return (psi[:, 0] + psi[:, 1]) * _SQRT_HALF, (psi[:, 0] - psi[:, 1]) * _SQRT_HALF
+    return _split(psi.reshape(len(rows), 2, -1), basis)
 
 
 def _born(branches: Iterable[np.ndarray]) -> list[float]:
@@ -345,7 +355,7 @@ def _collapse(
 
 def outcome_probabilities(reg: Register, qubit: str, basis: str = "Z") -> tuple[float, float]:
     """Born probabilities of the two outcomes, in alphabet order (0/1 or +/-)."""
-    return tuple(_born(_branch_vectors(reg, qubit, basis)))
+    return tuple(_born(_split(_front(reg, (qubit,)), basis)))
 
 
 def measure(
@@ -364,10 +374,8 @@ def measure(
     outcome, and the collapsed register does not depend on which mode chose
     it.  Measuring the last qubit leaves an empty (scalar) register.
     """
-    alphabet: tuple = Z_OUTCOMES if basis == "Z" else X_OUTCOMES
-    if force is not None and force not in alphabet:
-        raise ValueError(f"outcome {force!r} not in {alphabet!r} for basis {basis}")
-    branches = _branch_vectors(reg, qubit, basis)
+    alphabet = _alphabet(basis, force)
+    branches = _split(_front(reg, (qubit,)), basis)
     return _collapse(reg.labels, (qubit,), branches, _born(branches), alphabet, force, rng)
 
 
@@ -422,6 +430,4 @@ def permute(reg: Register, new_order: Sequence[str]) -> Register:
         raise ValueError(f"{new_order!r} is not a permutation of {reg.labels!r}")
     if new_order == reg.labels:
         return reg
-    axes = [reg.axis(l) for l in new_order]
-    psi = reg.amps.reshape((2,) * reg.n_qubits).transpose(axes).reshape(-1)
-    return Register._trusted(new_order, psi)
+    return Register._trusted(new_order, _front(reg, new_order).reshape(-1))

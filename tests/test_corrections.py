@@ -193,6 +193,21 @@ def test_table_ops_locality(table):
     assert sorted(set(alice.values())) == ["II", "XX", "XXZ", "ZI"]
 
 
+#: A Pauli frame (x, z) on a receiver's two qubits, as a table ops string.
+PAULI_FRAME_OPS = {(0, 0): "II", (0, 1): "ZI", (1, 0): "XX", (1, 1): "XXZ"}
+
+
+def test_table_is_a_pauli_frame(table):
+    # Reading 0 and "+" as bit 0, each receiver's correction is the frame
+    # (x, z) of the sender's three results: Bob's (a1, A2 xor A1) and
+    # Alice's (b3, B2 xor B1).
+    bit = {0: 0, 1: 1, "+": 0, "-": 1}
+    for key, ops in table.items():
+        a1, A2, b3, B2, A1, B1 = (bit[o] for o in key)
+        assert ops == (PAULI_FRAME_OPS[a1, A2 ^ A1], PAULI_FRAME_OPS[b3, B2 ^ B1]), key
+    assert len(table) == 64
+
+
 def test_table_agrees_with_published_rules_as_maps(table):
     # On the reference branch the minimal table and the published rules may
     # differ by redundant Z(x)Z factors but must act identically on payloads.

@@ -55,6 +55,19 @@ def test_ghz_state_argument_errors():
         ghz_state(0, ("x", "y"))
 
 
+@pytest.mark.parametrize("index", [False, True])
+def test_ghz_state_rejects_bool_index(index):
+    with pytest.raises(ValueError, match=rf"an int in 0\.\.7, got {index}"):
+        ghz_state(index, ("x", "y", "z"))
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_ghz_measure_rejects_bool_force(force):
+    reg = ghz_state(int(force), ("x", "y", "z"))
+    with pytest.raises(ValueError, match=rf"an int in 0\.\.7, got {force}"):
+        ghz_basis_measure(reg, ("x", "y", "z"), force=force)
+
+
 def test_ghz_measure_projects_basis_state_onto_itself():
     for index in range(8):
         reg = ghz_state(index, ("x", "y", "z"))

@@ -359,6 +359,13 @@ def test_walk_round_checks_force_alphabet():
         walk_round(encoded, FIRST_ROUND, (0, 0, 0, "+"))
 
 
+@pytest.mark.parametrize("force", [None, (0,)], ids=["open", "forced"])
+def test_walk_round_rejects_unknown_basis(force):
+    encoded = encode(prepare_full_state(ALPHA, BETA))
+    with pytest.raises(ValueError, match=r"basis must be 'Z' or 'X', got 'Y'"):
+        walk_round(encoded, [("a1", "Y")], force)
+
+
 def test_walk_leaves_shares_measured_prefixes(monkeypatch):
     # each level is split once; every open row collapses into both outcomes
     calls = []

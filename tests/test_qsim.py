@@ -222,6 +222,13 @@ def test_measure_rejects_foreign_alphabet():
         measure(reg, "q", "X", force=0)
 
 
+def test_measure_rejects_unknown_basis_before_outcome():
+    reg = Register(("q",), [1, 0])
+    for kwargs in ({"force": 0}, {"rng": np.random.default_rng(0)}):
+        with pytest.raises(ValueError, match=r"basis must be 'Z' or 'X', got 'Y'"):
+            measure(reg, "q", "Y", **kwargs)
+
+
 def test_measure_removes_qubit_and_collapses():
     bell = make_register([("00", 1.0), ("11", 1.0)], ("a", "b"))
     res = measure(bell, "a", "Z", force=1)
