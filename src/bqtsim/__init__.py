@@ -8,11 +8,13 @@ The package layers as follows:
   entanglement swapping go through ``qsim``'s collapse.
 * :mod:`bqtsim.protocol` — channel preparation, encoding (``ENCODING``),
   the one measurement walk (``walk_round``/``walk_leaves``) that every
-  enumerated, forced or sampled measurement goes through, delivery, branch
-  enumeration, and the non-cooperation fidelity bound.
+  enumerated, forced or sampled measurement goes through, ``deliver`` (the
+  one applier of a table entry), branch enumeration, and the non-cooperation
+  fidelity bound.
 * :mod:`bqtsim.corrections` — announcement-keyed Pauli-correction table
-  (keys, minimality, serialization, packaged asset); the table itself is
-  generated by ``protocol.generate_correction_table``.
+  (keys, minimality, serialization, packaged asset) and ``apply_ops``, the
+  only code that turns ops into gates; ``protocol.generate_correction_table``
+  generates the table itself.
 * :mod:`bqtsim.parties` — two-party sessions that play the protocol's own
   steps and add ownership tracking, announcement rounds, replayable
   transcripts, and a structural audit.
@@ -34,7 +36,6 @@ from .parties import COOPERATION_MODES, SessionResult, Transcript, ownership_che
 from .protocol import (
     BranchLeaf,
     EprInput,
-    correct,
     encode,
     enumerate_branches,
     generate_correction_table,
@@ -79,7 +80,6 @@ __all__ = [
     "apply_cnot",
     "apply_gate1",
     "apply_ops",
-    "correct",
     "encode",
     "entanglement_swap",
     "enumerate_branches",

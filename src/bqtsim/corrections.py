@@ -4,7 +4,9 @@ Each of the 64 measurement leaves maps to a pair of two-qubit correction
 operators: Bob's acts on (b1, b2) to recover Alice's state, Alice's acts
 on (a2, a3) to recover Bob's.  Per-qubit factors are drawn from
 {I, Z, X, XZ} ("XZ" means Z first, then X); the table stores the minimal
-choice under a documented preference order.
+choice under a documented preference order.  :func:`apply_ops` is the only
+code that turns ops into gates; :func:`bqtsim.protocol.deliver` applies a
+whole table entry through it.
 
 Table asset schema ``bqtsim.correction-table/1``::
 
@@ -29,7 +31,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
-from .qsim import OUTCOMES, Register, apply_gate1, equal_up_to_global_phase
+from .qsim import OUTCOMES, Register, _alphabet, apply_gate1, equal_up_to_global_phase
 
 __all__ = [
     "FACTORS",
@@ -38,10 +40,8 @@ __all__ = [
     "PLAN_QUBITS",
     "TABLE_SCHEMA",
     "TABULATED_RULES",
-    "apply_factor",
     "apply_ops",
     "correction_key",
-    "encode_ops",
     "leaf_index",
     "load_table",
     "minimal_correction",
@@ -92,7 +92,7 @@ def leaf_index(a1: int, A2: str, b3: int, B2: str, A1: str, B1: str) -> int:
     """Pack the six outcomes into 0..63 (plan order, 0/"+" = zero bit)."""
     idx = 0
     for (_, basis), outcome in zip(_KEY_PLAN, (a1, A2, b3, B2, A1, B1)):
-        idx = (idx << 1) | OUTCOMES[basis].index(outcome)
+        idx = (idx << 1) | _alphabet(basis, outcome).index(outcome)
     return idx
 
 
@@ -109,16 +109,6 @@ def correction_key(known: Mapping[str, int | str], owned: Collection[str] = ()) 
     )
 
 
-def apply_factor(reg: Register, qubit: str, factor: str) -> Register:
-    """Apply one correction factor; "XZ" applies Z first, then X."""
-    if factor not in FACTORS:
-        raise ValueError(f"unknown correction factor {factor!r}")
-    for gate in reversed(factor):
-        if gate != "I":
-            reg = apply_gate1(reg, qubit, gate)
-    return reg
-
-
 def parse_ops(ops: str) -> tuple[str, str]:
     """Split a concatenated two-qubit ops string into its unique factors."""
     for cut in (1, 2):
@@ -128,18 +118,13 @@ def parse_ops(ops: str) -> tuple[str, str]:
     raise ValueError(f"cannot parse correction ops {ops!r}")
 
 
-def encode_ops(pair: Sequence[str]) -> str:
-    first, second = pair
-    if first not in FACTORS or second not in FACTORS:
-        raise ValueError(f"illegal correction factors {pair!r}")
-    return first + second
-
-
 def apply_ops(reg: Register, qubits: Sequence[str], ops: str) -> Register:
-    """Apply a two-qubit ops string to the two named qubits."""
-    q1, q2 = qubits
-    f1, f2 = parse_ops(ops)
-    return apply_factor(apply_factor(reg, q1, f1), q2, f2)
+    """Apply a two-qubit ops string, one factor per named qubit in order."""
+    for qubit, factor in zip(qubits, parse_ops(ops), strict=True):
+        for gate in reversed(factor):
+            if gate != "I":
+                reg = apply_gate1(reg, qubit, gate)
+    return reg
 
 
 def _candidate_key(pair: tuple[str, str]) -> tuple:
@@ -161,9 +146,8 @@ def minimal_correction(state: Register, target: Register, tol: float = 1e-10) ->
     """
     if state.n_qubits != 2 or target.n_qubits != 2:
         raise ValueError("correction search expects two-qubit registers")
-    q1, q2 = state.labels
     for pair in _CANDIDATES:
-        candidate = apply_factor(apply_factor(state, q1, pair[0]), q2, pair[1])
+        candidate = apply_ops(state, state.labels, "".join(pair))
         if equal_up_to_global_phase(candidate, target, tol=tol):
             return pair
     raise ValueError("no I/Z/X/XZ product repairs this payload")

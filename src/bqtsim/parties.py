@@ -44,9 +44,7 @@ import numpy as np
 from .corrections import MEASUREMENT_PLAN, Table, correction_key, leaf_index, load_table
 from .protocol import (
     ALICE_INPUT_LABELS,
-    ALICE_PAYLOAD_LABELS,
     BOB_INPUT_LABELS,
-    BOB_PAYLOAD_LABELS,
     CHANNEL_LABELS,
     DIRECTIONS,
     ENCODING,
@@ -89,6 +87,9 @@ COOPERATION_MODES = ("full", "alice_withholds_A1", "bob_withholds_B1")
 WITHHELD = {"alice_withholds_A1": "A1", "bob_withholds_B1": "B1"}
 
 TRANSCRIPT_SCHEMA = "bqtsim.transcript/1"
+
+#: The direction each party receives, the one whose payload labels it owns; Bob's first.
+_RECEIVES = {p: d for d in DIRECTIONS.values() for p in OWNED if OWNED[p].issuperset(d.labels)}
 
 
 def session_seed(base: int, trial: int = 0) -> int:
@@ -160,7 +161,7 @@ def _knowledge(events: Iterable[Event]) -> dict[str, dict[str, int | str]]:
 
 def _correction(known: dict[str, dict[str, int | str]], actor: str, table: Table) -> str:
     """The ops ``actor`` applies, given what each party knows."""
-    return table[correction_key(known[actor], OWNED[actor])][0 if actor == BOB else 1]
+    return table[correction_key(known[actor], OWNED[actor])][_RECEIVES[actor].slot]
 
 
 @dataclass(frozen=True)
@@ -213,15 +214,11 @@ def run_session(
     state = _play_round(t, state, 2, outcomes, rng, withheld)
 
     known = _knowledge(t.events)
-    bob_ops = _correction(known, BOB, table)
-    alice_ops = _correction(known, ALICE, table)
-    _, fid_a2b, fid_b2a = deliver(
-        state, (bob_ops, alice_ops), delivery_targets(alice_input, bob_input)
-    )
-    t.add(Event(4, BOB, "correct", BOB_PAYLOAD_LABELS, outcome=bob_ops))
-    t.add(Event(4, ALICE, "correct", ALICE_PAYLOAD_LABELS, outcome=alice_ops))
-    t.add(Event(4, BOB, "fidelity", BOB_PAYLOAD_LABELS, outcome=fid_a2b))
-    t.add(Event(4, ALICE, "fidelity", ALICE_PAYLOAD_LABELS, outcome=fid_b2a))
+    ops = tuple(_correction(known, party, table) for party in _RECEIVES)
+    _, fid_a2b, fid_b2a = deliver(state, ops, delivery_targets(alice_input, bob_input))
+    for kind, results in (("correct", ops), ("fidelity", (fid_a2b, fid_b2a))):
+        for (party, d), result in zip(_RECEIVES.items(), results):
+            t.add(Event(4, party, kind, d.labels, outcome=result))
 
     key = correction_key(outcomes)
     expected = None

@@ -16,8 +16,9 @@ The conventions used throughout:
   :mod:`bqtsim.corrections`, which owns the table-key format);
 * ``leaf_index`` packs outcomes into six bits in plan order, with 0 / "+"
   as the zero bit;
-* :func:`deliver` corrects and scores both directions, ``DIRECTIONS`` names
-  the one each withheld announcement starves, ``FIDELITY_FLOOR`` gates them.
+* :func:`deliver`, the one applier of a table entry, corrects and scores both
+  directions through :func:`bqtsim.corrections.apply_ops`; ``DIRECTIONS``
+  names the one each withheld announcement starves, ``FIDELITY_FLOOR`` gates them.
 
 This module performs every step of the protocol: :func:`encode` applies
 the CNOTs of ``ENCODING``, and every measurement -- enumerated, forced or
@@ -45,7 +46,6 @@ from .corrections import (
     Table,
     apply_ops,
     correction_key,
-    encode_ops,
     leaf_index,
     load_table,
     minimal_correction,
@@ -82,7 +82,6 @@ __all__ = [
     "BranchLeaf",
     "Direction",
     "EprInput",
-    "correct",
     "deliver",
     "delivery_targets",
     "deprived_fidelities",
@@ -290,23 +289,6 @@ def deliver(
     return payload, to_bob, to_alice
 
 
-def correct(
-    payload: Register,
-    a1: int,
-    A2: str,
-    b3: int,
-    B2: str,
-    A1: str,
-    B1: str,
-    table: Table | None = None,
-) -> Register:
-    """Apply both parties' outcome-keyed corrections to the four-qubit payload."""
-    if table is None:
-        table = load_table()
-    fixed, _, _ = deliver(payload, table[(a1, A2, b3, B2, A1, B1)])
-    return fixed
-
-
 @dataclass(frozen=True)
 class BranchLeaf:
     """One fully resolved measurement leaf of the protocol."""
@@ -389,8 +371,8 @@ def generate_correction_table() -> dict[tuple, tuple[str, str]]:
     for key, _prob, payload in walk_leaves(encoded):
         bob_part, alice_part = _payload_factors(payload)
         table[key] = (
-            encode_ops(minimal_correction(bob_part, target_bob)),
-            encode_ops(minimal_correction(alice_part, target_alice)),
+            "".join(minimal_correction(bob_part, target_bob)),
+            "".join(minimal_correction(alice_part, target_alice)),
         )
     return table
 

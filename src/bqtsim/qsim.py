@@ -94,7 +94,7 @@ class Register:
 
     Raises:
         ValueError: duplicate labels, too many qubits, wrong amplitude
-            count, non-finite entries, or an all-zero vector.
+            count, a non-finite entry or norm, or an all-zero vector.
     """
 
     __slots__ = ("labels", "amps")
@@ -110,9 +110,12 @@ class Register:
             raise ValueError(
                 f"expected {1 << len(labels)} amplitudes for {len(labels)} qubits, got {vec.size}"
             )
-        if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(vec))
+        # A non-finite entry makes the norm non-finite, and so do finite
+        # entries whose squares overflow; either way there is no state.
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.linalg.norm(vec))
+        if not math.isfinite(norm):
+            raise ValueError("amplitudes and their norm must be finite")
         if norm < 1e-12:
             raise ValueError("cannot build a register from the zero vector")
         vec = vec / norm
@@ -284,11 +287,11 @@ def apply_cnot(reg: Register, control: str, target: str) -> Register:
 
 
 def _alphabet(basis: str, force: object = None) -> tuple:
-    """Outcome alphabet of ``basis``; checks the basis, then a forced outcome if given."""
+    """Outcome alphabet of ``basis``; checks the basis, then a forced outcome's value and type."""
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
     alphabet = OUTCOMES[basis]
-    if force is not None and force not in alphabet:
+    if force is not None and (type(force) is not type(alphabet[0]) or force not in alphabet):
         raise ValueError(f"outcome {force!r} not in {alphabet!r} for basis {basis}")
     return alphabet
 

@@ -1,6 +1,7 @@
 """Correction factors, ops strings, minimality, and table serialization."""
 
 import json
+from importlib import resources
 from itertools import product
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from bqtsim.corrections import (
     FACTORS,
     TABLE_SCHEMA,
+    MEASUREMENT_PLAN,
+    OUTCOMES,
     TABULATED_RULES,
-    apply_factor,
     apply_ops,
     correction_key,
-    encode_ops,
+    leaf_index,
     load_table,
     minimal_correction,
     parse_ops,
@@ -50,21 +52,24 @@ def test_parse_ops_rejects_garbage(bad):
 
 def test_encode_parse_roundtrip_all_pairs():
     for pair in product(FACTORS, repeat=2):
-        assert parse_ops(encode_ops(pair)) == pair
+        assert parse_ops("".join(pair)) == pair
 
 
-def test_encode_ops_rejects_bad_factors():
-    with pytest.raises(ValueError, match="illegal"):
-        encode_ops(("Y", "I"))
-
-
-def test_apply_factor_xz_order():
+def test_apply_ops_xz_order():
     # "XZ" is Z first then X: on c0|0> + c1|1> it yields c0|1> - c1|0>.
-    reg = Register(("q",), [0.6, 0.8])
-    out = apply_factor(reg, "q", "XZ")
-    assert np.allclose(out.amps, [-0.8, 0.6])
-    with pytest.raises(ValueError, match="unknown correction factor"):
-        apply_factor(reg, "q", "ZX")
+    reg = Register(("q", "r"), np.kron([0.6, 0.8], [1, 0]))
+    out = apply_ops(reg, ("q", "r"), "XZI")
+    assert np.allclose(out.amps, np.kron([-0.8, 0.6], [1, 0]))
+    assert np.array_equal(apply_ops(reg, ("r", "q"), "IXZ").amps, out.amps)
+    with pytest.raises(ValueError, match="cannot parse"):
+        apply_ops(reg, ("q", "r"), "ZXI")
+
+
+@pytest.mark.parametrize("qubits", [(), ("q",), ("q", "r", "s")], ids=["none", "one", "three"])
+def test_apply_ops_needs_two_qubits(qubits):
+    reg = Register(("q", "r", "s"), np.eye(8)[0])
+    with pytest.raises(ValueError):
+        apply_ops(reg, qubits, "XX")
 
 
 def test_apply_ops_acts_per_qubit():
@@ -104,7 +109,7 @@ def test_minimal_correction_mixed_flip_and_sign():
     target = _epr(0.6, 0.8)
     state = make_register([("11", 0.6), ("00", -0.8)], ("u", "v"))
     pair = minimal_correction(state, target)
-    fixed = apply_factor(apply_factor(state, "u", pair[0]), "v", pair[1])
+    fixed = apply_ops(state, ("u", "v"), "".join(pair))
     assert abs(abs(np.vdot(fixed.amps, target.amps)) - 1.0) <= 1e-12
     assert "XZ" in pair or pair.count("X") + pair.count("Z") >= 2
 
@@ -197,15 +202,22 @@ def test_table_ops_locality(table):
 PAULI_FRAME_OPS = {(0, 0): "II", (0, 1): "ZI", (1, 0): "XX", (1, 1): "XXZ"}
 
 
-def test_table_is_a_pauli_frame(table):
+def test_table_is_a_pauli_frame(table, tmp_path):
     # Reading 0 and "+" as bit 0, each receiver's correction is the frame
     # (x, z) of the sender's three results: Bob's (a1, A2 xor A1) and
-    # Alice's (b3, B2 xor B1).
-    bit = {0: 0, 1: 1, "+": 0, "-": 1}
-    for key, ops in table.items():
-        a1, A2, b3, B2, A1, B1 = (bit[o] for o in key)
-        assert ops == (PAULI_FRAME_OPS[a1, A2 ^ A1], PAULI_FRAME_OPS[b3, B2 ^ B1]), key
-    assert len(table) == 64
+    # Alice's (b3, B2 xor B1).  The rule alone, over every outcome in plan
+    # order, rebuilds the table and the packaged asset byte for byte.
+    plan = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
+    frame = {}
+    for key in product(*(OUTCOMES[basis] for _, basis in plan)):
+        a1, A2, b3, B2, A1, B1 = (OUTCOMES[basis].index(o) for (_, basis), o in zip(plan, key))
+        frame[key] = (PAULI_FRAME_OPS[a1, A2 ^ A1], PAULI_FRAME_OPS[b3, B2 ^ B1])
+    assert len(frame) == 64
+    assert frame == dict(table)
+    path = tmp_path / "frame.json"
+    write_table(frame, path)
+    asset = resources.files("bqtsim").joinpath("assets/correction_table.json").read_bytes()
+    assert path.read_bytes() == asset
 
 
 def test_table_agrees_with_published_rules_as_maps(table):
@@ -339,3 +351,9 @@ def test_correction_key_defaults_only_withheld_announcements():
         correction_key({**heard, "a1": 1, "A2": "-"}, owned)
     with pytest.raises(KeyError):
         correction_key({"b3": 0, **alice_own}, owned)
+
+
+@pytest.mark.parametrize("a1", [True, False, 1.0, "1"], ids=["true", "false", "float", "string"])
+def test_leaf_index_rejects_outcomes_of_the_wrong_type(a1):
+    with pytest.raises(ValueError, match="not in"):
+        leaf_index(a1, "+", 0, "+", "+", "+")

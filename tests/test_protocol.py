@@ -23,7 +23,7 @@ from bqtsim.protocol import (
     PAYLOAD_LABELS,
     REMAINDER_LABELS,
     EprInput,
-    correct,
+    deliver,
     encode,
     enumerate_branches,
     generate_correction_table,
@@ -236,7 +236,7 @@ def test_leaf_index_packing():
 def test_correct_worked_branch_sign_case():
     encoded = encode(prepare_full_state(ALPHA, BETA))
     ((_, _, payload),) = walk_leaves(encoded, WORKED + ("-", "-"))
-    fixed = correct(payload, 0, "+", 0, "+", "-", "-")
+    fixed, _, _ = deliver(payload, load_table()[(0, "+", 0, "+", "-", "-")])
     expected = tensor(
         ALPHA.register(BOB_PAYLOAD_LABELS), BETA.register(ALICE_PAYLOAD_LABELS)
     )
@@ -280,7 +280,7 @@ def test_corrected_payload_is_exact_product_state():
             for A1 in X:
                 for B1 in X:
                     _, _, payload = _round(remainder, SECOND_ROUND, (A1, B1))
-                    fixed = correct(payload, *branch, A1, B1, table)
+                    fixed, _, _ = deliver(payload, table[(*branch, A1, B1)])
                     assert equal_up_to_global_phase(fixed, expected)
 
 
@@ -359,6 +359,14 @@ def test_walk_round_checks_force_alphabet():
         walk_round(encoded, FIRST_ROUND, (0, 0, 0, "+"))
 
 
+@pytest.mark.parametrize("a1", [True, 1.0], ids=["bool", "float"])
+def test_walk_round_rejects_forced_outcomes_of_the_wrong_type(a1):
+    # True == 1 and 1.0 == 1, but neither is a Z outcome
+    encoded = encode(prepare_full_state(ALPHA, BETA))
+    with pytest.raises(ValueError, match="not in"):
+        walk_round(encoded, FIRST_ROUND, (a1, "+", 0, "+"))
+
+
 @pytest.mark.parametrize("force", [None, (0,)], ids=["open", "forced"])
 def test_walk_round_rejects_unknown_basis(force):
     encoded = encode(prepare_full_state(ALPHA, BETA))
@@ -424,5 +432,5 @@ def test_global_phase_on_inputs_does_not_matter():
             for alice in (ALPHA, rotated_alpha):
                 encoded = encode(prepare_full_state(alice, BETA))
                 ((_, _, payload),) = walk_leaves(encoded, branch + (A1, B1))
-                payloads.append(correct(payload, *branch, A1, B1))
+                payloads.append(deliver(payload, load_table()[(*branch, A1, B1)])[0])
             assert equal_up_to_global_phase(payloads[0], payloads[1])

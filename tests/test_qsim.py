@@ -85,6 +85,17 @@ class TestRegister:
     def test_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             Register(("a",), [np.inf, 0])
+        for amps in ([np.nan, 0], [complex(0, np.inf), 1], [np.inf, -np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                Register(("a",), amps)
+
+    def test_overflowing_norm(self):
+        # every entry is finite but the norm is not; dividing by it would
+        # leave the zero vector
+        with pytest.raises(ValueError, match="norm must be finite"):
+            Register(("a",), [1e200, 1e200])
+        with pytest.raises(ValueError, match="norm must be finite"):
+            make_register([("0", 1e200), ("1", 1e200)], ("a",))
 
     def test_scalar_register(self):
         reg = Register((), [1.0])
@@ -220,6 +231,14 @@ def test_measure_rejects_foreign_alphabet():
         measure(reg, "q", "Z", force="+")
     with pytest.raises(ValueError, match="not in"):
         measure(reg, "q", "X", force=0)
+
+
+@pytest.mark.parametrize("force", [True, False, 1.0, 0.0], ids=["true", "false", "float1", "float0"])
+def test_measure_rejects_forced_outcomes_of_the_wrong_type(force):
+    # each compares equal to a Z outcome, but only the ints 0 and 1 are outcomes
+    reg = Register(("q", "p"), [0, 0, 1, 0])
+    with pytest.raises(ValueError, match="not in"):
+        measure(reg, "q", "Z", force=force)
 
 
 def test_measure_rejects_unknown_basis_before_outcome():
