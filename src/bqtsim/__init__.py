@@ -8,16 +8,17 @@ The package layers as follows:
   entanglement swapping go through ``qsim``'s collapse.
 * :mod:`bqtsim.protocol` — channel preparation, encoding (``ENCODING``),
   the one measurement walk (``walk_round``/``walk_leaves``) that every
-  enumerated, forced or sampled measurement goes through, ``deliver`` (the
+  enumerated or forced measurement goes through, ``deliver`` (the
   one applier of a table entry), branch enumeration, and the non-cooperation
   fidelity bound.
 * :mod:`bqtsim.corrections` — announcement-keyed Pauli-correction table
   (keys, minimality, serialization, packaged asset) and ``apply_ops``, the
   only code that turns ops into gates; ``protocol.generate_correction_table``
   generates the table itself.
-* :mod:`bqtsim.parties` — two-party sessions that play the protocol's own
-  steps and add ownership tracking, announcement rounds, replayable
-  transcripts, and a structural audit.
+* :mod:`bqtsim.parties` — two-party sessions that draw their outcomes
+  against a memoised tree of the protocol's own walk and add ownership
+  tracking, announcement rounds, replayable transcripts, and a structural
+  audit.
 * :mod:`bqtsim.verify` — the nine-criterion self-verification battery.
 * :mod:`bqtsim.cli` — the ``bqtsim`` command-line front end; every
   subcommand's report is assembled and written by one builder.

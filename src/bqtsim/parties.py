@@ -1,14 +1,25 @@
 """Two-party protocol sessions with auditable transcripts.
 
 Alice owns {a1, a2, a3, A1, A2} and Bob owns {b1, b2, b3, B1, B2}.  A
-session performs no protocol step of its own: it encodes with
-:func:`bqtsim.protocol.encode` and samples each measurement round with
-:func:`bqtsim.protocol.walk_round`, and adds only who did what and who
-knows what.  Every gate, measurement, classical announcement, correction,
-and final fidelity is recorded as a transcript event.  A session consumes
-exactly six uniform draws from its seeded generator, one per measurement,
-in ``MEASUREMENT_PLAN`` order.  Trial ``i`` of a run seeded with ``base``
-uses seed ``(base + i) mod 2**64`` (:func:`session_seed`).
+session performs no protocol step of its own.  Every session of one input
+pair plays against that pair's exact measurement tree: the state prepared
+and encoded by :func:`bqtsim.protocol.encode`, round one walked over all
+16 outcomes by :func:`bqtsim.protocol.walk_round`, and round two walked
+the same way below each round-one leaf that some session reaches.  The
+tree is built lazily and memoised, keyed by the exact bits of both inputs
+(a small LRU of recent pairs), together with each leaf's
+:func:`bqtsim.protocol.deliver` fidelities per correction ops and, under
+withholding, each group's :func:`bqtsim.protocol.deprived_fidelities`
+average per ops.  A session consumes exactly six uniform draws from its
+seeded generator, one per measurement, in ``MEASUREMENT_PLAN`` order; each
+picks an outcome against the node's stored Born probabilities with the
+rule of :func:`bqtsim.qsim.measure` (``qsim._pick``), so its outcomes,
+probabilities and fidelities are bit-identical to measuring the ten-qubit
+state one draw at a time.  The session adds only who did what and who
+knows what: every gate, measurement, classical announcement, correction,
+and final fidelity is recorded as a transcript event.  Trial ``i`` of a
+run seeded with ``base`` uses seed ``(base + i) mod 2**64``
+(:func:`session_seed`).
 
 Announcements travel in two rounds, Alice first within each round: after
 the first measurement round each party announces both of its results, and
@@ -37,7 +48,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -56,7 +68,7 @@ from .protocol import (
     prepare_full_state,
     walk_round,
 )
-from .qsim import Register
+from .qsim import Register, _alphabet, _pick
 
 __all__ = [
     "ALICE",
@@ -197,6 +209,7 @@ def run_session(
         raise ValueError(f"cooperation must be one of {COOPERATION_MODES}")
     if table is None:
         table = load_table()
+    tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
     rng = np.random.default_rng(seed)
     t = Transcript()
     outcomes: dict[str, int | str] = {}
@@ -204,62 +217,134 @@ def run_session(
     t.add(Event(1, "channel", "prepare", CHANNEL_LABELS))
     t.add(Event(1, ALICE, "prepare", ALICE_INPUT_LABELS))
     t.add(Event(1, BOB, "prepare", BOB_INPUT_LABELS))
-    state = encode(prepare_full_state(alice_input, bob_input))
     for control, target in ENCODING:
         t.add(Event(2, _owner(control), "gate", (control, target), outcome="CNOT"))
 
     withheld = WITHHELD.get(cooperation)
-    state = _play_round(t, state, 1, outcomes, rng)
-    pre_step4 = state  # kept for the counterfactual average under withholding
-    state = _play_round(t, state, 2, outcomes, rng, withheld)
+    first = _play_round(t, tree.round(()), 1, outcomes, rng)
+    second = _play_round(t, tree.round(first), 2, outcomes, rng, withheld)
 
     known = _knowledge(t.events)
     ops = tuple(_correction(known, party, table) for party in _RECEIVES)
-    _, fid_a2b, fid_b2a = deliver(state, ops, delivery_targets(alice_input, bob_input))
+    fid_a2b, fid_b2a = tree.delivered(first, second, ops)
     for kind, results in (("correct", ops), ("fidelity", (fid_a2b, fid_b2a))):
         for (party, d), result in zip(_RECEIVES.items(), results):
             t.add(Event(4, party, kind, d.labels, outcome=result))
 
-    key = correction_key(outcomes)
     expected = None
     if withheld is not None:
-        # Re-walk round two with only the withheld result left open.
-        first_plan, second_plan = MEASUREMENT_PLAN
-        pinned = [None if q == withheld else outcomes[q] for q, _ in second_plan]
-        leaves = (
-            (key[: len(first_plan)] + second, math.prod(probs), payload)
-            for second, probs, payload in walk_round(pre_step4, second_plan, pinned)
-        )
-        sent = (alice_input, bob_input)[DIRECTIONS[withheld].slot]
-        ((_, expected),) = deprived_fidelities(leaves, withheld, sent, table)
+        expected = tree.deprived(first, second, withheld, ops[DIRECTIONS[withheld].slot], table)
 
     return SessionResult(
         transcript=t,
         fidelity_alice_to_bob=fid_a2b,
         fidelity_bob_to_alice=fid_b2a,
         expected_fidelity=expected,
-        leaf=leaf_index(*key),
+        leaf=leaf_index(*first, *second),
         outcomes=outcomes,
         seed=seed,
         cooperation=cooperation,
     )
 
 
+class _Round(NamedTuple):
+    """One measurement round walked over every outcome, below a measured prefix."""
+
+    leaves: dict[tuple, tuple[tuple[float, ...], Register]]  # outcomes -> (step probabilities, register)
+    born: dict[tuple, list[float]]  # outcomes so far -> Born probability of each next outcome
+
+
+class _Tree:
+    """The exact measurement tree of one input pair, built lazily and memoised.
+
+    Round one is walked once; round two once below each round-one leaf a
+    session reaches.  Delivered fidelities are memoised per leaf and
+    correction ops, deprived averages per group and ops, so a table that
+    changes between sessions still takes effect.
+    """
+
+    def __init__(self, alice: EprInput, bob: EprInput) -> None:
+        self.inputs = (alice, bob)
+        self.encoded = encode(prepare_full_state(alice, bob))
+        self.targets = delivery_targets(alice, bob)
+        self.rounds: dict[tuple, _Round] = {}
+        self.fidelities: dict[tuple, tuple[float, float]] = {}
+        self.averages: dict[tuple, float] = {}
+
+    def round(self, prefix: tuple) -> _Round:
+        """Round one (``prefix`` empty) or round two below round-one outcomes ``prefix``."""
+        node = self.rounds.get(prefix)
+        if node is None:
+            state = self.round(()).leaves[prefix][1] if prefix else self.encoded
+            leaves = {o: (p, reg) for o, p, reg in walk_round(state, MEASUREMENT_PLAN[bool(prefix)])}
+            born: dict[tuple, dict] = {}
+            for outcomes, (probs, _) in leaves.items():  # both outcomes of a step, alphabet order
+                for k, prob in enumerate(probs):
+                    born.setdefault(outcomes[:k], {})[outcomes[k]] = prob
+            node = self.rounds[prefix] = _Round(leaves, {p: list(b.values()) for p, b in born.items()})
+        return node
+
+    def delivered(self, first: tuple, second: tuple, ops: tuple[str, str]) -> tuple[float, float]:
+        """Both directions' fidelities at leaf ``first + second`` corrected with ``ops``."""
+        key = (first, second, ops)
+        if key not in self.fidelities:
+            payload = self.round(first).leaves[second][1]
+            self.fidelities[key] = deliver(payload, ops, self.targets)[1:]
+        return self.fidelities[key]
+
+    def deprived(self, first: tuple, second: tuple, withheld: str, ops: str, table: Table) -> float:
+        """The deprived receiver's average over the leaves that differ only in ``withheld``.
+
+        Weights are the round-two probabilities of those leaves; ``ops`` is
+        the receiver's correction, the one ``deprived_fidelities`` reads from
+        ``table`` for the group.
+        """
+        pinned = tuple(None if q == withheld else o for (q, _), o in zip(MEASUREMENT_PLAN[1], second))
+        key = (first, pinned, withheld, ops)
+        if key not in self.averages:
+            group = (
+                (first + outcomes, math.prod(probs), payload)
+                for outcomes, (probs, payload) in self.round(first).leaves.items()
+                if all(p is None or p == o for p, o in zip(pinned, outcomes))
+            )
+            sent = self.inputs[DIRECTIONS[withheld].slot]
+            ((_, self.averages[key]),) = deprived_fidelities(group, withheld, sent, table)
+        return self.averages[key]
+
+
+def _input_bits(alice: EprInput, bob: EprInput) -> tuple[str, ...]:
+    """The exact bits of both inputs: pairs that are == but differ in a zero's sign differ here."""
+    return tuple(x.hex() for c in (alice.c0, alice.c1, bob.c0, bob.c1) for x in (c.real, c.imag))
+
+
+@lru_cache(maxsize=8)
+def _session_tree(bits: tuple[str, ...], alice: EprInput, bob: EprInput) -> _Tree:
+    """The memoised tree of the inputs whose exact bits are ``bits`` (:func:`_input_bits`).
+
+    The cache also compares the inputs themselves, but inputs with equal
+    bits are always ``==``, so the bits alone decide which tree is shared.
+    """
+    return _Tree(alice, bob)
+
+
 def _play_round(
     t: Transcript,
-    state: Register,
+    node: _Round,
     round_no: int,
     outcomes: dict[str, int | str],
     rng: np.random.Generator,
     withheld: str | None = None,
-) -> Register:
-    """Sample one round of the plan into ``outcomes``, then announce it, Alice first."""
+) -> tuple:
+    """Draw one round of the plan against ``node`` into ``outcomes``, then announce it, Alice first."""
     step, plan = round_no + 2, MEASUREMENT_PLAN[round_no - 1]
-    ((results, probs, state),) = walk_round(state, plan, rng=rng)
-    for (qubit, basis), outcome, prob in zip(plan, results, probs):
-        outcomes[qubit] = outcome
+    results: tuple = ()
+    for qubit, basis in plan:
+        probs = node.born[results]
+        pick = _pick(probs, rng.random())
+        outcome = outcomes[qubit] = _alphabet(basis)[pick]
+        results += (outcome,)
         t.add(Event(step, _owner(qubit), "measure", (qubit,), basis=basis,
-                    outcome=outcome, probability=prob))
+                    outcome=outcome, probability=probs[pick]))
     for sender in (ALICE, BOB):
         payload = [
             [q, basis, outcomes[q]]
@@ -269,7 +354,7 @@ def _play_round(
         if payload:
             t.add(Event(step, sender, "message", tuple(q for q, *_ in payload),
                         outcome=payload, message_round=round_no))
-    return state
+    return results
 
 
 def _owner(qubit: str) -> str:

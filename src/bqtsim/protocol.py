@@ -21,14 +21,15 @@ The conventions used throughout:
   names the one each withheld announcement starves, ``FIDELITY_FLOOR`` gates them.
 
 This module performs every step of the protocol: :func:`encode` applies
-the CNOTs of ``ENCODING``, and every measurement -- enumerated, forced or
-sampled -- goes through :func:`walk_round` (both rounds at once:
-:func:`walk_leaves`).  The walk is level-batched: each open branch is one
-row of an array that is split for all rows at once, while each row's
-probability and collapse are computed exactly as :func:`bqtsim.qsim.measure`
-computes them, so its leaves are bit-identical to that sequential oracle.
-Sessions (:mod:`bqtsim.parties`) play these same functions and only record
-who did what and who knows what.
+the CNOTs of ``ENCODING``, and every measurement -- enumerated or forced --
+goes through :func:`walk_round` (both rounds at once: :func:`walk_leaves`).
+The walk is level-batched: each open branch is one row of an array that is
+split for all rows at once, while each row's probability and collapse are
+computed exactly as :func:`bqtsim.qsim.measure` computes them, so its leaves
+are bit-identical to that sequential oracle.  Sessions
+(:mod:`bqtsim.parties`) sample their outcomes against the Born
+probabilities of these same walks and only record who did what and who
+knows what.
 """
 
 from __future__ import annotations
@@ -152,11 +153,25 @@ class EprInput:
 
     @classmethod
     def normalized(cls, c0: complex, c1: complex) -> "EprInput":
-        """Rescale an arbitrary nonzero pair onto the unit sphere."""
-        norm = np.hypot(abs(complex(c0)), abs(complex(c1)))
-        if norm < 1e-12:
+        """Rescale an arbitrary finite, nonzero pair onto the unit sphere.
+
+        A pair whose largest part lies outside [2**-500, 2**500] is first
+        divided by that part's power of two, which is exact, so that the
+        norm neither underflows nor overflows; any other pair is divided by
+        its norm directly.
+        """
+        c0, c1 = complex(c0), complex(c1)
+        if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
+            raise ValueError(f"amplitudes must be finite, got ({c0!r}, {c1!r})")
+        largest = max(abs(c0.real), abs(c0.imag), abs(c1.real), abs(c1.imag))
+        if largest == 0:
             raise ValueError("cannot normalize the zero pair")
-        return cls(complex(c0) / norm, complex(c1) / norm)
+        if not 2.0**-500 <= largest <= 2.0**500:
+            exponent = math.frexp(largest)[1]
+            c0, c1 = (complex(math.ldexp(c.real, -exponent), math.ldexp(c.imag, -exponent))
+                      for c in (c0, c1))
+        norm = np.hypot(abs(c0), abs(c1))
+        return cls(c0 / norm, c1 / norm)
 
     def register(self, labels: Sequence[str]) -> Register:
         return make_register([("00", self.c0), ("11", self.c1)], labels)
@@ -206,16 +221,14 @@ def walk_round(
     state: Register,
     plan: Sequence[tuple[str, str]],
     force: Sequence[int | str | None] | None = None,
-    rng: np.random.Generator | None = None,
 ) -> Iterator[tuple[tuple, tuple[float, ...], Register]]:
     """Measure ``plan`` in order and yield every resulting leaf.
 
     Each leaf is (outcomes, step probabilities, register): the Born
     probability of every step given the ones before it, in plan order, so
     ``math.prod`` of them is the leaf's probability.  ``force`` pins one
-    outcome per step (None leaves the step open).  An open step samples one
-    uniform draw from ``rng`` when given, and otherwise branches over both
-    outcomes, 0/"+" first.  This is the only place the protocol's
+    outcome per step (None leaves the step open); an open step branches
+    over both outcomes, 0/"+" first.  This is the only place the protocol's
     measurements are performed.
 
     The walk is level-batched: every open branch at a step is one row of
@@ -234,10 +247,8 @@ def walk_round(
         children = []
         for (outcomes, probs, _), branches in zip(level, splits):
             born = _born(branches)
-            for pick in alphabet if want is None and rng is None else (want,):
-                res = _collapse(
-                    labels, (qubit,), branches, born, alphabet, pick, rng if pick is None else None
-                )
+            for pick in alphabet if want is None else (want,):
+                res = _collapse(labels, (qubit,), branches, born, alphabet, pick)
                 children.append((outcomes + (res.outcome,), probs + (res.probability,), res.register))
         level = children
     return iter(level)

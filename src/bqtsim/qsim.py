@@ -16,9 +16,11 @@ Every measurement, single-qubit here, GHZ-basis in :mod:`bqtsim.ghz` or
 one row of the level-batched walk in :mod:`bqtsim.protocol`, collapses in
 one place, :func:`_collapse`: it samples an outcome (one uniform draw from
 a caller's ``numpy.random.Generator``) or forces one, reports its exact
-Born probability, and removes the measured qubits.  :func:`measure` works
-on one register at a time and is the oracle that tests check the walk
-against.
+Born probability, and removes the measured qubits.  The sampling rule
+itself, which outcome a draw picks, is :func:`_pick`; sessions in
+:mod:`bqtsim.parties` apply the same rule to stored probabilities.
+:func:`measure` works on one register at a time and is the oracle that
+tests check the walk and sessions against.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class Register:
         if not math.isfinite(norm):
             raise ValueError("amplitudes and their norm must be finite")
         if norm < 1e-12:
-            raise ValueError("cannot build a register from the zero vector")
+            raise ValueError(f"amplitude norm {norm:.3e} is below the 1e-12 floor")
         vec = vec / norm
         vec.flags.writeable = False
         self.labels = labels
@@ -324,6 +326,15 @@ def _born(branches: Iterable[np.ndarray]) -> list[float]:
     return [float(np.real(np.vdot(b, b))) for b in branches]
 
 
+def _pick(probs: Iterable[float], u: float) -> int:
+    """The sampled outcome for uniform draw ``u``: the index of the first
+    outcome whose running probability sum exceeds ``u``, or the last one."""
+    for pick, total in enumerate(accumulate(probs)):
+        if u < total:
+            break
+    return pick
+
+
 def _collapse(
     labels: tuple[str, ...],
     measured: Sequence[str],
@@ -337,17 +348,11 @@ def _collapse(
 
     ``branches`` split a register over ``labels`` on its ``measured`` qubits.
     ``force`` (already checked against ``alphabet``) picks directly; sampling
-    picks the first outcome whose running probability sum exceeds one draw.
+    draws one uniform from ``rng`` and picks with :func:`_pick`.
     """
     if (force is None) == (rng is None):
         raise ValueError("provide exactly one of force= or rng=")
-    if force is None:
-        u = rng.random()
-        for pick, total in enumerate(accumulate(probs)):  # the last outcome if none exceeds u
-            if u < total:
-                break
-    else:
-        pick = alphabet.index(force)
+    pick = _pick(probs, rng.random()) if force is None else alphabet.index(force)
     prob = probs[pick]
     if prob < MIN_FORCE_PROB:
         raise ValueError(f"outcome {alphabet[pick]!r} on {measured!r} has probability {prob:.3e}")

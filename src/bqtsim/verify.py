@@ -20,7 +20,7 @@ import numpy as np
 
 from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, load_table
 from .ghz import entanglement_swap
-from .parties import run_session, session_seed
+from .parties import _session_tree, run_session, session_seed
 from .protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
@@ -342,17 +342,20 @@ def criterion_noncooperation() -> tuple[bool, str]:
 
 @_criterion("sampling-consistency")
 def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
-    """Seeded sessions hit every leaf uniformly and replay byte-identically."""
+    """Seeded sessions hit every leaf uniformly and replay byte-identically.
+
+    The replay compares two independent computations: one session played
+    against the tree the sessions warmed, one against a freshly built tree.
+    """
     alice, bob = EprInput(0.6, 0.8), EprInput.normalized(1, 1)
     table = load_table()  # always the packaged one: an injected table feeds reconstruction
     counts = np.zeros(64, dtype=int)
     for i in range(trials):
         counts[run_session(alice, bob, session_seed(seed, i), table=table).leaf] += 1
     max_z, uniform = leaf_histogram_gate(counts)
-    replay = (
-        run_session(alice, bob, seed, table=table).transcript.to_json()
-        == run_session(alice, bob, seed, table=table).transcript.to_json()
-    )
+    warm = run_session(alice, bob, seed, table=table).transcript.to_json()
+    _session_tree.cache_clear()  # the replay walks a freshly built tree, not the warmed one
+    replay = warm == run_session(alice, bob, seed, table=table).transcript.to_json()
     return uniform and replay, (
         f"{trials} sessions, max |z| = {max_z:.2f} (gate {SIGMA_GATE}); "
         f"byte-identical replay: {replay}"

@@ -6,24 +6,38 @@ here.
 """
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bqtsim.corrections import MEASUREMENT_PLAN, leaf_index
+from bqtsim.corrections import MEASUREMENT_PLAN, PLAN_QUBITS, leaf_index, load_table
 from bqtsim.parties import (
     ALICE,
     BOB,
     COOPERATION_MODES,
     OWNED,
     TRANSCRIPT_SCHEMA,
+    WITHHELD,
     Transcript,
+    _input_bits,
+    _session_tree,
     ownership_check,
     run_session,
     session_seed,
 )
-from bqtsim.protocol import EprInput, encode, prepare_full_state
+from bqtsim.protocol import (
+    DIRECTIONS,
+    FIDELITY_FLOOR,
+    EprInput,
+    deliver,
+    delivery_targets,
+    deprived_fidelities,
+    encode,
+    prepare_full_state,
+    walk_round,
+)
 from bqtsim.qsim import measure
 
 ALPHA = EprInput(0.6, 0.8)
@@ -91,12 +105,17 @@ ORACLE_SEEDS = (
 
 @pytest.mark.parametrize("cooperation", COOPERATION_MODES)
 def test_session_draws_match_direct_measure_replay(cooperation):
-    # oracle: six direct qsim.measure calls in plan order on the same seed
+    # oracle: six direct qsim.measure calls in plan order on the same seed,
+    # then the correction and the deprived average computed from that replay
     alice, bob = ALPHA, EprInput(0.8, complex(0.36, 0.48))
+    table = load_table()
+    withheld = WITHHELD.get(cooperation)
     for seed in ORACLE_SEEDS:
         rng = np.random.default_rng(seed)
         state, outcomes, probs = encode(prepare_full_state(alice, bob)), {}, []
-        for qubit, basis in MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]:
+        for n, (qubit, basis) in enumerate(MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]):
+            if n == len(MEASUREMENT_PLAN[0]):
+                before_round_two = state
             res = measure(state, qubit, basis, rng=rng)
             state, outcomes[qubit] = res.register, res.outcome
             probs.append(res.probability)
@@ -104,6 +123,71 @@ def test_session_draws_match_direct_measure_replay(cooperation):
         assert result.outcomes == outcomes
         assert result.leaf == leaf_index(*outcomes.values())
         assert [e.probability for e in result.transcript.of_kind("measure")] == probs
+
+        ops = tuple(e.outcome for e in result.transcript.of_kind("correct"))
+        _, to_bob, to_alice = deliver(state, ops, delivery_targets(alice, bob))
+        assert result.fidelity_alice_to_bob == to_bob
+        assert result.fidelity_bob_to_alice == to_alice
+        if withheld is None:
+            assert result.expected_fidelity is None
+            continue
+        first = tuple(outcomes[q] for q, _ in MEASUREMENT_PLAN[0])
+        pinned = [None if q == withheld else outcomes[q] for q, _ in MEASUREMENT_PLAN[1]]
+        leaves = (
+            (first + second, math.prod(step), payload)
+            for second, step, payload in walk_round(before_round_two, MEASUREMENT_PLAN[1], pinned)
+        )
+        sent = (alice, bob)[DIRECTIONS[withheld].slot]
+        ((_, expected),) = deprived_fidelities(leaves, withheld, sent, table)
+        assert result.expected_fidelity == expected
+
+
+def _fingerprint(result):
+    return (
+        result.transcript.to_json(),
+        result.fidelity_alice_to_bob.hex(),
+        result.fidelity_bob_to_alice.hex(),
+        None if result.expected_fidelity is None else result.expected_fidelity.hex(),
+        result.leaf,
+        result.outcomes,
+    )
+
+
+@pytest.mark.parametrize("cooperation", COOPERATION_MODES)
+def test_cold_session_equals_the_same_seed_after_warm_sessions(cooperation):
+    alice, bob = EprInput.normalized(0.3 - 0.2j, 1.1j), EprInput.normalized(0.7, -0.4 + 0.5j)
+    _session_tree.cache_clear()
+    cold = _fingerprint(run_session(alice, bob, 77, cooperation))
+    for i in range(4096):
+        run_session(alice, bob, session_seed(5000, i), cooperation)
+    assert _fingerprint(run_session(alice, bob, 77, cooperation)) == cold
+
+
+def test_editing_a_plain_table_changes_the_next_correction():
+    table = dict(load_table())
+    first = run_session(ALPHA, BETA, seed=3, table=table)
+    key = tuple(first.outcomes[q] for q in PLAN_QUBITS)
+    bob_ops, alice_ops = table[key]
+    edited = "XX" if bob_ops != "XX" else "ZZ"
+    table[key] = (edited, alice_ops)
+    second = run_session(ALPHA, BETA, seed=3, table=table)
+    assert [e.outcome for e in second.transcript.of_kind("correct")] == [edited, alice_ops]
+    assert [e.outcome for e in first.transcript.of_kind("correct")] == [bob_ops, alice_ops]
+    assert second.fidelity_alice_to_bob < FIDELITY_FLOOR
+    assert second.fidelity_bob_to_alice == first.fidelity_bob_to_alice
+
+
+def test_inputs_that_differ_only_in_a_zero_sign_do_not_share_a_tree():
+    plus, minus = EprInput(1, complex(0.0, 0.0)), EprInput(1, complex(0.0, -0.0))
+    assert plus == minus
+    _session_tree.cache_clear()
+    run_session(plus, BETA, seed=0)
+    run_session(minus, BETA, seed=0)
+    assert _session_tree.cache_info().currsize == 2
+    # each tree holds its own input, the zero's sign included
+    for epr, sign in ((plus, 1.0), (minus, -1.0)):
+        tree = _session_tree(_input_bits(epr, BETA), epr, BETA)
+        assert math.copysign(1.0, tree.inputs[0].c1.imag) == sign
 
 
 # ---------------------------------------------------------------------------

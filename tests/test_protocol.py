@@ -69,8 +69,36 @@ class TestEprInput:
         epr = EprInput.normalized(3, 4)
         assert epr.c0 == pytest.approx(0.6)
         assert epr.c1 == pytest.approx(0.8)
-        with pytest.raises(ValueError, match="zero pair"):
-            EprInput.normalized(0, 0)
+        for zero in ((0, 0), (0.0, -0.0), (complex(-0.0, 0.0), 0j)):
+            with pytest.raises(ValueError, match="cannot normalize the zero pair"):
+                EprInput.normalized(*zero)
+        for bad in ((float("inf"), 1), (float("nan"), 0), (1, complex(0, float("-inf")))):
+            with pytest.raises(ValueError, match="must be finite"):
+                EprInput.normalized(*bad)
+
+    @pytest.mark.parametrize(
+        "c0, c1, want",
+        [
+            (1e-200, 1e-200, (math.sqrt(0.5), math.sqrt(0.5))),
+            (5e-324, -5e-324j, (math.sqrt(0.5), -math.sqrt(0.5) * 1j)),
+            (3e-13, 4e-13, (0.6, 0.8)),
+            (3e-250, 4e-250j, (0.6, 0.8j)),
+            # abs() of the first part alone would overflow, and so would the norm
+            (complex(1.5e308, 1.5e308), -1.5e308, (complex(0.5, 0.5), -0.5)),
+        ],
+    )
+    def test_normalized_rescues_tiny_and_huge_pairs(self, c0, c1, want):
+        # a finite, nonzero pair has a direction however small or large it is
+        epr = EprInput.normalized(c0, c1)
+        want = EprInput.normalized(*want)
+        assert epr.c0 == pytest.approx(want.c0, abs=1e-15)
+        assert epr.c1 == pytest.approx(want.c1, abs=1e-15)
+
+    def test_normalized_keeps_ordinary_pairs_bit_for_bit(self):
+        for c0, c1 in ((0.8, 0.6j), (2.0, 1.0j), (1e-6, 3e-6), (complex(0.3, -0.1), 7.0)):
+            norm = np.hypot(abs(c0), abs(c1))
+            epr = EprInput.normalized(c0, c1)
+            assert (epr.c0, epr.c1) == (complex(c0) / norm, complex(c1) / norm)
 
     def test_register_layout(self):
         reg = ALPHA.register(("p", "q"))
@@ -142,9 +170,9 @@ FIRST_ROUND, SECOND_ROUND = MEASUREMENT_PLAN
 WORKED = (0, "+", 0, "+")
 
 
-def _round(state, plan, force=None, rng=None):
-    """The single leaf of a fully forced or sampled round."""
-    (leaf,) = walk_round(state, plan, force, rng)
+def _round(state, plan, force):
+    """The single leaf of a fully forced round."""
+    (leaf,) = walk_round(state, plan, force)
     return leaf
 
 
@@ -177,8 +205,15 @@ def test_step3_all_branches_uniform():
 
 
 def test_step3_sampling_mode():
-    encoded = encode(prepare_full_state(ALPHA, BETA))
-    (a1, A2, b3, B2), probs, _ = _round(encoded, FIRST_ROUND, rng=np.random.default_rng(5))
+    # sampled one qsim.measure at a time, as a session's draws are
+    state, rng = encode(prepare_full_state(ALPHA, BETA)), np.random.default_rng(5)
+    results, probs = [], []
+    for qubit, basis in FIRST_ROUND:
+        res = measure(state, qubit, basis, rng=rng)
+        state = res.register
+        results.append(res.outcome)
+        probs.append(res.probability)
+    a1, A2, b3, B2 = results
     assert a1 in (0, 1) and b3 in (0, 1)
     assert A2 in X and B2 in X
     assert math.prod(probs) == pytest.approx(1 / 16, abs=1e-12)

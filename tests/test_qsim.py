@@ -79,8 +79,11 @@ class TestRegister:
             Register(("a", "b"), [1, 0])
 
     def test_zero_vector(self):
-        with pytest.raises(ValueError, match="zero vector"):
+        with pytest.raises(ValueError, match="below the 1e-12 floor"):
             Register(("a",), [0, 0])
+        # the floor guards the norm from underflow: a tiny nonzero vector is refused too
+        with pytest.raises(ValueError, match="below the 1e-12 floor"):
+            Register(("a",), [1e-200, 0])
 
     def test_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
