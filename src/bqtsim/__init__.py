@@ -7,18 +7,16 @@ The package layers as follows:
 * :mod:`bqtsim.ghz` — the eight-state GHZ basis; GHZ-basis measurement and
   entanglement swapping go through ``qsim``'s collapse.
 * :mod:`bqtsim.protocol` — channel preparation, encoding (``ENCODING``),
-  the one measurement walk (``walk_round``/``walk_leaves``) that every
-  enumerated or forced measurement goes through, ``deliver`` (the
-  one applier of a table entry), branch enumeration, and the non-cooperation
-  fidelity bound.
+  the one measurement walk (``walk_round``) that every measurement goes
+  through, ``Tree`` (the one exact 64-leaf tree of an input pair, read by
+  branch enumeration, the non-cooperation fidelity bound and sessions), and
+  ``deliver`` (the one applier of a table entry).
 * :mod:`bqtsim.corrections` — announcement-keyed Pauli-correction table
-  (keys, minimality, serialization, packaged asset) and ``apply_ops``, the
-  only code that turns ops into gates; ``protocol.generate_correction_table``
-  generates the table itself.
+  (keys, the Pauli-frame rule ``generate_correction_table``, serialization,
+  packaged asset) and ``apply_ops``, the only code that turns ops into gates.
 * :mod:`bqtsim.parties` — two-party sessions that draw their outcomes
-  against a memoised tree of the protocol's own walk and add ownership
-  tracking, announcement rounds, replayable transcripts, and a structural
-  audit.
+  against a memoised ``protocol.Tree`` and add ownership tracking,
+  announcement rounds, replayable transcripts, and a structural audit.
 * :mod:`bqtsim.verify` — the nine-criterion self-verification battery.
 * :mod:`bqtsim.cli` — the ``bqtsim`` command-line front end; every
   subcommand's report is assembled and written by one builder.
@@ -27,8 +25,8 @@ The package layers as follows:
 from .corrections import (
     TABULATED_RULES,
     apply_ops,
+    generate_correction_table,
     load_table,
-    minimal_correction,
     parse_ops,
     write_table,
 )
@@ -39,7 +37,6 @@ from .protocol import (
     EprInput,
     encode,
     enumerate_branches,
-    generate_correction_table,
     leaf_index,
     noncooperation_fidelity,
     prepare_channel,
@@ -93,7 +90,6 @@ __all__ = [
     "load_table",
     "make_register",
     "measure",
-    "minimal_correction",
     "noncooperation_fidelity",
     "outcome_probabilities",
     "ownership_check",

@@ -2,7 +2,7 @@
 
 Four subcommands cover the library surface::
 
-    bqtsim enumerate   force all 64 measurement leaves and report fidelities
+    bqtsim enumerate   enumerate all 64 measurement leaves and report fidelities
     bqtsim run         play seeded two-party sessions and tally leaf counts
     bqtsim swap        print the entanglement-swapping table for one channel pair
     bqtsim verify      execute the full self-verification battery
@@ -101,6 +101,14 @@ def _resolve_inputs(args: argparse.Namespace) -> tuple[EprInput, EprInput]:
     alpha = _parse_amplitudes(args.alpha, "--alpha") if args.alpha else _DEFAULT_ALPHA
     beta = _parse_amplitudes(args.beta, "--beta") if args.beta else _DEFAULT_BETA
     return alpha, beta
+
+
+def _parse_seed(text: str) -> int:
+    """``--seed`` as an integer literal: decimal, or prefixed 0x, 0o or 0b."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}; give an integer such as 2967 or 0xB97") from None
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    enum = sub.add_parser("enumerate", help="force all 64 leaves and check fidelities")
+    enum = sub.add_parser("enumerate", help="enumerate all 64 leaves and check fidelities")
     _add_input_flags(enum)
     _add_output_flags(enum)
     enum.set_defaults(func=_cmd_enumerate)
@@ -357,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="play seeded sessions")
     _add_input_flags(run)
     _add_output_flags(run)
-    run.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+    run.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                      help=f"base seed (default {hex(DEFAULT_SEED)}); trial i uses "
                           "(seed + i) mod 2**64")
     run.add_argument("--trials", type=int, default=1, help="number of sessions (default 1)")
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     swap.set_defaults(func=_cmd_swap)
 
     verify = sub.add_parser("verify", help="run the self-verification battery")
-    verify.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+    verify.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                         help=f"battery seed (default {hex(DEFAULT_SEED)}); session i of "
                              "the sampling criterion uses (seed + i) mod 2**64")
     verify.add_argument("--correction-table", metavar="PATH", default=None,

@@ -3,10 +3,13 @@
 Each of the 64 measurement leaves maps to a pair of two-qubit correction
 operators: Bob's acts on (b1, b2) to recover Alice's state, Alice's acts
 on (a2, a3) to recover Bob's.  Per-qubit factors are drawn from
-{I, Z, X, XZ} ("XZ" means Z first, then X); the table stores the minimal
-choice under a documented preference order.  :func:`apply_ops` is the only
-code that turns ops into gates; :func:`bqtsim.protocol.deliver` applies a
-whole table entry through it.
+{I, Z, X, XZ} ("XZ" means Z first, then X).  Each entry is the Pauli
+frame of the sender's three results (:func:`generate_correction_table`),
+and the packaged asset holds exactly that rule's 64 entries.  Run-time
+code applies the table's ops, not the rule's, so an edited table takes
+effect.
+:func:`apply_ops` is the only code that turns ops into gates;
+:func:`bqtsim.protocol.deliver` applies a whole table entry through it.
 
 Table asset schema ``bqtsim.correction-table/1``::
 
@@ -31,10 +34,11 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
-from .qsim import OUTCOMES, Register, _alphabet, apply_gate1, equal_up_to_global_phase
+from .qsim import OUTCOMES, Register, _alphabet, apply_gate1
 
 __all__ = [
     "FACTORS",
+    "FRAME",
     "MEASUREMENT_PLAN",
     "OUTCOMES",
     "PLAN_QUBITS",
@@ -42,9 +46,9 @@ __all__ = [
     "TABULATED_RULES",
     "apply_ops",
     "correction_key",
+    "generate_correction_table",
     "leaf_index",
     "load_table",
-    "minimal_correction",
     "parse_ops",
     "records_to_table",
     "table_to_records",
@@ -65,8 +69,11 @@ _KEY_PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 #: The six measured qubits in plan order: the fields of a table key.
 PLAN_QUBITS = tuple(q for q, _ in _KEY_PLAN)
 
-#: Legal per-qubit correction factors, in preference order after identity.
+#: Legal per-qubit correction factors.
 FACTORS = ("I", "Z", "X", "XZ")
+
+#: A receiver's correction as the ops string of its Pauli frame (x, z).
+FRAME = MappingProxyType({(0, 0): "II", (0, 1): "ZI", (1, 0): "XX", (1, 1): "XXZ"})
 
 #: Announcement-keyed rules for the reference branch (a1=0, A2=+, b3=0, B2=+),
 #: keyed by (A1, B1).  First entry acts on (b1, b2), second on (a2, a3).
@@ -127,30 +134,18 @@ def apply_ops(reg: Register, qubits: Sequence[str], ops: str) -> Register:
     return reg
 
 
-def _candidate_key(pair: tuple[str, str]) -> tuple:
-    # Fewer non-identity factors first; then Z beats X beats XZ, with ties
-    # resolved by placing the operator on the earlier qubit.
-    rank = {"I": 4, "Z": 1, "X": 2, "XZ": 3}
-    return (sum(f != "I" for f in pair), tuple(rank[f] for f in pair))
+def generate_correction_table() -> dict[TableKey, tuple[str, str]]:
+    """The 64 table entries from the Pauli-frame rule, in :func:`leaf_index` order.
 
-
-_CANDIDATES = sorted(product(FACTORS, repeat=2), key=_candidate_key)
-
-
-def minimal_correction(state: Register, target: Register, tol: float = 1e-10) -> tuple[str, str]:
-    """Smallest factor pair mapping ``state`` onto ``target`` up to phase.
-
-    Both registers must hold the same two qubits; the first factor acts on
-    ``state.labels[0]``.  Raises if no candidate works (the caller is
-    expected to pass a payload that some Pauli product can repair).
+    Reading 0 and "+" as bit 0, Bob's correction is the :data:`FRAME` of
+    Alice's results (a1, A2 xor A1) and Alice's that of Bob's
+    (b3, B2 xor B1).
     """
-    if state.n_qubits != 2 or target.n_qubits != 2:
-        raise ValueError("correction search expects two-qubit registers")
-    for pair in _CANDIDATES:
-        candidate = apply_ops(state, state.labels, "".join(pair))
-        if equal_up_to_global_phase(candidate, target, tol=tol):
-            return pair
-    raise ValueError("no I/Z/X/XZ product repairs this payload")
+    table = {}
+    for key in product(*(OUTCOMES[basis] for _, basis in _KEY_PLAN)):
+        a1, A2, b3, B2, A1, B1 = (OUTCOMES[basis].index(o) for (_, basis), o in zip(_KEY_PLAN, key))
+        table[key] = (FRAME[a1, A2 ^ A1], FRAME[b3, B2 ^ B1])
+    return table
 
 
 def table_to_records(table: Table) -> list[dict]:
@@ -220,9 +215,7 @@ def load_table(path: str | Path | None = None) -> Table:
     The packaged asset is read once; an explicit ``path`` is read on every
     call, so a later edit to the file is always seen.  Parsed tables are
     cached by content and returned read-only, so no caller can change what
-    a later call sees.
-
-    The generator that derives the packaged table from the protocol itself
-    lives in :func:`bqtsim.protocol.generate_correction_table`.
+    a later call sees.  The packaged asset holds the entries of
+    :func:`generate_correction_table`.
     """
     return _parse_table(_packaged_text() if path is None else Path(path).read_text())

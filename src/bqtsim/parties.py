@@ -2,24 +2,22 @@
 
 Alice owns {a1, a2, a3, A1, A2} and Bob owns {b1, b2, b3, B1, B2}.  A
 session performs no protocol step of its own.  Every session of one input
-pair plays against that pair's exact measurement tree: the state prepared
-and encoded by :func:`bqtsim.protocol.encode`, round one walked over all
-16 outcomes by :func:`bqtsim.protocol.walk_round`, and round two walked
-the same way below each round-one leaf that some session reaches.  The
-tree is built lazily and memoised, keyed by the exact bits of both inputs
-(a small LRU of recent pairs), together with each leaf's
-:func:`bqtsim.protocol.deliver` fidelities per correction ops and, under
-withholding, each group's :func:`bqtsim.protocol.deprived_fidelities`
-average per ops.  A session consumes exactly six uniform draws from its
-seeded generator, one per measurement, in ``MEASUREMENT_PLAN`` order; each
-picks an outcome against the node's stored Born probabilities with the
-rule of :func:`bqtsim.qsim.measure` (``qsim._pick``), so its outcomes,
-probabilities and fidelities are bit-identical to measuring the ten-qubit
-state one draw at a time.  The session adds only who did what and who
-knows what: every gate, measurement, classical announcement, correction,
-and final fidelity is recorded as a transcript event.  Trial ``i`` of a
-run seeded with ``base`` uses seed ``(base + i) mod 2**64``
-(:func:`session_seed`).
+pair plays against that pair's :class:`bqtsim.protocol.Tree`, the one
+exact 64-leaf tree that branch enumeration and the non-cooperation bound
+read too, with its memoised :func:`bqtsim.protocol.deliver` fidelities per
+leaf and correction ops and, under withholding, each group's
+:func:`bqtsim.protocol.deprived_fidelities` average per ops.  Sessions keep
+the trees of a few recent pairs, keyed by the exact bits of both inputs (a
+small LRU), because only sessions repeat a pair.  A session consumes
+exactly six uniform draws from its seeded generator, one per measurement,
+in ``MEASUREMENT_PLAN`` order; each picks an outcome against the tree's
+Born probabilities with the rule of :func:`bqtsim.qsim.measure`
+(``qsim._pick``), so its outcomes, probabilities and fidelities are
+bit-identical to measuring the ten-qubit state one draw at a time.  The
+session adds only who did what and who knows what: every gate,
+measurement, classical announcement, correction, and final fidelity is
+recorded as a transcript event.  Trial ``i`` of a run seeded with ``base``
+uses seed ``(base + i) mod 2**64`` (:func:`session_seed`).
 
 Announcements travel in two rounds, Alice first within each round: after
 the first measurement round each party announces both of its results, and
@@ -46,10 +44,9 @@ string; fidelity events give the measured overlap.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -61,14 +58,9 @@ from .protocol import (
     DIRECTIONS,
     ENCODING,
     EprInput,
-    deliver,
-    delivery_targets,
-    deprived_fidelities,
-    encode,
-    prepare_full_state,
-    walk_round,
+    Tree,
 )
-from .qsim import Register, _alphabet, _pick
+from .qsim import _alphabet, _pick
 
 __all__ = [
     "ALICE",
@@ -221,95 +213,31 @@ def run_session(
         t.add(Event(2, _owner(control), "gate", (control, target), outcome="CNOT"))
 
     withheld = WITHHELD.get(cooperation)
-    first = _play_round(t, tree.round(()), 1, outcomes, rng)
-    second = _play_round(t, tree.round(first), 2, outcomes, rng, withheld)
+    _play_round(t, tree.born, 1, outcomes, rng)
+    _play_round(t, tree.born, 2, outcomes, rng, withheld)
+    key = tuple(outcomes.values())
 
     known = _knowledge(t.events)
     ops = tuple(_correction(known, party, table) for party in _RECEIVES)
-    fid_a2b, fid_b2a = tree.delivered(first, second, ops)
+    fid_a2b, fid_b2a = tree.delivered(key, ops)
     for kind, results in (("correct", ops), ("fidelity", (fid_a2b, fid_b2a))):
         for (party, d), result in zip(_RECEIVES.items(), results):
             t.add(Event(4, party, kind, d.labels, outcome=result))
 
     expected = None
     if withheld is not None:
-        expected = tree.deprived(first, second, withheld, ops[DIRECTIONS[withheld].slot], table)
+        expected = tree.deprived(key, withheld, ops[DIRECTIONS[withheld].slot], table)
 
     return SessionResult(
         transcript=t,
         fidelity_alice_to_bob=fid_a2b,
         fidelity_bob_to_alice=fid_b2a,
         expected_fidelity=expected,
-        leaf=leaf_index(*first, *second),
+        leaf=leaf_index(*key),
         outcomes=outcomes,
         seed=seed,
         cooperation=cooperation,
     )
-
-
-class _Round(NamedTuple):
-    """One measurement round walked over every outcome, below a measured prefix."""
-
-    leaves: dict[tuple, tuple[tuple[float, ...], Register]]  # outcomes -> (step probabilities, register)
-    born: dict[tuple, list[float]]  # outcomes so far -> Born probability of each next outcome
-
-
-class _Tree:
-    """The exact measurement tree of one input pair, built lazily and memoised.
-
-    Round one is walked once; round two once below each round-one leaf a
-    session reaches.  Delivered fidelities are memoised per leaf and
-    correction ops, deprived averages per group and ops, so a table that
-    changes between sessions still takes effect.
-    """
-
-    def __init__(self, alice: EprInput, bob: EprInput) -> None:
-        self.inputs = (alice, bob)
-        self.encoded = encode(prepare_full_state(alice, bob))
-        self.targets = delivery_targets(alice, bob)
-        self.rounds: dict[tuple, _Round] = {}
-        self.fidelities: dict[tuple, tuple[float, float]] = {}
-        self.averages: dict[tuple, float] = {}
-
-    def round(self, prefix: tuple) -> _Round:
-        """Round one (``prefix`` empty) or round two below round-one outcomes ``prefix``."""
-        node = self.rounds.get(prefix)
-        if node is None:
-            state = self.round(()).leaves[prefix][1] if prefix else self.encoded
-            leaves = {o: (p, reg) for o, p, reg in walk_round(state, MEASUREMENT_PLAN[bool(prefix)])}
-            born: dict[tuple, dict] = {}
-            for outcomes, (probs, _) in leaves.items():  # both outcomes of a step, alphabet order
-                for k, prob in enumerate(probs):
-                    born.setdefault(outcomes[:k], {})[outcomes[k]] = prob
-            node = self.rounds[prefix] = _Round(leaves, {p: list(b.values()) for p, b in born.items()})
-        return node
-
-    def delivered(self, first: tuple, second: tuple, ops: tuple[str, str]) -> tuple[float, float]:
-        """Both directions' fidelities at leaf ``first + second`` corrected with ``ops``."""
-        key = (first, second, ops)
-        if key not in self.fidelities:
-            payload = self.round(first).leaves[second][1]
-            self.fidelities[key] = deliver(payload, ops, self.targets)[1:]
-        return self.fidelities[key]
-
-    def deprived(self, first: tuple, second: tuple, withheld: str, ops: str, table: Table) -> float:
-        """The deprived receiver's average over the leaves that differ only in ``withheld``.
-
-        Weights are the round-two probabilities of those leaves; ``ops`` is
-        the receiver's correction, the one ``deprived_fidelities`` reads from
-        ``table`` for the group.
-        """
-        pinned = tuple(None if q == withheld else o for (q, _), o in zip(MEASUREMENT_PLAN[1], second))
-        key = (first, pinned, withheld, ops)
-        if key not in self.averages:
-            group = (
-                (first + outcomes, math.prod(probs), payload)
-                for outcomes, (probs, payload) in self.round(first).leaves.items()
-                if all(p is None or p == o for p, o in zip(pinned, outcomes))
-            )
-            sent = self.inputs[DIRECTIONS[withheld].slot]
-            ((_, self.averages[key]),) = deprived_fidelities(group, withheld, sent, table)
-        return self.averages[key]
 
 
 def _input_bits(alice: EprInput, bob: EprInput) -> tuple[str, ...]:
@@ -318,31 +246,30 @@ def _input_bits(alice: EprInput, bob: EprInput) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=8)
-def _session_tree(bits: tuple[str, ...], alice: EprInput, bob: EprInput) -> _Tree:
+def _session_tree(bits: tuple[str, ...], alice: EprInput, bob: EprInput) -> Tree:
     """The memoised tree of the inputs whose exact bits are ``bits`` (:func:`_input_bits`).
 
     The cache also compares the inputs themselves, but inputs with equal
     bits are always ``==``, so the bits alone decide which tree is shared.
     """
-    return _Tree(alice, bob)
+    return Tree(alice, bob)
 
 
 def _play_round(
     t: Transcript,
-    node: _Round,
+    born: dict[tuple, list[float]],
     round_no: int,
     outcomes: dict[str, int | str],
     rng: np.random.Generator,
     withheld: str | None = None,
-) -> tuple:
-    """Draw one round of the plan against ``node`` into ``outcomes``, then announce it, Alice first."""
+) -> None:
+    """Draw one round of the plan against ``born`` (:attr:`Tree.born`) into
+    ``outcomes``, then announce it, Alice first."""
     step, plan = round_no + 2, MEASUREMENT_PLAN[round_no - 1]
-    results: tuple = ()
     for qubit, basis in plan:
-        probs = node.born[results]
+        probs = born[tuple(outcomes.values())]
         pick = _pick(probs, rng.random())
         outcome = outcomes[qubit] = _alphabet(basis)[pick]
-        results += (outcome,)
         t.add(Event(step, _owner(qubit), "measure", (qubit,), basis=basis,
                     outcome=outcome, probability=probs[pick]))
     for sender in (ALICE, BOB):
@@ -354,7 +281,6 @@ def _play_round(
         if payload:
             t.add(Event(step, sender, "message", tuple(q for q, *_ in payload),
                         outcome=payload, message_round=round_no))
-    return results
 
 
 def _owner(qubit: str) -> str:

@@ -21,15 +21,16 @@ The conventions used throughout:
   names the one each withheld announcement starves, ``FIDELITY_FLOOR`` gates them.
 
 This module performs every step of the protocol: :func:`encode` applies
-the CNOTs of ``ENCODING``, and every measurement -- enumerated or forced --
-goes through :func:`walk_round` (both rounds at once: :func:`walk_leaves`).
-The walk is level-batched: each open branch is one row of an array that is
-split for all rows at once, while each row's probability and collapse are
-computed exactly as :func:`bqtsim.qsim.measure` computes them, so its leaves
-are bit-identical to that sequential oracle.  Sessions
-(:mod:`bqtsim.parties`) sample their outcomes against the Born
-probabilities of these same walks and only record who did what and who
-knows what.
+the CNOTs of ``ENCODING``, and every measurement goes through
+:func:`walk_round`.  The walk is level-batched: each open branch is one row
+of an array that is split for all rows at once, while each row's
+probability and collapse are computed exactly as
+:func:`bqtsim.qsim.measure` computes them, so its leaves are bit-identical
+to that sequential oracle.  :class:`Tree` is the one 64-leaf tree of an
+input pair, walked over both rounds at once: :func:`enumerate_branches`,
+:func:`noncooperation_fidelity` and sessions (:mod:`bqtsim.parties`, which
+sample their outcomes against its Born probabilities and only record who
+did what and who knows what) all read it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -49,7 +51,6 @@ from .corrections import (
     correction_key,
     leaf_index,
     load_table,
-    minimal_correction,
 )
 from .ghz import ghz_state
 from .qsim import (
@@ -83,17 +84,16 @@ __all__ = [
     "BranchLeaf",
     "Direction",
     "EprInput",
+    "Tree",
     "deliver",
     "delivery_targets",
     "deprived_fidelities",
     "encode",
     "enumerate_branches",
-    "generate_correction_table",
     "leaf_index",
     "noncooperation_fidelity",
     "prepare_channel",
     "prepare_full_state",
-    "walk_leaves",
     "walk_round",
 ]
 
@@ -204,30 +204,14 @@ def encode(full: Register) -> Register:
 Leaf = tuple[tuple, float, Register]  # (outcomes, probability, register)
 
 
-def _pinned(force: Sequence[int | str | None] | None, plan: Sequence[tuple[str, str]]) -> tuple:
-    """``force`` as one entry per step of ``plan``; None means every step open."""
-    if force is None:
-        return (None,) * len(plan)
-    pinned = tuple(force)
-    if len(pinned) != len(plan):
-        names = ", ".join(q for q, _ in plan)
-        raise ValueError(f"force must give ({names}), got {force!r}")
-    for (_, basis), want in zip(plan, pinned):
-        _alphabet(basis, want)
-    return pinned
-
-
 def walk_round(
-    state: Register,
-    plan: Sequence[tuple[str, str]],
-    force: Sequence[int | str | None] | None = None,
+    state: Register, plan: Sequence[tuple[str, str]]
 ) -> Iterator[tuple[tuple, tuple[float, ...], Register]]:
     """Measure ``plan`` in order and yield every resulting leaf.
 
     Each leaf is (outcomes, step probabilities, register): the Born
     probability of every step given the ones before it, in plan order, so
-    ``math.prod`` of them is the leaf's probability.  ``force`` pins one
-    outcome per step (None leaves the step open); an open step branches
+    ``math.prod`` of them is the leaf's probability.  Every step branches
     over both outcomes, 0/"+" first.  This is the only place the protocol's
     measurements are performed.
 
@@ -238,37 +222,19 @@ def walk_round(
     that row's register -- so every leaf is bit-identical to measuring it
     step by step.  A measured prefix is shared by every leaf below it.
     """
-    force = _pinned(force, plan)
     level = [((), (), state)]  # (outcomes, step probabilities, register) per open branch
-    for (qubit, basis), want in zip(plan, force):
+    for qubit, basis in plan:
         labels, alphabet = level[0][2].labels, _alphabet(basis)
         rows = np.stack([reg.amps for _, _, reg in level])
         splits = zip(*_branch_rows(rows, labels, qubit, basis))
         children = []
         for (outcomes, probs, _), branches in zip(level, splits):
             born = _born(branches)
-            for pick in alphabet if want is None else (want,):
+            for pick in alphabet:
                 res = _collapse(labels, (qubit,), branches, born, alphabet, pick)
                 children.append((outcomes + (res.outcome,), probs + (res.probability,), res.register))
         level = children
     return iter(level)
-
-
-def walk_leaves(
-    encoded: Register, force: Sequence[int | str | None] | None = None
-) -> Iterator[Leaf]:
-    """Every measurement leaf of ``encoded``: (outcomes, probability, payload).
-
-    Both rounds are walked at once by :func:`walk_round`; ``force`` pins
-    outcomes in plan order.  Leaves come in :func:`leaf_index` order, and a
-    leaf's probability is its round-one probability times its round-two one.
-    """
-    first_plan, second_plan = MEASUREMENT_PLAN
-    split = len(first_plan)
-    return (
-        (outcomes, math.prod(probs[:split]) * math.prod(probs[split:]), payload)
-        for outcomes, probs, payload in walk_round(encoded, first_plan + second_plan, force)
-    )
 
 
 def delivery_targets(alice: EprInput, bob: EprInput) -> tuple[Register, Register]:
@@ -300,6 +266,76 @@ def deliver(
     return payload, to_bob, to_alice
 
 
+#: Steps of round one: a leaf's step probabilities split here into its two rounds.
+_ROUND_ONE = len(MEASUREMENT_PLAN[0])
+
+
+class Tree:
+    """The exact measurement tree of one input pair: all 64 leaves, walked once.
+
+    ``leaves`` maps each leaf's outcomes, in :func:`leaf_index` order, to its
+    (step probabilities, payload) from one :func:`walk_round` over both
+    rounds.  Delivered fidelities are memoised per leaf and correction ops,
+    deprived averages per group and ops, so a table that changes between
+    calls still takes effect.  ``born`` (read only by sessions) and
+    ``targets`` (read only by delivery) are built on first use.
+    """
+
+    def __init__(self, alice: EprInput, bob: EprInput) -> None:
+        self.inputs = (alice, bob)
+        encoded = encode(prepare_full_state(alice, bob))
+        self.leaves = {
+            outcomes: (probs, payload)
+            for outcomes, probs, payload in walk_round(encoded, MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
+        }
+        self.fidelities: dict[tuple, tuple[float, float]] = {}
+        self.averages: dict[tuple, float] = {}
+
+    @cached_property
+    def targets(self) -> tuple[Register, Register]:
+        return delivery_targets(*self.inputs)
+
+    @cached_property
+    def born(self) -> dict[tuple, list[float]]:
+        """Outcomes so far -> Born probability of each next outcome, in alphabet order."""
+        born: dict[tuple, dict] = {}
+        for outcomes, (probs, _) in self.leaves.items():
+            for k, prob in enumerate(probs):
+                born.setdefault(outcomes[:k], {})[outcomes[k]] = prob
+        return {prefix: list(b.values()) for prefix, b in born.items()}
+
+    def rows(self) -> Iterator[Leaf]:
+        """Every leaf as (outcomes, probability, payload): round one's probability times round two's."""
+        return (
+            (outcomes, math.prod(probs[:_ROUND_ONE]) * math.prod(probs[_ROUND_ONE:]), payload)
+            for outcomes, (probs, payload) in self.leaves.items()
+        )
+
+    def delivered(self, key: tuple, ops: tuple[str, str]) -> tuple[float, float]:
+        """Both directions' fidelities at leaf ``key`` corrected with ``ops`` (:func:`deliver`)."""
+        if (key, ops) not in self.fidelities:
+            self.fidelities[key, ops] = deliver(self.leaves[key][1], ops, self.targets)[1:]
+        return self.fidelities[key, ops]
+
+    def deprived(self, key: tuple, withheld: str, ops: str, table: Table) -> float:
+        """The deprived receiver's average over the leaves that differ from ``key`` only in ``withheld``.
+
+        Weights are the round-two probabilities of those leaves; ``ops`` is
+        the receiver's correction, the one :func:`deprived_fidelities` reads
+        from ``table`` for the group.
+        """
+        group = tuple(None if q == withheld else o for q, o in zip(PLAN_QUBITS, key))
+        if (group, ops) not in self.averages:
+            leaves = (
+                (outcomes, math.prod(probs[_ROUND_ONE:]), payload)
+                for outcomes, (probs, payload) in self.leaves.items()
+                if all(g is None or g == o for g, o in zip(group, outcomes))
+            )
+            sent = self.inputs[DIRECTIONS[withheld].slot]
+            ((_, self.averages[group, ops]),) = deprived_fidelities(leaves, withheld, sent, table)
+        return self.averages[group, ops]
+
+
 @dataclass(frozen=True)
 class BranchLeaf:
     """One fully resolved measurement leaf of the protocol."""
@@ -328,64 +364,18 @@ class BranchLeaf:
 def enumerate_branches(
     alice: EprInput, bob: EprInput, table: Table | None = None
 ) -> list[BranchLeaf]:
-    """Force every outcome combination and collect all 64 corrected leaves.
+    """Every outcome combination's corrected leaf, all 64 read from one :class:`Tree`.
 
     Leaves are ordered by :func:`leaf_index`.  Each leaf's fidelities are
     those of the corrected payload halves against the intended inputs.
     """
     if table is None:
         table = load_table()
-    encoded = encode(prepare_full_state(alice, bob))
-    targets = delivery_targets(alice, bob)
-    leaves = []
-    for key, prob, payload in walk_leaves(encoded):
-        _, to_bob, to_alice = deliver(payload, table[key], targets)
-        leaves.append(BranchLeaf(*key, prob, payload, *table[key], to_bob, to_alice))
-    return leaves
-
-
-def _payload_factors(payload: Register) -> tuple[Register, Register]:
-    """Split the four-qubit payload into its (b1,b2) and (a2,a3) factors.
-
-    The protocol guarantees a product state across this cut; a second
-    singular value above 1e-10 raises.
-    """
-    mat = permute(payload, PAYLOAD_LABELS).amps.reshape(4, 4)
-    u, s, vh = np.linalg.svd(mat)
-    if s.shape[0] > 1 and s[1] > 1e-10:
-        raise ValueError(f"payload is not a product across the party cut: {s!r}")
-    return (
-        Register(BOB_PAYLOAD_LABELS, u[:, 0]),
-        Register(ALICE_PAYLOAD_LABELS, vh[0, :]),
-    )
-
-
-# Generic complex inputs used when deriving the correction table; any pair
-# with four distinct, nonzero products would do, since the searched factors
-# depend only on the leaf, not on the amplitudes.
-_GENERIC_ALICE = EprInput(0.6, 0.8j)
-_GENERIC_BOB = EprInput(0.8, complex(0.36, 0.48))
-
-
-def generate_correction_table() -> dict[tuple, tuple[str, str]]:
-    """Derive the minimal correction pair for every measurement leaf.
-
-    For each leaf the payload factorizes into a (b1, b2) part carrying
-    Alice's amplitudes and an (a2, a3) part carrying Bob's; each factor is
-    searched independently for the smallest {I,Z,X,XZ} pair that restores
-    the intended input up to global phase.
-    """
-    alice, bob = _GENERIC_ALICE, _GENERIC_BOB
-    encoded = encode(prepare_full_state(alice, bob))
-    target_bob, target_alice = delivery_targets(alice, bob)
-    table: dict[tuple, tuple[str, str]] = {}
-    for key, _prob, payload in walk_leaves(encoded):
-        bob_part, alice_part = _payload_factors(payload)
-        table[key] = (
-            "".join(minimal_correction(bob_part, target_bob)),
-            "".join(minimal_correction(alice_part, target_alice)),
-        )
-    return table
+    tree = Tree(alice, bob)
+    return [
+        BranchLeaf(*key, prob, payload, *table[key], *tree.delivered(key, table[key]))
+        for key, prob, payload in tree.rows()
+    ]
 
 
 def deprived_fidelities(
@@ -431,8 +421,7 @@ def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     # The cooperative direction's input never influences the deprived side.
     inputs = [EprInput(np.sqrt(0.5), np.sqrt(0.5))] * 2
     inputs[DIRECTIONS[withheld].slot] = epr
-    encoded = encode(prepare_full_state(*inputs))
     expected = 0.0
-    for weight, fidelity in deprived_fidelities(walk_leaves(encoded), withheld, epr, table):
+    for weight, fidelity in deprived_fidelities(Tree(*inputs).rows(), withheld, epr, table):
         expected += weight * fidelity
     return expected

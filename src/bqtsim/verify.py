@@ -28,13 +28,13 @@ from .protocol import (
     FIDELITY_FLOOR,
     REMAINDER_LABELS,
     EprInput,
+    Tree,
     deliver,
     delivery_targets,
     encode,
     enumerate_branches,
     noncooperation_fidelity,
     prepare_full_state,
-    walk_leaves,
     walk_round,
 )
 from .qsim import (
@@ -266,10 +266,10 @@ def criterion_reference_branches(seed: int) -> tuple[bool, str]:
 
 def _worked_branch_payloads(alice: EprInput, bob: EprInput) -> Iterator[tuple[str, str, Register]]:
     """(A1, B1, payload) for the four leaves of the worked first-round branch."""
-    encoded = encode(prepare_full_state(alice, bob))
-    worked, second_round_open = (0, "+", 0, "+"), (None,) * len(MEASUREMENT_PLAN[1])
-    for outcomes, _prob, payload in walk_leaves(encoded, worked + second_round_open):
-        yield (*outcomes[len(worked):], payload)
+    worked = (0, "+", 0, "+")
+    for outcomes, (_probs, payload) in Tree(alice, bob).leaves.items():
+        if outcomes[:len(worked)] == worked:
+            yield (*outcomes[len(worked):], payload)
 
 
 def _worked_branch_factorization(alice: EprInput, bob: EprInput, tol: float = 1e-12) -> bool:

@@ -98,6 +98,14 @@ def test_seed_accepts_hex(capsys):
     assert report["config"]["seed"] == 16
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_seed_that_is_not_an_integer_is_named(capsys, command):
+    code, _out, err = run_cli(capsys, command, "--seed", "abc")
+    assert code == 2
+    assert "argument --seed: invalid seed 'abc'" in err
+    assert "lambda" not in err
+
+
 def test_seed_range_checked(capsys):
     code, _out, err = run_cli(capsys, "run", "--seed", "-1", "--trials", "1")
     assert code == 2

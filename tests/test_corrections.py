@@ -1,4 +1,9 @@
-"""Correction factors, ops strings, minimality, and table serialization."""
+"""Correction factors, ops strings, the Pauli-frame rule, and table serialization.
+
+The rule is checked against an independent oracle that lives only here: a
+search, per leaf of a generic input pair, for the smallest {I, Z, X, XZ}
+pair that repairs each factor of the payload.
+"""
 
 import json
 from importlib import resources
@@ -9,22 +14,28 @@ import pytest
 
 from bqtsim.corrections import (
     FACTORS,
+    FRAME,
     TABLE_SCHEMA,
-    MEASUREMENT_PLAN,
-    OUTCOMES,
     TABULATED_RULES,
     apply_ops,
     correction_key,
+    generate_correction_table,
     leaf_index,
     load_table,
-    minimal_correction,
     parse_ops,
     records_to_table,
     table_to_records,
     write_table,
 )
-from bqtsim.protocol import generate_correction_table
-from bqtsim.qsim import Register, make_register
+from bqtsim.protocol import (
+    ALICE_PAYLOAD_LABELS,
+    BOB_PAYLOAD_LABELS,
+    PAYLOAD_LABELS,
+    EprInput,
+    Tree,
+    delivery_targets,
+)
+from bqtsim.qsim import Register, equal_up_to_global_phase, make_register, permute
 
 
 def _epr(c0, c1, labels=("u", "v")):
@@ -82,8 +93,72 @@ def test_apply_ops_acts_per_qubit():
 
 
 # ---------------------------------------------------------------------------
-# minimal correction search
+# minimal correction search: the Pauli-frame rule's independent oracle
 # ---------------------------------------------------------------------------
+
+def _candidate_key(pair):
+    # Fewer non-identity factors first; then Z beats X beats XZ, with ties
+    # resolved by placing the operator on the earlier qubit.
+    rank = {"I": 4, "Z": 1, "X": 2, "XZ": 3}
+    return (sum(f != "I" for f in pair), tuple(rank[f] for f in pair))
+
+
+_CANDIDATES = sorted(product(FACTORS, repeat=2), key=_candidate_key)
+
+
+def minimal_correction(state, target, tol=1e-10):
+    """Smallest factor pair mapping ``state`` onto ``target`` up to phase.
+
+    Both registers must hold the same two qubits; the first factor acts on
+    ``state.labels[0]``.  Raises if no candidate works.
+    """
+    if state.n_qubits != 2 or target.n_qubits != 2:
+        raise ValueError("correction search expects two-qubit registers")
+    for pair in _CANDIDATES:
+        candidate = apply_ops(state, state.labels, "".join(pair))
+        if equal_up_to_global_phase(candidate, target, tol=tol):
+            return pair
+    raise ValueError("no I/Z/X/XZ product repairs this payload")
+
+
+def _payload_factors(payload):
+    """Split the four-qubit payload into its (b1,b2) and (a2,a3) factors.
+
+    The protocol guarantees a product state across this cut; a second
+    singular value above 1e-10 raises.
+    """
+    mat = permute(payload, PAYLOAD_LABELS).amps.reshape(4, 4)
+    u, s, vh = np.linalg.svd(mat)
+    if s.shape[0] > 1 and s[1] > 1e-10:
+        raise ValueError(f"payload is not a product across the party cut: {s!r}")
+    return Register(BOB_PAYLOAD_LABELS, u[:, 0]), Register(ALICE_PAYLOAD_LABELS, vh[0, :])
+
+
+# Generic complex inputs for the search; any pair with four distinct,
+# nonzero products would do, since the searched factors depend only on the
+# leaf, not on the amplitudes.
+_GENERIC_ALICE = EprInput(0.6, 0.8j)
+_GENERIC_BOB = EprInput(0.8, complex(0.36, 0.48))
+
+
+def searched_correction_table():
+    """The minimal correction pair of every leaf, found by search.
+
+    For each leaf the payload factorizes into a (b1, b2) part carrying
+    Alice's amplitudes and an (a2, a3) part carrying Bob's; each factor is
+    searched independently for the smallest pair that restores the intended
+    input up to global phase.
+    """
+    target_bob, target_alice = delivery_targets(_GENERIC_ALICE, _GENERIC_BOB)
+    table = {}
+    for key, _prob, payload in Tree(_GENERIC_ALICE, _GENERIC_BOB).rows():
+        bob_part, alice_part = _payload_factors(payload)
+        table[key] = (
+            "".join(minimal_correction(bob_part, target_bob)),
+            "".join(minimal_correction(alice_part, target_alice)),
+        )
+    return table
+
 
 def test_minimal_correction_identity_case():
     target = _epr(0.6, 0.8)
@@ -162,7 +237,8 @@ def table():
 
 
 def test_packaged_table_matches_regeneration(table):
-    assert table == generate_correction_table()
+    # search, rule and packaged asset agree on all 64 entries
+    assert searched_correction_table() == generate_correction_table() == dict(table)
 
 
 def test_table_has_all_64_keys(table):
@@ -198,21 +274,17 @@ def test_table_ops_locality(table):
     assert sorted(set(alice.values())) == ["II", "XX", "XXZ", "ZI"]
 
 
-#: A Pauli frame (x, z) on a receiver's two qubits, as a table ops string.
-PAULI_FRAME_OPS = {(0, 0): "II", (0, 1): "ZI", (1, 0): "XX", (1, 1): "XXZ"}
-
-
 def test_table_is_a_pauli_frame(table, tmp_path):
     # Reading 0 and "+" as bit 0, each receiver's correction is the frame
     # (x, z) of the sender's three results: Bob's (a1, A2 xor A1) and
     # Alice's (b3, B2 xor B1).  The rule alone, over every outcome in plan
     # order, rebuilds the table and the packaged asset byte for byte.
-    plan = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
-    frame = {}
-    for key in product(*(OUTCOMES[basis] for _, basis in plan)):
-        a1, A2, b3, B2, A1, B1 = (OUTCOMES[basis].index(o) for (_, basis), o in zip(plan, key))
-        frame[key] = (PAULI_FRAME_OPS[a1, A2 ^ A1], PAULI_FRAME_OPS[b3, B2 ^ B1])
+    assert FRAME == {(0, 0): "II", (0, 1): "ZI", (1, 0): "XX", (1, 1): "XXZ"}
+    frame = generate_correction_table()
     assert len(frame) == 64
+    assert [leaf_index(*key) for key in frame] == list(range(64))
+    assert frame[(1, "-", 0, "+", "+", "-")] == (FRAME[1, 1], FRAME[0, 1])
+    assert frame[(0, "+", 1, "-", "-", "-")] == (FRAME[0, 1], FRAME[1, 0])
     assert frame == dict(table)
     path = tmp_path / "frame.json"
     write_table(frame, path)

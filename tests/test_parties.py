@@ -35,6 +35,7 @@ from bqtsim.protocol import (
     delivery_targets,
     deprived_fidelities,
     encode,
+    enumerate_branches,
     prepare_full_state,
     walk_round,
 )
@@ -135,7 +136,8 @@ def test_session_draws_match_direct_measure_replay(cooperation):
         pinned = [None if q == withheld else outcomes[q] for q, _ in MEASUREMENT_PLAN[1]]
         leaves = (
             (first + second, math.prod(step), payload)
-            for second, step, payload in walk_round(before_round_two, MEASUREMENT_PLAN[1], pinned)
+            for second, step, payload in walk_round(before_round_two, MEASUREMENT_PLAN[1])
+            if all(p is None or p == o for p, o in zip(pinned, second))
         )
         sent = (alice, bob)[DIRECTIONS[withheld].slot]
         ((_, expected),) = deprived_fidelities(leaves, withheld, sent, table)
@@ -161,6 +163,20 @@ def test_cold_session_equals_the_same_seed_after_warm_sessions(cooperation):
     for i in range(4096):
         run_session(alice, bob, session_seed(5000, i), cooperation)
     assert _fingerprint(run_session(alice, bob, 77, cooperation)) == cold
+
+
+def test_rebinding_a_returned_payload_leaves_sessions_unchanged():
+    # enumerate_branches builds its own tree: rebinding the amplitudes of the
+    # payloads it returns must not reach the tree that sessions cache
+    alice, bob = EprInput.normalized(0.9, 0.2 - 0.4j), EprInput.normalized(-0.5j, 0.7)
+    seeds = [(seed, mode) for seed in range(48) for mode in COOPERATION_MODES]
+    _session_tree.cache_clear()
+    cold = [_fingerprint(run_session(alice, bob, seed, mode)) for seed, mode in seeds]
+    _session_tree.cache_clear()
+    run_session(alice, bob, 0)
+    for leaf in enumerate_branches(alice, bob):
+        leaf.post_state.amps = np.eye(16, dtype=complex)[0]
+    assert [_fingerprint(run_session(alice, bob, seed, mode)) for seed, mode in seeds] == cold
 
 
 def test_editing_a_plain_table_changes_the_next_correction():

@@ -4,10 +4,13 @@ Hypothesis draws the payload amplitudes; every property holds for any
 input pair, so a failure names a concrete counterexample.  Runs are
 derandomized: the same examples are drawn on every run.
 
-The level-batched walk is checked against two oracles that never share
-its code: a recursive walk with one ``qsim.measure`` call per node (exact
-equality), and a dense ``einsum`` kernel over all 64 leaves at once
-(within 1e-12; it sums in another order, so its last bits differ).
+The level-batched walk behind ``protocol.Tree`` is checked against two
+oracles that never share its code: a recursive walk with one
+``qsim.measure`` call per node (exact equality), and a dense ``einsum``
+kernel over all 64 leaves at once (within 1e-12; it sums in another order,
+so its last bits differ).  One tree serves every consumer: the session
+tree, ``enumerate_branches`` and ``noncooperation_fidelity`` agree bit for
+bit.
 """
 
 import math
@@ -18,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bqtsim.corrections import FACTORS, OUTCOMES, PLAN_QUBITS, apply_ops, load_table, parse_ops
+from bqtsim.parties import COOPERATION_MODES, _input_bits, _session_tree, run_session
 from bqtsim.protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
@@ -26,13 +30,14 @@ from bqtsim.protocol import (
     MEASUREMENT_PLAN,
     PAYLOAD_LABELS,
     EprInput,
+    Tree,
     deliver,
     delivery_targets,
+    deprived_fidelities,
     encode,
     enumerate_branches,
     noncooperation_fidelity,
     prepare_full_state,
-    walk_leaves,
 )
 from bqtsim.qsim import ATOL, DensityMatrix, fidelity_pure, measure, reduced_density
 
@@ -74,7 +79,7 @@ def test_withholding_degrades_to_fourth_powers(epr):
 @PROPERTY
 @given(payloads(), payloads(), st.sampled_from(sorted(load_table(), key=str)), _ops, _ops)
 def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_ops):
-    ((_, _, payload),) = walk_leaves(encode(prepare_full_state(alice, bob)), key)
+    _, payload = Tree(alice, bob).leaves[key]
     fixed = apply_ops(payload, BOB_PAYLOAD_LABELS, bob_ops)
     fixed = apply_ops(fixed, ALICE_PAYLOAD_LABELS, alice_ops)
     to_bob = fidelity_pure(
@@ -92,34 +97,61 @@ def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_
 PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 ROUND_ONE = len(MEASUREMENT_PLAN[0])
 
-#: Any partial force pattern: each step pinned to one of its outcomes or left open.
-_force = st.tuples(*(st.sampled_from((None,) + OUTCOMES[basis]) for _, basis in PLAN))
 
-
-def _measured_leaves(state, steps, force):
+def _measured_leaves(state, steps):
     """Oracle: every leaf below ``state``, one ``qsim.measure`` call per node."""
     if not steps:
         yield (), (), state
         return
-    (qubit, basis), want = steps[0], force[0]
-    for outcome in OUTCOMES[basis] if want is None else (want,):
+    qubit, basis = steps[0]
+    for outcome in OUTCOMES[basis]:
         res = measure(state, qubit, basis, force=outcome)
-        for outcomes, probs, leaf in _measured_leaves(res.register, steps[1:], force[1:]):
+        for outcomes, probs, leaf in _measured_leaves(res.register, steps[1:]):
             yield (res.outcome,) + outcomes, (res.probability,) + probs, leaf
 
 
 @PROPERTY
-@given(payloads(), payloads(), _force)
-def test_walk_leaves_equals_the_measure_oracle(alice, bob, force):
-    encoded = encode(prepare_full_state(alice, bob))
-    leaves = list(walk_leaves(encoded, force))
-    expected = list(_measured_leaves(encoded, PLAN, force))
-    assert len(leaves) == len(expected) == 2 ** force.count(None)
-    for (outcomes, prob, payload), (want, probs, state) in zip(leaves, expected):
+@given(payloads(), payloads())
+def test_walk_leaves_equals_the_measure_oracle(alice, bob):
+    tree = Tree(alice, bob)
+    expected = list(_measured_leaves(encode(prepare_full_state(alice, bob)), PLAN))
+    assert len(tree.leaves) == len(expected) == 64
+    for (outcomes, prob, payload), (want, probs, state) in zip(tree.rows(), expected):
         assert outcomes == want
+        assert tree.leaves[outcomes][0] == probs
         assert prob == math.prod(probs[:ROUND_ONE]) * math.prod(probs[ROUND_ONE:])
         assert payload.labels == state.labels
         assert np.array_equal(payload.amps, state.amps)
+
+
+def _warm_session_tree(alice, bob):
+    """The cached tree of a pair after one session in each cooperation mode."""
+    for seed, mode in enumerate(COOPERATION_MODES):
+        run_session(alice, bob, seed, mode)
+    return _session_tree(_input_bits(alice, bob), alice, bob)
+
+
+@PROPERTY
+@given(payloads(), payloads())
+def test_one_tree_serves_every_consumer(alice, bob):
+    table = load_table()
+    tree = _warm_session_tree(alice, bob)
+    leaves = enumerate_branches(alice, bob, table)
+    assert len(leaves) == len(tree.leaves) == 64
+    for leaf, (key, prob, payload) in zip(leaves, tree.rows()):
+        assert tuple(leaf.outcomes().values()) == key
+        assert leaf.probability.hex() == prob.hex()
+        assert leaf.post_state is not payload  # the cached tree's registers never leave it
+        assert leaf.post_state.amps.tobytes() == payload.amps.tobytes()
+        fidelities = (leaf.fidelity_alice_to_bob, leaf.fidelity_bob_to_alice)
+        assert [f.hex() for f in fidelities] == [f.hex() for f in tree.delivered(key, table[key])]
+    # noncooperation_fidelity pairs the sender with a balanced cooperative input
+    balanced = EprInput(np.sqrt(0.5), np.sqrt(0.5))
+    for withheld, sent, pair in (("A1", alice, (alice, balanced)), ("B1", bob, (balanced, bob))):
+        expected = 0.0
+        for weight, fidelity in deprived_fidelities(_warm_session_tree(*pair).rows(), withheld, sent, table):
+            expected += weight * fidelity
+        assert noncooperation_fidelity(sent, withheld).hex() == expected.hex()
 
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -171,10 +203,10 @@ def test_enumerate_branches_agrees_with_the_einsum_kernel(alice, bob):
 
 
 @PROPERTY
-@given(payloads(), payloads(), _force)
-def test_walk_payloads_keep_register_invariants(alice, bob, force):
+@given(payloads(), payloads())
+def test_walk_payloads_keep_register_invariants(alice, bob):
     # payloads are built by the trusted constructor: check what validation used to
-    for _, _, payload in walk_leaves(encode(prepare_full_state(alice, bob)), force):
+    for _, _, payload in Tree(alice, bob).rows():
         assert not payload.amps.flags.writeable
         assert np.all(np.isfinite(payload.amps))
         assert abs(np.linalg.norm(payload.amps) - 1.0) <= ATOL

@@ -3,8 +3,8 @@
 corrections, and the non-cooperation bound.
 
 The worked-branch literals (remainder amplitudes, factored payloads) are
-frozen hand derivations; statistical claims use exact forced probabilities
-rather than sampling.
+frozen hand derivations; statistical claims use the exact probabilities of
+enumerated leaves rather than sampling.
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bqtsim.protocol as protocol
+from bqtsim import generate_correction_table
 from bqtsim.corrections import load_table
 from bqtsim.protocol import (
     ALICE_PAYLOAD_LABELS,
@@ -23,15 +24,14 @@ from bqtsim.protocol import (
     PAYLOAD_LABELS,
     REMAINDER_LABELS,
     EprInput,
+    Tree,
     deliver,
     encode,
     enumerate_branches,
-    generate_correction_table,
     leaf_index,
     noncooperation_fidelity,
     prepare_channel,
     prepare_full_state,
-    walk_leaves,
     walk_round,
 )
 from bqtsim.qsim import equal_up_to_global_phase, make_register, measure, permute, tensor
@@ -170,9 +170,9 @@ FIRST_ROUND, SECOND_ROUND = MEASUREMENT_PLAN
 WORKED = (0, "+", 0, "+")
 
 
-def _round(state, plan, force):
-    """The single leaf of a fully forced round."""
-    (leaf,) = walk_round(state, plan, force)
+def _round(state, plan, outcomes):
+    """The leaf of ``outcomes`` in the walk of one round."""
+    (leaf,) = (leaf for leaf in walk_round(state, plan) if leaf[0] == tuple(outcomes))
     return leaf
 
 
@@ -221,8 +221,8 @@ def test_step3_sampling_mode():
 
 def test_step3_argument_errors():
     encoded = encode(prepare_full_state(ALPHA, BETA))
-    with pytest.raises(ValueError, match="force must give"):
-        walk_round(encoded, FIRST_ROUND, (0, "+"))
+    with pytest.raises(ValueError, match="no qubit labeled 'zz'"):
+        walk_round(encoded, FIRST_ROUND + (("zz", "Z"),))
 
 
 def test_step4_worked_branch_factored_payloads():
@@ -247,10 +247,11 @@ def test_step4_worked_branch_factored_payloads():
 
 
 def test_step4_argument_errors():
+    # round one's qubits are gone from the remainder: none can be measured again
     encoded = encode(prepare_full_state(ALPHA, BETA))
     _, _, remainder = _round(encoded, FIRST_ROUND, WORKED)
-    with pytest.raises(ValueError, match="force must give"):
-        walk_round(remainder, SECOND_ROUND, ("+",))
+    with pytest.raises(ValueError, match="no qubit labeled 'a1'"):
+        walk_round(remainder, (("a1", "Z"),) + SECOND_ROUND)
 
 
 def test_leaf_index_packing():
@@ -269,8 +270,7 @@ def test_leaf_index_packing():
 # ---------------------------------------------------------------------------
 
 def test_correct_worked_branch_sign_case():
-    encoded = encode(prepare_full_state(ALPHA, BETA))
-    ((_, _, payload),) = walk_leaves(encoded, WORKED + ("-", "-"))
+    _, payload = Tree(ALPHA, BETA).leaves[WORKED + ("-", "-")]
     fixed, _, _ = deliver(payload, load_table()[(0, "+", 0, "+", "-", "-")])
     expected = tensor(
         ALPHA.register(BOB_PAYLOAD_LABELS), BETA.register(ALICE_PAYLOAD_LABELS)
@@ -328,7 +328,7 @@ def test_branch_probabilities_input_independent():
 
 
 def test_generate_table_matches_packaged_asset():
-    assert generate_correction_table() == load_table()
+    assert generate_correction_table() == dict(load_table())
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +336,10 @@ def test_generate_table_matches_packaged_asset():
 # ---------------------------------------------------------------------------
 
 def test_walk_leaves_matches_sequential_measurement():
-    # oracle: measure each leaf from scratch, one qsim.measure call per step
-    encoded = encode(prepare_full_state(ALPHA, EprInput(0.8, complex(0.36, 0.48))))
-    leaves = list(walk_leaves(encoded))
+    # oracle: measure each leaf of the tree from scratch, one qsim.measure call per step
+    bob = EprInput(0.8, complex(0.36, 0.48))
+    encoded = encode(prepare_full_state(ALPHA, bob))
+    leaves = list(Tree(ALPHA, bob).rows())
     assert [leaf_index(*outcomes) for outcomes, _p, _r in leaves] == list(range(64))
     for outcomes, prob, payload in leaves:
         state, forced, round_probs = encoded, iter(outcomes), []
@@ -369,44 +370,12 @@ def test_walk_round_yields_each_step_probability():
 
 
 @pytest.mark.parametrize(
-    "force", [WORKED + ("+",), WORKED[:3], ()], ids=["too-long", "too-short", "empty"]
+    "plan", [[("a1", "Y")], [("a1", "Z"), ("b3", "Y")]], ids=["open", "below-a-measured-step"]
 )
-def test_walk_round_checks_force_length(force):
-    encoded = encode(prepare_full_state(ALPHA, BETA))
-    with pytest.raises(ValueError, match=r"force must give \(a1, A2, b3, B2\)"):
-        list(walk_round(encoded, FIRST_ROUND, force))
-
-
-@pytest.mark.parametrize(
-    "force", [WORKED + ("+", "+", "+"), WORKED + ("+",), ()], ids=["too-long", "too-short", "empty"]
-)
-def test_walk_leaves_checks_force_length(force):
-    encoded = encode(prepare_full_state(ALPHA, BETA))
-    with pytest.raises(ValueError, match=r"force must give \(a1, A2, b3, B2, A1, B1\)"):
-        list(walk_leaves(encoded, force))
-
-
-def test_walk_round_checks_force_alphabet():
-    encoded = encode(prepare_full_state(ALPHA, BETA))
-    with pytest.raises(ValueError, match=r"outcome '\+' not in \(0, 1\) for basis Z"):
-        walk_round(encoded, FIRST_ROUND, ("+", "+", 0, "+"))
-    with pytest.raises(ValueError, match=r"outcome 0 not in \('\+', '-'\) for basis X"):
-        walk_round(encoded, FIRST_ROUND, (0, 0, 0, "+"))
-
-
-@pytest.mark.parametrize("a1", [True, 1.0], ids=["bool", "float"])
-def test_walk_round_rejects_forced_outcomes_of_the_wrong_type(a1):
-    # True == 1 and 1.0 == 1, but neither is a Z outcome
-    encoded = encode(prepare_full_state(ALPHA, BETA))
-    with pytest.raises(ValueError, match="not in"):
-        walk_round(encoded, FIRST_ROUND, (a1, "+", 0, "+"))
-
-
-@pytest.mark.parametrize("force", [None, (0,)], ids=["open", "forced"])
-def test_walk_round_rejects_unknown_basis(force):
+def test_walk_round_rejects_unknown_basis(plan):
     encoded = encode(prepare_full_state(ALPHA, BETA))
     with pytest.raises(ValueError, match=r"basis must be 'Z' or 'X', got 'Y'"):
-        walk_round(encoded, [("a1", "Y")], force)
+        walk_round(encoded, plan)
 
 
 def test_walk_leaves_shares_measured_prefixes(monkeypatch):
@@ -416,8 +385,7 @@ def test_walk_leaves_shares_measured_prefixes(monkeypatch):
     monkeypatch.setattr(
         protocol, "_branch_rows", lambda rows, *a: calls.append(2 * len(rows)) or real(rows, *a)
     )
-    encoded = encode(prepare_full_state(ALPHA, BETA))
-    assert len(list(walk_leaves(encoded))) == 64
+    assert len(Tree(ALPHA, BETA).leaves) == 64
     assert len(calls) == len(MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
     assert sum(calls) == (2 + 4 + 8 + 16) + 16 * (2 + 4)
 
@@ -465,7 +433,6 @@ def test_global_phase_on_inputs_does_not_matter():
         for A1, B1 in (("+", "+"), ("-", "-")):
             payloads = []
             for alice in (ALPHA, rotated_alpha):
-                encoded = encode(prepare_full_state(alice, BETA))
-                ((_, _, payload),) = walk_leaves(encoded, branch + (A1, B1))
+                _, payload = Tree(alice, BETA).leaves[branch + (A1, B1)]
                 payloads.append(deliver(payload, load_table()[(*branch, A1, B1)])[0])
             assert equal_up_to_global_phase(payloads[0], payloads[1])
