@@ -2,24 +2,15 @@
 
 The package layers as follows:
 
-* :mod:`bqtsim.qsim` — dense state-vector engine over named qubits; the one
-  place a state is collapsed by a measurement.
-* :mod:`bqtsim.ghz` — the eight-state GHZ basis; GHZ-basis measurement and
-  entanglement swapping go through ``qsim``'s collapse.
-* :mod:`bqtsim.protocol` — channel preparation, encoding (``ENCODING``),
-  the one measurement walk (``walk_round``) that every measurement goes
-  through, ``Tree`` (the one exact 64-leaf tree of an input pair, read by
-  branch enumeration, the non-cooperation fidelity bound and sessions), and
-  ``deliver`` (the one applier of a table entry).
-* :mod:`bqtsim.corrections` — announcement-keyed Pauli-correction table
-  (keys, the Pauli-frame rule ``generate_correction_table``, serialization,
-  packaged asset) and ``apply_ops``, the only code that turns ops into gates.
-* :mod:`bqtsim.parties` — two-party sessions that draw their outcomes
-  against a memoised ``protocol.Tree`` and add ownership tracking,
-  announcement rounds, replayable transcripts, and a structural audit.
+* :mod:`bqtsim.qsim` — dense state-vector engine over named qubits.
+* :mod:`bqtsim.ghz` — the eight-state GHZ basis and entanglement swapping.
+* :mod:`bqtsim.protocol` — the protocol's steps and ``Tree``, the one exact
+  64-leaf tree of an input pair, which owns delivery.
+* :mod:`bqtsim.corrections` — the announcement-keyed Pauli-correction table.
+* :mod:`bqtsim.parties` — two-party sessions with replayable transcripts
+  and a structural audit.
 * :mod:`bqtsim.verify` — the nine-criterion self-verification battery.
-* :mod:`bqtsim.cli` — the ``bqtsim`` command-line front end; every
-  subcommand's report is assembled and written by one builder.
+* :mod:`bqtsim.cli` — the ``bqtsim`` command-line front end.
 """
 
 from .corrections import (

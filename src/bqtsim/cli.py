@@ -12,15 +12,11 @@ or in angle form (``--angles theta,phi`` meaning ``cos(theta)|00> +
 exp(i*phi)*sin(theta)|11>``).  Amplitude pairs whose norm strays from 1 by
 more than 1e-9 are rejected; accepted pairs are normalized exactly.
 
-Every subcommand ends in one report builder, ``_report``: it adds the
-``schema``, ``timestamp``, ``config`` and ``pass`` fields, renders JSON or
-text, writes the result and maps the verdict to the exit status, so a field
-that every report carries is added there.  Reports are JSON by default (``--format text`` for a human
-summary) and are byte-identical for identical configuration and seed,
-except for the ``timestamp`` field, which is excluded from that guarantee.
-``--out`` writes the report to a file; a relative path is resolved against
-``$BQTSIM_OUTPUT_DIR`` when that variable is set.  Exit status: 0 when all
-checks pass, 1 when a check fails, 2 for configuration errors.
+Reports (see ``_report``) are JSON by default (``--format text`` for a
+human summary) and are byte-identical for identical configuration and
+seed, except for the ``timestamp`` field.  Exit status: 0 when all checks
+pass, 1 when a check fails, 2 for configuration errors, which are reported
+on one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -48,11 +44,8 @@ OUTPUT_DIR_ENV = "BQTSIM_OUTPUT_DIR"
 #: Pre-normalization slack allowed on amplitude input pairs.
 INPUT_NORM_TOL = 1e-9
 
-_COOPERATION_FLAGS = {
-    "full": "full",
-    "withhold-a1": "alice_withholds_A1",
-    "withhold-b1": "bob_withholds_B1",
-}
+#: ``--cooperation`` value -> mode: "full", or "withhold-" and the withheld qubit.
+_COOPERATION_FLAGS = {f"withhold-{w.lower()}" if w else mode: mode for mode, w in WITHHELD.items()}
 
 _DEFAULT_ALPHA = EprInput(0.6, 0.8)
 _DEFAULT_BETA = EprInput(math.sqrt(0.5), math.sqrt(0.5))
@@ -60,6 +53,13 @@ _DEFAULT_BETA = EprInput(math.sqrt(0.5), math.sqrt(0.5))
 
 class ConfigError(Exception):
     """Invalid flag values (exit status 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser, and parser of its subcommands, that raises its rejections as ConfigError."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -104,18 +104,16 @@ def _resolve_inputs(args: argparse.Namespace) -> tuple[EprInput, EprInput]:
 
 
 def _parse_seed(text: str) -> int:
-    """``--seed`` as an integer literal: decimal, or prefixed 0x, 0o or 0b."""
+    """``--seed`` as an integer literal (decimal, or prefixed 0x, 0o or 0b) that
+    :func:`session_seed` accepts."""
     try:
-        return int(text, 0)
+        seed = int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}; give an integer such as 2967 or 0xB97") from None
-
-
-def _seed(args: argparse.Namespace) -> int:
     try:
-        return session_seed(args.seed)
+        return session_seed(seed)
     except ValueError as exc:
-        raise ConfigError(f"--seed: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _inputs_config(alpha: EprInput, beta: EprInput) -> dict:
@@ -208,20 +206,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     alpha, beta = _resolve_inputs(args)
-    seed = _seed(args)
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
     cooperation = _COOPERATION_FLAGS[args.cooperation]
     table = load_table()
     # only the cooperative directions are gated on perfect fidelity
-    withheld = WITHHELD.get(cooperation)
+    withheld = WITHHELD[cooperation]
     gated = [d.field for announcement, d in DIRECTIONS.items() if announcement != withheld]
     trials = []
     transcripts = []
     counts = np.zeros(64, dtype=int)
     ok = True
     for i in range(args.trials):
-        result = run_session(alpha, beta, seed=session_seed(seed, i),
+        result = run_session(alpha, beta, seed=session_seed(args.seed, i),
                              cooperation=cooperation, table=table)
         counts[result.leaf] += 1
         ok = ok and all(getattr(result, f) >= FIDELITY_FLOOR for f in gated)
@@ -241,7 +238,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     max_z, within = leaf_histogram_gate(counts)
     expected_count = args.trials / 64
     chi_square = float(np.sum((counts - expected_count) ** 2 / expected_count))
-    lines = [f"{args.trials} session(s), seed base {seed}, cooperation {cooperation}"]
+    lines = [f"{args.trials} session(s), seed base {args.seed}, cooperation {cooperation}"]
     for t in trials[: min(len(trials), 20)]:
         exp = "-" if t["expected_fidelity"] is None else f"{t['expected_fidelity']:.6f}"
         lines.append(
@@ -259,7 +256,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     lines.append("PASS" if ok else "FAIL")
     config = {
         **_inputs_config(alpha, beta),
-        "seed": seed,
+        "seed": args.seed,
         "trials": args.trials,
         "cooperation": cooperation,
     }
@@ -304,18 +301,17 @@ def _cmd_swap(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    seed = _seed(args)
     table = None
     if args.correction_table is not None:
         try:
             table = load_table(args.correction_table)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise ConfigError(f"--correction-table: {exc}") from None
-    results = run_all(seed=seed, table=table)
+    results = run_all(seed=args.seed, table=table)
     ok = all(r.passed for r in results)
     lines = [r.line() for r in results]
     lines.append(f"{'PASS' if ok else 'FAIL'}  ({sum(r.passed for r in results)}/{len(results)} criteria)")
-    config = {"seed": seed, "correction_table": args.correction_table}
+    config = {"seed": args.seed, "correction_table": args.correction_table}
     body = {
         "criteria": [
             {
@@ -351,7 +347,7 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str = "json"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bqtsim",
         description="Bidirectional EPR-payload teleportation over two GHZ triples.",
     )
@@ -393,13 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,12 +4,9 @@ Each of the 64 measurement leaves maps to a pair of two-qubit correction
 operators: Bob's acts on (b1, b2) to recover Alice's state, Alice's acts
 on (a2, a3) to recover Bob's.  Per-qubit factors are drawn from
 {I, Z, X, XZ} ("XZ" means Z first, then X).  Each entry is the Pauli
-frame of the sender's three results (:func:`generate_correction_table`),
-and the packaged asset holds exactly that rule's 64 entries.  Run-time
-code applies the table's ops, not the rule's, so an edited table takes
-effect.
-:func:`apply_ops` is the only code that turns ops into gates;
-:func:`bqtsim.protocol.deliver` applies a whole table entry through it.
+frame of the sender's three results (:func:`generate_correction_table`).
+Run-time code applies the table's ops, not the rule's, so an edited table
+takes effect.
 
 Table asset schema ``bqtsim.correction-table/1``::
 
@@ -126,7 +123,10 @@ def parse_ops(ops: str) -> tuple[str, str]:
 
 
 def apply_ops(reg: Register, qubits: Sequence[str], ops: str) -> Register:
-    """Apply a two-qubit ops string, one factor per named qubit in order."""
+    """Apply a two-qubit ops string, one factor per named qubit in order.
+
+    This is the only code that turns ops into gates.
+    """
     for qubit, factor in zip(qubits, parse_ops(ops), strict=True):
         for gate in reversed(factor):
             if gate != "I":

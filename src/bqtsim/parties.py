@@ -1,23 +1,11 @@
 """Two-party protocol sessions with auditable transcripts.
 
 Alice owns {a1, a2, a3, A1, A2} and Bob owns {b1, b2, b3, B1, B2}.  A
-session performs no protocol step of its own.  Every session of one input
-pair plays against that pair's :class:`bqtsim.protocol.Tree`, the one
-exact 64-leaf tree that branch enumeration and the non-cooperation bound
-read too, with its memoised :func:`bqtsim.protocol.deliver` fidelities per
-leaf and correction ops and, under withholding, each group's
-:func:`bqtsim.protocol.deprived_fidelities` average per ops.  Sessions keep
-the trees of a few recent pairs, keyed by the exact bits of both inputs (a
-small LRU), because only sessions repeat a pair.  A session consumes
-exactly six uniform draws from its seeded generator, one per measurement,
-in ``MEASUREMENT_PLAN`` order; each picks an outcome against the tree's
-Born probabilities with the rule of :func:`bqtsim.qsim.measure`
-(``qsim._pick``), so its outcomes, probabilities and fidelities are
-bit-identical to measuring the ten-qubit state one draw at a time.  The
-session adds only who did what and who knows what: every gate,
-measurement, classical announcement, correction, and final fidelity is
-recorded as a transcript event.  Trial ``i`` of a run seeded with ``base``
-uses seed ``(base + i) mod 2**64`` (:func:`session_seed`).
+session performs no protocol step of its own: it plays six seeded draws
+against its input pair's :class:`bqtsim.protocol.Tree`, which also
+corrects and scores it, and adds only who did what and who knows what.
+Every gate, measurement, classical announcement, correction, and final
+fidelity is recorded as a transcript event.
 
 Announcements travel in two rounds, Alice first within each round: after
 the first measurement round each party announces both of its results, and
@@ -85,10 +73,10 @@ OWNED: dict[str, frozenset[str]] = {
     BOB: frozenset({"b1", "b2", "b3", "B1", "B2"}),
 }
 
-COOPERATION_MODES = ("full", "alice_withholds_A1", "bob_withholds_B1")
+#: Each cooperation mode and the second-round announcement it suppresses, if any.
+WITHHELD = {"full": None, "alice_withholds_A1": "A1", "bob_withholds_B1": "B1"}
 
-#: The second-round announcement each withholding mode suppresses.
-WITHHELD = {"alice_withholds_A1": "A1", "bob_withholds_B1": "B1"}
+COOPERATION_MODES = tuple(WITHHELD)
 
 TRANSCRIPT_SCHEMA = "bqtsim.transcript/1"
 
@@ -212,7 +200,7 @@ def run_session(
     for control, target in ENCODING:
         t.add(Event(2, _owner(control), "gate", (control, target), outcome="CNOT"))
 
-    withheld = WITHHELD.get(cooperation)
+    withheld = WITHHELD[cooperation]
     _play_round(t, tree.born, 1, outcomes, rng)
     _play_round(t, tree.born, 2, outcomes, rng, withheld)
     key = tuple(outcomes.values())
@@ -226,7 +214,7 @@ def run_session(
 
     expected = None
     if withheld is not None:
-        expected = tree.deprived(key, withheld, ops[DIRECTIONS[withheld].slot], table)
+        expected = tree.deprived(key, withheld, table)
 
     return SessionResult(
         transcript=t,
@@ -249,8 +237,9 @@ def _input_bits(alice: EprInput, bob: EprInput) -> tuple[str, ...]:
 def _session_tree(bits: tuple[str, ...], alice: EprInput, bob: EprInput) -> Tree:
     """The memoised tree of the inputs whose exact bits are ``bits`` (:func:`_input_bits`).
 
-    The cache also compares the inputs themselves, but inputs with equal
-    bits are always ``==``, so the bits alone decide which tree is shared.
+    Only sessions repeat a pair, so only they cache trees.  The cache also
+    compares the inputs themselves, but inputs with equal bits are always
+    ``==``, so the bits alone decide which tree is shared.
     """
     return Tree(alice, bob)
 
@@ -264,7 +253,12 @@ def _play_round(
     withheld: str | None = None,
 ) -> None:
     """Draw one round of the plan against ``born`` (:attr:`Tree.born`) into
-    ``outcomes``, then announce it, Alice first."""
+    ``outcomes``, then announce it, Alice first.
+
+    Each draw is one ``rng.random()`` picked with :func:`qsim.measure`'s
+    rule (``qsim._pick``), so the outcomes are bit-identical to measuring
+    the ten-qubit state one draw at a time.
+    """
     step, plan = round_no + 2, MEASUREMENT_PLAN[round_no - 1]
     for qubit, basis in plan:
         probs = born[tuple(outcomes.values())]

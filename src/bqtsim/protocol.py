@@ -7,30 +7,8 @@ two local CNOTs and six local measurements -- computational basis on a1
 and b3, conjugate basis on A2, B2, A1 and B1 -- Alice's payload lands on
 Bob's (b1, b2) and Bob's on Alice's (a2, a3), each up to an outcome-keyed
 Pauli correction.  All 64 measurement leaves occur with probability 1/64
-regardless of the inputs.
-
-The conventions used throughout:
-
-* full register label order: (a1, b1, b2, a2, a3, b3, A1, A2, B1, B2);
-* measurement order and bases: ``MEASUREMENT_PLAN`` (defined in
-  :mod:`bqtsim.corrections`, which owns the table-key format);
-* ``leaf_index`` packs outcomes into six bits in plan order, with 0 / "+"
-  as the zero bit;
-* :func:`deliver`, the one applier of a table entry, corrects and scores both
-  directions through :func:`bqtsim.corrections.apply_ops`; ``DIRECTIONS``
-  names the one each withheld announcement starves, ``FIDELITY_FLOOR`` gates them.
-
-This module performs every step of the protocol: :func:`encode` applies
-the CNOTs of ``ENCODING``, and every measurement goes through
-:func:`walk_round`.  The walk is level-batched: each open branch is one row
-of an array that is split for all rows at once, while each row's
-probability and collapse are computed exactly as
-:func:`bqtsim.qsim.measure` computes them, so its leaves are bit-identical
-to that sequential oracle.  :class:`Tree` is the one 64-leaf tree of an
-input pair, walked over both rounds at once: :func:`enumerate_branches`,
-:func:`noncooperation_fidelity` and sessions (:mod:`bqtsim.parties`, which
-sample their outcomes against its Born probabilities and only record who
-did what and who knows what) all read it.
+regardless of the inputs.  :class:`Tree` holds them for one input pair and
+owns their delivery.
 """
 
 from __future__ import annotations
@@ -86,7 +64,6 @@ __all__ = [
     "EprInput",
     "Tree",
     "deliver",
-    "delivery_targets",
     "deprived_fidelities",
     "encode",
     "enumerate_branches",
@@ -237,28 +214,19 @@ def walk_round(
     return iter(level)
 
 
-def delivery_targets(alice: EprInput, bob: EprInput) -> tuple[Register, Register]:
-    """Each input written on its receiver's labels, in :data:`DIRECTIONS` order."""
-    inputs = (alice, bob)
-    return tuple(inputs[d.slot].register(d.labels) for d in DIRECTIONS.values())
-
-
 def deliver(
     payload: Register,
     ops: tuple[str, str],
-    targets: tuple[Register, Register] | None = None,
-) -> tuple[Register, float | None, float | None]:
+    targets: tuple[Register, Register],
+) -> tuple[Register, float, float]:
     """Finish both teleportations: (corrected payload, a->b and b->a fidelity).
 
     ``ops`` is a table entry (bob_ops, alice_ops); Bob's act on (b1, b2)
     first, then Alice's on (a2, a3).  Each corrected half is scored against
-    its entry of ``targets`` (see :func:`delivery_targets`); without targets
-    both fidelities are None.
+    its entry of ``targets`` (:attr:`Tree.targets`).
     """
     for d in DIRECTIONS.values():
         payload = apply_ops(payload, d.labels, ops[d.slot])
-    if targets is None:
-        return payload, None, None
     to_bob, to_alice = (
         fidelity_pure(reduced_density(payload, d.labels), target)
         for d, target in zip(DIRECTIONS.values(), targets)
@@ -275,14 +243,16 @@ class Tree:
 
     ``leaves`` maps each leaf's outcomes, in :func:`leaf_index` order, to its
     (step probabilities, payload) from one :func:`walk_round` over both
-    rounds.  Delivered fidelities are memoised per leaf and correction ops,
-    deprived averages per group and ops, so a table that changes between
-    calls still takes effect.  ``born`` (read only by sessions) and
-    ``targets`` (read only by delivery) are built on first use.
+    rounds.  The tree is the one owner of delivery: ``targets`` holds each
+    input written on its receiver's payload labels, indexed by direction
+    slot, and fidelities are memoised by the ops that produced them, never
+    by the table, so a table that changes between calls still takes effect.
+    ``born`` (read only by sessions) is built on first use.
     """
 
     def __init__(self, alice: EprInput, bob: EprInput) -> None:
         self.inputs = (alice, bob)
+        self.targets = tuple(self.inputs[d.slot].register(d.labels) for d in DIRECTIONS.values())
         encoded = encode(prepare_full_state(alice, bob))
         self.leaves = {
             outcomes: (probs, payload)
@@ -290,10 +260,6 @@ class Tree:
         }
         self.fidelities: dict[tuple, tuple[float, float]] = {}
         self.averages: dict[tuple, float] = {}
-
-    @cached_property
-    def targets(self) -> tuple[Register, Register]:
-        return delivery_targets(*self.inputs)
 
     @cached_property
     def born(self) -> dict[tuple, list[float]]:
@@ -317,23 +283,27 @@ class Tree:
             self.fidelities[key, ops] = deliver(self.leaves[key][1], ops, self.targets)[1:]
         return self.fidelities[key, ops]
 
-    def deprived(self, key: tuple, withheld: str, ops: str, table: Table) -> float:
-        """The deprived receiver's average over the leaves that differ from ``key`` only in ``withheld``.
+    def deprived(self, key: tuple, withheld: str, table: Table) -> float:
+        """Fidelity at the receiver starved of ``withheld`` when the tree lands on leaf ``key``.
 
-        Weights are the round-two probabilities of those leaves; ``ops`` is
-        the receiver's correction, the one :func:`deprived_fidelities` reads
-        from ``table`` for the group.
+        It is that receiver's group in :func:`deprived_fidelities`, with
+        leaves weighted by their round-two probabilities alone; one miss fills
+        every group of ``withheld``.  The memo key is (withheld, heard key,
+        ops), since both receivers can hear the same key with the same ops:
+        ``(0, "+", 0, "+", "+", "+")`` with ``"II"`` in the packaged table.
         """
-        group = tuple(None if q == withheld else o for q, o in zip(PLAN_QUBITS, key))
-        if (group, ops) not in self.averages:
+        slot = DIRECTIONS[withheld].slot
+        heard = _heard(key, withheld)
+        memo = (withheld, heard, table[heard][slot])
+        if memo not in self.averages:
             leaves = (
                 (outcomes, math.prod(probs[_ROUND_ONE:]), payload)
                 for outcomes, (probs, payload) in self.leaves.items()
-                if all(g is None or g == o for g, o in zip(group, outcomes))
             )
-            sent = self.inputs[DIRECTIONS[withheld].slot]
-            ((_, self.averages[group, ops]),) = deprived_fidelities(leaves, withheld, sent, table)
-        return self.averages[group, ops]
+            groups = deprived_fidelities(leaves, withheld, self.targets[slot], table)
+            for group, (_, fidelity) in groups.items():
+                self.averages[withheld, group, table[group][slot]] = fidelity
+        return self.averages[memo]
 
 
 @dataclass(frozen=True)
@@ -378,50 +348,54 @@ def enumerate_branches(
     ]
 
 
+def _heard(outcomes: Sequence, withheld: str) -> tuple:
+    """The table key of the receiver that never hears ``withheld``: that result read as "+"."""
+    return correction_key({q: o for q, o in zip(PLAN_QUBITS, outcomes) if q != withheld})
+
+
 def deprived_fidelities(
-    leaves: Iterable[Leaf], withheld: str, sent: EprInput, table: Table
-) -> list[tuple[float, float]]:
+    leaves: Iterable[Leaf], withheld: str, target: Register, table: Table
+) -> dict[tuple, tuple[float, float]]:
     """Fidelity at the receiver ``DIRECTIONS[withheld]`` starved of one announcement.
 
     ``leaves`` gives (outcomes in plan order, weight, payload).  Leaves that
     differ only in the withheld result look alike to the receiver: it
-    applies the correction its own key selects (the withheld result
-    defaulted to "+") and holds their weighted mixture.  Returns, per such
-    group in first-seen order, its total weight and the mixture's fidelity
-    against ``sent``.
+    applies the correction of the key it heard (:func:`_heard`) and holds
+    their weighted mixture.  Returns {heard key: (total weight, the
+    mixture's fidelity against ``target``)}, in first-seen order.
     """
     labels, slot, _ = DIRECTIONS[withheld]
     groups: dict[tuple, list] = {}
     for outcomes, weight, payload in leaves:
-        key = correction_key({q: o for q, o in zip(PLAN_QUBITS, outcomes) if q != withheld})
+        key = _heard(outcomes, withheld)
         fixed = apply_ops(payload, labels, table[key][slot])
         group = groups.setdefault(key, [0.0, np.zeros((4, 4), dtype=complex)])
         group[1] += weight * reduced_density(fixed, labels).mat
         group[0] += weight
-    target = sent.register(labels)
-    return [
-        (total, fidelity_pure(DensityMatrix._trusted(labels, mixed / total), target))
-        for total, mixed in groups.values()
-    ]
+    return {
+        key: (total, fidelity_pure(DensityMatrix._trusted(labels, mixed / total), target))
+        for key, (total, mixed) in groups.items()
+    }
 
 
 def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     """Expected fidelity at the deprived receiver when one announcement is withheld.
 
     ``withheld="A1"`` starves Bob of Alice's second-round result (so
-    ``epr`` is Alice's input); ``"B1"`` starves Alice.  The receiver still
-    applies every correction derivable from the announcements it did get,
-    with the withheld result defaulted to "+".  The returned value averages
-    the receiver's corrected reduced state over the two equally likely
-    withheld outcomes and equals ``|c0|**4 + |c1|**4``.
+    ``epr`` is Alice's input); ``"B1"`` starves Alice.  The returned value
+    weights every leaf by its full probability, averages the receiver's
+    corrected reduced state over the two equally likely withheld outcomes
+    (:func:`deprived_fidelities`) and equals ``|c0|**4 + |c1|**4``.
     """
     if withheld not in DIRECTIONS:
         raise ValueError(f"withheld must be 'A1' or 'B1', got {withheld!r}")
-    table = load_table()
+    slot = DIRECTIONS[withheld].slot
     # The cooperative direction's input never influences the deprived side.
     inputs = [EprInput(np.sqrt(0.5), np.sqrt(0.5))] * 2
-    inputs[DIRECTIONS[withheld].slot] = epr
+    inputs[slot] = epr
+    tree = Tree(*inputs)
+    groups = deprived_fidelities(tree.rows(), withheld, tree.targets[slot], load_table())
     expected = 0.0
-    for weight, fidelity in deprived_fidelities(Tree(*inputs).rows(), withheld, epr, table):
+    for weight, fidelity in groups.values():
         expected += weight * fidelity
     return expected

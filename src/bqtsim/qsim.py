@@ -5,22 +5,12 @@ unit-norm amplitude vector; ``labels[0]`` is the most significant bit of
 the basis-state index.  Every operation is a pure function that returns a
 fresh register, so values can be shared between threads without locking.
 
-Public constructors (``Register(...)``, :func:`make_register`,
-``DensityMatrix(...)``) validate their input.  Results computed from
-registers that are already valid -- gates, :func:`tensor`, :func:`permute`,
-collapses and :func:`reduced_density` -- are built with the trusted
-``_trusted`` constructors instead: the same normalising arithmetic, no
-re-validation.
-
+Public constructors validate their input; results computed from registers
+that are already valid are built with the ``_trusted`` constructors.
 Every measurement, single-qubit here, GHZ-basis in :mod:`bqtsim.ghz` or
 one row of the level-batched walk in :mod:`bqtsim.protocol`, collapses in
-one place, :func:`_collapse`: it samples an outcome (one uniform draw from
-a caller's ``numpy.random.Generator``) or forces one, reports its exact
-Born probability, and removes the measured qubits.  The sampling rule
-itself, which outcome a draw picks, is :func:`_pick`; sessions in
-:mod:`bqtsim.parties` apply the same rule to stored probabilities.
-:func:`measure` works on one register at a time and is the oracle that
-tests check the walk and sessions against.
+one place, :func:`_collapse`.  :func:`measure` works on one register at a
+time and is the oracle that tests check the walk and sessions against.
 """
 
 from __future__ import annotations

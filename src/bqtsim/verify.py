@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .protocol import (
     REMAINDER_LABELS,
     EprInput,
     Tree,
-    deliver,
-    delivery_targets,
     encode,
     enumerate_branches,
     noncooperation_fidelity,
@@ -258,23 +256,21 @@ def criterion_reference_branches(seed: int) -> tuple[bool, str]:
     perms = find_reference_permutations(alice, bob)
     if not perms:
         return False, "no slot permutation reproduces all sixteen branch rows"
-    if not _worked_branch_factorization(alice, bob):
+    if not _worked_branch_factorization(Tree(alice, bob)):
         return False, "worked-branch payloads do not factor as published"
     shown = ",".join(perms[0])
     return True, f"{len(perms)} matching permutation(s); canonical slots = ({shown})"
 
 
-def _worked_branch_payloads(alice: EprInput, bob: EprInput) -> Iterator[tuple[str, str, Register]]:
-    """(A1, B1, payload) for the four leaves of the worked first-round branch."""
-    worked = (0, "+", 0, "+")
-    for outcomes, (_probs, payload) in Tree(alice, bob).leaves.items():
-        if outcomes[:len(worked)] == worked:
-            yield (*outcomes[len(worked):], payload)
+#: The worked first-round branch (a1, A2, b3, B2) of the published rules.
+_WORKED = (0, "+", 0, "+")
 
 
-def _worked_branch_factorization(alice: EprInput, bob: EprInput, tol: float = 1e-12) -> bool:
+def _worked_branch_factorization(tree: Tree, tol: float = 1e-12) -> bool:
     """Payloads of branch (0,+,0,+) equal the published sign-keyed products."""
-    for A1, B1, payload in _worked_branch_payloads(alice, bob):
+    alice, bob = tree.inputs
+    for A1, B1 in TABULATED_RULES:
+        _probs, payload = tree.leaves[_WORKED + (A1, B1)]
         sa = 1.0 if A1 == "+" else -1.0
         sb = 1.0 if B1 == "+" else -1.0
         expected = tensor(
@@ -309,15 +305,12 @@ def criterion_reconstruction(
 @_criterion("correction-rules")
 def criterion_correction_rules() -> tuple[bool, str]:
     """Announcement-keyed published rules fix the worked branch exactly."""
-    alice = EprInput(0.6, 0.8)
-    bob = EprInput.normalized(0.8, 0.6j)
-    targets = delivery_targets(alice, bob)
+    tree = Tree(EprInput(0.6, 0.8), EprInput.normalized(0.8, 0.6j))
     worst = 1.0
-    for A1, B1, payload in _worked_branch_payloads(alice, bob):
-        _, fb, fa = deliver(payload, TABULATED_RULES[(A1, B1)], targets)
-        worst = min(worst, fb, fa)
+    for (A1, B1), ops in TABULATED_RULES.items():
+        worst = min(worst, *tree.delivered(_WORKED + (A1, B1), ops))
     # Z on both qubits is the identity on the span of |00> and |11>.
-    epr = alice.register(("q0", "q1"))
+    epr = tree.inputs[0].register(("q0", "q1"))
     zz = apply_gate1(apply_gate1(epr, "q0", "Z"), "q1", "Z")
     span_ok = bool(np.allclose(zz.amps, epr.amps, atol=1e-12, rtol=0.0))
     ok = abs(worst - 1.0) <= 1e-12 and span_ok

@@ -106,6 +106,32 @@ def test_seed_that_is_not_an_integer_is_named(capsys, command):
     assert "lambda" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("teleport",),
+        ("swap", "0", "9"),
+        ("run", "--seed", "abc"),
+        ("run", "--trials", "abc"),
+        ("run", "--format", "xml"),
+        ("run", "--seed", "-1"),
+        ("verify", "--seed", "0x10000000000000000"),
+    ],
+    ids=lambda argv: " ".join(argv) or "no-command",
+)
+def test_every_rejection_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("run", "--help")], ids=" ".join)
+def test_help_exits_zero(capsys, argv):
+    code, out, _err = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("usage: bqtsim")
+
+
 def test_seed_range_checked(capsys):
     code, _out, err = run_cli(capsys, "run", "--seed", "-1", "--trials", "1")
     assert code == 2

@@ -33,7 +33,6 @@ from bqtsim.protocol import (
     PAYLOAD_LABELS,
     EprInput,
     Tree,
-    delivery_targets,
 )
 from bqtsim.qsim import Register, equal_up_to_global_phase, make_register, permute
 
@@ -149,7 +148,8 @@ def searched_correction_table():
     searched independently for the smallest pair that restores the intended
     input up to global phase.
     """
-    target_bob, target_alice = delivery_targets(_GENERIC_ALICE, _GENERIC_BOB)
+    target_bob = _GENERIC_ALICE.register(BOB_PAYLOAD_LABELS)
+    target_alice = _GENERIC_BOB.register(ALICE_PAYLOAD_LABELS)
     table = {}
     for key, _prob, payload in Tree(_GENERIC_ALICE, _GENERIC_BOB).rows():
         bob_part, alice_part = _payload_factors(payload)

@@ -28,11 +28,11 @@ from bqtsim.parties import (
     session_seed,
 )
 from bqtsim.protocol import (
-    DIRECTIONS,
+    ALICE_PAYLOAD_LABELS,
+    BOB_PAYLOAD_LABELS,
     FIDELITY_FLOOR,
     EprInput,
     deliver,
-    delivery_targets,
     deprived_fidelities,
     encode,
     enumerate_branches,
@@ -111,6 +111,8 @@ def test_session_draws_match_direct_measure_replay(cooperation):
     alice, bob = ALPHA, EprInput(0.8, complex(0.36, 0.48))
     table = load_table()
     withheld = WITHHELD.get(cooperation)
+    to_bob_target = alice.register(BOB_PAYLOAD_LABELS)
+    to_alice_target = bob.register(ALICE_PAYLOAD_LABELS)
     for seed in ORACLE_SEEDS:
         rng = np.random.default_rng(seed)
         state, outcomes, probs = encode(prepare_full_state(alice, bob)), {}, []
@@ -126,7 +128,7 @@ def test_session_draws_match_direct_measure_replay(cooperation):
         assert [e.probability for e in result.transcript.of_kind("measure")] == probs
 
         ops = tuple(e.outcome for e in result.transcript.of_kind("correct"))
-        _, to_bob, to_alice = deliver(state, ops, delivery_targets(alice, bob))
+        _, to_bob, to_alice = deliver(state, ops, (to_bob_target, to_alice_target))
         assert result.fidelity_alice_to_bob == to_bob
         assert result.fidelity_bob_to_alice == to_alice
         if withheld is None:
@@ -139,8 +141,8 @@ def test_session_draws_match_direct_measure_replay(cooperation):
             for second, step, payload in walk_round(before_round_two, MEASUREMENT_PLAN[1])
             if all(p is None or p == o for p, o in zip(pinned, second))
         )
-        sent = (alice, bob)[DIRECTIONS[withheld].slot]
-        ((_, expected),) = deprived_fidelities(leaves, withheld, sent, table)
+        target = {"A1": to_bob_target, "B1": to_alice_target}[withheld]
+        ((_, expected),) = deprived_fidelities(leaves, withheld, target, table).values()
         assert result.expected_fidelity == expected
 
 
@@ -191,6 +193,46 @@ def test_editing_a_plain_table_changes_the_next_correction():
     assert [e.outcome for e in first.transcript.of_kind("correct")] == [bob_ops, alice_ops]
     assert second.fidelity_alice_to_bob < FIDELITY_FLOOR
     assert second.fidelity_bob_to_alice == first.fidelity_bob_to_alice
+
+
+def test_editing_a_plain_table_changes_the_next_deprived_average():
+    table = dict(load_table())
+    mode = "alice_withholds_A1"
+    first = run_session(ALPHA, BETA, seed=3, cooperation=mode, table=table)
+    # Bob never hears A1, so he corrects with the key that reads it as "+"
+    heard = tuple("+" if q == "A1" else first.outcomes[q] for q in PLAN_QUBITS)
+    bob_ops, alice_ops = table[heard]
+    table[heard] = ("XX" if bob_ops != "XX" else "ZZ", alice_ops)
+    second = run_session(ALPHA, BETA, seed=3, cooperation=mode, table=table)
+    assert second.expected_fidelity != first.expected_fidelity
+    _session_tree.cache_clear()
+    fresh = run_session(ALPHA, BETA, seed=3, cooperation=mode, table=table)
+    assert fresh.expected_fidelity.hex() == second.expected_fidelity.hex()
+
+
+@pytest.mark.parametrize("order", ["A1 first", "B1 first"])
+def test_both_deprived_receivers_keep_their_own_averages_on_one_tree(order):
+    # Below the worked branch (0, +, 0, +), leaf (.., +, +) and its neighbours
+    # give both deprived receivers the heard key (0, +, 0, +, +, +) with the
+    # same ops "II", yet their averages differ: 0.5392 for ALPHA, 0.5 for BETA.
+    modes = ["alice_withholds_A1", "bob_withholds_B1"]
+    if order == "B1 first":
+        modes.reverse()
+    _session_tree.cache_clear()
+    by_leaf = {}
+    for seed in range(1024):
+        by_leaf.setdefault(run_session(ALPHA, BETA, seed).leaf, []).append(seed)
+    seeds = [seed for leaf in range(4) for seed in by_leaf[leaf][:2]]
+    fresh = {}
+    for seed in seeds:
+        for mode in modes:
+            _session_tree.cache_clear()
+            fresh[seed, mode] = run_session(ALPHA, BETA, seed, mode).expected_fidelity.hex()
+    _session_tree.cache_clear()
+    for seed in seeds:
+        for mode in modes:
+            assert run_session(ALPHA, BETA, seed, mode).expected_fidelity.hex() == fresh[seed, mode]
+    assert all(fresh[seed, modes[0]] != fresh[seed, modes[1]] for seed in seeds)
 
 
 def test_inputs_that_differ_only_in_a_zero_sign_do_not_share_a_tree():

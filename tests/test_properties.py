@@ -32,7 +32,6 @@ from bqtsim.protocol import (
     EprInput,
     Tree,
     deliver,
-    delivery_targets,
     deprived_fidelities,
     encode,
     enumerate_branches,
@@ -88,7 +87,8 @@ def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_
     to_alice = fidelity_pure(
         reduced_density(fixed, ALICE_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS)
     )
-    delivered, *fidelities = deliver(payload, (bob_ops, alice_ops), delivery_targets(alice, bob))
+    targets = (alice.register(BOB_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS))
+    delivered, *fidelities = deliver(payload, (bob_ops, alice_ops), targets)
     assert fidelities == [to_bob, to_alice]
     assert delivered.labels == fixed.labels
     assert np.array_equal(delivered.amps, fixed.amps)
@@ -147,9 +147,15 @@ def test_one_tree_serves_every_consumer(alice, bob):
         assert [f.hex() for f in fidelities] == [f.hex() for f in tree.delivered(key, table[key])]
     # noncooperation_fidelity pairs the sender with a balanced cooperative input
     balanced = EprInput(np.sqrt(0.5), np.sqrt(0.5))
-    for withheld, sent, pair in (("A1", alice, (alice, balanced)), ("B1", bob, (balanced, bob))):
+    for withheld, sent, pair, labels in (
+        ("A1", alice, (alice, balanced), BOB_PAYLOAD_LABELS),
+        ("B1", bob, (balanced, bob), ALICE_PAYLOAD_LABELS),
+    ):
+        groups = deprived_fidelities(
+            _warm_session_tree(*pair).rows(), withheld, sent.register(labels), table
+        )
         expected = 0.0
-        for weight, fidelity in deprived_fidelities(_warm_session_tree(*pair).rows(), withheld, sent, table):
+        for weight, fidelity in groups.values():
             expected += weight * fidelity
         assert noncooperation_fidelity(sent, withheld).hex() == expected.hex()
 

@@ -271,10 +271,9 @@ def test_leaf_index_packing():
 
 def test_correct_worked_branch_sign_case():
     _, payload = Tree(ALPHA, BETA).leaves[WORKED + ("-", "-")]
-    fixed, _, _ = deliver(payload, load_table()[(0, "+", 0, "+", "-", "-")])
-    expected = tensor(
-        ALPHA.register(BOB_PAYLOAD_LABELS), BETA.register(ALICE_PAYLOAD_LABELS)
-    )
+    targets = (ALPHA.register(BOB_PAYLOAD_LABELS), BETA.register(ALICE_PAYLOAD_LABELS))
+    fixed, _, _ = deliver(payload, load_table()[(0, "+", 0, "+", "-", "-")], targets)
+    expected = tensor(*targets)
     assert equal_up_to_global_phase(fixed, expected)
 
 
@@ -307,15 +306,14 @@ def test_corrected_payload_is_exact_product_state():
     for _ in range(3):
         alice, bob = _random_epr(rng), _random_epr(rng)
         encoded = encode(prepare_full_state(alice, bob))
-        expected = tensor(
-            alice.register(BOB_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS)
-        )
+        targets = (alice.register(BOB_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS))
+        expected = tensor(*targets)
         for branch in ((1, "-", 0, "+"), (0, "-", 1, "-"), (1, "+", 1, "+")):
             _, _, remainder = _round(encoded, FIRST_ROUND, branch)
             for A1 in X:
                 for B1 in X:
                     _, _, payload = _round(remainder, SECOND_ROUND, (A1, B1))
-                    fixed, _, _ = deliver(payload, table[(*branch, A1, B1)])
+                    fixed, _, _ = deliver(payload, table[(*branch, A1, B1)], targets)
                     assert equal_up_to_global_phase(fixed, expected)
 
 
@@ -434,5 +432,6 @@ def test_global_phase_on_inputs_does_not_matter():
             payloads = []
             for alice in (ALPHA, rotated_alpha):
                 _, payload = Tree(alice, BETA).leaves[branch + (A1, B1)]
-                payloads.append(deliver(payload, load_table()[(*branch, A1, B1)])[0])
+                targets = (alice.register(BOB_PAYLOAD_LABELS), BETA.register(ALICE_PAYLOAD_LABELS))
+                payloads.append(deliver(payload, load_table()[(*branch, A1, B1)], targets)[0])
             assert equal_up_to_global_phase(payloads[0], payloads[1])
