@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,77 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+class _Shared:
+    """A value that many places in one report hold; rendered once per depth."""
+
+    __slots__ = ("value", "_text")
+
+    def __init__(self, value) -> None:
+        self.value = value
+        self._text: dict[str, str] = {}
+
+    def text(self, indent: str) -> str:
+        if indent not in self._text:
+            self._text[indent] = "".join(_render(self.value, indent))
+        return self._text[indent]
+
+
+def _render(obj, indent: str = "\n"):
+    """Yield the chunks of ``json.dumps(obj, indent=2, sort_keys=True,
+    default=_json_default)`` for ``obj`` at the depth whose line break and
+    indentation are ``indent``.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set; this is the same walk with less bookkeeping.  Unlike ``json``, a
+    non-string dict key raises TypeError instead of being stringified (no
+    report has one), and a :class:`_Shared` value renders from its cached
+    text.
+    """
+    if isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    elif obj is None:
+        yield "null"
+    elif obj is True:
+        yield "true"
+    elif obj is False:
+        yield "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, float):
+        if obj != obj:
+            yield "NaN"
+        elif obj == math.inf:
+            yield "Infinity"
+        elif obj == -math.inf:
+            yield "-Infinity"
+        else:
+            yield float.__repr__(obj)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = indent + "  "
+        yield "["
+        for i, value in enumerate(obj):
+            yield "," + inner if i else inner
+            yield from _render(value, inner)
+        yield indent + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = indent + "  "
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield ("," + inner if i else inner) + encode_basestring_ascii(key) + ": "
+            yield from _render(obj[key], inner)
+        yield indent + "}"
+    elif isinstance(obj, _Shared):
+        yield obj.text(indent)
+    else:
+        yield from _render(_json_default(obj), indent)
+
+
 def _report(
     args: argparse.Namespace, schema: str, config: dict, body: dict, ok: bool, lines: list[str]
 ) -> int:
@@ -146,7 +218,7 @@ def _report(
             **body,
             "pass": ok,
         }
-        rendered = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
+        rendered = "".join(_render(report)) + "\n"
     else:
         rendered = "\n".join(lines) + "\n"
     if args.out is None:
@@ -215,6 +287,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     gated = [d.field for announcement, d in DIRECTIONS.items() if announcement != withheld]
     trials = []
     transcripts = []
+    # a run has at most 64 distinct transcripts; each is rendered once, keyed
+    # on its compact json text, which fixes its indented text exactly
+    shared: dict[str, _Shared] = {}
     counts = np.zeros(64, dtype=int)
     ok = True
     for i in range(args.trials):
@@ -234,7 +309,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             }
         )
         if args.transcripts:
-            transcripts.append(result.transcript.to_json_obj())
+            doc = result.transcript.to_json_obj()
+            key = json.dumps(doc, sort_keys=True)
+            if key not in shared:
+                shared[key] = _Shared(doc)
+            transcripts.append(shared[key])
     max_z, within = leaf_histogram_gate(counts)
     expected_count = args.trials / 64
     chi_square = float(np.sum((counts - expected_count) ** 2 / expected_count))

@@ -1,18 +1,27 @@
 """Command-line interface tests: argument handling, exit codes, report
 schemas, determinism, and file output.
 
-All invocations go through ``main(argv)`` in-process; exit status 2 covers
-configuration problems (including argparse usage errors), 1 covers failed
-checks, 0 success.
+All invocations but one go through ``main(argv)`` in-process; the
+closed-pipe test starts a subprocess.  Exit status 2 covers configuration
+problems (including argparse usage errors), 1 covers failed checks, 0
+success.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import bqtsim
 from bqtsim.cli import INPUT_NORM_TOL, OUTPUT_DIR_ENV, main
 from bqtsim.corrections import load_table, table_to_records, write_table
+from bqtsim.parties import run_session, session_seed
+from bqtsim.protocol import EprInput
+from bqtsim.verify import leaf_histogram_gate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,6 +227,81 @@ def test_run_text_format(capsys):
     assert code == 0
     assert out.strip().endswith("PASS")
     assert "leaf histogram" in out
+
+
+def _expected_run_report(config: dict, mode: str, trials: int, seed: int) -> str:
+    """A run report, timestamp line dropped, built from the library and rendered by json."""
+    alpha, beta = (EprInput(*(complex(*amp) for amp in config[name])) for name in ("alpha", "beta"))
+    results = [run_session(alpha, beta, seed=session_seed(seed, i), cooperation=mode) for i in range(trials)]
+    counts = np.bincount([r.leaf for r in results], minlength=64)
+    expected_count = trials / 64
+    max_z, within = leaf_histogram_gate(counts)
+    report = {
+        "schema": "bqtsim.session-report/1",
+        "config": {**config, "seed": seed, "trials": trials, "cooperation": mode},
+        "trials": [
+            {
+                "trial": i,
+                "seed": r.seed,
+                "leaf": r.leaf,
+                "outcomes": r.outcomes,
+                "fidelity_alice_to_bob": r.fidelity_alice_to_bob,
+                "fidelity_bob_to_alice": r.fidelity_bob_to_alice,
+                "expected_fidelity": r.expected_fidelity,
+            }
+            for i, r in enumerate(results)
+        ],
+        "histogram": {
+            "counts": counts.tolist(),
+            "expected_count": expected_count,
+            "max_abs_z": max_z,
+            "within_4_sigma": within,
+            "chi_square": float(np.sum((counts - expected_count) ** 2 / expected_count)),
+            "degrees_of_freedom": 63,
+        },
+        "transcripts": [r.transcript.to_json_obj() for r in results],
+        "pass": True,
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _lines_without_timestamp(text: str) -> list[str]:
+    # lines, not one string: pytest reports the first differing line at once
+    return [line for line in text.splitlines(keepends=True) if not line.startswith('  "timestamp": ')]
+
+
+@pytest.mark.parametrize("flag, mode", [
+    ("full", "full"),
+    ("withhold-a1", "alice_withholds_A1"),
+    ("withhold-b1", "bob_withholds_B1"),
+])
+def test_many_trial_report_matches_json_dumps(tmp_path, capsys, flag, mode):
+    # 300 trials over 64 leaves: most transcripts recur, so the report reuses their text
+    argv = ["run", "--trials", "300", "--transcripts", "--seed", "0xB97", "--cooperation", flag]
+    target = tmp_path / "run.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    text = target.read_text()
+    config = json.loads(text)["config"]
+    expected = _expected_run_report(config, mode, 300, 0xB97)
+    assert _lines_without_timestamp(text) == expected.splitlines(keepends=True)
+    code, out, _err = run_cli(capsys, *argv)
+    assert code == 0
+    assert _lines_without_timestamp(out) == _lines_without_timestamp(text)
+
+
+def test_closed_stdout_pipe_is_quiet():
+    src = str(Path(bqtsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bqtsim.cli", "run", "--trials", "2000", "--transcripts"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "confi'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

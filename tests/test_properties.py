@@ -11,15 +11,21 @@ kernel over all 64 leaves at once (within 1e-12; it sums in another order,
 so its last bits differ).  One tree serves every consumer: the session
 tree, ``enumerate_branches`` and ``noncooperation_fidelity`` agree bit for
 bit.
+
+The report renderer ``cli._render`` is checked against ``json.dumps``, its
+oracle, on arbitrary JSON values.
 """
 
+import json
 import math
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bqtsim.cli import _json_default, _render, _Shared
 from bqtsim.corrections import FACTORS, OUTCOMES, PLAN_QUBITS, apply_ops, load_table, parse_ops
 from bqtsim.parties import COOPERATION_MODES, _input_bits, _session_tree, run_session
 from bqtsim.protocol import (
@@ -219,3 +225,59 @@ def test_walk_payloads_keep_register_invariants(alice, bob):
         for labels in (BOB_PAYLOAD_LABELS, ALICE_PAYLOAD_LABELS, PAYLOAD_LABELS):
             rho = reduced_density(payload, labels)
             DensityMatrix(rho.labels, rho.mat)
+
+
+# ---------------------------------------------------------------------------
+# report renderer
+# ---------------------------------------------------------------------------
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, default=_json_default)
+
+
+_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\U0001f600') | st.characters())
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.integers(-(2**200), -(2**64))
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+    | _text
+    | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+)
+
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_text, inner),
+    max_leaves=40,
+)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(_json_values)
+def test_render_matches_json_dumps(value):
+    assert "".join(_render(value)) == _dumps(value)
+    # a shared value renders as the value itself, at whatever depth it sits
+    shared = _Shared(value)
+    assert "".join(_render([shared, {"k": [shared]}])) == _dumps([value, {"k": [value]}])
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, [np.bool_(False)], {"k": {"s": {3}}}])
+def test_render_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+    with pytest.raises(TypeError):
+        "".join(_render(value))
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True])
+def test_render_rejects_non_string_keys_that_json_stringifies(key):
+    # no report has such keys; json would render them as strings
+    assert _dumps({key: 0}) == '{\n  "%s": 0\n}' % json.dumps(key)
+    with pytest.raises(TypeError):
+        "".join(_render({key: 0}))
