@@ -22,7 +22,6 @@ on one ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -36,6 +35,7 @@ from .corrections import load_table
 from .ghz import entanglement_swap
 from .parties import WITHHELD, run_session, session_seed
 from .protocol import DIRECTIONS, FIDELITY_FLOOR, EprInput, enumerate_branches
+from .qsim import ATOL
 from .verify import DEFAULT_SEED, SIGMA_GATE, leaf_histogram_gate, run_all
 
 __all__ = ["main", "entry"]
@@ -258,7 +258,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     total = sum(leaf.probability for leaf in leaves)
     ok = (
         len(leaves) == 64
-        and abs(total - 1.0) <= 1e-12
+        and abs(total - 1.0) <= ATOL
         and all(r[d.field] >= FIDELITY_FLOOR for r in rows for d in DIRECTIONS.values())
     )
     lines = [
@@ -287,9 +287,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     gated = [d.field for announcement, d in DIRECTIONS.items() if announcement != withheld]
     trials = []
     transcripts = []
-    # a run has at most 64 distinct transcripts; each is rendered once, keyed
-    # on its compact json text, which fixes its indented text exactly
-    shared: dict[str, _Shared] = {}
+    # the inputs, mode and table are fixed within one call, so a session's
+    # leaf fixes its whole transcript: each leaf's is built and rendered once
+    shared: dict[int, _Shared] = {}
     counts = np.zeros(64, dtype=int)
     ok = True
     for i in range(args.trials):
@@ -309,11 +309,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             }
         )
         if args.transcripts:
-            doc = result.transcript.to_json_obj()
-            key = json.dumps(doc, sort_keys=True)
-            if key not in shared:
-                shared[key] = _Shared(doc)
-            transcripts.append(shared[key])
+            if result.leaf not in shared:
+                shared[result.leaf] = _Shared(result.transcript.to_json_obj())
+            transcripts.append(shared[result.leaf])
     max_z, within = leaf_histogram_gate(counts)
     expected_count = args.trials / 64
     chi_square = float(np.sum((counts - expected_count) ** 2 / expected_count))
@@ -360,7 +358,7 @@ def _cmd_swap(args: argparse.Namespace) -> int:
     total = sum(o.probability for o in outcomes)
     ok = (
         len(outcomes) == 4
-        and abs(total - 1.0) <= 1e-12
+        and abs(total - 1.0) <= ATOL
         and all(o.matched is not None for o in outcomes)
     )
     lines = [f"channel ({args.i}, {args.j})"]
@@ -384,7 +382,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.correction_table is not None:
         try:
             table = load_table(args.correction_table)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"--correction-table: {exc}") from None
     results = run_all(seed=args.seed, table=table)
     ok = all(r.passed for r in results)

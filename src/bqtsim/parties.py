@@ -147,7 +147,7 @@ def _knowledge(events: Iterable[Event]) -> dict[str, dict[str, int | str]]:
         if event.kind == "measure":
             known[event.actor][event.qubits[0]] = event.outcome
         elif event.kind == "message":
-            known[_other(event.actor)].update((q, result) for q, _basis, result in event.outcome)
+            known[BOB if event.actor == ALICE else ALICE].update((q, result) for q, _basis, result in event.outcome)
     return known
 
 
@@ -281,19 +281,17 @@ def _owner(qubit: str) -> str:
     return ALICE if qubit in OWNED[ALICE] else BOB
 
 
-def _other(name: str) -> str:
-    return BOB if name == ALICE else ALICE
-
-
 def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
     """Audit locality and classical information flow of a transcript.
 
-    Returns False if any party touches a qubit it does not own, announces a
-    result for a foreign qubit, sends messages out of round order, corrects
-    before the required round-one announcements arrive, or applies a
-    correction that differs from the one its own outcomes plus received
-    announcements determine (withheld second-round announcements default to
-    "+").  Physics is not re-simulated; the audit is purely structural.
+    Returns False if any party touches a qubit it does not own, records a
+    result outside its basis's alphabet or announces one it did not record
+    (type included), announces for a foreign qubit, sends messages out of
+    round order, corrects before the required round-one announcements
+    arrive, or applies a correction that differs from the one its own
+    outcomes plus received announcements determine (withheld second-round
+    announcements default to "+").  Physics is not re-simulated; the audit is
+    purely structural.
     """
     if table is None:
         table = load_table()
@@ -305,19 +303,23 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
             if event.kind in ("gate", "measure", "message", "correct"):
                 return False  # only parties act; "channel" may only prepare
             continue
-        qubits = set(event.qubits)
-        if event.kind in ("prepare", "gate", "measure", "correct") and not qubits <= OWNED[actor]:
+        if not set(event.qubits) <= OWNED[actor]:
             return False
         if event.kind == "message":
             if event.message_round is None or event.message_round <= last_round[actor]:
                 return False
             last_round[actor] = event.message_round
-            if not qubits <= OWNED[actor]:
-                return False
-            known = _knowledge(events[:n])[actor]
+            # typed, since True == 1 == 1.0 but only 1 is a Z result
+            recorded = {q: (type(r), r) for q, r in _knowledge(events[:n])[actor].items()}
             for label, _basis, outcome in event.outcome:
-                if label not in OWNED[actor] or known.get(label) != outcome:
+                if label not in OWNED[actor] or recorded.get(label) != (type(outcome), outcome):
                     return False
+        elif event.kind == "measure":
+            try:
+                if event.outcome not in _alphabet(event.basis, event.outcome):
+                    return False
+            except ValueError:
+                return False
         elif event.kind == "correct":
             try:
                 expected = _correction(_knowledge(events[:n]), actor, table)

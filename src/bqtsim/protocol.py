@@ -32,6 +32,7 @@ from .corrections import (
 )
 from .ghz import ghz_state
 from .qsim import (
+    ATOL,
     DensityMatrix,
     Register,
     _alphabet,
@@ -125,7 +126,7 @@ class EprInput:
         if not (cmath.isfinite(self.c0) and cmath.isfinite(self.c1)):
             raise ValueError(f"amplitudes must be finite, got ({self.c0!r}, {self.c1!r})")
         norm_sq = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(norm_sq - 1.0) > 1e-12:
+        if abs(norm_sq - 1.0) > ATOL:
             raise ValueError(f"|c0|^2 + |c1|^2 = {norm_sq!r} is not 1")
 
     @classmethod

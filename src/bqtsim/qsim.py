@@ -191,9 +191,9 @@ class DensityMatrix:
         mat = np.asarray(self.mat, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix for {self.labels!r}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:
+        if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
             raise ValueError("density matrix must have unit trace")
         if float(np.linalg.eigvalsh(mat)[0]) < PSD_FLOOR:
             raise ValueError("density matrix must be positive semidefinite")

@@ -36,6 +36,7 @@ from .protocol import (
     walk_round,
 )
 from .qsim import (
+    ATOL,
     Register,
     apply_cnot,
     apply_gate1,
@@ -159,9 +160,7 @@ def reference_branch_terms(
     return [(signs[k], coeffs[k], kets[k]) for k in range(4)]
 
 
-def find_reference_permutations(
-    alice: EprInput, bob: EprInput, tol: float = 1e-12
-) -> list[tuple[str, ...]]:
+def find_reference_permutations(alice: EprInput, bob: EprInput) -> list[tuple[str, ...]]:
     """All slot-to-qubit assignments matching every published branch row.
 
     For each candidate permutation the published rows are read as
@@ -180,7 +179,7 @@ def find_reference_permutations(
     matches = []
     for perm in permutations(REMAINDER_LABELS):
         if all(
-            _branch_matches(reg, branch, perm, prods, tol)
+            _branch_matches(reg, branch, perm, prods)
             for branch, reg in simulated.items()
         ):
             matches.append(perm)
@@ -192,7 +191,6 @@ def _branch_matches(
     branch: tuple[int, str, int, str],
     perm: tuple[str, ...],
     prods: list[list[complex]],
-    tol: float,
 ) -> bool:
     a1, A2, b3, B2 = branch
     if len(reg.nonzero_terms(1e-9)) != 4:
@@ -200,7 +198,7 @@ def _branch_matches(
     for sign, (i, j), ket in reference_branch_terms(a1, A2, b3, B2):
         assignment = {perm[k]: int(ket[k]) for k in range(6)}
         amp = reg.amps[reg.index_of(assignment)]
-        if abs(amp - sign * prods[i][j]) > tol:
+        if abs(amp - sign * prods[i][j]) > ATOL:
             return False
     return True
 
@@ -216,7 +214,7 @@ def criterion_swap_reference() -> tuple[bool, str]:
     outcomes = entanglement_swap(0, 0)
     ok = len(outcomes) == 4
     for o in outcomes:
-        ok = ok and abs(o.probability - 0.25) <= 1e-12
+        ok = ok and abs(o.probability - 0.25) <= ATOL
         ok = ok and expected.get(o.outcome, -1) == o.matched
     found = {o.outcome: o.matched for o in outcomes}
     return ok, f"outcome->remainder map {found} at 1/4 each"
@@ -231,7 +229,7 @@ def criterion_swap_exhaustive() -> tuple[bool, str]:
             if len(outcomes) != 4:
                 return False, f"channel ({i},{j}) produced {len(outcomes)} outcomes"
             for o in outcomes:
-                if abs(o.probability - 0.25) > 1e-12 or o.matched is None:
+                if abs(o.probability - 0.25) > ATOL or o.matched is None:
                     return False, f"channel ({i},{j}) outcome {o.outcome} failed"
     return True, "64 channel pairs, 4 outcomes each at 1/4, all remainders classified"
 
@@ -245,7 +243,7 @@ def criterion_branch_uniformity(seed: int, n_inputs: int = 100) -> tuple[bool, s
         encoded = encode(prepare_full_state(_random_epr(rng), _random_epr(rng)))
         for _branch, probs, _reg in walk_round(encoded, MEASUREMENT_PLAN[0]):
             worst = max(worst, abs(math.prod(probs) - 1 / 16))
-    return worst <= 1e-12, f"{n_inputs} random input pairs, max |p - 1/16| = {worst:.2e}"
+    return worst <= ATOL, f"{n_inputs} random input pairs, max |p - 1/16| = {worst:.2e}"
 
 
 @_criterion("reference-branch-content")
@@ -266,7 +264,7 @@ def criterion_reference_branches(seed: int) -> tuple[bool, str]:
 _WORKED = (0, "+", 0, "+")
 
 
-def _worked_branch_factorization(tree: Tree, tol: float = 1e-12) -> bool:
+def _worked_branch_factorization(tree: Tree) -> bool:
     """Payloads of branch (0,+,0,+) equal the published sign-keyed products."""
     alice, bob = tree.inputs
     for A1, B1 in TABULATED_RULES:
@@ -277,7 +275,7 @@ def _worked_branch_factorization(tree: Tree, tol: float = 1e-12) -> bool:
             make_register([("00", alice.c0), ("11", sa * alice.c1)], BOB_PAYLOAD_LABELS),
             make_register([("00", bob.c0), ("11", sb * bob.c1)], ALICE_PAYLOAD_LABELS),
         )
-        if not np.allclose(payload.amps, expected.amps, atol=tol, rtol=0.0):
+        if not np.allclose(payload.amps, expected.amps, atol=ATOL, rtol=0.0):
             return False
     return True
 
@@ -295,7 +293,7 @@ def criterion_reconstruction(
         if len(leaves) != 64:
             return False, f"expected 64 leaves, got {len(leaves)}"
         for leaf in leaves:
-            if abs(leaf.probability - 1 / 64) > 1e-12:
+            if abs(leaf.probability - 1 / 64) > ATOL:
                 return False, f"leaf {leaf.index} probability {leaf.probability!r}"
             worst = min(worst, leaf.fidelity_alice_to_bob, leaf.fidelity_bob_to_alice)
     ok = worst >= FIDELITY_FLOOR
@@ -312,8 +310,8 @@ def criterion_correction_rules() -> tuple[bool, str]:
     # Z on both qubits is the identity on the span of |00> and |11>.
     epr = tree.inputs[0].register(("q0", "q1"))
     zz = apply_gate1(apply_gate1(epr, "q0", "Z"), "q1", "Z")
-    span_ok = bool(np.allclose(zz.amps, epr.amps, atol=1e-12, rtol=0.0))
-    ok = abs(worst - 1.0) <= 1e-12 and span_ok
+    span_ok = bool(np.allclose(zz.amps, epr.amps, atol=ATOL, rtol=0.0))
+    ok = abs(worst - 1.0) <= ATOL and span_ok
     return ok, f"four rules, worst fidelity {worst:.15f}; Z(x)Z span identity: {span_ok}"
 
 
@@ -330,7 +328,7 @@ def criterion_noncooperation() -> tuple[bool, str]:
         for withheld in DIRECTIONS:
             got = noncooperation_fidelity(epr, withheld)
             worst = max(worst, abs(got - expected))
-    return worst <= 1e-12, f"balanced=0.5, (0.6,0.8)=0.5392, degenerate=1; max err {worst:.2e}"
+    return worst <= ATOL, f"balanced=0.5, (0.6,0.8)=0.5392, degenerate=1; max err {worst:.2e}"
 
 
 @_criterion("sampling-consistency")
@@ -396,7 +394,7 @@ def criterion_engine_properties(seed: int, cases: int = 1000) -> tuple[bool, str
         right = _random_register(rng, rng.integers(1, 4), prefix="r")
         rho = reduced_density(tensor(left, right), left.labels)
         worst = max(worst, abs(rho.purity() - 1.0))
-    return worst <= 1e-12, f"{cases} cases per property, max deviation {worst:.2e}"
+    return worst <= ATOL, f"{cases} cases per property, max deviation {worst:.2e}"
 
 
 def _random_register(rng: np.random.Generator, n: int, prefix: str = "q") -> Register:

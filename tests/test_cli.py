@@ -386,6 +386,16 @@ def test_verify_rejects_malformed_table_entries(tmp_path, capsys, entries):
     assert err.count("\n") == 1 and err.startswith("error: --correction-table:")
 
 
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe\x80{}"], ids=["text", "not-utf8"])
+def test_verify_rejects_a_table_that_is_not_json(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "verify", "--correction-table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --correction-table:")
+
+
 def test_verify_rejects_non_integer_z_outcomes(tmp_path, capsys):
     payload = {"schema": "bqtsim.correction-table/1",
                "entries": table_to_records(load_table())}

@@ -235,6 +235,39 @@ def test_both_deprived_receivers_keep_their_own_averages_on_one_tree(order):
     assert all(fresh[seed, modes[0]] != fresh[seed, modes[1]] for seed in seeds)
 
 
+@pytest.fixture(scope="module")
+def transcripts_by_leaf():
+    """(mode, table kind) -> leaf -> {compact transcript text: transcript}, over 2048 seeds."""
+    alice, bob = EprInput.normalized(0.3 - 0.2j, 1.1j), EprInput.normalized(0.7, -0.4 + 0.5j)
+    packaged = load_table()
+    found = {}
+    for mode in COOPERATION_MODES:
+        for kind, table in (("packaged", packaged), ("plain dict", dict(packaged))):
+            by_leaf = found[mode, kind] = {}
+            for seed in range(2048):
+                r = run_session(alice, bob, seed, mode, table)
+                text = json.dumps(r.transcript.to_json_obj(), sort_keys=True)
+                by_leaf.setdefault(r.leaf, {})[text] = r.transcript
+    return found
+
+
+@pytest.mark.parametrize("kind", ["packaged", "plain dict"])
+@pytest.mark.parametrize("cooperation", COOPERATION_MODES)
+def test_one_mode_and_table_give_each_leaf_one_transcript(transcripts_by_leaf, cooperation, kind):
+    # what lets `bqtsim run` share one rendered transcript per leaf
+    by_leaf = transcripts_by_leaf[cooperation, kind]
+    assert sorted(by_leaf) == list(range(64))
+    assert all(len(texts) == 1 for texts in by_leaf.values())
+    assert all(ownership_check(t) for texts in by_leaf.values() for t in texts.values())
+
+
+def test_modes_give_one_leaf_different_transcripts(transcripts_by_leaf):
+    # so a transcript shared by leaf must not outlive one mode
+    for leaf in range(64):
+        texts = [next(iter(transcripts_by_leaf[mode, "packaged"][leaf])) for mode in COOPERATION_MODES]
+        assert len(set(texts)) == len(COOPERATION_MODES), leaf
+
+
 def test_inputs_that_differ_only_in_a_zero_sign_do_not_share_a_tree():
     plus, minus = EprInput(1, complex(0.0, 0.0)), EprInput(1, complex(0.0, -0.0))
     assert plus == minus
@@ -443,6 +476,45 @@ def test_audit_rejects_correction_without_announcements(session):
     # correction
     i = _index_of(session.transcript, "message", ALICE)
     assert not ownership_check(_drop(session.transcript, i))
+
+
+@pytest.fixture(scope="module")
+def seed_11():
+    return run_session(ALPHA, BETA, seed=11)  # a1 = 0, b3 = 1
+
+
+def _retyped(transcript, convert, kinds):
+    """``transcript`` with each Z result r in events of ``kinds`` rewritten as convert(r)."""
+    events = []
+    for e in transcript.events:
+        if e.kind == "measure" and e.kind in kinds and e.basis == "Z":
+            e = replace(e, outcome=convert(e.outcome))
+        elif e.kind == "message" and e.kind in kinds:
+            e = replace(e, outcome=[[q, b, convert(r) if b == "Z" else r] for q, b, r in e.outcome])
+        events.append(e)
+    return Transcript(events)
+
+
+@pytest.mark.parametrize("convert, kinds", [
+    (bool, ("measure", "message")),
+    (lambda r: 1.0 if r == 1 else r, ("measure", "message")),
+    (lambda r: 1.0 if r == 1 else r, ("measure",)),
+    (bool, ("message",)),
+], ids=["bools", "float one", "float one recorded only", "bools announced only"])
+def test_audit_rejects_results_of_the_wrong_type(seed_11, convert, kinds):
+    honest = seed_11.transcript
+    forged = _retyped(honest, convert, kinds)
+    # equal by ==, since True == 1 == 1.0, yet the JSON says what the engine never measured
+    assert forged.events == honest.events
+    assert json.dumps(forged.to_json_obj()) != json.dumps(honest.to_json_obj())
+    assert ownership_check(honest)
+    assert not ownership_check(forged)
+
+
+@pytest.mark.parametrize("basis", ["Y", None, ["Z"]], ids=repr)
+def test_audit_rejects_a_measurement_in_no_basis(seed_11, basis):
+    i = _index_of(seed_11.transcript, "measure", ALICE)
+    assert not ownership_check(_edit(seed_11.transcript, i, basis=basis))
 
 
 def test_audit_accepts_withheld_default_correction():
