@@ -25,6 +25,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -47,6 +48,9 @@ INPUT_NORM_TOL = 1e-9
 
 #: ``--cooperation`` value -> mode: "full", or "withhold-" and the withheld qubit.
 _COOPERATION_FLAGS = {f"withhold-{w.lower()}" if w else mode: mode for mode, w in WITHHELD.items()}
+
+#: The fields of a ``run`` trial row that its leaf fixes; "seed" and "trial" sort after them.
+_LEAF_FIELDS = ("leaf", "outcomes", "fidelity_alice_to_bob", "fidelity_bob_to_alice", "expected_fidelity")
 
 _DEFAULT_ALPHA = EprInput(0.6, 0.8)
 _DEFAULT_BETA = EprInput(math.sqrt(0.5), math.sqrt(0.5))
@@ -146,6 +150,15 @@ class _Shared:
         return self._text[indent]
 
 
+@dataclass(slots=True)
+class _Row:
+    """A dict that is a shared ``head`` dict plus its own ``tail`` fields,
+    every one of which sorts after every key of the head."""
+
+    head: _Shared
+    tail: dict
+
+
 def _render(obj, indent: str = "\n"):
     """Yield the chunks of ``json.dumps(obj, indent=2, sort_keys=True,
     default=_json_default)`` for ``obj`` at the depth whose line break and
@@ -154,8 +167,9 @@ def _render(obj, indent: str = "\n"):
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set; this is the same walk with less bookkeeping.  Unlike ``json``, a
     non-string dict key raises TypeError instead of being stringified (no
-    report has one), and a :class:`_Shared` value renders from its cached
-    text.
+    report has one), a :class:`_Shared` value renders from its cached text,
+    and a :class:`_Row` renders as its head's cached text with its tail
+    spliced in before the closing brace.
     """
     if isinstance(obj, str):
         yield encode_basestring_ascii(obj)
@@ -198,6 +212,15 @@ def _render(obj, indent: str = "\n"):
         yield indent + "}"
     elif isinstance(obj, _Shared):
         yield obj.text(indent)
+    elif isinstance(obj, _Row):
+        if not obj.head.value or (obj.tail and min(obj.tail) <= max(obj.head.value)):
+            raise ValueError("a row's tail keys must sort after its non-empty head's")
+        inner = indent + "  "
+        yield obj.head.text(indent)[: -len(indent) - 1]
+        for key in sorted(obj.tail):
+            yield "," + inner + encode_basestring_ascii(key) + ": "
+            yield from _render(obj.tail[key], inner)
+        yield indent + "}"
     else:
         yield from _render(_json_default(obj), indent)
 
@@ -285,38 +308,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # only the cooperative directions are gated on perfect fidelity
     withheld = WITHHELD[cooperation]
     gated = [d.field for announcement, d in DIRECTIONS.items() if announcement != withheld]
-    trials = []
-    transcripts = []
     # the inputs, mode and table are fixed within one call, so a session's
-    # leaf fixes its whole transcript: each leaf's is built and rendered once
-    shared: dict[int, _Shared] = {}
-    counts = np.zeros(64, dtype=int)
-    ok = True
+    # leaf fixes its transcript and every field of its trial row but "seed"
+    # and "trial": each leaf's are built and rendered once
+    leaves, first = [], {}
     for i in range(args.trials):
         result = run_session(alpha, beta, seed=session_seed(args.seed, i),
                              cooperation=cooperation, table=table)
-        counts[result.leaf] += 1
-        ok = ok and all(getattr(result, f) >= FIDELITY_FLOOR for f in gated)
-        trials.append(
-            {
-                "trial": i,
-                "seed": result.seed,
-                "leaf": result.leaf,
-                "outcomes": result.outcomes,
-                "fidelity_alice_to_bob": result.fidelity_alice_to_bob,
-                "fidelity_bob_to_alice": result.fidelity_bob_to_alice,
-                "expected_fidelity": result.expected_fidelity,
-            }
-        )
-        if args.transcripts:
-            if result.leaf not in shared:
-                shared[result.leaf] = _Shared(result.transcript.to_json_obj())
-            transcripts.append(shared[result.leaf])
+        leaves.append(result.leaf)
+        first.setdefault(result.leaf, result)
+    heads = {leaf: _Shared({f: getattr(r, f) for f in _LEAF_FIELDS}) for leaf, r in first.items()}
+    trials = [_Row(heads[leaf], {"seed": session_seed(args.seed, i), "trial": i})
+              for i, leaf in enumerate(leaves)]
+    ok = all(getattr(r, f) >= FIDELITY_FLOOR for r in first.values() for f in gated)
+    counts = np.bincount(leaves, minlength=64)
     max_z, within = leaf_histogram_gate(counts)
     expected_count = args.trials / 64
     chi_square = float(np.sum((counts - expected_count) ** 2 / expected_count))
     lines = [f"{args.trials} session(s), seed base {args.seed}, cooperation {cooperation}"]
-    for t in trials[: min(len(trials), 20)]:
+    for t in ({**row.head.value, **row.tail} for row in trials[:20]):
         exp = "-" if t["expected_fidelity"] is None else f"{t['expected_fidelity']:.6f}"
         lines.append(
             f"  trial {t['trial']:>4}  leaf {t['leaf']:>2}  "
@@ -349,7 +359,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         },
     }
     if args.transcripts:
-        body["transcripts"] = transcripts
+        shared = {leaf: _Shared(r.transcript.to_json_obj()) for leaf, r in first.items()}
+        body["transcripts"] = [shared[leaf] for leaf in leaves]
     return _report(args, "bqtsim.session-report/1", config, body, ok, lines)
 
 

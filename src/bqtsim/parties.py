@@ -1,11 +1,15 @@
 """Two-party protocol sessions with auditable transcripts.
 
 Alice owns {a1, a2, a3, A1, A2} and Bob owns {b1, b2, b3, B1, B2}.  A
-session performs no protocol step of its own: it plays six seeded draws
-against its input pair's :class:`bqtsim.protocol.Tree`, which also
-corrects and scores it, and adds only who did what and who knows what.
-Every gate, measurement, classical announcement, correction, and final
-fidelity is recorded as a transcript event.
+session performs no protocol step of its own: it is six seeded draws
+against its input pair's :class:`bqtsim.protocol.Tree` plus a lookup of
+the drawn leaf's record -- transcript, both fidelities and the deprived
+expectation -- memoised on the tree per (leaf key, withheld announcement,
+ops).  The ops are looked up in the caller's table on every call, never
+keyed by the table, so an edited table still takes effect.  Sessions at a
+leaf share its record, so transcripts are immutable: events and message
+payloads are tuples.  Every gate, measurement, classical announcement,
+correction, and final fidelity is a transcript event.
 
 Announcements travel in two rounds, Alice first within each round: after
 the first measurement round each party announces both of its results, and
@@ -25,20 +29,21 @@ null), outcome (kind-specific; see below), probability (Born probability
 for measure events, else null) and message_round (1 or 2 for message
 events, else null).  Outcome payloads: gate events name the gate;
 measure events give the result; message events give a list of
-[qubit, basis, result] triples; correct events give the applied ops
-string; fidelity events give the measured overlap.
+[qubit, basis, result] triples (tuples in memory); correct events give
+the applied ops string; fidelity events give the measured overlap.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .corrections import MEASUREMENT_PLAN, Table, correction_key, leaf_index, load_table
+from .corrections import MEASUREMENT_PLAN, PLAN_QUBITS, Table, correction_key, leaf_index, load_table
 from .protocol import (
     ALICE_INPUT_LABELS,
     BOB_INPUT_LABELS,
@@ -47,6 +52,7 @@ from .protocol import (
     ENCODING,
     EprInput,
     Tree,
+    _heard,
 )
 from .qsim import _alphabet, _pick
 
@@ -83,6 +89,10 @@ TRANSCRIPT_SCHEMA = "bqtsim.transcript/1"
 #: The direction each party receives, the one whose payload labels it owns; Bob's first.
 _RECEIVES = {p: d for d in DIRECTIONS.values() for p in OWNED if OWNED[p].issuperset(d.labels)}
 
+#: Each measured qubit's basis, and each draw's outcome alphabet, in plan order.
+_BASIS = dict(MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
+_ALPHABETS = tuple(map(_alphabet, _BASIS.values()))
+
 
 def session_seed(base: int, trial: int = 0) -> int:
     """Seed of session ``trial`` in a run seeded with ``base``: (base + trial) mod 2**64.
@@ -94,7 +104,7 @@ def session_seed(base: int, trial: int = 0) -> int:
     return (base + trial) % 2**64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     step: int
     actor: str
@@ -106,24 +116,18 @@ class Event:
     message_round: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "actor": self.actor,
-            "kind": self.kind,
-            "qubits": list(self.qubits),
-            "basis": self.basis,
-            "outcome": self.outcome,
-            "probability": self.probability,
-            "message_round": self.message_round,
-        }
+        return {**{f: getattr(self, f) for f in self.__slots__}, "qubits": list(self.qubits)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
-    events: list[Event] = field(default_factory=list)
+    """A session's events in order.  Sessions at one leaf share one, so it is
+    immutable: any iterable of events is stored as a tuple."""
 
-    def add(self, event: Event) -> None:
-        self.events.append(event)
+    events: tuple[Event, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "events", tuple(self.events))
 
     def of_kind(self, kind: str, actor: str | None = None) -> list[Event]:
         return [
@@ -183,6 +187,10 @@ def run_session(
     density-matrix average of its corrected state over the two equally
     likely withheld outcomes (``|c0|**4 + |c1|**4`` of the undelivered
     input); under full cooperation it is None.
+
+    Each draw is one ``rng.random()`` picked against :attr:`Tree.born` with
+    :func:`qsim.measure`'s rule (``qsim._pick``), in plan order, so the
+    outcomes are bit-identical to measuring the state one draw at a time.
     """
     session_seed(seed)  # range check
     if cooperation not in COOPERATION_MODES:
@@ -191,50 +199,47 @@ def run_session(
         table = load_table()
     tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
     rng = np.random.default_rng(seed)
-    t = Transcript()
-    outcomes: dict[str, int | str] = {}
-
-    t.add(Event(1, "channel", "prepare", CHANNEL_LABELS))
-    t.add(Event(1, ALICE, "prepare", ALICE_INPUT_LABELS))
-    t.add(Event(1, BOB, "prepare", BOB_INPUT_LABELS))
-    for control, target in ENCODING:
-        t.add(Event(2, _owner(control), "gate", (control, target), outcome="CNOT"))
-
+    key: tuple = ()
+    for alphabet in _ALPHABETS:
+        key += (alphabet[_pick(tree.born[key], rng.random())],)
     withheld = WITHHELD[cooperation]
-    _play_round(t, tree.born, 1, outcomes, rng)
-    _play_round(t, tree.born, 2, outcomes, rng, withheld)
-    key = tuple(outcomes.values())
-
-    known = _knowledge(t.events)
-    ops = tuple(_correction(known, party, table) for party in _RECEIVES)
-    fid_a2b, fid_b2a = tree.delivered(key, ops)
-    for kind, results in (("correct", ops), ("fidelity", (fid_a2b, fid_b2a))):
-        for (party, d), result in zip(_RECEIVES.items(), results):
-            t.add(Event(4, party, kind, d.labels, outcome=result))
-
-    expected = None
-    if withheld is not None:
-        expected = tree.deprived(key, withheld, table)
-
-    return SessionResult(
-        transcript=t,
-        fidelity_alice_to_bob=fid_a2b,
-        fidelity_bob_to_alice=fid_b2a,
-        expected_fidelity=expected,
-        leaf=leaf_index(*key),
-        outcomes=outcomes,
-        seed=seed,
-        cooperation=cooperation,
-    )
+    # each receiver corrects with the table entry of the key it heard
+    ops = tuple(table[_heard(key, w) if w == withheld else key][d.slot] for w, d in DIRECTIONS.items())
+    memo = key, withheld, ops
+    if memo not in tree.sessions:
+        tree.sessions[memo] = _record(tree, key, withheld, ops, table)
+    return SessionResult(*tree.sessions[memo], dict(zip(PLAN_QUBITS, key)), seed, cooperation)
 
 
-def _input_bits(alice: EprInput, bob: EprInput) -> tuple[str, ...]:
+def _record(tree: Tree, key: tuple, withheld: str | None, ops: tuple[str, str], table: Table) -> tuple:
+    """The first five fields of the :class:`SessionResult` of every session at
+    leaf ``key`` (transcript to leaf index), built straight from the key."""
+    events = list(_PREAMBLE)
+    for round_no, plan in enumerate(MEASUREMENT_PLAN, 1):
+        for qubit, basis in plan:
+            n = PLAN_QUBITS.index(qubit)
+            events.append(Event(round_no + 2, _owner(qubit), "measure", (qubit,), basis, key[n],
+                                tree.born[key[:n]][_alphabet(basis).index(key[n])]))
+        for sender in (ALICE, BOB):
+            payload = tuple((q, b, key[PLAN_QUBITS.index(q)]) for q, b in plan
+                            if q in OWNED[sender] and q != withheld)
+            if payload:
+                events.append(Event(round_no + 2, sender, "message", tuple(q for q, *_ in payload),
+                                    outcome=payload, message_round=round_no))
+    fidelities = tree.delivered(key, ops)
+    for kind, results in (("correct", ops), ("fidelity", fidelities)):
+        events += (Event(4, party, kind, d.labels, outcome=r) for (party, d), r in zip(_RECEIVES.items(), results))
+    expected = None if withheld is None else tree.deprived(key, withheld, table)
+    return Transcript(events), *fidelities, expected, leaf_index(*key)
+
+
+def _input_bits(alice: EprInput, bob: EprInput) -> bytes:
     """The exact bits of both inputs: pairs that are == but differ in a zero's sign differ here."""
-    return tuple(x.hex() for c in (alice.c0, alice.c1, bob.c0, bob.c1) for x in (c.real, c.imag))
+    return struct.pack("8d", *(x for c in (alice.c0, alice.c1, bob.c0, bob.c1) for x in (c.real, c.imag)))
 
 
 @lru_cache(maxsize=8)
-def _session_tree(bits: tuple[str, ...], alice: EprInput, bob: EprInput) -> Tree:
+def _session_tree(bits: bytes, alice: EprInput, bob: EprInput) -> Tree:
     """The memoised tree of the inputs whose exact bits are ``bits`` (:func:`_input_bits`).
 
     Only sessions repeat a pair, so only they cache trees.  The cache also
@@ -244,54 +249,31 @@ def _session_tree(bits: tuple[str, ...], alice: EprInput, bob: EprInput) -> Tree
     return Tree(alice, bob)
 
 
-def _play_round(
-    t: Transcript,
-    born: dict[tuple, list[float]],
-    round_no: int,
-    outcomes: dict[str, int | str],
-    rng: np.random.Generator,
-    withheld: str | None = None,
-) -> None:
-    """Draw one round of the plan against ``born`` (:attr:`Tree.born`) into
-    ``outcomes``, then announce it, Alice first.
-
-    Each draw is one ``rng.random()`` picked with :func:`qsim.measure`'s
-    rule (``qsim._pick``), so the outcomes are bit-identical to measuring
-    the ten-qubit state one draw at a time.
-    """
-    step, plan = round_no + 2, MEASUREMENT_PLAN[round_no - 1]
-    for qubit, basis in plan:
-        probs = born[tuple(outcomes.values())]
-        pick = _pick(probs, rng.random())
-        outcome = outcomes[qubit] = _alphabet(basis)[pick]
-        t.add(Event(step, _owner(qubit), "measure", (qubit,), basis=basis,
-                    outcome=outcome, probability=probs[pick]))
-    for sender in (ALICE, BOB):
-        payload = [
-            [q, basis, outcomes[q]]
-            for q, basis in plan
-            if q in OWNED[sender] and q != withheld
-        ]
-        if payload:
-            t.add(Event(step, sender, "message", tuple(q for q, *_ in payload),
-                        outcome=payload, message_round=round_no))
-
-
 def _owner(qubit: str) -> str:
     return ALICE if qubit in OWNED[ALICE] else BOB
+
+
+#: The events every session opens with: both parties' preparations, then the encoding CNOTs.
+_PREAMBLE = (
+    Event(1, "channel", "prepare", CHANNEL_LABELS),
+    Event(1, ALICE, "prepare", ALICE_INPUT_LABELS),
+    Event(1, BOB, "prepare", BOB_INPUT_LABELS),
+    *(Event(2, _owner(c), "gate", (c, t), outcome="CNOT") for c, t in ENCODING),
+)
 
 
 def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
     """Audit locality and classical information flow of a transcript.
 
     Returns False if any party touches a qubit it does not own, records a
-    result outside its basis's alphabet or announces one it did not record
-    (type included), announces for a foreign qubit, sends messages out of
-    round order, corrects before the required round-one announcements
-    arrive, or applies a correction that differs from the one its own
-    outcomes plus received announcements determine (withheld second-round
-    announcements default to "+").  Physics is not re-simulated; the audit is
-    purely structural.
+    result outside its basis's alphabet, announces a result it did not
+    record (type included) or in another basis than the plan's, announces
+    for a foreign qubit or for other qubits than its message's ``qubits``,
+    sends messages out of round order, corrects before the required
+    round-one announcements arrive, or applies a correction that differs
+    from the one its own outcomes plus received announcements determine
+    (withheld second-round announcements default to "+").  Physics is not
+    re-simulated; the audit is purely structural.
     """
     if table is None:
         table = load_table()
@@ -311,8 +293,11 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
             last_round[actor] = event.message_round
             # typed, since True == 1 == 1.0 but only 1 is a Z result
             recorded = {q: (type(r), r) for q, r in _knowledge(events[:n])[actor].items()}
-            for label, _basis, outcome in event.outcome:
-                if label not in OWNED[actor] or recorded.get(label) != (type(outcome), outcome):
+            if tuple(event.qubits) != tuple(label for label, *_ in event.outcome):
+                return False
+            for label, basis, outcome in event.outcome:
+                if (label not in OWNED[actor] or basis != _BASIS.get(label)
+                        or recorded.get(label) != (type(outcome), outcome)):
                     return False
         elif event.kind == "measure":
             try:

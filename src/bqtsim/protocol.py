@@ -248,7 +248,7 @@ class Tree:
     input written on its receiver's payload labels, indexed by direction
     slot, and fidelities are memoised by the ops that produced them, never
     by the table, so a table that changes between calls still takes effect.
-    ``born`` (read only by sessions) is built on first use.
+    ``born`` (built on first use) and ``sessions`` (their records) serve only sessions.
     """
 
     def __init__(self, alice: EprInput, bob: EprInput) -> None:
@@ -261,6 +261,7 @@ class Tree:
         }
         self.fidelities: dict[tuple, tuple[float, float]] = {}
         self.averages: dict[tuple, float] = {}
+        self.sessions: dict[tuple, tuple] = {}
 
     @cached_property
     def born(self) -> dict[tuple, list[float]]:

@@ -7,12 +7,12 @@ here.
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from bqtsim.corrections import MEASUREMENT_PLAN, PLAN_QUBITS, leaf_index, load_table
+from bqtsim.corrections import FRAME, MEASUREMENT_PLAN, OUTCOMES, PLAN_QUBITS, leaf_index, load_table
 from bqtsim.parties import (
     ALICE,
     BOB,
@@ -20,18 +20,29 @@ from bqtsim.parties import (
     OWNED,
     TRANSCRIPT_SCHEMA,
     WITHHELD,
+    Event,
+    SessionResult,
     Transcript,
+    _correction,
     _input_bits,
+    _knowledge,
+    _owner,
     _session_tree,
     ownership_check,
     run_session,
     session_seed,
 )
 from bqtsim.protocol import (
+    ALICE_INPUT_LABELS,
     ALICE_PAYLOAD_LABELS,
+    BOB_INPUT_LABELS,
     BOB_PAYLOAD_LABELS,
+    CHANNEL_LABELS,
+    DIRECTIONS,
+    ENCODING,
     FIDELITY_FLOOR,
     EprInput,
+    Tree,
     deliver,
     deprived_fidelities,
     encode,
@@ -39,7 +50,7 @@ from bqtsim.protocol import (
     prepare_full_state,
     walk_round,
 )
-from bqtsim.qsim import measure
+from bqtsim.qsim import _pick, measure
 
 ALPHA = EprInput(0.6, 0.8)
 BETA = EprInput.normalized(1, 1)
@@ -165,6 +176,116 @@ def test_cold_session_equals_the_same_seed_after_warm_sessions(cooperation):
     for i in range(4096):
         run_session(alice, bob, session_seed(5000, i), cooperation)
     assert _fingerprint(run_session(alice, bob, 77, cooperation)) == cold
+
+
+def _play_round(events, born, round_no, outcomes, rng, withheld=None):
+    """Draw one round of the plan against ``born`` into ``outcomes``, one
+    measure event per draw, then announce it, Alice first."""
+    step, plan = round_no + 2, MEASUREMENT_PLAN[round_no - 1]
+    for qubit, basis in plan:
+        probs = born[tuple(outcomes.values())]
+        pick = _pick(probs, rng.random())
+        outcome = outcomes[qubit] = OUTCOMES[basis][pick]
+        events.append(Event(step, _owner(qubit), "measure", (qubit,), basis=basis,
+                            outcome=outcome, probability=probs[pick]))
+    for sender in (ALICE, BOB):
+        payload = [[q, basis, outcomes[q]] for q, basis in plan if q in OWNED[sender] and q != withheld]
+        if payload:
+            events.append(Event(step, sender, "message", tuple(q for q, *_ in payload),
+                                outcome=payload, message_round=round_no))
+
+
+def _oracle_session(tree, seed, cooperation, table):
+    """One session built event by event on ``tree``, each correction derived
+    from what its party knows (``_knowledge``, ``_correction``): the builder
+    that the memoised per-leaf records replaced."""
+    rng = np.random.default_rng(seed)
+    events = [
+        Event(1, "channel", "prepare", CHANNEL_LABELS),
+        Event(1, ALICE, "prepare", ALICE_INPUT_LABELS),
+        Event(1, BOB, "prepare", BOB_INPUT_LABELS),
+    ]
+    events += [Event(2, _owner(control), "gate", (control, target), outcome="CNOT")
+               for control, target in ENCODING]
+    outcomes = {}
+    withheld = WITHHELD[cooperation]
+    _play_round(events, tree.born, 1, outcomes, rng)
+    _play_round(events, tree.born, 2, outcomes, rng, withheld)
+    key = tuple(outcomes.values())
+    known = _knowledge(events)
+    ops = tuple(_correction(known, party, table) for party in (BOB, ALICE))
+    fidelities = tree.delivered(key, ops)
+    for kind, results in (("correct", ops), ("fidelity", fidelities)):
+        for party, d, result in zip((BOB, ALICE), DIRECTIONS.values(), results):
+            events.append(Event(4, party, kind, d.labels, outcome=result))
+    expected = None if withheld is None else tree.deprived(key, withheld, table)
+    return SessionResult(Transcript(events), *fidelities, expected, leaf_index(*key), outcomes,
+                         seed, cooperation)
+
+
+def _fields(result):
+    """Every field of a result: floats by their bits, the transcript by its text, outcomes typed."""
+    return (
+        json.dumps(result.transcript.to_json_obj(), sort_keys=True),
+        *_fingerprint(result)[1:5],
+        repr(result.outcomes),
+        result.seed,
+        result.cooperation,
+    )
+
+
+@pytest.mark.parametrize("cooperation", COOPERATION_MODES)
+def test_memoised_sessions_equal_the_event_by_event_builder(cooperation):
+    alice, bob = EprInput.normalized(0.3 - 0.2j, 1.1j), EprInput.normalized(0.7, -0.4 + 0.5j)
+    oracle_tree = Tree(alice, bob)  # its own tree, so no memo is shared with the sessions
+    packaged = load_table()
+    plain = dict(packaged)
+    keys = list(plain)
+    legal = sorted(set(FRAME.values()) | {"IZ", "ZZ", "XZX"})
+    _session_tree.cache_clear()
+    edited_results = 0
+    for seed in range(1200):
+        if seed % 40 == 39:  # edit the plain table between calls
+            plain[keys[seed * 7 % 64]] = (legal[seed % len(legal)], legal[(seed // 7) % len(legal)])
+        results = []
+        for table in (packaged, plain):
+            want = _fields(_oracle_session(oracle_tree, seed, cooperation, table))
+            got = _fields(run_session(alice, bob, seed, cooperation, table))
+            assert got == want, (seed, table is plain)
+            results.append(got)
+        edited_results += results[0] != results[1]
+    assert edited_results > 50  # the edits reached the sessions
+
+
+def test_a_mutated_result_cannot_reach_a_later_session_at_its_leaf():
+    first = run_session(ALPHA, BETA, seed=3)
+    want = _fields(first)
+    first.outcomes["a1"] = 1 - first.outcomes["a1"]
+    first.outcomes["extra"] = 0
+    again = run_session(ALPHA, BETA, seed=3)
+    assert again.transcript is first.transcript  # shared by leaf
+    assert again.outcomes is not first.outcomes
+    assert _fields(again) == want
+
+
+def test_a_shared_transcript_cannot_be_edited_in_place():
+    transcript = run_session(ALPHA, BETA, seed=3).transcript
+    text = transcript.to_json()
+    assert isinstance(transcript.events, tuple)
+    assert not hasattr(transcript, "add")
+    with pytest.raises(TypeError):
+        transcript.events[0] = transcript.events[1]
+    with pytest.raises(FrozenInstanceError):
+        transcript.events = ()
+    for message in transcript.of_kind("message"):
+        assert isinstance(message.outcome, tuple)
+        assert all(isinstance(row, tuple) for row in message.outcome)
+        with pytest.raises(TypeError):
+            message.outcome[0][2] = "-"
+    # forgeries copy the events and leave the shared transcript alone
+    forged = _edit(transcript, _index_of(transcript, "correct", BOB), outcome="XX")
+    assert forged.events is not transcript.events
+    assert run_session(ALPHA, BETA, seed=3).transcript.to_json() == transcript.to_json() == text
 
 
 def test_rebinding_a_returned_payload_leaves_sessions_unchanged():
@@ -464,6 +585,20 @@ def test_audit_rejects_announcing_foreign_qubit(session):
     assert not ownership_check(forged)
 
 
+def test_audit_rejects_an_announcement_in_the_wrong_basis(seed_11):
+    i = _index_of(seed_11.transcript, "message", ALICE)
+    swapped = [[q, {"Z": "X", "X": "Z"}[basis], r] for q, basis, r in seed_11.transcript.events[i].outcome]
+    assert swapped == [["a1", "X", 0], ["A2", "Z", "+"]]
+    assert not ownership_check(_edit(seed_11.transcript, i, outcome=swapped))
+
+
+def test_audit_rejects_an_announcement_of_other_qubits_than_its_message_names(seed_11):
+    i = _index_of(seed_11.transcript, "message", ALICE)
+    assert seed_11.transcript.events[i].qubits == ("a1", "A2")
+    assert not ownership_check(_edit(seed_11.transcript, i, qubits=("a1",)))
+    assert not ownership_check(_edit(seed_11.transcript, i, qubits=("A2", "a1")))
+
+
 def test_audit_rejects_unjustified_correction(session):
     i = _index_of(session.transcript, "correct", BOB)
     actual = session.transcript.events[i].outcome
@@ -490,7 +625,7 @@ def _retyped(transcript, convert, kinds):
         if e.kind == "measure" and e.kind in kinds and e.basis == "Z":
             e = replace(e, outcome=convert(e.outcome))
         elif e.kind == "message" and e.kind in kinds:
-            e = replace(e, outcome=[[q, b, convert(r) if b == "Z" else r] for q, b, r in e.outcome])
+            e = replace(e, outcome=tuple((q, b, convert(r) if b == "Z" else r) for q, b, r in e.outcome))
         events.append(e)
     return Transcript(events)
 

@@ -25,9 +25,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bqtsim.cli import _json_default, _render, _Shared
+from bqtsim.cli import _json_default, _render, _Row, _Shared
 from bqtsim.corrections import FACTORS, OUTCOMES, PLAN_QUBITS, apply_ops, load_table, parse_ops
-from bqtsim.parties import COOPERATION_MODES, _input_bits, _session_tree, run_session
+from bqtsim.parties import COOPERATION_MODES, _input_bits, _session_tree, run_session, session_seed
 from bqtsim.protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
@@ -265,6 +265,36 @@ def test_render_matches_json_dumps(value):
     # a shared value renders as the value itself, at whatever depth it sits
     shared = _Shared(value)
     assert "".join(_render([shared, {"k": [shared]}])) == _dumps([value, {"k": [value]}])
+
+
+@pytest.mark.parametrize("expected", [None, 0.5392000000000001, 1.0])
+@pytest.mark.parametrize("base", [0, 0xB97, 0xFFFFFFFFFFFFFFF8])
+def test_templated_trial_rows_render_as_their_plain_dicts(expected, base):
+    # what `bqtsim run` writes: one shared head per leaf, "seed" and "trial" spliced in last
+    heads = [
+        _Shared({
+            "expected_fidelity": expected,
+            "fidelity_alice_to_bob": fidelity,
+            "fidelity_bob_to_alice": 1.0,
+            "leaf": leaf,
+            "outcomes": dict(zip(PLAN_QUBITS, outcomes)),
+        })
+        for leaf, fidelity, outcomes in ((9, 0.9999999999999998, (0, "+", 1, "+", "+", "-")),
+                                         (63, 0.0784, (1, "-", 1, "-", "-", "-")))
+    ]
+    rows = [_Row(heads[i % 2], {"seed": session_seed(base, i), "trial": i}) for i in range(16)]
+    assert [row.tail["seed"] for row in rows[7:9]] == [(base + 7) % 2**64, (base + 8) % 2**64]
+    plain = [{**row.head.value, **row.tail} for row in rows]
+    report = {"pass": True, "trials": rows, "nested": {"rows": rows[:3]}}
+    want = {"pass": True, "trials": plain, "nested": {"rows": plain[:3]}}
+    assert "".join(_render(report)) == _dumps(want)
+
+
+@pytest.mark.parametrize("tail", [{"leaf": 1}, {"a": 1}, {"seed": 1, "expected_fidelity": None}])
+def test_a_row_whose_tail_does_not_sort_last_is_refused(tail):
+    head = _Shared({"expected_fidelity": None, "leaf": 0})
+    with pytest.raises(ValueError):
+        "".join(_render([_Row(head, tail)]))
 
 
 @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, [np.bool_(False)], {"k": {"s": {3}}}])
