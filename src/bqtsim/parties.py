@@ -218,19 +218,35 @@ def _record(tree: Tree, key: tuple, withheld: str | None, ops: tuple[str, str], 
     for round_no, plan in enumerate(MEASUREMENT_PLAN, 1):
         for qubit, basis in plan:
             n = PLAN_QUBITS.index(qubit)
-            events.append(Event(round_no + 2, _owner(qubit), "measure", (qubit,), basis, key[n],
+            events.append(Event(round_no + 2, _owner(qubit), "measure", _SINGLE[qubit], basis, key[n],
                                 tree.born[key[:n]][_alphabet(basis).index(key[n])]))
         for sender in (ALICE, BOB):
             payload = tuple((q, b, key[PLAN_QUBITS.index(q)]) for q, b in plan
                             if q in OWNED[sender] and q != withheld)
             if payload:
-                events.append(Event(round_no + 2, sender, "message", tuple(q for q, *_ in payload),
-                                    outcome=payload, message_round=round_no))
+                events.append(_message(round_no, sender, payload))
     fidelities = tree.delivered(key, ops)
     for kind, results in (("correct", ops), ("fidelity", fidelities)):
         events += (Event(4, party, kind, d.labels, outcome=r) for (party, d), r in zip(_RECEIVES.items(), results))
     expected = None if withheld is None else tree.deprived(key, withheld, table)
     return Transcript(events), *fidelities, expected, leaf_index(*key)
+
+
+#: Each measured qubit as the ``qubits`` of its measure events.
+_SINGLE = {q: (q,) for q in PLAN_QUBITS}
+
+#: Every message event built so far, by (round, sender, payload).  The
+#: alphabets bound them to twelve, so all records share one of each.
+_MESSAGES: dict[tuple, Event] = {}
+
+
+def _message(round_no: int, sender: str, payload: tuple) -> Event:
+    """The shared event of ``sender`` announcing ``payload`` in round ``round_no``."""
+    key = round_no, sender, payload
+    if key not in _MESSAGES:
+        _MESSAGES[key] = Event(round_no + 2, sender, "message", tuple(q for q, *_ in payload),
+                               outcome=payload, message_round=round_no)
+    return _MESSAGES[key]
 
 
 def _input_bits(alice: EprInput, bob: EprInput) -> bytes:

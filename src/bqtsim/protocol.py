@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -25,25 +25,22 @@ from .corrections import (
     MEASUREMENT_PLAN,
     PLAN_QUBITS,
     Table,
-    apply_ops,
     correction_key,
     leaf_index,
     load_table,
+    parse_ops,
 )
 from .ghz import ghz_state
 from .qsim import (
     ATOL,
-    DensityMatrix,
     Register,
     _alphabet,
     _born,
     _branch_rows,
     _collapse,
     apply_cnot,
-    fidelity_pure,
     make_register,
     permute,
-    reduced_density,
     tensor,
 )
 
@@ -64,7 +61,6 @@ __all__ = [
     "Direction",
     "EprInput",
     "Tree",
-    "deliver",
     "deprived_fidelities",
     "encode",
     "enumerate_branches",
@@ -215,25 +211,70 @@ def walk_round(
     return iter(level)
 
 
-def deliver(
-    payload: Register,
-    ops: tuple[str, str],
-    targets: tuple[Register, Register],
-) -> tuple[Register, float, float]:
-    """Finish both teleportations: (corrected payload, a->b and b->a fidelity).
+#: Each correction gate as an exact map of a payload row, its 16 amplitudes in
+#: PAYLOAD_LABELS order: X on a qubit reorders the row (index xor the qubit's
+#: bit) and Z negates the entries whose index has the bit set.
+_ROW_GATES = {
+    (q, gate): np.arange(16) ^ bit if gate == "X" else np.where(np.arange(16) & bit, -1.0, 1.0)
+    for q, bit in zip(PAYLOAD_LABELS, (8, 4, 2, 1))
+    for gate in "XZ"
+}
 
-    ``ops`` is a table entry (bob_ops, alice_ops); Bob's act on (b1, b2)
-    first, then Alice's on (a2, a3).  Each corrected half is scored against
-    its entry of ``targets`` (:attr:`Tree.targets`).
+
+Pairs = tuple[tuple[str, str], ...]  # qubit pairs, each corrected by one ops string
+
+
+@lru_cache(maxsize=None)  # bounded: parse_ops admits 16 ops strings per qubit pair
+def _row_gates(labels: Pairs, ops: tuple[str, ...]) -> tuple[tuple[str, np.ndarray], ...]:
+    """Each gate of ``ops[k]`` on the qubits ``labels[k]``, for k in order, as (gate, its row map).
+
+    Within a factor the gates run reversed ("XZ" is Z, then X) and "I" is
+    none: the order of :func:`corrections.apply_ops`, the gate-level oracle.
     """
-    for d in DIRECTIONS.values():
-        payload = apply_ops(payload, d.labels, ops[d.slot])
-    to_bob, to_alice = (
-        fidelity_pure(reduced_density(payload, d.labels), target)
-        for d, target in zip(DIRECTIONS.values(), targets)
+    return tuple(
+        (gate, _ROW_GATES[q, gate])
+        for qubits, pair in zip(labels, ops, strict=True)
+        for q, factor in zip(qubits, parse_ops(pair), strict=True)
+        for gate in reversed(factor)
+        if gate != "I"
     )
-    return payload, to_bob, to_alice
 
+
+def _correct_rows(rows: np.ndarray, labels: Pairs, ops: Iterable[tuple[str, ...]]) -> np.ndarray:
+    """The row kernel: payload row ``r`` corrected with the ``r``-th ops, as ``(n, 4, 4)``.
+
+    ``rows`` holds one payload's amplitudes per row; the ``r``-th entry of
+    ``ops`` gives one ops string per qubit pair of ``labels``.  Every gate
+    only moves or negates amplitudes, and each row is then divided by its
+    own ``float(np.linalg.norm(row))``, as :meth:`qsim.Register._trusted`
+    does after every gate, so each row is bit-identical to applying
+    :func:`corrections.apply_ops` to its register: a norm over the batch
+    would add the terms in another order.  The result's axes are (b1, b2)
+    and (a2, a3).
+    """
+    fixed = np.empty_like(rows)
+    for r, row_ops in enumerate(ops):
+        row = rows[r]
+        for gate, array in _row_gates(labels, row_ops):
+            row = row[array] if gate == "X" else row * array
+            row = row / float(np.linalg.norm(row))
+        fixed[r] = row
+    return fixed.reshape(-1, 4, 4)
+
+
+def _densities(fixed: np.ndarray, labels: tuple[str, str]) -> np.ndarray:
+    """Each corrected row's reduced density on ``labels``: :func:`qsim.reduced_density`'s product."""
+    psi = fixed if labels == BOB_PAYLOAD_LABELS else fixed.swapaxes(-1, -2)
+    return psi @ psi.conj().swapaxes(-1, -2)
+
+
+def _score(rho: np.ndarray, target: np.ndarray) -> float:
+    """``<target|rho|target>``, target on rho's labels: :func:`qsim.fidelity_pure`'s arithmetic."""
+    return float(np.real(np.vdot(target, rho @ target)))
+
+
+#: The qubit pairs a table entry (bob_ops, alice_ops) corrects, in its order.
+_PAIRS = tuple(d.labels for d in DIRECTIONS.values())
 
 #: Steps of round one: a leaf's step probabilities split here into its two rounds.
 _ROUND_ONE = len(MEASUREMENT_PLAN[0])
@@ -279,11 +320,27 @@ class Tree:
             for outcomes, (probs, payload) in self.leaves.items()
         )
 
+    def deliver(self, entries: Iterable[tuple[tuple, tuple[str, str]]]) -> list[tuple[float, float]]:
+        """Both directions' fidelities at each (leaf key, ops) of ``entries``, in order.
+
+        ``ops`` is a table entry (bob_ops, alice_ops): Bob's act on (b1, b2)
+        first, then Alice's on (a2, a3), and each corrected half is scored
+        against its entry of ``targets``.  Entries not yet memoised go
+        through the row kernel (:func:`_correct_rows`) in one call.
+        """
+        entries = list(entries)
+        missing = [entry for entry in entries if entry not in self.fidelities]
+        if missing:
+            rows = np.stack([self.leaves[key][1].amps for key, _ in missing])
+            fixed = _correct_rows(rows, _PAIRS, (ops for _, ops in missing))
+            rhos = [_densities(fixed, d.labels) for d in DIRECTIONS.values()]
+            for r, entry in enumerate(missing):
+                self.fidelities[entry] = tuple(_score(rho[r], t.amps) for rho, t in zip(rhos, self.targets))
+        return [self.fidelities[entry] for entry in entries]
+
     def delivered(self, key: tuple, ops: tuple[str, str]) -> tuple[float, float]:
-        """Both directions' fidelities at leaf ``key`` corrected with ``ops`` (:func:`deliver`)."""
-        if (key, ops) not in self.fidelities:
-            self.fidelities[key, ops] = deliver(self.leaves[key][1], ops, self.targets)[1:]
-        return self.fidelities[key, ops]
+        """Both directions' fidelities at leaf ``key`` corrected with ``ops``: :meth:`deliver` of one row."""
+        return self.deliver([(key, ops)])[0]
 
     def deprived(self, key: tuple, withheld: str, table: Table) -> float:
         """Fidelity at the receiver starved of ``withheld`` when the tree lands on leaf ``key``.
@@ -344,9 +401,10 @@ def enumerate_branches(
     if table is None:
         table = load_table()
     tree = Tree(alice, bob)
+    fidelities = tree.deliver((key, table[key]) for key in tree.leaves)
     return [
-        BranchLeaf(*key, prob, payload, *table[key], *tree.delivered(key, table[key]))
-        for key, prob, payload in tree.rows()
+        BranchLeaf(*key, prob, payload, *table[key], *fidelity)
+        for (key, prob, payload), fidelity in zip(tree.rows(), fidelities)
     ]
 
 
@@ -363,21 +421,22 @@ def deprived_fidelities(
     ``leaves`` gives (outcomes in plan order, weight, payload).  Leaves that
     differ only in the withheld result look alike to the receiver: it
     applies the correction of the key it heard (:func:`_heard`) and holds
-    their weighted mixture.  Returns {heard key: (total weight, the
-    mixture's fidelity against ``target``)}, in first-seen order.
+    their weighted mixture.  All leaves are corrected in one call of the
+    row kernel (:func:`_correct_rows`).  Returns {heard key: (total weight,
+    the mixture's fidelity against ``target``)}, in first-seen order.
     """
     labels, slot, _ = DIRECTIONS[withheld]
+    outcomes, weights, payloads = zip(*leaves)
+    heard = [_heard(o, withheld) for o in outcomes]
+    rows = np.stack([payload.amps for payload in payloads])
+    fixed = _correct_rows(rows, (labels,), ((table[key][slot],) for key in heard))
     groups: dict[tuple, list] = {}
-    for outcomes, weight, payload in leaves:
-        key = _heard(outcomes, withheld)
-        fixed = apply_ops(payload, labels, table[key][slot])
+    for key, weight, rho in zip(heard, weights, _densities(fixed, labels)):
         group = groups.setdefault(key, [0.0, np.zeros((4, 4), dtype=complex)])
-        group[1] += weight * reduced_density(fixed, labels).mat
+        group[1] += weight * rho
         group[0] += weight
-    return {
-        key: (total, fidelity_pure(DensityMatrix._trusted(labels, mixed / total), target))
-        for key, (total, mixed) in groups.items()
-    }
+    target = permute(target, labels).amps
+    return {key: (total, _score(mixed / total, target)) for key, (total, mixed) in groups.items()}
 
 
 def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:

@@ -27,6 +27,7 @@ from bqtsim.parties import (
     _input_bits,
     _knowledge,
     _owner,
+    _record,
     _session_tree,
     ownership_check,
     run_session,
@@ -43,14 +44,13 @@ from bqtsim.protocol import (
     FIDELITY_FLOOR,
     EprInput,
     Tree,
-    deliver,
-    deprived_fidelities,
     encode,
     enumerate_branches,
     prepare_full_state,
     walk_round,
 )
 from bqtsim.qsim import _pick, measure
+from oracles import deliver, deprived_fidelities
 
 ALPHA = EprInput(0.6, 0.8)
 BETA = EprInput.normalized(1, 1)
@@ -300,6 +300,25 @@ def test_rebinding_a_returned_payload_leaves_sessions_unchanged():
     for leaf in enumerate_branches(alice, bob):
         leaf.post_state.amps = np.eye(16, dtype=complex)[0]
     assert [_fingerprint(run_session(alice, bob, seed, mode)) for seed, mode in seeds] == cold
+
+
+def test_leaves_with_the_same_round_one_results_share_its_announcements():
+    table = load_table()
+    first_round = (0, "-", 1, "+")
+    records = [
+        _record(Tree(*pair), first_round + second, withheld, table[first_round + second], table)
+        for pair, second, withheld in (
+            ((ALPHA, BETA), ("+", "+"), None),
+            ((ALPHA, BETA), ("-", "+"), "A1"),
+            ((BETA, ALPHA), ("-", "-"), "B1"),
+        )
+    ]
+    messages = [record[0].of_kind("message") for record in records]
+    for other in messages[1:]:
+        assert [e for e in other if e.message_round == 1] == messages[0][:2]
+        assert all(a is b for a, b in zip(other[:2], messages[0][:2]))
+    # so is Bob's B1 = "+", whether or not Alice withholds A1
+    assert messages[1][2] is messages[0][3]
 
 
 def test_editing_a_plain_table_changes_the_next_correction():

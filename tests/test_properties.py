@@ -8,9 +8,11 @@ The level-batched walk behind ``protocol.Tree`` is checked against two
 oracles that never share its code: a recursive walk with one
 ``qsim.measure`` call per node (exact equality), and a dense ``einsum``
 kernel over all 64 leaves at once (within 1e-12; it sums in another order,
-so its last bits differ).  One tree serves every consumer: the session
-tree, ``enumerate_branches`` and ``noncooperation_fidelity`` agree bit for
-bit.
+so its last bits differ).  The row kernel that corrects and scores the
+leaves is checked by ``==`` against the written-out per-leaf oracles of
+``tests/oracles.py``, on arbitrary legal ops for every row.  One tree
+serves every consumer: the session tree, ``enumerate_branches`` and
+``noncooperation_fidelity`` agree bit for bit.
 
 The report renderer ``cli._render`` is checked against ``json.dumps``, its
 oracle, on arbitrary JSON values.
@@ -37,7 +39,8 @@ from bqtsim.protocol import (
     PAYLOAD_LABELS,
     EprInput,
     Tree,
-    deliver,
+    _correct_rows,
+    _PAIRS,
     deprived_fidelities,
     encode,
     enumerate_branches,
@@ -45,6 +48,11 @@ from bqtsim.protocol import (
     prepare_full_state,
 )
 from bqtsim.qsim import ATOL, DensityMatrix, fidelity_pure, measure, reduced_density
+
+import oracles
+
+PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
+ROUND_ONE = len(MEASUREMENT_PLAN[0])
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -84,7 +92,8 @@ def test_withholding_degrades_to_fourth_powers(epr):
 @PROPERTY
 @given(payloads(), payloads(), st.sampled_from(sorted(load_table(), key=str)), _ops, _ops)
 def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_ops):
-    _, payload = Tree(alice, bob).leaves[key]
+    tree = Tree(alice, bob)
+    _, payload = tree.leaves[key]
     fixed = apply_ops(payload, BOB_PAYLOAD_LABELS, bob_ops)
     fixed = apply_ops(fixed, ALICE_PAYLOAD_LABELS, alice_ops)
     to_bob = fidelity_pure(
@@ -93,15 +102,41 @@ def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_
     to_alice = fidelity_pure(
         reduced_density(fixed, ALICE_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS)
     )
-    targets = (alice.register(BOB_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS))
-    delivered, *fidelities = deliver(payload, (bob_ops, alice_ops), targets)
-    assert fidelities == [to_bob, to_alice]
-    assert delivered.labels == fixed.labels
-    assert np.array_equal(delivered.amps, fixed.amps)
+    assert tree.delivered(key, (bob_ops, alice_ops)) == (to_bob, to_alice)
+    # amplitudes equal by ==, not by bits: negating a zero gives -0.0 where
+    # apply_gate1's matrix product gives 0.0
+    rows = _correct_rows(payload.amps[None], _PAIRS, [(bob_ops, alice_ops)])
+    assert np.array_equal(rows.reshape(-1), fixed.amps)
 
 
-PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
-ROUND_ONE = len(MEASUREMENT_PLAN[0])
+_entries = st.lists(st.tuples(_ops, _ops), min_size=64, max_size=64)
+
+
+@PROPERTY
+@given(payloads(), payloads(), _entries)
+def test_the_row_kernel_equals_the_per_leaf_oracle(alice, bob, entries):
+    # every row its own legal ops, not only the table's
+    tree = Tree(alice, bob)
+    keys = list(tree.leaves)
+    got = tree.deliver(zip(keys, entries))
+    want = [oracles.deliver(tree.leaves[key][1], ops, tree.targets)[1:]
+            for key, ops in zip(keys, entries)]
+    assert got == want
+    # a second batch is served from the memo, in the order asked
+    assert tree.deliver(zip(keys[::-1], entries[::-1])) == want[::-1]
+    table = dict(zip(keys, entries))
+    for withheld, (_, slot) in oracles.STARVES.items():
+        target = tree.targets[slot]
+        got = deprived_fidelities(tree.rows(), withheld, target, table)
+        want = oracles.deprived_fidelities(tree.rows(), withheld, target, table)
+        assert list(got) == list(want)  # group keys in first-seen order
+        assert list(got.values()) == list(want.values())  # weights and fidelities
+        # the session path: weights are round two's probabilities alone
+        rounds = ((key, math.prod(probs[ROUND_ONE:]), payload)
+                  for key, (probs, payload) in tree.leaves.items())
+        groups = oracles.deprived_fidelities(rounds, withheld, target, table)
+        for key in keys:
+            assert tree.deprived(key, withheld, table) == groups[oracles.heard(key, withheld)][1]
 
 
 def _measured_leaves(state, steps):

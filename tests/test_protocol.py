@@ -19,13 +19,13 @@ from bqtsim.protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
     CHANNEL_LABELS,
+    FIDELITY_FLOOR,
     FULL_LABELS,
     MEASUREMENT_PLAN,
     PAYLOAD_LABELS,
     REMAINDER_LABELS,
     EprInput,
     Tree,
-    deliver,
     encode,
     enumerate_branches,
     leaf_index,
@@ -35,6 +35,7 @@ from bqtsim.protocol import (
     walk_round,
 )
 from bqtsim.qsim import equal_up_to_global_phase, make_register, measure, permute, tensor
+from oracles import STARVES, deliver, deprived_fidelities
 
 ALPHA = EprInput(0.6, 0.8)
 BETA = EprInput.normalized(2.0, 1.0j)
@@ -323,6 +324,28 @@ def test_branch_probabilities_input_independent():
         leaves = enumerate_branches(_random_epr(rng), _random_epr(rng))
         worst = max(abs(leaf.probability - 1 / 64) for leaf in leaves)
         assert worst <= 1e-12
+
+
+def test_editing_a_plain_table_between_calls_on_one_tree_reaches_the_kernel():
+    tree = Tree(ALPHA, BETA)
+    table = dict(load_table())
+    keys = list(tree.leaves)
+    key = WORKED + ("+", "+")  # what both deprived receivers hear at this leaf
+    before = tree.deliver((k, table[k]) for k in keys)
+    deprived = {w: tree.deprived(key, w, table) for w in STARVES}
+    # one entry gets a legal, wrong correction in both columns
+    bob_ops, alice_ops = table[key]
+    table[key] = ("XX" if bob_ops != "XX" else "ZZ", "XI" if alice_ops != "XI" else "ZI")
+    after = tree.deliver((k, table[k]) for k in keys)
+    for k, old, new in zip(keys, before, after):
+        assert new == deliver(tree.leaves[k][1], table[k], tree.targets)[1:]
+        assert (new == old) == (k != key)
+    assert max(after[keys.index(key)]) < FIDELITY_FLOOR
+    for withheld, (_, slot) in STARVES.items():
+        rounds = [(k, math.prod(probs[len(FIRST_ROUND):]), payload)
+                  for k, (probs, payload) in tree.leaves.items()]
+        groups = deprived_fidelities(rounds, withheld, tree.targets[slot], table)
+        assert tree.deprived(key, withheld, table) == groups[key][1] != deprived[withheld]
 
 
 def test_generate_table_matches_packaged_asset():
