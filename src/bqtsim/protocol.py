@@ -35,9 +35,9 @@ from .qsim import (
     ATOL,
     Register,
     _alphabet,
-    _born,
     _branch_rows,
-    _collapse,
+    _collapse_rows,
+    _row_norms,
     apply_cnot,
     make_register,
     permute,
@@ -190,25 +190,18 @@ def walk_round(
     measurements are performed.
 
     The walk is level-batched: every open branch at a step is one row of
-    a single array, split for all rows at once (:func:`qsim._branch_rows`).
-    Reductions stay per row -- each row's Born probabilities and collapse
-    go through :func:`qsim._collapse`, exactly as :func:`qsim.measure` on
-    that row's register -- so every leaf is bit-identical to measuring it
-    step by step.  A measured prefix is shared by every leaf below it.
+    a single array, split (:func:`qsim._branch_rows`) and collapsed
+    (:func:`qsim._collapse_rows`) at once, so a measured prefix is shared by
+    every leaf below it.  Each leaf is bit-identical to measuring it step by
+    step with :func:`qsim.measure`, and a read-only view of one array.
     """
-    level = [((), (), state)]  # (outcomes, step probabilities, register) per open branch
+    labels, rows, level = state.labels, state.amps[None], [((), ())]  # level: (outcomes, step probs) per row
     for qubit, basis in plan:
-        labels, alphabet = level[0][2].labels, _alphabet(basis)
-        rows = np.stack([reg.amps for _, _, reg in level])
-        splits = zip(*_branch_rows(rows, labels, qubit, basis))
-        children = []
-        for (outcomes, probs, _), branches in zip(level, splits):
-            born = _born(branches)
-            for pick in alphabet:
-                res = _collapse(labels, (qubit,), branches, born, alphabet, pick)
-                children.append((outcomes + (res.outcome,), probs + (res.probability,), res.register))
-        level = children
-    return iter(level)
+        alphabet = _alphabet(basis)
+        born, rows = _collapse_rows(_branch_rows(rows, labels, qubit, basis), (qubit,), alphabet)
+        level = [(o + (a,), p + (q,)) for (o, p), row in zip(level, born.tolist()) for a, q in zip(alphabet, row)]
+        labels, rows = tuple(l for l in labels if l != qubit), rows.reshape(len(level), -1)
+    return ((*branch, reg) for branch, reg in zip(level, Register._rows(labels, rows)))
 
 
 #: Each correction gate as an exact map of a payload row, its 16 amplitudes in
@@ -244,21 +237,22 @@ def _correct_rows(rows: np.ndarray, labels: Pairs, ops: Iterable[tuple[str, ...]
     """The row kernel: payload row ``r`` corrected with the ``r``-th ops, as ``(n, 4, 4)``.
 
     ``rows`` holds one payload's amplitudes per row; the ``r``-th entry of
-    ``ops`` gives one ops string per qubit pair of ``labels``.  Every gate
-    only moves or negates amplitudes, and each row is then divided by its
-    own ``float(np.linalg.norm(row))``, as :meth:`qsim.Register._trusted`
-    does after every gate, so each row is bit-identical to applying
-    :func:`corrections.apply_ops` to its register: a norm over the batch
-    would add the terms in another order.  The result's axes are (b1, b2)
-    and (a2, a3).
+    ``ops`` gives one ops string per qubit pair of ``labels``.  At each gate
+    position, every row with a gate there is reordered (X) or negated (Z)
+    and divided by its own norm, as :meth:`qsim.Register._trusted` does
+    after every gate: each row equals :func:`corrections.apply_ops` on its
+    register bit for bit.  The result's axes are (b1, b2) and (a2, a3).
     """
-    fixed = np.empty_like(rows)
-    for r, row_ops in enumerate(ops):
-        row = rows[r]
-        for gate, array in _row_gates(labels, row_ops):
-            row = row[array] if gate == "X" else row * array
-            row = row / float(np.linalg.norm(row))
-        fixed[r] = row
+    gates = [_row_gates(labels, row_ops) for row_ops in ops]
+    fixed = rows.copy()
+    for step in range(max(map(len, gates), default=0)):
+        touched = [r for r, row_gates in enumerate(gates) if step < len(row_gates)]
+        for gate in "XZ":
+            rs = [r for r in touched if gates[r][step][0] == gate]
+            if rs:
+                maps = np.stack([gates[r][step][1] for r in rs])
+                fixed[rs] = np.take_along_axis(fixed[rs], maps, 1) if gate == "X" else fixed[rs] * maps
+        fixed[touched] /= _row_norms(fixed[touched])[:, None]
     return fixed.reshape(-1, 4, 4)
 
 
@@ -268,9 +262,9 @@ def _densities(fixed: np.ndarray, labels: tuple[str, str]) -> np.ndarray:
     return psi @ psi.conj().swapaxes(-1, -2)
 
 
-def _score(rho: np.ndarray, target: np.ndarray) -> float:
-    """``<target|rho|target>``, target on rho's labels: :func:`qsim.fidelity_pure`'s arithmetic."""
-    return float(np.real(np.vdot(target, rho @ target)))
+def _scores(rhos: np.ndarray, target: np.ndarray) -> list[float]:
+    """Each ``<target|rho|target>``, by :func:`qsim.fidelity_pure`'s product and BLAS call per rho."""
+    return np.vecdot(target, rhos @ target).real.tolist()
 
 
 #: The qubit pairs a table entry (bob_ops, alice_ops) corrects, in its order.
@@ -333,9 +327,8 @@ class Tree:
         if missing:
             rows = np.stack([self.leaves[key][1].amps for key, _ in missing])
             fixed = _correct_rows(rows, _PAIRS, (ops for _, ops in missing))
-            rhos = [_densities(fixed, d.labels) for d in DIRECTIONS.values()]
-            for r, entry in enumerate(missing):
-                self.fidelities[entry] = tuple(_score(rho[r], t.amps) for rho, t in zip(rhos, self.targets))
+            scores = [_scores(_densities(fixed, labels), t.amps) for labels, t in zip(_PAIRS, self.targets)]
+            self.fidelities.update(zip(missing, zip(*scores)))
         return [self.fidelities[entry] for entry in entries]
 
     def delivered(self, key: tuple, ops: tuple[str, str]) -> tuple[float, float]:
@@ -408,7 +401,8 @@ def enumerate_branches(
     ]
 
 
-def _heard(outcomes: Sequence, withheld: str) -> tuple:
+@lru_cache(maxsize=128)  # bounded: 64 outcome tuples per withheld announcement
+def _heard(outcomes: tuple, withheld: str) -> tuple:
     """The table key of the receiver that never hears ``withheld``: that result read as "+"."""
     return correction_key({q: o for q, o in zip(PLAN_QUBITS, outcomes) if q != withheld})
 
@@ -427,16 +421,16 @@ def deprived_fidelities(
     """
     labels, slot, _ = DIRECTIONS[withheld]
     outcomes, weights, payloads = zip(*leaves)
-    heard = [_heard(o, withheld) for o in outcomes]
+    heard = [_heard(tuple(o), withheld) for o in outcomes]
     rows = np.stack([payload.amps for payload in payloads])
     fixed = _correct_rows(rows, (labels,), ((table[key][slot],) for key in heard))
-    groups: dict[tuple, list] = {}
-    for key, weight, rho in zip(heard, weights, _densities(fixed, labels)):
-        group = groups.setdefault(key, [0.0, np.zeros((4, 4), dtype=complex)])
-        group[1] += weight * rho
-        group[0] += weight
-    target = permute(target, labels).amps
-    return {key: (total, _score(mixed / total, target)) for key, (total, mixed) in groups.items()}
+    groups: dict[tuple, int] = {}
+    index = [groups.setdefault(key, len(groups)) for key in heard]
+    totals, mixed = np.zeros(len(groups)), np.zeros((len(groups), 4, 4), dtype=complex)
+    np.add.at(totals, index, weights)  # unbuffered, in leaf order: 0.0 + w1 + w2 + ... per group
+    np.add.at(mixed, index, np.array(weights)[:, None, None] * _densities(fixed, labels))
+    fidelities = _scores(mixed / totals[:, None, None], permute(target, labels).amps)
+    return dict(zip(groups, zip(totals.tolist(), fidelities)))
 
 
 def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:

@@ -7,10 +7,10 @@ fresh register, so values can be shared between threads without locking.
 
 Public constructors validate their input; results computed from registers
 that are already valid are built with the ``_trusted`` constructors.
-Every measurement, single-qubit here, GHZ-basis in :mod:`bqtsim.ghz` or
-one row of the level-batched walk in :mod:`bqtsim.protocol`, collapses in
-one place, :func:`_collapse`.  :func:`measure` works on one register at a
-time and is the oracle that tests check the walk and sessions against.
+A measurement of one register, single-qubit or GHZ-basis, collapses in
+:func:`_collapse`; the walk in :mod:`bqtsim.protocol` collapses all its
+rows at once in :func:`_collapse_rows`, with the same arithmetic per row.
+:func:`measure` is the oracle that tests check the walk and sessions against.
 """
 
 from __future__ import annotations
@@ -129,6 +129,16 @@ class Register:
         reg.labels = labels
         reg.amps = vec
         return reg
+
+    @classmethod
+    def _rows(cls, labels: tuple[str, ...], rows: np.ndarray) -> list["Register"]:
+        """A register viewing each row of a read-only copy of ``rows``, whose rows are normalized."""
+        batch = rows.copy()  # owns its memory, so no writable base is left behind the views
+        batch.flags.writeable = False
+        regs = [object.__new__(cls) for _ in batch]
+        for reg, row in zip(regs, batch):
+            reg.labels, reg.amps = labels, row
+        return regs
 
     @property
     def n_qubits(self) -> int:
@@ -309,6 +319,22 @@ def _branch_rows(
     order = [0] + [k + 1 for k in _axis_order(labels, (qubit,))]
     psi = rows.reshape((len(rows),) + (2,) * len(labels)).transpose(order)
     return _split(psi.reshape(len(rows), 2, -1), basis)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a C-contiguous complex array, by its BLAS calls."""
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
+def _collapse_rows(branches: Sequence[np.ndarray], measured: tuple, alphabet: Sequence) -> tuple:
+    """:func:`_born` and :func:`_collapse` forced to each outcome, on :func:`_branch_rows`'s pair:
+    Born probabilities ``(n, 2)`` and collapsed rows ``(n, 2, rest)``, each :func:`measure`'s bits."""
+    rows = np.stack(branches, axis=1)
+    probs = np.vecdot(rows, rows).real
+    for r, k in np.argwhere(probs < MIN_FORCE_PROB)[:1]:
+        raise ValueError(f"outcome {alphabet[k]!r} on {measured!r} has probability {probs[r, k]:.3e}")
+    rows = rows / np.sqrt(probs)[..., None]
+    return probs, rows / _row_norms(rows)[..., None]
 
 
 def _born(branches: Iterable[np.ndarray]) -> list[float]:

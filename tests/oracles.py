@@ -1,22 +1,84 @@
-"""Written-out per-leaf oracles of the protocol's row kernel.
+"""Written-out per-row oracles of the protocol's batched walk and row kernel.
 
-``bqtsim.protocol`` corrects and scores many leaves in one call of its row
-kernel (``Tree.deliver``, ``Tree.deprived``, ``deprived_fidelities``).
-These oracles do the same one register at a time through the public gate
-path -- ``corrections.apply_ops``, ``qsim.reduced_density`` and
-``qsim.fidelity_pure`` -- and read the heard key straight from the
-outcomes.  They share no code with the kernel, so the tests compare the
-two by ``==``.
+``bqtsim.protocol`` walks all open branches of a step in one array and
+corrects and scores many leaves in one call of its row kernel
+(``Tree.deliver``, ``Tree.deprived``, ``deprived_fidelities``), with every
+reduction batched over the rows.  These oracles do the same one row or one
+register at a time:
+
+- ``walk_round`` splits each level in one batch but takes every row's Born
+  probabilities and collapse through ``qsim._born`` and ``qsim._collapse``;
+- ``correct_rows`` applies each row's gates in turn, dividing by the row's
+  own ``np.linalg.norm`` after each;
+- ``deliver`` and ``deprived_fidelities`` go through the public gate path
+  -- ``corrections.apply_ops``, ``qsim.reduced_density`` and
+  ``qsim.fidelity_pure`` -- and read the heard key straight from the
+  outcomes.
+
+They share no reduction with the batched code, so the tests compare the two
+exactly: by bytes where the arithmetic is the same, and by ``==`` against
+the public gate path, whose matrix products may turn a negated zero into
+``0.0``.
 """
 
 import numpy as np
 
-from bqtsim.corrections import PLAN_QUBITS, apply_ops
-from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS
-from bqtsim.qsim import DensityMatrix, fidelity_pure, reduced_density
+from bqtsim.corrections import PLAN_QUBITS, apply_ops, parse_ops
+from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS, PAYLOAD_LABELS
+from bqtsim.qsim import (
+    DensityMatrix,
+    _alphabet,
+    _born,
+    _branch_rows,
+    _collapse,
+    fidelity_pure,
+    reduced_density,
+)
 
 #: Each withholdable announcement: the payload labels it starves and their table column.
 STARVES = {"A1": (BOB_PAYLOAD_LABELS, 0), "B1": (ALICE_PAYLOAD_LABELS, 1)}
+
+
+def walk_round(state, plan):
+    """Every leaf (outcomes, step probabilities, register) of ``plan``, collapsed row by row."""
+    level = [((), (), state)]  # (outcomes, step probabilities, register) per open branch
+    for qubit, basis in plan:
+        labels, alphabet = level[0][2].labels, _alphabet(basis)
+        rows = np.stack([reg.amps for _, _, reg in level])
+        splits = zip(*_branch_rows(rows, labels, qubit, basis))
+        children = []
+        for (outcomes, probs, _), branches in zip(level, splits):
+            born = _born(branches)
+            for pick in alphabet:
+                res = _collapse(labels, (qubit,), branches, born, alphabet, pick)
+                children.append((outcomes + (res.outcome,), probs + (res.probability,), res.register))
+        level = children
+    return level
+
+
+def correct_rows(rows, labels, ops):
+    """Row ``r`` of ``rows`` (16 amplitudes in PAYLOAD_LABELS order) corrected with ``ops[r]``,
+    one ops string per qubit pair of ``labels``, as ``(n, 4, 4)``.
+
+    Within a factor the gates run reversed ("XZ" is Z, then X) and "I" is
+    none.  X on a qubit reorders the row by index xor the qubit's bit, Z
+    multiplies it by -1 where the bit is set and by 1 elsewhere, and after
+    each gate the row is divided by ``float(np.linalg.norm(row))``.
+    """
+    fixed = np.empty_like(rows)
+    for r, row_ops in enumerate(ops):
+        row = rows[r]
+        for qubits, pair in zip(labels, row_ops, strict=True):
+            for q, factor in zip(qubits, parse_ops(pair), strict=True):
+                bit = 8 >> PAYLOAD_LABELS.index(q)
+                for gate in reversed(factor.replace("I", "")):
+                    if gate == "X":
+                        row = row[np.arange(16) ^ bit]
+                    else:
+                        row = row * np.where(np.arange(16) & bit, -1.0, 1.0)
+                    row = row / float(np.linalg.norm(row))
+        fixed[r] = row
+    return fixed.reshape(-1, 4, 4)
 
 
 def deliver(payload, ops, targets):

@@ -4,13 +4,17 @@ Hypothesis draws the payload amplitudes; every property holds for any
 input pair, so a failure names a concrete counterexample.  Runs are
 derandomized: the same examples are drawn on every run.
 
-The level-batched walk behind ``protocol.Tree`` is checked against two
-oracles that never share its code: a recursive walk with one
-``qsim.measure`` call per node (exact equality), and a dense ``einsum``
-kernel over all 64 leaves at once (within 1e-12; it sums in another order,
-so its last bits differ).  The row kernel that corrects and scores the
-leaves is checked by ``==`` against the written-out per-leaf oracles of
-``tests/oracles.py``, on arbitrary legal ops for every row.  One tree
+The level-batched walk behind ``protocol.Tree`` takes every Born sum and
+norm of a step in one ``np.vecdot`` call.  It is checked against three
+oracles that never share those reductions: a recursive walk with one
+``qsim.measure`` call per node and the per-row walk of
+``tests/oracles.py`` (both by bytes), and a dense ``einsum`` kernel over
+all 64 leaves at once (within 1e-12; it sums in another order, so its
+last bits differ).  The row kernel that corrects and scores the leaves,
+also batched, is checked against the written-out oracles of
+``tests/oracles.py``: per row, gate by gate (by bytes), and per leaf
+through the public gate path (by ``==``), on arbitrary legal ops for
+every row and on arbitrary subsets and orders of the leaves.  One tree
 serves every consumer: the session tree, ``enumerate_branches`` and
 ``noncooperation_fidelity`` agree bit for bit.
 
@@ -122,6 +126,11 @@ def test_the_row_kernel_equals_the_per_leaf_oracle(alice, bob, entries):
     want = [oracles.deliver(tree.leaves[key][1], ops, tree.targets)[1:]
             for key, ops in zip(keys, entries)]
     assert got == want
+    rows = np.stack([tree.leaves[key][1].amps for key in keys])
+    for labels, ops in ((_PAIRS, entries), ((BOB_PAYLOAD_LABELS,), [e[:1] for e in entries]),
+                        ((ALICE_PAYLOAD_LABELS,), [e[1:] for e in entries])):
+        fixed = _correct_rows(rows, labels, ops)
+        assert fixed.tobytes() == oracles.correct_rows(rows, labels, ops).tobytes()
     # a second batch is served from the memo, in the order asked
     assert tree.deliver(zip(keys[::-1], entries[::-1])) == want[::-1]
     table = dict(zip(keys, entries))
@@ -163,6 +172,27 @@ def test_walk_leaves_equals_the_measure_oracle(alice, bob):
         assert prob == math.prod(probs[:ROUND_ONE]) * math.prod(probs[ROUND_ONE:])
         assert payload.labels == state.labels
         assert np.array_equal(payload.amps, state.amps)
+    # the per-row walk that the batched one replaced, by bytes
+    per_row = oracles.walk_round(encode(prepare_full_state(alice, bob)), PLAN)
+    for (outcomes, (probs, payload)), (want, steps, state) in zip(tree.leaves.items(), per_row):
+        assert (outcomes, [p.hex() for p in probs]) == (want, [p.hex() for p in steps])
+        assert payload.amps.tobytes() == state.amps.tobytes()
+
+
+@PROPERTY
+@given(payloads(), payloads(), _entries, st.permutations(range(64)), st.integers(1, 64))
+def test_deprived_fidelities_on_any_subset_and_order_equals_the_oracle(alice, bob, entries, order, size):
+    # groups of one or two leaves, interleaved: the batched sum may not assume pairs
+    tree = Tree(alice, bob)
+    rows = list(tree.rows())
+    leaves = [rows[i] for i in order[:size]]
+    table = dict(zip(tree.leaves, entries))
+    for withheld, (_, slot) in oracles.STARVES.items():
+        target = tree.targets[slot]
+        got = deprived_fidelities(leaves, withheld, target, table)
+        want = oracles.deprived_fidelities(leaves, withheld, target, table)
+        assert list(got) == list(want)
+        assert list(got.values()) == list(want.values())
 
 
 def _warm_session_tree(alice, bob):

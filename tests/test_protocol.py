@@ -411,6 +411,40 @@ def test_walk_leaves_shares_measured_prefixes(monkeypatch):
     assert sum(calls) == (2 + 4 + 8 + 16) + 16 * (2 + 4)
 
 
+@pytest.mark.parametrize(
+    "entries, labels, plan, forced",
+    [
+        ([("0", 1)], ("q",), (("q", "Z"),), (1,)),
+        # |0>|0> + |1>|+>: only the second row has an empty branch, its "-"
+        ([("00", 1), ("10", 1), ("11", 1)], ("p", "q"), (("p", "Z"), ("q", "X")), (1, "-")),
+    ],
+    ids=["one-row", "second-row"],
+)
+def test_walk_round_refuses_an_empty_branch_as_measure_does(entries, labels, plan, forced):
+    reg = make_register(entries, labels)
+    with pytest.raises(ValueError, match="has probability") as want:
+        for (qubit, basis), outcome in zip(plan, forced):
+            reg = measure(reg, qubit, basis, force=outcome).register
+    with pytest.raises(ValueError) as got:
+        walk_round(make_register(entries, labels), plan)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_trees_leaf_payloads_cannot_be_written():
+    # the 64 payloads view one batch: a write through any of them would reach every leaf
+    tree = Tree(ALPHA, BETA)
+    payloads = [payload for _, payload in tree.leaves.values()]
+    batch = payloads[0].amps.base
+    assert batch.shape == (64, 16) and all(p.amps.base is batch for p in payloads)
+    before = batch.tobytes()
+    for payload in payloads[::21]:
+        with pytest.raises(ValueError, match="read-only"):
+            payload.amps[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            payload.amps.base[0] = 0
+    assert batch.tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # non-cooperation
 # ---------------------------------------------------------------------------
