@@ -34,7 +34,7 @@ import numpy as np
 
 from .corrections import load_table
 from .ghz import entanglement_swap
-from .parties import WITHHELD, run_session, session_seed
+from .parties import WITHHELD, run_sessions, session_seed
 from .protocol import DIRECTIONS, FIDELITY_FLOOR, EprInput, enumerate_branches
 from .qsim import ATOL
 from .verify import DEFAULT_SEED, SIGMA_GATE, leaf_histogram_gate, run_all
@@ -311,12 +311,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # the inputs, mode and table are fixed within one call, so a session's
     # leaf fixes its transcript and every field of its trial row but "seed"
     # and "trial": each leaf's are built and rendered once
-    leaves, first = [], {}
-    for i in range(args.trials):
-        result = run_session(alpha, beta, seed=session_seed(args.seed, i),
-                             cooperation=cooperation, table=table)
-        leaves.append(result.leaf)
-        first.setdefault(result.leaf, result)
+    leaves, first = run_sessions(alpha, beta, args.seed, args.trials, cooperation, table)
     heads = {leaf: _Shared({f: getattr(r, f) for f in _LEAF_FIELDS}) for leaf, r in first.items()}
     trials = [_Row(heads[leaf], {"seed": session_seed(args.seed, i), "trial": i})
               for i, leaf in enumerate(leaves)]

@@ -11,6 +11,11 @@ leaf share its record, so transcripts are immutable: events and message
 payloads are tuples.  Every gate, measurement, classical announcement,
 correction, and final fidelity is a transcript event.
 
+:func:`run_sessions` draws a whole run's sessions in one batch, from a
+vectorised replay of numpy's generator.  :func:`run_session` is the scalar
+path and the batch's oracle: it plays the first session at each leaf with
+numpy's own generator, which cross-checks the batch.
+
 Announcements travel in two rounds, Alice first within each round: after
 the first measurement round each party announces both of its results, and
 after the second round each party announces its conjugate-basis result --
@@ -39,10 +44,12 @@ import json
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable
 
 import numpy as np
 
+from ._draws import uniforms
 from .corrections import MEASUREMENT_PLAN, PLAN_QUBITS, Table, correction_key, leaf_index, load_table
 from .protocol import (
     ALICE_INPUT_LABELS,
@@ -68,6 +75,7 @@ __all__ = [
     "Transcript",
     "ownership_check",
     "run_session",
+    "run_sessions",
     "session_seed",
 ]
 
@@ -192,11 +200,7 @@ def run_session(
     :func:`qsim.measure`'s rule (``qsim._pick``), in plan order, so the
     outcomes are bit-identical to measuring the state one draw at a time.
     """
-    session_seed(seed)  # range check
-    if cooperation not in COOPERATION_MODES:
-        raise ValueError(f"cooperation must be one of {COOPERATION_MODES}")
-    if table is None:
-        table = load_table()
+    table = _checked(seed, cooperation, table)
     tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
     rng = np.random.default_rng(seed)
     key: tuple = ()
@@ -209,6 +213,76 @@ def run_session(
     if memo not in tree.sessions:
         tree.sessions[memo] = _record(tree, key, withheld, ops, table)
     return SessionResult(*tree.sessions[memo], dict(zip(PLAN_QUBITS, key)), seed, cooperation)
+
+
+def run_sessions(
+    alice_input: EprInput,
+    bob_input: EprInput,
+    base: int,
+    trials: int,
+    cooperation: str = "full",
+    table: Table | None = None,
+) -> tuple[list[int], dict[int, SessionResult]]:
+    """Play sessions ``session_seed(base, i)`` for ``i`` in ``range(trials)`` in one batch.
+
+    Returns each trial's leaf index, and the :class:`SessionResult` of the
+    first trial at each leaf, in trial order.  Within one call the leaf
+    fixes every field of a result but ``seed``, so these describe every
+    trial.
+
+    All trials' draws come from one vectorised kernel that reproduces
+    ``np.random.default_rng(seed).random()`` bit for bit, and are picked
+    with :func:`run_session`'s rule (:func:`_draw_leaves`), so every leaf
+    is the one :func:`run_session` draws.  The first trial at each leaf is
+    played by :func:`run_session` itself, with numpy's own generator: if
+    it lands on another leaf, RuntimeError names the trial and its seed.
+    """
+    table = _checked(base, cooperation, table)
+    tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
+    draws = uniforms(np.arange(trials, dtype=np.uint64) + base, len(_ALPHABETS))
+    leaves = _draw_leaves(tree, draws).tolist()
+    first = {}
+    for i in sorted(map(leaves.index, set(leaves))):
+        seed = session_seed(base, i)
+        result = run_session(alice_input, bob_input, seed, cooperation, table)
+        if result.leaf != leaves[i]:
+            raise RuntimeError(f"trial {i} (seed {seed}): the batched draws reach leaf {leaves[i]}, "
+                               f"run_session reaches leaf {result.leaf}")
+        first[result.leaf] = result
+    return leaves, first
+
+
+def _checked(seed: int, cooperation: str, table: Table | None) -> Table:
+    """The table a session uses, once its seed and mode are checked."""
+    session_seed(seed)  # range check
+    if cooperation not in COOPERATION_MODES:
+        raise ValueError(f"cooperation must be one of {COOPERATION_MODES}")
+    return load_table() if table is None else table
+
+
+def _draw_leaves(tree: Tree, draws: np.ndarray) -> np.ndarray:
+    """The leaf index that each row of ``draws`` (one draw per step, plan order) reaches on ``tree``.
+
+    Step ``k`` takes the second outcome iff ``draws[:, k]`` is at least the
+    first outcome's :attr:`Tree.born` probability, which is ``qsim._pick``'s
+    rule for two outcomes.  The picks so far are a node of a binary tree:
+    the root is node 1, and node ``n`` has children ``2n`` (first outcome)
+    and ``2n + 1``, so ``p0[n]`` holds each inner node's probability.
+    """
+    p0 = np.empty(2 ** len(_ALPHABETS))
+    for prefix, probs in tree.born.items():
+        node = 1
+        for alphabet, outcome in zip(_ALPHABETS, prefix):
+            node = 2 * node + alphabet.index(outcome)
+        p0[node] = probs[0]
+    node = np.ones(len(draws), dtype=np.intp)
+    for column in draws.T:
+        node = 2 * node + (column >= p0[node])
+    return _LEAF_OF_PICKS[node - len(p0)]
+
+
+#: Each leaf's index by its picks read as a binary number, first pick highest.
+_LEAF_OF_PICKS = np.array([leaf_index(*key) for key in product(*_ALPHABETS)])
 
 
 def _record(tree: Tree, key: tuple, withheld: str | None, ops: tuple[str, str], table: Table) -> tuple:

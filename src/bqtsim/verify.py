@@ -20,7 +20,7 @@ import numpy as np
 
 from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, load_table
 from .ghz import entanglement_swap
-from .parties import _session_tree, run_session, session_seed
+from .parties import _session_tree, run_session, run_sessions
 from .protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
@@ -335,14 +335,13 @@ def criterion_noncooperation() -> tuple[bool, str]:
 def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
     """Seeded sessions hit every leaf uniformly and replay byte-identically.
 
-    The replay compares two independent computations: one session played
-    against the tree the sessions warmed, one against a freshly built tree.
+    The sessions are drawn in one batch (:func:`run_sessions`).  The replay
+    compares two independent computations: one session played against the
+    tree the sessions warmed, one against a freshly built tree.
     """
     alice, bob = EprInput(0.6, 0.8), EprInput.normalized(1, 1)
     table = load_table()  # always the packaged one: an injected table feeds reconstruction
-    counts = np.zeros(64, dtype=int)
-    for i in range(trials):
-        counts[run_session(alice, bob, session_seed(seed, i), table=table).leaf] += 1
+    counts = np.bincount(run_sessions(alice, bob, seed, trials, table=table)[0], minlength=64)
     max_z, uniform = leaf_histogram_gate(counts)
     warm = run_session(alice, bob, seed, table=table).transcript.to_json()
     _session_tree.cache_clear()  # the replay walks a freshly built tree, not the warmed one

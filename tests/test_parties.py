@@ -12,6 +12,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from bqtsim._draws import uniforms
 from bqtsim.corrections import FRAME, MEASUREMENT_PLAN, OUTCOMES, PLAN_QUBITS, leaf_index, load_table
 from bqtsim.parties import (
     ALICE,
@@ -24,6 +25,7 @@ from bqtsim.parties import (
     SessionResult,
     Transcript,
     _correction,
+    _draw_leaves,
     _input_bits,
     _knowledge,
     _owner,
@@ -31,6 +33,7 @@ from bqtsim.parties import (
     _session_tree,
     ownership_check,
     run_session,
+    run_sessions,
     session_seed,
 )
 from bqtsim.protocol import (
@@ -419,6 +422,80 @@ def test_inputs_that_differ_only_in_a_zero_sign_do_not_share_a_tree():
     for epr, sign in ((plus, 1.0), (minus, -1.0)):
         tree = _session_tree(_input_bits(epr, BETA), epr, BETA)
         assert math.copysign(1.0, tree.inputs[0].c1.imag) == sign
+
+
+# ---------------------------------------------------------------------------
+# batched sessions against run_session
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("base", [0xB97, 0xFFFFFFFFFFFFFFF8])
+@pytest.mark.parametrize("cooperation", COOPERATION_MODES)
+def test_batched_sessions_equal_run_session_trial_by_trial(cooperation, base):
+    alice, bob = EprInput.normalized(0.3 - 0.2j, 1.1j), EprInput.normalized(0.7, -0.4 + 0.5j)
+    packaged = load_table()
+    plain = dict(packaged)
+    keys = list(plain)
+    legal = sorted(set(FRAME.values()) | {"IZ", "ZZ", "XZX"})
+    trials = 2048
+    edited_leaves = 0
+    for call in range(3):
+        for n in range(8):  # edit the plain table between calls
+            plain[keys[(call * 8 + n) * 5 % 64]] = (legal[(call + n) % len(legal)], legal[n % len(legal)])
+        results = []
+        for table in (packaged, plain):
+            leaves, first = run_sessions(alice, bob, base, trials, cooperation, table)
+            scalar = [run_session(alice, bob, session_seed(base, i), cooperation, table) for i in range(trials)]
+            assert leaves == [r.leaf for r in scalar]
+            want = {}
+            for r in scalar:
+                want.setdefault(r.leaf, r)
+            assert list(first) == list(want)  # in order of first trial
+            assert all(_fields(first[leaf]) == _fields(r) for leaf, r in want.items())
+            results.append(first)
+        edited_leaves += sum(_fields(results[0][leaf]) != _fields(results[1][leaf]) for leaf in results[0])
+    assert edited_leaves > 10  # the edits reached the batch's results
+
+
+def test_batched_picks_agree_with_pick_at_and_around_ties():
+    # every draw sits on the first outcome's probability at the node the
+    # earlier draws reached, or one ulp below or above it: 3**6 paths
+    tree = Tree(ALPHA, EprInput(0.8, complex(0.36, 0.48)))
+    rows, want = [], []
+    for path in range(3 ** 6):
+        key, row = (), []
+        for k, (_, basis) in enumerate(MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]):
+            probs = tree.born[key]
+            u = (np.nextafter(probs[0], 0.0), probs[0], np.nextafter(probs[0], 1.0))[path // 3**k % 3]
+            row.append(float(u))
+            key += (OUTCOMES[basis][_pick(probs, row[-1])],)
+        rows.append(row)
+        want.append(leaf_index(*key))
+    assert _draw_leaves(tree, np.array(rows)).tolist() == want
+    assert want[sum(3**k for k in range(6))] == 63  # a tie takes the second outcome
+
+
+def test_a_batched_draw_that_disagrees_with_numpy_raises(monkeypatch):
+    # nudge trial 0's first draw across the root's first probability: the
+    # batch then sends it to another leaf than numpy's own generator does
+    p0 = _session_tree(_input_bits(ALPHA, BETA), ALPHA, BETA).born[()][0]
+
+    def nudged(seeds, n):
+        draws = uniforms(seeds, n)
+        draws[0, 0] = p0 if draws[0, 0] < p0 else np.nextafter(p0, 0.0)
+        return draws
+
+    assert len(run_sessions(ALPHA, BETA, 0xB97, 64)[0]) == 64
+    monkeypatch.setattr("bqtsim.parties.uniforms", nudged)
+    with pytest.raises(RuntimeError, match=f"trial 0 \\(seed {0xB97}\\)"):
+        run_sessions(ALPHA, BETA, 0xB97, 64)
+
+
+def test_run_sessions_checks_its_arguments():
+    for bad in (-1, 2**64, True, 1.0):
+        with pytest.raises(ValueError):
+            run_sessions(ALPHA, BETA, bad, 4)
+    with pytest.raises(ValueError, match="cooperation"):
+        run_sessions(ALPHA, BETA, 0, 4, cooperation="partial")
 
 
 # ---------------------------------------------------------------------------
