@@ -22,12 +22,11 @@ on one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +66,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
+def _parse_floats(text: str, counts: tuple[int, ...], what: str) -> list[float]:
     parts = text.split(",")
-    if len(parts) != n:
-        raise ConfigError(f"{what} needs {n} comma-separated numbers, got {text!r}")
+    if len(parts) not in counts:
+        raise ConfigError(f"{what} needs {' or '.join(map(str, counts))} comma-separated numbers, got {text!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
@@ -81,7 +80,7 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 
 def _parse_amplitudes(text: str, what: str) -> EprInput:
-    re0, im0, re1, im1 = _parse_floats(text, 4, what)
+    re0, im0, re1, im1 = _parse_floats(text, (4,), what)
     c0, c1 = complex(re0, im0), complex(re1, im1)
     norm = math.hypot(abs(c0), abs(c1))
     if abs(norm - 1.0) > INPUT_NORM_TOL:
@@ -100,8 +99,9 @@ def _resolve_inputs(args: argparse.Namespace) -> tuple[EprInput, EprInput]:
     if getattr(args, "angles", None) is not None:
         if args.alpha is not None or args.beta is not None:
             raise ConfigError("--angles cannot be combined with --alpha/--beta")
-        values = _parse_floats(args.angles, 4, "--angles") if args.angles.count(",") == 3 \
-            else _parse_floats(args.angles, 2, "--angles") * 2
+        values = _parse_floats(args.angles, (2, 4), "--angles")
+        if len(values) == 2:
+            values *= 2
         return _from_angles(values[0], values[1]), _from_angles(values[2], values[3])
     alpha = _parse_amplitudes(args.alpha, "--alpha") if args.alpha else _DEFAULT_ALPHA
     beta = _parse_amplitudes(args.beta, "--beta") if args.beta else _DEFAULT_BETA
@@ -135,103 +135,40 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-class _Shared:
-    """A value that many places in one report hold; rendered once per depth."""
-
-    __slots__ = ("value", "_text")
-
-    def __init__(self, value) -> None:
-        self.value = value
-        self._text: dict[str, str] = {}
-
-    def text(self, indent: str) -> str:
-        if indent not in self._text:
-            self._text[indent] = "".join(_render(self.value, indent))
-        return self._text[indent]
+def _dumps(value, depth: int = 0) -> str:
+    """``value`` as report JSON, indented to sit ``depth`` levels deep.  Indenting
+    each line break is exact: ``json`` escapes every line break inside a string."""
+    text = json.dumps(value, indent=2, sort_keys=True, default=_json_default)
+    return text.replace("\n", "\n" + "  " * depth)
 
 
-@dataclass(slots=True)
-class _Row:
-    """A dict that is a shared ``head`` dict plus its own ``tail`` fields,
-    every one of which sorts after every key of the head."""
+def _open(value: dict, later, depth: int) -> str:
+    """The text of a dict ``depth`` levels deep that is ``value`` plus the
+    fields named in ``later``, up to where the first of those goes: ``value``'s
+    own text without its closing brace.  Every name in ``later`` must sort
+    after every key of ``value``, which must not be empty (ValueError)."""
+    if not value or later and min(later) <= max(value):
+        raise ValueError("spliced fields must sort after every field of a non-empty dict")
+    return _dumps(value, depth)[: -2 * depth - 2]
 
-    head: _Shared
-    tail: dict
 
-
-def _render(obj, indent: str = "\n"):
-    """Yield the chunks of ``json.dumps(obj, indent=2, sort_keys=True,
-    default=_json_default)`` for ``obj`` at the depth whose line break and
-    indentation are ``indent``.
-
-    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
-    set; this is the same walk with less bookkeeping.  Unlike ``json``, a
-    non-string dict key raises TypeError instead of being stringified (no
-    report has one), a :class:`_Shared` value renders from its cached text,
-    and a :class:`_Row` renders as its head's cached text with its tail
-    spliced in before the closing brace.
-    """
-    if isinstance(obj, str):
-        yield encode_basestring_ascii(obj)
-    elif obj is None:
-        yield "null"
-    elif obj is True:
-        yield "true"
-    elif obj is False:
-        yield "false"
-    elif isinstance(obj, int):
-        yield int.__repr__(obj)
-    elif isinstance(obj, float):
-        if obj != obj:
-            yield "NaN"
-        elif obj == math.inf:
-            yield "Infinity"
-        elif obj == -math.inf:
-            yield "-Infinity"
-        else:
-            yield float.__repr__(obj)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        inner = indent + "  "
-        yield "["
-        for i, value in enumerate(obj):
-            yield "," + inner if i else inner
-            yield from _render(value, inner)
-        yield indent + "]"
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        inner = indent + "  "
-        yield "{"
-        for i, key in enumerate(sorted(obj)):
-            yield ("," + inner if i else inner) + encode_basestring_ascii(key) + ": "
-            yield from _render(obj[key], inner)
-        yield indent + "}"
-    elif isinstance(obj, _Shared):
-        yield obj.text(indent)
-    elif isinstance(obj, _Row):
-        if not obj.head.value or (obj.tail and min(obj.tail) <= max(obj.head.value)):
-            raise ValueError("a row's tail keys must sort after its non-empty head's")
-        inner = indent + "  "
-        yield obj.head.text(indent)[: -len(indent) - 1]
-        for key in sorted(obj.tail):
-            yield "," + inner + encode_basestring_ascii(key) + ": "
-            yield from _render(obj.tail[key], inner)
-        yield indent + "}"
-    else:
-        yield from _render(_json_default(obj), indent)
+def _trial_rows(heads: dict[int, str], leaves: list[int], base: int) -> list[str]:
+    """The rendered ``run`` trial rows: trial ``i`` is its leaf's head, rendered
+    by :func:`_open` two levels deep, with its "seed" and "trial" spliced in."""
+    return [f'{heads[leaf]},\n      "seed": {session_seed(base, i)},\n      "trial": {i}\n    }}'
+            for i, leaf in enumerate(leaves)]
 
 
 def _report(
-    args: argparse.Namespace, schema: str, config: dict, body: dict, ok: bool, lines: list[str]
+    args: argparse.Namespace, schema: str, config: dict, body: dict, ok: bool, lines: list[str],
+    spliced: dict[str, list[str]] = {},
 ) -> int:
     """Write one report to stdout or ``--out``; return the exit status, 0 when ``ok``.
 
     The JSON report is ``body`` plus the fields every report carries, which
-    are set here only; the text report is ``lines``.
+    are set here only, plus ``spliced``: lists whose items are already
+    rendered two levels deep, in fields that sort after all others.  The
+    text report is ``lines``.
     """
     if args.format == "json":
         report = {
@@ -241,7 +178,15 @@ def _report(
             **body,
             "pass": ok,
         }
-        rendered = "".join(_render(report)) + "\n"
+        # one flat join: a large report is built as one string, never two
+        parts = [_open(report, spliced, 0)]
+        for name in sorted(spliced):
+            parts.append(f',\n  "{name}": [')
+            for i, text in enumerate(spliced[name]):
+                parts += ",\n    " if i else "\n    ", text
+            parts.append("\n  ]" if spliced[name] else "]")
+        parts.append("\n}\n")
+        rendered = "".join(parts)
     else:
         rendered = "\n".join(lines) + "\n"
     if args.out is None:
@@ -284,9 +229,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         and abs(total - 1.0) <= ATOL
         and all(r[d.field] >= FIDELITY_FLOOR for r in rows for d in DIRECTIONS.values())
     )
-    lines = [
-        "leaf  a1 A2 b3 B2 A1 B1  prob      bob_ops alice_ops  fid(a->b)      fid(b->a)",
-    ]
+    lines = ["leaf  a1 A2 b3 B2 A1 B1  prob      bob_ops alice_ops  fid(a->b)      fid(b->a)"]
     for r in rows:
         lines.append(
             f"{r['leaf']:>4}  {r['a1']}  {r['A2']}  {r['b3']}  {r['B2']}  "
@@ -310,26 +253,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     gated = [d.field for announcement, d in DIRECTIONS.items() if announcement != withheld]
     # the inputs, mode and table are fixed within one call, so a session's
     # leaf fixes its transcript and every field of its trial row but "seed"
-    # and "trial": each leaf's are built and rendered once
+    # and "trial": each leaf's are rendered once, and each row splices its two in
     leaves, first = run_sessions(alpha, beta, args.seed, args.trials, cooperation, table)
-    heads = {leaf: _Shared({f: getattr(r, f) for f in _LEAF_FIELDS}) for leaf, r in first.items()}
-    trials = [_Row(heads[leaf], {"seed": session_seed(args.seed, i), "trial": i})
-              for i, leaf in enumerate(leaves)]
+    heads = {leaf: _open({f: getattr(r, f) for f in _LEAF_FIELDS}, ("seed", "trial"), 2)
+             for leaf, r in first.items()}
+    spliced = {"trials": _trial_rows(heads, leaves, args.seed)}
     ok = all(getattr(r, f) >= FIDELITY_FLOOR for r in first.values() for f in gated)
     counts = np.bincount(leaves, minlength=64)
     max_z, within = leaf_histogram_gate(counts)
     expected_count = args.trials / 64
     chi_square = float(np.sum((counts - expected_count) ** 2 / expected_count))
     lines = [f"{args.trials} session(s), seed base {args.seed}, cooperation {cooperation}"]
-    for t in ({**row.head.value, **row.tail} for row in trials[:20]):
-        exp = "-" if t["expected_fidelity"] is None else f"{t['expected_fidelity']:.6f}"
+    for i, leaf in enumerate(leaves[:20]):
+        r = first[leaf]
+        exp = "-" if r.expected_fidelity is None else f"{r.expected_fidelity:.6f}"
         lines.append(
-            f"  trial {t['trial']:>4}  leaf {t['leaf']:>2}  "
-            f"fid(a->b) {t['fidelity_alice_to_bob']:.12f}  "
-            f"fid(b->a) {t['fidelity_bob_to_alice']:.12f}  expected {exp}"
+            f"  trial {i:>4}  leaf {r.leaf:>2}  "
+            f"fid(a->b) {r.fidelity_alice_to_bob:.12f}  "
+            f"fid(b->a) {r.fidelity_bob_to_alice:.12f}  expected {exp}"
         )
-    if len(trials) > 20:
-        lines.append(f"  ... {len(trials) - 20} more trials elided ...")
+    if len(leaves) > 20:
+        lines.append(f"  ... {len(leaves) - 20} more trials elided ...")
     lines.append(
         f"leaf histogram: max |z| = {max_z:.3f}, within {SIGMA_GATE:g} sigma: "
         f"{'yes' if within else 'no'} (informational), "
@@ -343,7 +287,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "cooperation": cooperation,
     }
     body = {
-        "trials": trials,
         "histogram": {
             "counts": [int(c) for c in counts],
             "expected_count": expected_count,
@@ -354,9 +297,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         },
     }
     if args.transcripts:
-        shared = {leaf: _Shared(r.transcript.to_json_obj()) for leaf, r in first.items()}
-        body["transcripts"] = [shared[leaf] for leaf in leaves]
-    return _report(args, "bqtsim.session-report/1", config, body, ok, lines)
+        texts = {leaf: _dumps(r.transcript.to_json_obj(), 2) for leaf, r in first.items()}
+        spliced["transcripts"] = [texts[leaf] for leaf in leaves]
+    return _report(args, "bqtsim.session-report/1", config, body, ok, lines, spliced)
 
 
 def _cmd_swap(args: argparse.Namespace) -> int:
@@ -395,17 +338,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines = [r.line() for r in results]
     lines.append(f"{'PASS' if ok else 'FAIL'}  ({sum(r.passed for r in results)}/{len(results)} criteria)")
     config = {"seed": args.seed, "correction_table": args.correction_table}
-    body = {
-        "criteria": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "elapsed_seconds": r.elapsed,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-    }
+    body = {"criteria": [{"name": r.name, "passed": r.passed, "elapsed_seconds": r.elapsed, "detail": r.detail}
+                         for r in results]}
     return _report(args, "bqtsim.verify-report/1", config, body, ok, lines)
 
 

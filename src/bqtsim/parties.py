@@ -105,10 +105,13 @@ _ALPHABETS = tuple(map(_alphabet, _BASIS.values()))
 def session_seed(base: int, trial: int = 0) -> int:
     """Seed of session ``trial`` in a run seeded with ``base``: (base + trial) mod 2**64.
 
-    ``base`` must be an integer in [0, 2**64); anything else raises ValueError.
+    ``base`` must be an integer in [0, 2**64) and ``trial`` a non-negative
+    integer; anything else raises ValueError.
     """
     if not isinstance(base, int) or isinstance(base, bool) or not 0 <= base < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {base!r}")
+    if not isinstance(trial, int) or isinstance(trial, bool) or trial < 0:
+        raise ValueError(f"a trial index or count must be a non-negative integer, got {trial!r}")
     return (base + trial) % 2**64
 
 
@@ -228,7 +231,7 @@ def run_sessions(
     Returns each trial's leaf index, and the :class:`SessionResult` of the
     first trial at each leaf, in trial order.  Within one call the leaf
     fixes every field of a result but ``seed``, so these describe every
-    trial.
+    trial.  ``trials`` must be a non-negative integer (ValueError).
 
     All trials' draws come from one vectorised kernel that reproduces
     ``np.random.default_rng(seed).random()`` bit for bit, and are picked
@@ -238,6 +241,7 @@ def run_sessions(
     it lands on another leaf, RuntimeError names the trial and its seed.
     """
     table = _checked(base, cooperation, table)
+    session_seed(base, trials)  # checks trials
     tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
     draws = uniforms(np.arange(trials, dtype=np.uint64) + base, len(_ALPHABETS))
     leaves = _draw_leaves(tree, draws).tolist()

@@ -96,6 +96,13 @@ def test_angles_one_pair_sets_both_inputs(capsys):
     assert four["config"]["alpha"] == report["config"]["alpha"]
 
 
+@pytest.mark.parametrize("angles", ["1,2,3", "1", "1,2,3,4,5"])
+def test_angles_needs_two_or_four_numbers(capsys, angles):
+    code, out, err = run_cli(capsys, "run", "--angles", angles)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "needs 2 or 4 comma-separated numbers" in err
+
+
 def test_trials_must_be_positive(capsys):
     code, _out, err = run_cli(capsys, "run", "--trials", "0")
     assert code == 2
@@ -229,7 +236,7 @@ def test_run_text_format(capsys):
     assert "leaf histogram" in out
 
 
-def _expected_run_report(config: dict, mode: str, trials: int, seed: int) -> str:
+def _expected_run_report(config: dict, mode: str, trials: int, seed: int, transcripts: bool = True) -> str:
     """A run report, timestamp line dropped, built from the library and rendered by json."""
     alpha, beta = (EprInput(*(complex(*amp) for amp in config[name])) for name in ("alpha", "beta"))
     results = [run_session(alpha, beta, seed=session_seed(seed, i), cooperation=mode) for i in range(trials)]
@@ -259,9 +266,10 @@ def _expected_run_report(config: dict, mode: str, trials: int, seed: int) -> str
             "chi_square": float(np.sum((counts - expected_count) ** 2 / expected_count)),
             "degrees_of_freedom": 63,
         },
-        "transcripts": [r.transcript.to_json_obj() for r in results],
         "pass": True,
     }
+    if transcripts:
+        report["transcripts"] = [r.transcript.to_json_obj() for r in results]
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
@@ -287,6 +295,23 @@ def test_many_trial_report_matches_json_dumps(tmp_path, capsys, flag, mode):
     code, out, _err = run_cli(capsys, *argv)
     assert code == 0
     assert _lines_without_timestamp(out) == _lines_without_timestamp(text)
+
+
+@pytest.mark.parametrize("transcripts", [False, True], ids=["rows", "transcripts"])
+@pytest.mark.parametrize("flag, mode", [
+    ("full", "full"),
+    ("withhold-a1", "alice_withholds_A1"),
+    ("withhold-b1", "bob_withholds_B1"),
+])
+@pytest.mark.parametrize("trials", [1, 63, 300])
+def test_run_report_is_json_dumps_of_its_sessions(capsys, trials, flag, mode, transcripts):
+    # the spliced report, byte for byte, against json of a report rebuilt from per-trial sessions;
+    # the base seed wraps past 2**64 at trial 8
+    argv = ["run", "--trials", str(trials), "--seed", "0xFFFFFFFFFFFFFFF8", "--cooperation", flag]
+    code, out, _err = run_cli(capsys, *argv, *(["--transcripts"] if transcripts else []))
+    assert code == 0
+    expected = _expected_run_report(json.loads(out)["config"], mode, trials, 0xFFFFFFFFFFFFFFF8, transcripts)
+    assert _lines_without_timestamp(out) == expected.splitlines(keepends=True)
 
 
 def test_closed_stdout_pipe_is_quiet():

@@ -105,6 +105,12 @@ def test_session_seed_wraps_past_2_64():
     assert [session_seed(2**64 - 2, i) for i in range(4)] == [2**64 - 2, 2**64 - 1, 0, 1]
 
 
+@pytest.mark.parametrize("trial", [2.5, -5, True, False, 1.0, "1", None, np.int64(3)], ids=repr)
+def test_session_seed_rejects_a_trial_that_is_not_a_count(trial):
+    with pytest.raises(ValueError, match="trial"):
+        session_seed(5, trial)
+
+
 def test_cooperation_validation():
     with pytest.raises(ValueError, match="cooperation"):
         run_session(ALPHA, BETA, seed=0, cooperation="partial")
@@ -496,6 +502,16 @@ def test_run_sessions_checks_its_arguments():
             run_sessions(ALPHA, BETA, bad, 4)
     with pytest.raises(ValueError, match="cooperation"):
         run_sessions(ALPHA, BETA, 0, 4, cooperation="partial")
+
+
+@pytest.mark.parametrize("trials", [2.5, -5, True, False, 4.0, "4", None], ids=repr)
+def test_run_sessions_rejects_a_trial_count_that_is_not_a_count(trials):
+    with pytest.raises(ValueError, match="trial"):
+        run_sessions(ALPHA, BETA, 0, trials)
+
+
+def test_run_sessions_plays_no_trials_for_a_zero_count():
+    assert run_sessions(ALPHA, BETA, 0, 0) == ([], {})
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ every row and on arbitrary subsets and orders of the leaves.  One tree
 serves every consumer: the session tree, ``enumerate_branches`` and
 ``noncooperation_fidelity`` agree bit for bit.
 
-The report renderer ``cli._render`` is checked against ``json.dumps``, its
-oracle, on arbitrary JSON values.
+The report encoder ``cli._dumps`` indents ``json.dumps`` text to sit at
+any depth; spliced into nested lists, it is checked against ``json.dumps``
+of the nested value, on arbitrary JSON values.  The spliced ``run`` trial
+rows are checked against ``json.dumps`` of the plain dicts they stand for.
 """
 
+import argparse
 import json
 import math
 from itertools import product
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bqtsim.cli import _json_default, _render, _Row, _Shared
+from bqtsim.cli import _dumps, _json_default, _open, _report, _trial_rows
 from bqtsim.corrections import FACTORS, OUTCOMES, PLAN_QUBITS, apply_ops, load_table, parse_ops
 from bqtsim.parties import COOPERATION_MODES, _input_bits, _session_tree, run_session, session_seed
 from bqtsim.protocol import (
@@ -296,7 +299,7 @@ def test_walk_payloads_keep_register_invariants(alice, bob):
 # report renderer
 # ---------------------------------------------------------------------------
 
-def _dumps(value) -> str:
+def _oracle(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, default=_json_default)
 
 
@@ -324,55 +327,56 @@ _json_values = st.recursive(
 
 
 @settings(PROPERTY, max_examples=100)
-@given(_json_values)
-def test_render_matches_json_dumps(value):
-    assert "".join(_render(value)) == _dumps(value)
-    # a shared value renders as the value itself, at whatever depth it sits
-    shared = _Shared(value)
-    assert "".join(_render([shared, {"k": [shared]}])) == _dumps([value, {"k": [value]}])
+@given(_json_values, st.integers(0, 4))
+def test_render_matches_json_dumps(value, depth):
+    # the text of ``value`` at ``depth``, spliced into ``depth`` nested lists
+    text, nested = _dumps(value, depth), value
+    for level in reversed(range(depth)):
+        text = "[\n" + "  " * (level + 1) + text + "\n" + "  " * level + "]"
+        nested = [nested]
+    assert text == _oracle(nested)
 
 
 @pytest.mark.parametrize("expected", [None, 0.5392000000000001, 1.0])
 @pytest.mark.parametrize("base", [0, 0xB97, 0xFFFFFFFFFFFFFFF8])
-def test_templated_trial_rows_render_as_their_plain_dicts(expected, base):
-    # what `bqtsim run` writes: one shared head per leaf, "seed" and "trial" spliced in last
+def test_templated_trial_rows_render_as_their_plain_dicts(capsys, expected, base):
+    # what `bqtsim run` writes: each leaf's fields rendered once, "seed" and "trial" spliced in last
     heads = [
-        _Shared({
+        {
             "expected_fidelity": expected,
             "fidelity_alice_to_bob": fidelity,
             "fidelity_bob_to_alice": 1.0,
             "leaf": leaf,
             "outcomes": dict(zip(PLAN_QUBITS, outcomes)),
-        })
+        }
         for leaf, fidelity, outcomes in ((9, 0.9999999999999998, (0, "+", 1, "+", "+", "-")),
                                          (63, 0.0784, (1, "-", 1, "-", "-", "-")))
     ]
-    rows = [_Row(heads[i % 2], {"seed": session_seed(base, i), "trial": i}) for i in range(16)]
-    assert [row.tail["seed"] for row in rows[7:9]] == [(base + 7) % 2**64, (base + 8) % 2**64]
-    plain = [{**row.head.value, **row.tail} for row in rows]
-    report = {"pass": True, "trials": rows, "nested": {"rows": rows[:3]}}
-    want = {"pass": True, "trials": plain, "nested": {"rows": plain[:3]}}
-    assert "".join(_render(report)) == _dumps(want)
+    leaves = [i % 2 for i in range(16)]
+    rows = _trial_rows({leaf: _open(heads[leaf], ("seed", "trial"), 2) for leaf in (0, 1)}, leaves, base)
+    plain = [{**heads[leaf], "seed": session_seed(base, i), "trial": i} for i, leaf in enumerate(leaves)]
+    assert [row["seed"] for row in plain[7:9]] == [(base + 7) % 2**64, (base + 8) % 2**64]
+    args = argparse.Namespace(format="json", out=None)
+    spliced = {"trials": rows, "transcripts": [_dumps(head, 2) for head in heads], "unused": []}
+    assert _report(args, "s/1", {"base": base}, {"histogram": {"z": [expected]}}, True, [], spliced) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    stamped = [line for line in lines if line.startswith('  "timestamp": ')]
+    assert len(stamped) == 1
+    lines.remove(stamped[0])
+    want = {"schema": "s/1", "config": {"base": base}, "histogram": {"z": [expected]}, "pass": True,
+            "trials": plain, "transcripts": heads, "unused": []}
+    assert "".join(lines) == _oracle(want) + "\n"
 
 
 @pytest.mark.parametrize("tail", [{"leaf": 1}, {"a": 1}, {"seed": 1, "expected_fidelity": None}])
 def test_a_row_whose_tail_does_not_sort_last_is_refused(tail):
-    head = _Shared({"expected_fidelity": None, "leaf": 0})
     with pytest.raises(ValueError):
-        "".join(_render([_Row(head, tail)]))
+        _open({"expected_fidelity": None, "leaf": 0}, tail, 2)
 
 
 @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, [np.bool_(False)], {"k": {"s": {3}}}])
 def test_render_rejects_what_json_rejects(value):
     with pytest.raises(TypeError):
-        _dumps(value)
+        _oracle(value)
     with pytest.raises(TypeError):
-        "".join(_render(value))
-
-
-@pytest.mark.parametrize("key", [1, 1.5, None, True])
-def test_render_rejects_non_string_keys_that_json_stringifies(key):
-    # no report has such keys; json would render them as strings
-    assert _dumps({key: 0}) == '{\n  "%s": 0\n}' % json.dumps(key)
-    with pytest.raises(TypeError):
-        "".join(_render({key: 0}))
+        _dumps(value, 2)
