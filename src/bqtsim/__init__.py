@@ -5,13 +5,16 @@ The package layers as follows:
 * :mod:`bqtsim.qsim` — dense state-vector engine over named qubits.
 * :mod:`bqtsim.ghz` — the eight-state GHZ basis and entanglement swapping.
 * :mod:`bqtsim.protocol` — the protocol's steps and ``Tree``, the one exact
-  64-leaf tree of an input pair, which owns delivery.
+  64-leaf tree of an input pair, which owns delivery; ``enumerate_batch``
+  walks and delivers many pairs' leaves in one batch.
 * :mod:`bqtsim.corrections` — the announcement-keyed Pauli-correction table.
 * :mod:`bqtsim.parties` — two-party sessions with replayable transcripts
   and a structural audit.
 * :mod:`bqtsim.verify` — the nine-criterion self-verification battery.
 * :mod:`bqtsim.cli` — the ``bqtsim`` command-line front end.
 """
+
+from types import ModuleType as _ModuleType
 
 from .corrections import (
     TABULATED_RULES,
@@ -27,6 +30,7 @@ from .protocol import (
     BranchLeaf,
     EprInput,
     encode,
+    enumerate_batch,
     enumerate_branches,
     leaf_index,
     noncooperation_fidelity,
@@ -52,46 +56,8 @@ from .verify import CRITERIA, DEFAULT_SEED, CriterionResult, run_all
 
 __version__ = "0.1.0"
 
+#: Each name imported above, and the version: every export is written once, in its import.
 __all__ = [
-    "BranchLeaf",
-    "COOPERATION_MODES",
-    "CRITERIA",
-    "CriterionResult",
-    "DEFAULT_SEED",
-    "DensityMatrix",
-    "EprInput",
-    "MeasureResult",
-    "Register",
-    "SessionResult",
-    "SwapOutcome",
-    "TABULATED_RULES",
-    "Transcript",
-    "apply_cnot",
-    "apply_gate1",
-    "apply_ops",
-    "encode",
-    "entanglement_swap",
-    "enumerate_branches",
-    "equal_up_to_global_phase",
-    "fidelity_pure",
-    "generate_correction_table",
-    "ghz_basis_measure",
-    "ghz_state",
-    "leaf_index",
-    "load_table",
-    "make_register",
-    "measure",
-    "noncooperation_fidelity",
-    "outcome_probabilities",
-    "ownership_check",
-    "parse_ops",
-    "permute",
-    "prepare_channel",
-    "prepare_full_state",
-    "reduced_density",
-    "run_all",
-    "run_session",
-    "tensor",
-    "write_table",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

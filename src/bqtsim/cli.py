@@ -251,13 +251,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # only the cooperative directions are gated on perfect fidelity
     withheld = WITHHELD[cooperation]
     gated = [d.field for announcement, d in DIRECTIONS.items() if announcement != withheld]
-    # the inputs, mode and table are fixed within one call, so a session's
-    # leaf fixes its transcript and every field of its trial row but "seed"
-    # and "trial": each leaf's are rendered once, and each row splices its two in
     leaves, first = run_sessions(alpha, beta, args.seed, args.trials, cooperation, table)
-    heads = {leaf: _open({f: getattr(r, f) for f in _LEAF_FIELDS}, ("seed", "trial"), 2)
-             for leaf, r in first.items()}
-    spliced = {"trials": _trial_rows(heads, leaves, args.seed)}
     ok = all(getattr(r, f) >= FIDELITY_FLOOR for r in first.values() for f in gated)
     counts = np.bincount(leaves, minlength=64)
     max_z, within = leaf_histogram_gate(counts)
@@ -296,9 +290,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "degrees_of_freedom": 63,
         },
     }
-    if args.transcripts:
-        texts = {leaf: _dumps(r.transcript.to_json_obj(), 2) for leaf, r in first.items()}
-        spliced["transcripts"] = [texts[leaf] for leaf in leaves]
+    spliced = {}
+    if args.format == "json":
+        # the inputs, mode and table are fixed within one call, so a session's
+        # leaf fixes its transcript and every field of its trial row but "seed"
+        # and "trial": each leaf's are rendered once, and each row splices its two in
+        heads = {leaf: _open({f: getattr(r, f) for f in _LEAF_FIELDS}, ("seed", "trial"), 2)
+                 for leaf, r in first.items()}
+        spliced["trials"] = _trial_rows(heads, leaves, args.seed)
+        if args.transcripts:
+            texts = {leaf: _dumps(r.transcript.to_json_obj(), 2) for leaf, r in first.items()}
+            spliced["transcripts"] = [texts[leaf] for leaf in leaves]
     return _report(args, "bqtsim.session-report/1", config, body, ok, lines, spliced)
 
 

@@ -36,6 +36,7 @@ from .qsim import OUTCOMES, Register, _alphabet, apply_gate1
 __all__ = [
     "FACTORS",
     "FRAME",
+    "LEAF_KEYS",
     "MEASUREMENT_PLAN",
     "OUTCOMES",
     "PLAN_QUBITS",
@@ -65,6 +66,9 @@ _KEY_PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 
 #: The six measured qubits in plan order: the fields of a table key.
 PLAN_QUBITS = tuple(q for q, _ in _KEY_PLAN)
+
+#: Every leaf's outcomes, in plan order, listed in :func:`leaf_index` order.
+LEAF_KEYS = tuple(product(*(OUTCOMES[basis] for _, basis in _KEY_PLAN)))
 
 #: Legal per-qubit correction factors.
 FACTORS = ("I", "Z", "X", "XZ")
@@ -142,7 +146,7 @@ def generate_correction_table() -> dict[TableKey, tuple[str, str]]:
     (b3, B2 xor B1).
     """
     table = {}
-    for key in product(*(OUTCOMES[basis] for _, basis in _KEY_PLAN)):
+    for key in LEAF_KEYS:
         a1, A2, b3, B2, A1, B1 = (OUTCOMES[basis].index(o) for (_, basis), o in zip(_KEY_PLAN, key))
         table[key] = (FRAME[a1, A2 ^ A1], FRAME[b3, B2 ^ B1])
     return table

@@ -8,7 +8,8 @@ and b3, conjugate basis on A2, B2, A1 and B1 -- Alice's payload lands on
 Bob's (b1, b2) and Bob's on Alice's (a2, a3), each up to an outcome-keyed
 Pauli correction.  All 64 measurement leaves occur with probability 1/64
 regardless of the inputs.  :class:`Tree` holds them for one input pair and
-owns their delivery.
+owns their delivery; :func:`enumerate_batch` walks and delivers many pairs'
+leaves as rows of one array.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import product
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .corrections import (
+    LEAF_KEYS,
     MEASUREMENT_PLAN,
     PLAN_QUBITS,
     Table,
@@ -34,7 +38,9 @@ from .ghz import ghz_state
 from .qsim import (
     ATOL,
     Register,
+    _CNOT,
     _alphabet,
+    _apply_rows,
     _branch_rows,
     _collapse_rows,
     _row_norms,
@@ -60,9 +66,11 @@ __all__ = [
     "BranchLeaf",
     "Direction",
     "EprInput",
+    "LeafBatch",
     "Tree",
     "deprived_fidelities",
     "encode",
+    "enumerate_batch",
     "enumerate_branches",
     "leaf_index",
     "noncooperation_fidelity",
@@ -176,6 +184,59 @@ def encode(full: Register) -> Register:
 
 
 Leaf = tuple[tuple, float, Register]  # (outcomes, probability, register)
+Pair = tuple[EprInput, EprInput]  # (alice, bob)
+
+
+def _input_rows(pairs: Sequence[Pair]) -> np.ndarray:
+    """Each pair's inputs as :meth:`EprInput.register` writes them: ``(2, n, 4)``, Alice's rows first."""
+    if not pairs:
+        raise ValueError("expected at least one input pair")
+    rows = np.zeros((2, len(pairs), 4), dtype=complex)
+    rows[..., (0, 3)] += [[(epr.c0, epr.c1) for epr in inputs] for inputs in zip(*pairs)]
+    return rows / _row_norms(rows)[..., None]
+
+
+def _encode_rows(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """:func:`encode` of :func:`prepare_full_state` for each row pair of :func:`_input_rows`: ``(n, 1024)``.
+
+    The two tensor products are outer products with the channel, and each
+    CNOT is one :func:`qsim._apply_rows` call; every step divides each row by
+    its own norm, as :meth:`qsim.Register._trusted` does, so every row is
+    bit-identical to the pair's encoded register.
+    """
+    rows = prepare_channel().amps
+    for inputs in (alice, bob):
+        rows = (rows[..., :, None] * inputs[:, None, :]).reshape(len(inputs), -1)
+        rows /= _row_norms(rows)[:, None]
+    for control, target in ENCODING:
+        rows = _apply_rows(rows, FULL_LABELS, (control, target), _CNOT)
+        rows /= _row_norms(rows)[:, None]
+    return rows
+
+
+def _walk_rows(
+    labels: tuple[str, ...], rows: np.ndarray, plan: Sequence[tuple[str, str]]
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Measure ``plan`` in order on every row: (labels left, leaf rows, step probabilities).
+
+    This is the only place the protocol's measurements are performed.  The
+    walk is level-batched: every open branch at a step is one row of a
+    single array, split (:func:`qsim._branch_rows`) and collapsed
+    (:func:`qsim._collapse_rows`) at once, so a measured prefix is shared by
+    every leaf below it.  Row ``r`` of ``rows`` owns leaf rows ``r * 2**k``
+    onwards, its ``2**k`` leaves in outcome order, 0/"+" first at every
+    step; each leaf's step probabilities are the Born probability of every
+    step given the ones before it, in plan order.  Each leaf is bit-identical
+    to measuring it step by step with :func:`qsim.measure`.
+    """
+    born = []
+    for qubit, basis in plan:
+        alphabet = _alphabet(basis)
+        probs, rows = _collapse_rows(_branch_rows(rows, labels, qubit, basis), (qubit,), alphabet)
+        born.append(probs.reshape(-1))
+        labels, rows = tuple(l for l in labels if l != qubit), rows.reshape(probs.size, -1)
+    steps = [b.repeat(len(rows) // len(b)) for b in born]
+    return labels, rows, np.stack(steps, axis=1) if steps else np.empty((len(rows), 0))
 
 
 def walk_round(
@@ -183,49 +244,59 @@ def walk_round(
 ) -> Iterator[tuple[tuple, tuple[float, ...], Register]]:
     """Measure ``plan`` in order and yield every resulting leaf.
 
-    Each leaf is (outcomes, step probabilities, register): the Born
-    probability of every step given the ones before it, in plan order, so
-    ``math.prod`` of them is the leaf's probability.  Every step branches
-    over both outcomes, 0/"+" first.  This is the only place the protocol's
-    measurements are performed.
-
-    The walk is level-batched: every open branch at a step is one row of
-    a single array, split (:func:`qsim._branch_rows`) and collapsed
-    (:func:`qsim._collapse_rows`) at once, so a measured prefix is shared by
-    every leaf below it.  Each leaf is bit-identical to measuring it step by
-    step with :func:`qsim.measure`, and a read-only view of one array.
+    Each leaf is (outcomes, step probabilities, register), every step
+    branching over both outcomes, 0/"+" first, so ``math.prod`` of the
+    probabilities is the leaf's probability.  It is :func:`_walk_rows` of one
+    row; each register is a read-only view of one array.
     """
-    labels, rows, level = state.labels, state.amps[None], [((), ())]  # level: (outcomes, step probs) per row
-    for qubit, basis in plan:
-        alphabet = _alphabet(basis)
-        born, rows = _collapse_rows(_branch_rows(rows, labels, qubit, basis), (qubit,), alphabet)
-        level = [(o + (a,), p + (q,)) for (o, p), row in zip(level, born.tolist()) for a, q in zip(alphabet, row)]
-        labels, rows = tuple(l for l in labels if l != qubit), rows.reshape(len(level), -1)
-    return ((*branch, reg) for branch, reg in zip(level, Register._rows(labels, rows)))
+    labels, rows, probs = _walk_rows(state.labels, state.amps[None], plan)
+    outcomes = product(*(_alphabet(basis) for _, basis in plan))
+    return zip(outcomes, map(tuple, probs.tolist()), Register._rows(labels, rows))
+
+
+#: Both rounds' measurements, in order: the walk's leaf rows follow ``LEAF_KEYS``.
+_PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
+
+
+def _walk_pairs(
+    pairs: Sequence[Pair], plan: Sequence[tuple[str, str]] = _PLAN
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every input pair encoded and walked through ``plan`` in one batch.
+
+    Returns the pairs' :func:`_input_rows`, and :func:`_walk_rows`'s leaf
+    rows and step probabilities: pair ``i`` owns the ``i``-th run of
+    ``2**len(plan)`` leaves.
+    """
+    inputs = _input_rows(pairs)
+    return (inputs, *_walk_rows(FULL_LABELS, _encode_rows(*inputs), plan)[1:])
+
+
+def _product(columns: Iterable[np.ndarray]) -> np.ndarray:
+    """Elementwise product of the columns, left to right: ``math.prod``'s order."""
+    return reduce(mul, columns)
 
 
 #: Each correction gate as an exact map of a payload row, its 16 amplitudes in
-#: PAYLOAD_LABELS order: X on a qubit reorders the row (index xor the qubit's
-#: bit) and Z negates the entries whose index has the bit set.
-_ROW_GATES = {
-    (q, gate): np.arange(16) ^ bit if gate == "X" else np.where(np.arange(16) & bit, -1.0, 1.0)
-    for q, bit in zip(PAYLOAD_LABELS, (8, 4, 2, 1))
-    for gate in "XZ"
-}
+#: PAYLOAD_LABELS order, by the qubit's position k: X reorders the row (index
+#: xor the qubit's bit) and Z negates the entries whose index has the bit set.
+_BITS = 8 >> np.arange(len(PAYLOAD_LABELS))
+_X_MAPS = np.arange(16) ^ _BITS[:, None]
+_Z_SIGNS = np.where(np.arange(16) & _BITS[:, None], -1.0, 1.0)
 
 
 Pairs = tuple[tuple[str, str], ...]  # qubit pairs, each corrected by one ops string
 
 
 @lru_cache(maxsize=None)  # bounded: parse_ops admits 16 ops strings per qubit pair
-def _row_gates(labels: Pairs, ops: tuple[str, ...]) -> tuple[tuple[str, np.ndarray], ...]:
-    """Each gate of ``ops[k]`` on the qubits ``labels[k]``, for k in order, as (gate, its row map).
+def _gate_ids(labels: Pairs, ops: tuple[str, ...]) -> tuple[int, ...]:
+    """Each gate of ``ops[k]`` on the qubits ``labels[k]``, for k in order: X on payload
+    qubit k as k, Z as 4 + k.
 
     Within a factor the gates run reversed ("XZ" is Z, then X) and "I" is
     none: the order of :func:`corrections.apply_ops`, the gate-level oracle.
     """
     return tuple(
-        (gate, _ROW_GATES[q, gate])
+        PAYLOAD_LABELS.index(q) + 4 * (gate == "Z")
         for qubits, pair in zip(labels, ops, strict=True)
         for q, factor in zip(qubits, parse_ops(pair), strict=True)
         for gate in reversed(factor)
@@ -237,22 +308,30 @@ def _correct_rows(rows: np.ndarray, labels: Pairs, ops: Iterable[tuple[str, ...]
     """The row kernel: payload row ``r`` corrected with the ``r``-th ops, as ``(n, 4, 4)``.
 
     ``rows`` holds one payload's amplitudes per row; the ``r``-th entry of
-    ``ops`` gives one ops string per qubit pair of ``labels``.  At each gate
-    position, every row with a gate there is reordered (X) or negated (Z)
+    ``ops`` gives one ops string per qubit pair of ``labels``.  Each distinct
+    entry is read once, as a gate id per position; at each position, every
+    row with a gate there is reordered (X) or negated (Z) by its gate's map
     and divided by its own norm, as :meth:`qsim.Register._trusted` does
     after every gate: each row equals :func:`corrections.apply_ops` on its
     register bit for bit.  The result's axes are (b1, b2) and (a2, a3).
     """
-    gates = [_row_gates(labels, row_ops) for row_ops in ops]
+    distinct: dict[tuple[str, ...], int] = {}
+    index = [distinct.setdefault(entry, len(distinct)) for entry in ops]
+    gates = [_gate_ids(labels, entry) for entry in distinct]
+    steps = np.full((len(gates), max(map(len, gates), default=0)), -1)
+    for k, ids in enumerate(gates):
+        steps[k, : len(ids)] = ids
     fixed = rows.copy()
-    for step in range(max(map(len, gates), default=0)):
-        touched = [r for r, row_gates in enumerate(gates) if step < len(row_gates)]
-        for gate in "XZ":
-            rs = [r for r in touched if gates[r][step][0] == gate]
-            if rs:
-                maps = np.stack([gates[r][step][1] for r in rs])
-                fixed[rs] = np.take_along_axis(fixed[rs], maps, 1) if gate == "X" else fixed[rs] * maps
-        fixed[touched] /= _row_norms(fixed[touched])[:, None]
+    for step in steps[index].T:  # the gate of every row at one position, -1 for none
+        touched = np.flatnonzero(step >= 0)
+        gate, part = step[touched], fixed[touched]
+        xs, zs = np.flatnonzero(gate < 4), np.flatnonzero(gate >= 4)
+        if len(xs):
+            part[xs] = part[xs[:, None], _X_MAPS[gate[xs]]]
+        if len(zs):
+            part[zs] *= _Z_SIGNS[gate[zs] - 4]
+        part /= _row_norms(part)[:, None]
+        fixed[touched] = part
     return fixed.reshape(-1, 4, 4)
 
 
@@ -262,9 +341,12 @@ def _densities(fixed: np.ndarray, labels: tuple[str, str]) -> np.ndarray:
     return psi @ psi.conj().swapaxes(-1, -2)
 
 
-def _scores(rhos: np.ndarray, target: np.ndarray) -> list[float]:
-    """Each ``<target|rho|target>``, by :func:`qsim.fidelity_pure`'s product and BLAS call per rho."""
-    return np.vecdot(target, rhos @ target).real.tolist()
+def _scores(rhos: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each ``<target|rho|target>``, by :func:`qsim.fidelity_pure`'s product and BLAS call per rho.
+
+    ``targets`` is one target for every rho, or one row per rho.
+    """
+    return np.vecdot(targets, (rhos @ targets[..., None])[..., 0]).real
 
 
 #: The qubit pairs a table entry (bob_ops, alice_ops) corrects, in its order.
@@ -274,14 +356,26 @@ _PAIRS = tuple(d.labels for d in DIRECTIONS.values())
 _ROUND_ONE = len(MEASUREMENT_PLAN[0])
 
 
+def _deliver(rows: np.ndarray, ops: Iterable[tuple[str, str]], targets) -> np.ndarray:
+    """Both directions' fidelities of payload row ``r`` corrected with the ``r``-th table entry: ``(n, 2)``.
+
+    Bob's ops act on (b1, b2) first, then Alice's on (a2, a3), in one call
+    of the row kernel (:func:`_correct_rows`), and each corrected half is
+    scored against ``targets[slot]`` of its direction: one target for every
+    row, or one row per row.
+    """
+    fixed = _correct_rows(rows, _PAIRS, ops)
+    return np.stack([_scores(_densities(fixed, d.labels), targets[d.slot]) for d in DIRECTIONS.values()], -1)
+
+
 class Tree:
     """The exact measurement tree of one input pair: all 64 leaves, walked once.
 
     ``leaves`` maps each leaf's outcomes, in :func:`leaf_index` order, to its
-    (step probabilities, payload) from one :func:`walk_round` over both
-    rounds.  The tree is the one owner of delivery: ``targets`` holds each
-    input written on its receiver's payload labels, indexed by direction
-    slot, and fidelities are memoised by the ops that produced them, never
+    (step probabilities, payload) from one :func:`_walk_pairs` of the pair.
+    The tree is the one owner of delivery: ``targets`` holds each input
+    written on its receiver's payload labels, indexed by direction slot,
+    and fidelities are memoised by the ops that produced them, never
     by the table, so a table that changes between calls still takes effect.
     ``born`` (built on first use) and ``sessions`` (their records) serve only sessions.
     """
@@ -289,11 +383,9 @@ class Tree:
     def __init__(self, alice: EprInput, bob: EprInput) -> None:
         self.inputs = (alice, bob)
         self.targets = tuple(self.inputs[d.slot].register(d.labels) for d in DIRECTIONS.values())
-        encoded = encode(prepare_full_state(alice, bob))
-        self.leaves = {
-            outcomes: (probs, payload)
-            for outcomes, probs, payload in walk_round(encoded, MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
-        }
+        _, rows, steps = _walk_pairs([self.inputs])
+        payloads = Register._rows(PAYLOAD_LABELS, rows)
+        self.leaves = dict(zip(LEAF_KEYS, zip(map(tuple, steps.tolist()), payloads)))
         self.fidelities: dict[tuple, tuple[float, float]] = {}
         self.averages: dict[tuple, float] = {}
         self.sessions: dict[tuple, tuple] = {}
@@ -317,18 +409,16 @@ class Tree:
     def deliver(self, entries: Iterable[tuple[tuple, tuple[str, str]]]) -> list[tuple[float, float]]:
         """Both directions' fidelities at each (leaf key, ops) of ``entries``, in order.
 
-        ``ops`` is a table entry (bob_ops, alice_ops): Bob's act on (b1, b2)
-        first, then Alice's on (a2, a3), and each corrected half is scored
-        against its entry of ``targets``.  Entries not yet memoised go
-        through the row kernel (:func:`_correct_rows`) in one call.
+        ``ops`` is a table entry (bob_ops, alice_ops), scored against
+        ``targets``.  Entries not yet memoised go through :func:`_deliver`
+        in one call.
         """
         entries = list(entries)
         missing = [entry for entry in entries if entry not in self.fidelities]
         if missing:
             rows = np.stack([self.leaves[key][1].amps for key, _ in missing])
-            fixed = _correct_rows(rows, _PAIRS, (ops for _, ops in missing))
-            scores = [_scores(_densities(fixed, labels), t.amps) for labels, t in zip(_PAIRS, self.targets)]
-            self.fidelities.update(zip(missing, zip(*scores)))
+            fidelities = _deliver(rows, (ops for _, ops in missing), [t.amps for t in self.targets])
+            self.fidelities.update(zip(missing, map(tuple, fidelities.tolist())))
         return [self.fidelities[entry] for entry in entries]
 
     def delivered(self, key: tuple, ops: tuple[str, str]) -> tuple[float, float]:
@@ -383,21 +473,53 @@ class BranchLeaf:
         return {q: getattr(self, q) for q in PLAN_QUBITS}
 
 
+class LeafBatch(NamedTuple):
+    """The leaves of n input pairs, each pair's 64 in :func:`leaf_index` order."""
+
+    ops: list[tuple[str, str]]  # each leaf's table entry (bob_ops, alice_ops)
+    probabilities: np.ndarray  # (n, 64): round one's probability times round two's
+    fidelities: np.ndarray  # (n, 64, 2): a->b, then b->a, each against its own pair's inputs
+    payloads: np.ndarray  # (n, 64, 16): uncorrected, over PAYLOAD_LABELS
+
+
+def enumerate_batch(pairs: Sequence[Pair], table: Table | None = None) -> LeafBatch:
+    """Every corrected leaf of every (alice, bob) pair of ``pairs``, walked and delivered in one batch.
+
+    The table is read first, in :func:`leaf_index` order, so a missing key
+    raises KeyError on the first such leaf.  All pairs are then encoded and
+    walked as rows of one array (:func:`_walk_pairs`), and all their leaves
+    corrected and scored in one call of :func:`_deliver`.  Every value is
+    bit-identical to the pair's own :class:`Tree`: its ``rows()`` and
+    ``deliver``.  Memory grows with ``len(pairs)``, so callers walk many
+    pairs in chunks.
+    """
+    if table is None:
+        table = load_table()
+    ops = [table[key] for key in LEAF_KEYS]
+    inputs, rows, steps = _walk_pairs(pairs)
+    n, size = len(pairs), len(LEAF_KEYS)
+    probabilities = _product(steps.T[:_ROUND_ONE]) * _product(steps.T[_ROUND_ONE:])
+    fidelities = _deliver(rows, ops * n, inputs.repeat(size, axis=1))
+    return LeafBatch(
+        ops, probabilities.reshape(n, size), fidelities.reshape(n, size, 2), rows.reshape(n, size, -1)
+    )
+
+
 def enumerate_branches(
     alice: EprInput, bob: EprInput, table: Table | None = None
 ) -> list[BranchLeaf]:
-    """Every outcome combination's corrected leaf, all 64 read from one :class:`Tree`.
+    """Every outcome combination's corrected leaf: :func:`enumerate_batch` of the one pair.
 
     Leaves are ordered by :func:`leaf_index`.  Each leaf's fidelities are
     those of the corrected payload halves against the intended inputs.
     """
-    if table is None:
-        table = load_table()
-    tree = Tree(alice, bob)
-    fidelities = tree.deliver((key, table[key]) for key in tree.leaves)
+    batch = enumerate_batch([(alice, bob)], table)
+    payloads = Register._rows(PAYLOAD_LABELS, batch.payloads[0])
     return [
-        BranchLeaf(*key, prob, payload, *table[key], *fidelity)
-        for (key, prob, payload), fidelity in zip(tree.rows(), fidelities)
+        BranchLeaf(*key, prob, payload, *ops, *fidelities)
+        for key, prob, payload, ops, fidelities in zip(
+            LEAF_KEYS, batch.probabilities[0].tolist(), payloads, batch.ops, batch.fidelities[0].tolist()
+        )
     ]
 
 
@@ -430,7 +552,7 @@ def deprived_fidelities(
     np.add.at(totals, index, weights)  # unbuffered, in leaf order: 0.0 + w1 + w2 + ... per group
     np.add.at(mixed, index, np.array(weights)[:, None, None] * _densities(fixed, labels))
     fidelities = _scores(mixed / totals[:, None, None], permute(target, labels).amps)
-    return dict(zip(groups, zip(totals.tolist(), fidelities)))
+    return dict(zip(groups, zip(totals.tolist(), fidelities.tolist())))
 
 
 def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:

@@ -267,11 +267,24 @@ def _front(reg: Register, qubits: Sequence[str]) -> np.ndarray:
     return reg.amps.reshape((2,) * reg.n_qubits).transpose(order).reshape(1 << len(qubits), -1)
 
 
+def _apply_rows(
+    rows: np.ndarray, labels: tuple[str, ...], qubits: Sequence[str], matrix: np.ndarray
+) -> np.ndarray:
+    """Apply ``matrix`` to the listed qubits of every row; returns the new ``(n, 2**len(labels))`` rows.
+
+    Each row is one ``matrix @`` call on its own :func:`_front` matrix, so
+    every row is bit-identical to applying the gate to its register alone.
+    """
+    order = [0] + [k + 1 for k in _axis_order(labels, qubits)]
+    shape = (len(rows),) + (2,) * len(labels)
+    psi = matrix @ rows.reshape(shape).transpose(order).reshape(len(rows), len(matrix), -1)
+    back = sorted(range(len(order)), key=order.__getitem__)
+    return psi.reshape(shape).transpose(back).reshape(len(rows), -1)
+
+
 def _apply_matrix(reg: Register, qubits: Sequence[str], matrix: np.ndarray) -> np.ndarray:
     """Apply ``matrix`` to the listed qubits; returns the new flat vector."""
-    psi = (matrix @ _front(reg, qubits)).reshape((2,) * reg.n_qubits)
-    order = _axis_order(reg.labels, qubits)
-    return psi.transpose(sorted(range(reg.n_qubits), key=order.__getitem__)).reshape(-1)
+    return _apply_rows(reg.amps[None], reg.labels, qubits, matrix)[0]
 
 
 def apply_gate1(reg: Register, qubit: str, gate: str) -> Register:

@@ -10,11 +10,10 @@ the given seed, so a verification run is reproducible end to end.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,9 +27,12 @@ from .protocol import (
     FIDELITY_FLOOR,
     REMAINDER_LABELS,
     EprInput,
+    Pair,
     Tree,
+    _product,
+    _walk_pairs,
     encode,
-    enumerate_branches,
+    enumerate_batch,
     noncooperation_fidelity,
     prepare_full_state,
     walk_round,
@@ -67,6 +69,10 @@ DEFAULT_SEED = 0xB97
 #: deviations of the uniform 1/64.
 SIGMA_GATE = 4.0
 
+#: Random input pairs walked per batch by the criteria that draw many: one
+#: batch's arrays grow with its pairs, so this bounds the battery's peak memory.
+_CHUNK_PAIRS = 10
+
 _REGISTERED: list[str] = []  # criterion names, in definition (= battery) order
 
 
@@ -95,6 +101,12 @@ def _random_epr(rng: np.random.Generator) -> EprInput:
     v = rng.normal(size=4)
     c0, c1 = complex(v[0], v[1]), complex(v[2], v[3])
     return EprInput.normalized(c0, c1)
+
+
+def _random_pairs(rng: np.random.Generator, n: int) -> Iterator[list[Pair]]:
+    """``n`` random input pairs, Alice's input then Bob's, in chunks of at most ``_CHUNK_PAIRS``."""
+    for start in range(0, n, _CHUNK_PAIRS):
+        yield [(_random_epr(rng), _random_epr(rng)) for _ in range(min(_CHUNK_PAIRS, n - start))]
 
 
 def _criterion(name: str, budget: float | None = None):
@@ -239,10 +251,9 @@ def criterion_branch_uniformity(seed: int, n_inputs: int = 100) -> tuple[bool, s
     """All 16 first-round outcome combinations have probability exactly 1/16."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_inputs):
-        encoded = encode(prepare_full_state(_random_epr(rng), _random_epr(rng)))
-        for _branch, probs, _reg in walk_round(encoded, MEASUREMENT_PLAN[0]):
-            worst = max(worst, abs(math.prod(probs) - 1 / 16))
+    for pairs in _random_pairs(rng, n_inputs):
+        steps = _walk_pairs(pairs, MEASUREMENT_PLAN[0])[2]
+        worst = max(worst, *np.abs(_product(steps.T) - 1 / 16).tolist())
     return worst <= ATOL, f"{n_inputs} random input pairs, max |p - 1/16| = {worst:.2e}"
 
 
@@ -288,14 +299,13 @@ def criterion_reconstruction(
     tbl = table if table is not None else load_table()
     rng = np.random.default_rng(seed)
     worst = 1.0
-    for _ in range(n_inputs):
-        leaves = enumerate_branches(_random_epr(rng), _random_epr(rng), tbl)
-        if len(leaves) != 64:
-            return False, f"expected 64 leaves, got {len(leaves)}"
-        for leaf in leaves:
-            if abs(leaf.probability - 1 / 64) > ATOL:
-                return False, f"leaf {leaf.index} probability {leaf.probability!r}"
-            worst = min(worst, leaf.fidelity_alice_to_bob, leaf.fidelity_bob_to_alice)
+    for pairs in _random_pairs(rng, n_inputs):
+        batch = enumerate_batch(pairs, tbl)
+        off = np.abs(batch.probabilities - 1 / 64) > ATOL
+        if off.any():  # the first in pair order, then leaf order
+            pair, leaf = divmod(int(np.argmax(off)), off.shape[1])
+            return False, f"leaf {leaf} probability {float(batch.probabilities[pair, leaf])!r}"
+        worst = min(worst, *batch.fidelities.ravel().tolist())
     ok = worst >= FIDELITY_FLOOR
     return ok, f"{n_inputs} random input pairs, worst corrected fidelity {worst:.15f}"
 
