@@ -43,7 +43,6 @@ from .qsim import (
     Register,
     apply_cnot,
     apply_gate1,
-    equal_up_to_global_phase,
     fidelity_pure,
     make_register,
     measure,

@@ -45,6 +45,10 @@ OUTPUT_DIR_ENV = "BQTSIM_OUTPUT_DIR"
 #: Pre-normalization slack allowed on amplitude input pairs.
 INPUT_NORM_TOL = 1e-9
 
+#: Largest ``--trials``: trial seeds repeat after 2**64 trials, and numpy
+#: refuses an array of 2**63 elements or more before it allocates one.
+MAX_TRIALS = 2**63 - 1
+
 #: ``--cooperation`` value -> mode: "full", or "withhold-" and the withheld qubit.
 _COOPERATION_FLAGS = {f"withhold-{w.lower()}" if w else mode: mode for mode, w in WITHHELD.items()}
 
@@ -246,6 +250,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     alpha, beta = _resolve_inputs(args)
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise ConfigError(f"--trials must be at most 2**63 - 1 ({MAX_TRIALS})")
     cooperation = _COOPERATION_FLAGS[args.cooperation]
     table = load_table()
     # only the cooperative directions are gated on perfect fidelity

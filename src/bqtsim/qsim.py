@@ -31,7 +31,6 @@ __all__ = [
     "Register",
     "apply_cnot",
     "apply_gate1",
-    "equal_up_to_global_phase",
     "fidelity_pure",
     "make_register",
     "measure",
@@ -437,21 +436,12 @@ def fidelity_pure(rho: DensityMatrix, target: Register) -> float:
     return float(np.real(np.vdot(vec, rho.mat @ vec)))
 
 
-def equal_up_to_global_phase(first: Register, second: Register, tol: float = 1e-10) -> bool:
-    """Whether the two states differ only by a global phase.
+def _equal_up_to_phase(first: np.ndarray, other: np.ndarray, tol: float) -> bool:
+    """Whether two amplitude vectors in the same qubit order differ only by a global phase.
 
     The phase is read off at ``first``'s largest-magnitude amplitude, then
     the full vectors are compared within ``tol``.
     """
-    if sorted(first.labels) != sorted(second.labels):
-        raise ValueError(
-            f"label mismatch: {sorted(first.labels)} vs {sorted(second.labels)}"
-        )
-    return _equal_up_to_phase(first.amps, permute(second, first.labels).amps, tol)
-
-
-def _equal_up_to_phase(first: np.ndarray, other: np.ndarray, tol: float) -> bool:
-    """:func:`equal_up_to_global_phase` on two amplitude vectors in the same qubit order."""
     k = int(np.argmax(np.abs(first)))
     if abs(other[k]) < 1e-12:
         return False

@@ -37,15 +37,17 @@ from .protocol import (
     prepare_full_state,
     walk_round,
 )
+from . import qsim
 from .qsim import (
     ATOL,
+    OUTCOMES,
     Register,
-    apply_cnot,
+    _apply_rows,
+    _branch_rows,
+    _pick,
+    _row_norms,
     apply_gate1,
     make_register,
-    measure,
-    outcome_probabilities,
-    reduced_density,
     tensor,
 )
 
@@ -178,7 +180,8 @@ def find_reference_permutations(alice: EprInput, bob: EprInput) -> list[tuple[st
     For each candidate permutation the published rows are read as
     (coefficient, qubit-value assignment) multisets and compared against
     the directly simulated collapsed states; only permutations under which
-    all sixteen branches match exactly are returned.
+    all sixteen branches match exactly are returned, and none when a
+    branch does not hold exactly the published four terms.
     """
     prods = [
         [alice.c0 * bob.c0, alice.c0 * bob.c1],
@@ -188,6 +191,8 @@ def find_reference_permutations(alice: EprInput, bob: EprInput) -> list[tuple[st
     simulated = {
         branch: reg for branch, _probs, reg in walk_round(encoded, MEASUREMENT_PLAN[0])
     }
+    if any(len(reg.nonzero_terms(1e-9)) != 4 for reg in simulated.values()):
+        return []
     matches = []
     for perm in permutations(REMAINDER_LABELS):
         if all(
@@ -205,8 +210,6 @@ def _branch_matches(
     prods: list[list[complex]],
 ) -> bool:
     a1, A2, b3, B2 = branch
-    if len(reg.nonzero_terms(1e-9)) != 4:
-        return False
     for sign, (i, j), ket in reference_branch_terms(a1, A2, b3, B2):
         assignment = {perm[k]: int(ket[k]) for k in range(6)}
         amp = reg.amps[reg.index_of(assignment)]
@@ -365,51 +368,168 @@ def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
 @_criterion("engine-properties", 30.0)
 def criterion_engine_properties(seed: int, cases: int = 1000) -> tuple[bool, str]:
     """Gate unitarity, Born completeness, collapse norms, partial-trace purity."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    # norm preservation and involutions under random gate words
-    for _ in range(cases):
-        reg = _random_register(rng, rng.integers(1, 7))
-        q = reg.labels[rng.integers(0, reg.n_qubits)]
-        gate = ("X", "Z", "H")[rng.integers(0, 3)]
-        once = apply_gate1(reg, q, gate)
-        twice = apply_gate1(once, q, gate)
-        worst = max(worst, abs(np.linalg.norm(once.amps) - 1.0))
-        worst = max(worst, float(np.max(np.abs(twice.amps - reg.amps))))
-        if reg.n_qubits >= 2:
-            r = reg.labels[(reg.axis(q) + 1) % reg.n_qubits]
-            flipped = apply_cnot(reg, q, r)
-            worst = max(worst, abs(np.linalg.norm(flipped.amps) - 1.0))
-            worst = max(
-                worst, float(np.max(np.abs(apply_cnot(flipped, q, r).amps - reg.amps)))
-            )
-    # Born completeness and forced/sampled agreement
-    for _ in range(cases):
-        reg = _random_register(rng, rng.integers(1, 7))
-        q = reg.labels[rng.integers(0, reg.n_qubits)]
-        basis = "ZX"[rng.integers(0, 2)]
-        p0, p1 = outcome_probabilities(reg, q, basis)
-        worst = max(worst, abs(p0 + p1 - 1.0))
-        sampled = measure(reg, q, basis, rng=rng)
-        forced = measure(reg, q, basis, force=sampled.outcome)
-        worst = max(worst, abs(sampled.probability - forced.probability))
-        worst = max(
-            worst, float(np.max(np.abs(sampled.register.amps - forced.register.amps)))
-        )
-        worst = max(worst, abs(np.linalg.norm(sampled.register.amps) - 1.0))
-    # product-state partial trace is pure
-    for _ in range(cases):
-        left = _random_register(rng, rng.integers(1, 4), prefix="l")
-        right = _random_register(rng, rng.integers(1, 4), prefix="r")
-        rho = reduced_density(tensor(left, right), left.labels)
-        worst = max(worst, abs(rho.purity() - 1.0))
+    worst = max(_engine_worsts(seed, cases))
     return worst <= ATOL, f"{cases} cases per property, max deviation {worst:.2e}"
 
 
-def _random_register(rng: np.random.Generator, n: int, prefix: str = "q") -> Register:
-    n = int(n)
-    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return Register(tuple(f"{prefix}{k}" for k in range(n)), vec)
+def _engine_worsts(seed: int, cases: int) -> tuple[float, float, float]:
+    """Each property's worst deviation over ``cases`` cases: gates, Born rule, partial trace.
+
+    The cases are drawn from ``np.random.default_rng(seed)`` one by one, in
+    the order a loop of one :mod:`qsim` call per gate, measurement and
+    partial trace draws them.  Each group of cases of one shape is then
+    computed at once through the row kernels, with every row's arithmetic
+    that of the single call, so each worst is the loop's to the bit.  The
+    gate matrices and the forcing floor are read from :mod:`qsim` when
+    used, as its calls read them.
+    """
+    rng = np.random.default_rng(seed)
+    return _gate_worst(rng, cases), _born_worst(rng, cases), _trace_worst(rng, cases)
+
+
+#: Cases drawn per batch by engine-properties: a case holds at most 64
+#: amplitudes, so one batch's arrays stay within about 1 MiB.
+_CHUNK_CASES = 1000
+
+
+def _case_groups(
+    rng: np.random.Generator, cases: int, draw: Callable[[np.random.Generator], tuple]
+) -> Iterator[dict[tuple, list[np.ndarray]]]:
+    """Draw ``cases`` cases in order with ``draw`` -> (key, fields), in chunks of
+    at most ``_CHUNK_CASES``; yield each chunk's cases grouped by key, as the
+    case numbers and then each field, stacked in draw order."""
+    for start in range(0, cases, _CHUNK_CASES):
+        groups: dict[tuple, list] = {}
+        for i in range(start, min(cases, start + _CHUNK_CASES)):
+            key, *fields = draw(rng)
+            groups.setdefault(key, []).append((i, *fields))
+        # each group's drawn arrays are freed once stacked, so the chunk is held about once
+        yield {key: [np.array(column) for column in zip(*groups.pop(key))] for key in list(groups)}
+
+
+def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Real and imaginary parts of a random ``n``-qubit state's unnormalized amplitudes, as rows.
+
+    numpy fills the array in order, so these are the draws of
+    ``rng.normal(size=2**n)`` twice, in one call.
+    """
+    return rng.normal(size=(2, 1 << n))
+
+
+def _labels(n: int) -> tuple[str, ...]:
+    return tuple(f"q{k}" for k in range(n))
+
+
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its norm, as :class:`Register` and ``Register._trusted`` divide."""
+    return rows / _row_norms(rows)[:, None]
+
+
+def _states(parts: np.ndarray) -> np.ndarray:
+    """The registers of stacked ``_normals`` draws, one per row, as
+    ``Register(labels, re + 1j * im)`` normalizes them."""
+    return _normalized(parts[:, 0] + 1j * parts[:, 1])
+
+
+def _gate_case(rng: np.random.Generator) -> tuple:
+    n = int(rng.integers(1, 7))
+    parts = _normals(rng, n)
+    return (n, int(rng.integers(0, n)), ("X", "Z", "H")[rng.integers(0, 3)]), parts
+
+
+def _gate_worst(rng: np.random.Generator, cases: int) -> float:
+    """Norms after one gate and one CNOT, and both involutions (the CNOT from
+    the gate's qubit onto the next one, on two qubits or more)."""
+    worst = 0.0
+    for groups in _case_groups(rng, cases, _gate_case):
+        for (n, k, gate), (_, parts) in groups.items():
+            labels, rows = _labels(n), _states(parts)
+            words = [((labels[k],), qsim.GATES[gate])]
+            if n >= 2:
+                words.append(((labels[k], labels[(k + 1) % n]), qsim._CNOT))
+            for qubits, matrix in words:
+                once = _normalized(_apply_rows(rows, labels, qubits, matrix))
+                twice = _normalized(_apply_rows(once, labels, qubits, matrix))
+                worst = max(
+                    worst, np.max(np.abs(_row_norms(once) - 1.0)), np.max(np.abs(twice - rows))
+                )
+    return float(worst)
+
+
+def _born_case(rng: np.random.Generator) -> tuple:
+    n = int(rng.integers(1, 7))
+    parts = _normals(rng, n)
+    key = (n, int(rng.integers(0, n)), "ZX"[rng.integers(0, 2)])
+    return key, parts, rng.random()  # measure's one draw
+
+
+def _split_rows(rows: np.ndarray, n: int, k: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's two unnormalized branches ``(m, 2, rest)`` on qubit ``k`` and their Born probabilities.
+
+    Each branch is summed in the layout :func:`_branch_rows` gives it, which
+    is the layout :func:`measure` sums it in: a strided BLAS sum can differ
+    from a contiguous one in the last bit.
+    """
+    branches = _branch_rows(rows, _labels(n), f"q{k}", basis)
+    probs = np.stack([np.vecdot(b, b).real for b in branches], axis=1)
+    return np.stack(branches, axis=1), probs
+
+
+def _collapse_picked(branches: np.ndarray, probs: np.ndarray, picks: np.ndarray) -> tuple:
+    """Each row's probability of outcome ``picks[r]`` and that branch renormalized, as
+    :func:`measure` collapses."""
+    at = np.arange(len(picks))
+    prob = probs[at, picks]
+    return prob, _normalized(branches[at, picks] / np.sqrt(prob)[:, None])
+
+
+def _born_worst(rng: np.random.Generator, cases: int) -> float:
+    """Born completeness, a sampled outcome against the same outcome forced,
+    and the collapsed norm.  A sampled outcome below ``MIN_FORCE_PROB`` raises
+    :func:`measure`'s ValueError, for the first such case in draw order."""
+    worst = 0.0
+    for groups in _case_groups(rng, cases, _born_case):
+        unlikely = []
+        for (n, k, basis), (index, parts, draws) in groups.items():
+            rows = _states(parts)
+            branches, probs = _split_rows(rows, n, k, basis)
+            picks = np.array([_pick(p, u) for p, u in zip(probs.tolist(), draws.tolist())])
+            prob, collapsed = _collapse_picked(branches, probs, picks)
+            forced_prob, forced = _collapse_picked(*_split_rows(rows, n, k, basis), picks)
+            for r in np.flatnonzero(prob < qsim.MIN_FORCE_PROB)[:1]:
+                outcome = OUTCOMES[basis][picks[r]]
+                unlikely.append((index[r], f"outcome {outcome!r} on ('q{k}',) has probability {prob[r]:.3e}"))
+            worst = max(
+                worst,
+                np.max(np.abs(probs[:, 0] + probs[:, 1] - 1.0)),
+                np.max(np.abs(prob - forced_prob)),
+                np.max(np.abs(collapsed - forced)),
+                np.max(np.abs(_row_norms(collapsed) - 1.0)),
+            )
+        if unlikely:
+            raise ValueError(min(unlikely)[1])
+    return float(worst)
+
+
+def _trace_case(rng: np.random.Generator) -> tuple:
+    n_left = int(rng.integers(1, 4))
+    left = _normals(rng, n_left)
+    n_right = int(rng.integers(1, 4))
+    return (n_left, n_right), left, _normals(rng, n_right)
+
+
+def _trace_worst(rng: np.random.Generator, cases: int) -> float:
+    """Purity of the left factor traced out of a product of two random states."""
+    worst = 0.0
+    for groups in _case_groups(rng, cases, _trace_case):
+        for _, left, right in groups.values():
+            left, right = _states(left), _states(right)
+            product = left[:, :, None] * right[:, None, :]  # np.kron per row
+            psi = _normalized(product.reshape(len(product), -1)).reshape(product.shape)
+            rho = psi @ psi.conj().transpose(0, 2, 1)
+            purity = np.trace(rho @ rho, axis1=1, axis2=2).real
+            worst = max(worst, np.max(np.abs(purity - 1.0)))
+    return float(worst)
 
 
 def run_all(seed: int = DEFAULT_SEED, table: Table | None = None) -> list[CriterionResult]:

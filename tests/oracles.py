@@ -19,6 +19,11 @@ They share no reduction with the batched code, so the tests compare the two
 exactly: by bytes where the arithmetic is the same, and by ``==`` against
 the public gate path, whose matrix products may turn a negated zero into
 ``0.0``.
+
+``engine_properties`` is the ``engine-properties`` criterion's case-by-case
+loop, one public ``qsim`` call per gate, measurement and partial trace; the
+criterion groups its cases and computes each group through the row kernels.
+``equal_up_to_global_phase`` compares two registers up to a global phase.
 """
 
 import numpy as np
@@ -27,12 +32,20 @@ from bqtsim.corrections import PLAN_QUBITS, apply_ops, parse_ops
 from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS, PAYLOAD_LABELS
 from bqtsim.qsim import (
     DensityMatrix,
+    Register,
     _alphabet,
     _born,
     _branch_rows,
     _collapse,
+    _equal_up_to_phase,
+    apply_cnot,
+    apply_gate1,
     fidelity_pure,
+    measure,
+    outcome_probabilities,
+    permute,
     reduced_density,
+    tensor,
 )
 
 #: Each withholdable announcement: the payload labels it starves and their table column.
@@ -119,3 +132,76 @@ def deprived_fidelities(leaves, withheld, target, table):
         key: (total, fidelity_pure(DensityMatrix._trusted(labels, mixed / total), target))
         for key, (total, mixed) in groups.items()
     }
+
+
+def equal_up_to_global_phase(first, second, tol=1e-10):
+    """Whether the two states differ only by a global phase.
+
+    The phase is read off at ``first``'s largest-magnitude amplitude, then
+    the full vectors are compared within ``tol``.
+    """
+    if sorted(first.labels) != sorted(second.labels):
+        raise ValueError(
+            f"label mismatch: {sorted(first.labels)} vs {sorted(second.labels)}"
+        )
+    return _equal_up_to_phase(first.amps, permute(second, first.labels).amps, tol)
+
+
+def _random_register(rng, n, prefix="q"):
+    n = int(n)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return Register(tuple(f"{prefix}{k}" for k in range(n)), vec)
+
+
+def engine_properties(seed, cases=1000):
+    """Each property's worst deviation, (gates, Born rule, partial trace), case by case.
+
+    ``criterion_engine_properties`` as a loop over its cases: the same draws
+    from ``np.random.default_rng(seed)``, in the same order, with one public
+    ``qsim`` call per gate, measurement and partial trace.
+    """
+    rng = np.random.default_rng(seed)
+    worsts = []
+    worst = 0.0
+    # norm preservation and involutions under random gate words
+    for _ in range(cases):
+        reg = _random_register(rng, rng.integers(1, 7))
+        q = reg.labels[rng.integers(0, reg.n_qubits)]
+        gate = ("X", "Z", "H")[rng.integers(0, 3)]
+        once = apply_gate1(reg, q, gate)
+        twice = apply_gate1(once, q, gate)
+        worst = max(worst, abs(np.linalg.norm(once.amps) - 1.0))
+        worst = max(worst, float(np.max(np.abs(twice.amps - reg.amps))))
+        if reg.n_qubits >= 2:
+            r = reg.labels[(reg.axis(q) + 1) % reg.n_qubits]
+            flipped = apply_cnot(reg, q, r)
+            worst = max(worst, abs(np.linalg.norm(flipped.amps) - 1.0))
+            worst = max(
+                worst, float(np.max(np.abs(apply_cnot(flipped, q, r).amps - reg.amps)))
+            )
+    worsts.append(worst)
+    worst = 0.0
+    # Born completeness and forced/sampled agreement
+    for _ in range(cases):
+        reg = _random_register(rng, rng.integers(1, 7))
+        q = reg.labels[rng.integers(0, reg.n_qubits)]
+        basis = "ZX"[rng.integers(0, 2)]
+        p0, p1 = outcome_probabilities(reg, q, basis)
+        worst = max(worst, abs(p0 + p1 - 1.0))
+        sampled = measure(reg, q, basis, rng=rng)
+        forced = measure(reg, q, basis, force=sampled.outcome)
+        worst = max(worst, abs(sampled.probability - forced.probability))
+        worst = max(
+            worst, float(np.max(np.abs(sampled.register.amps - forced.register.amps)))
+        )
+        worst = max(worst, abs(np.linalg.norm(sampled.register.amps) - 1.0))
+    worsts.append(worst)
+    worst = 0.0
+    # product-state partial trace is pure
+    for _ in range(cases):
+        left = _random_register(rng, rng.integers(1, 4), prefix="l")
+        right = _random_register(rng, rng.integers(1, 4), prefix="r")
+        rho = reduced_density(tensor(left, right), left.labels)
+        worst = max(worst, abs(rho.purity() - 1.0))
+    worsts.append(worst)
+    return tuple(float(w) for w in worsts)

@@ -109,6 +109,15 @@ def test_trials_must_be_positive(capsys):
     assert "at least 1" in err
 
 
+# Only counts of 2**63 or more: numpy refuses those before it allocates, so a
+# missing bound shows as a traceback here, never as a huge allocation.
+@pytest.mark.parametrize("trials", [str(2**63), "99999999999999999999"])
+def test_trials_beyond_the_bound_are_one_error_line(capsys, trials):
+    code, out, err = run_cli(capsys, "run", "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == "error: --trials must be at most 2**63 - 1 (9223372036854775807)\n"
+
+
 def test_seed_accepts_hex(capsys):
     report = run_json(capsys, "run", "--trials", "1", "--seed", "0x10")
     assert report["config"]["seed"] == 16

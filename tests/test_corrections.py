@@ -34,7 +34,8 @@ from bqtsim.protocol import (
     EprInput,
     Tree,
 )
-from bqtsim.qsim import Register, equal_up_to_global_phase, make_register, permute
+from bqtsim.qsim import Register, make_register, permute
+from oracles import equal_up_to_global_phase
 
 
 def _epr(c0, c1, labels=("u", "v")):

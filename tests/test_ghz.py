@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bqtsim.ghz import GHZ_TERMS, entanglement_swap, ghz_basis_measure, ghz_state
-from bqtsim.qsim import Register, equal_up_to_global_phase, make_register, tensor
+from bqtsim.qsim import Register, make_register, tensor
+from oracles import equal_up_to_global_phase
 
 SQH = 1.0 / math.sqrt(2.0)
 

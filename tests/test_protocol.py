@@ -34,8 +34,8 @@ from bqtsim.protocol import (
     prepare_full_state,
     walk_round,
 )
-from bqtsim.qsim import equal_up_to_global_phase, make_register, measure, permute, tensor
-from oracles import STARVES, deliver, deprived_fidelities
+from bqtsim.qsim import make_register, measure, permute, tensor
+from oracles import STARVES, deliver, deprived_fidelities, equal_up_to_global_phase
 
 ALPHA = EprInput(0.6, 0.8)
 BETA = EprInput.normalized(2.0, 1.0j)

@@ -18,7 +18,6 @@ from bqtsim.qsim import (
     Register,
     apply_cnot,
     apply_gate1,
-    equal_up_to_global_phase,
     fidelity_pure,
     make_register,
     measure,
@@ -27,6 +26,7 @@ from bqtsim.qsim import (
     reduced_density,
     tensor,
 )
+from oracles import equal_up_to_global_phase
 
 SQH = 1.0 / math.sqrt(2.0)
 

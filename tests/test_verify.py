@@ -8,11 +8,14 @@ The battery's pass/fail gates themselves are exercised in
 import numpy as np
 import pytest
 
+import oracles
+from bqtsim import qsim, verify
 from bqtsim.corrections import load_table
 from bqtsim.protocol import EprInput
 from bqtsim.verify import (
     CRITERIA,
     DEFAULT_SEED,
+    criterion_engine_properties,
     criterion_reconstruction,
     criterion_sampling,
     find_reference_permutations,
@@ -132,3 +135,76 @@ def test_sampling_criterion_wraps_seeds_past_2_64():
     # sessions 1..63 of this battery seed wrap to 0..62 instead of raising
     result = criterion_sampling(2**64 - 1, trials=64)
     assert result.detail.startswith("64 sessions, max |z|"), result.detail
+
+
+# ---------------------------------------------------------------------------
+# engine-properties: grouped cases against the case-by-case loop
+# ---------------------------------------------------------------------------
+
+def _hex(worsts):
+    return [float(w).hex() for w in worsts]
+
+
+def _engine_detail(cases, worsts):
+    return f"{cases} cases per property, max deviation {max(worsts):.2e}"
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_engine_worsts_match_the_loop(seed):
+    for cases in (0, 1, 7, 100):
+        assert _hex(verify._engine_worsts(seed, cases)) == _hex(oracles.engine_properties(seed, cases)), cases
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 2**64 - 1])
+def test_engine_criterion_matches_the_loop_at_1000_cases(seed):
+    want = oracles.engine_properties(seed)
+    assert _hex(verify._engine_worsts(seed, 1000)) == _hex(want)
+    result = criterion_engine_properties(seed)
+    assert result.passed and result.detail == _engine_detail(1000, want)
+
+
+def test_engine_chunks_keep_the_draw_order(monkeypatch):
+    monkeypatch.setattr(verify, "_CHUNK_CASES", 3)
+    for cases in (1, 3, 7, 50):
+        assert _hex(verify._engine_worsts(11, cases)) == _hex(oracles.engine_properties(11, cases)), cases
+
+
+def test_engine_criterion_with_no_cases():
+    result = criterion_engine_properties(DEFAULT_SEED, cases=0)
+    assert result.passed and result.detail == "0 cases per property, max deviation 0.00e+00"
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("GATES", ("H", np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0))),  # not unitary
+        ("_CNOT", np.eye(4, dtype=complex)[[0, 3, 1, 2]]),  # a 3-cycle: unitary, not an involution
+    ],
+    ids=["non-unitary-H", "non-involutive-CNOT"],
+)
+def test_engine_criterion_fails_on_a_broken_engine_as_the_loop_does(monkeypatch, name, value):
+    if name == "GATES":
+        monkeypatch.setitem(qsim.GATES, *value)
+    else:
+        monkeypatch.setattr(qsim, name, value)
+    want = oracles.engine_properties(DEFAULT_SEED)
+    assert max(want) > 1e-3
+    assert _hex(verify._engine_worsts(DEFAULT_SEED, 1000)) == _hex(want)
+    result = criterion_engine_properties(DEFAULT_SEED)
+    assert not result.passed and result.detail == _engine_detail(1000, want)
+
+
+@pytest.mark.parametrize("chunk", [1000, 4])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2, 3])
+def test_engine_criterion_raises_the_loop_error_for_the_first_unlikely_outcome(monkeypatch, seed, chunk):
+    # At this floor many sampled outcomes, in many groups, are too unlikely to
+    # force.  At seeds 1, 2 and 3 the first of them in draw order is not in the
+    # first group, in order of first appearance, that holds one.
+    monkeypatch.setattr(qsim, "MIN_FORCE_PROB", 0.3)
+    monkeypatch.setattr(verify, "_CHUNK_CASES", chunk)
+    with pytest.raises(ValueError) as raised:
+        oracles.engine_properties(seed)
+    assert "has probability" in str(raised.value)
+    result = criterion_engine_properties(seed)
+    assert not result.passed
+    assert result.detail == f"raised ValueError: {raised.value}"
