@@ -25,7 +25,15 @@ from .corrections import (
     write_table,
 )
 from .ghz import SwapOutcome, entanglement_swap, ghz_basis_measure, ghz_state
-from .parties import COOPERATION_MODES, SessionResult, Transcript, ownership_check, run_session
+from .parties import (
+    COOPERATION_MODES,
+    SessionResult,
+    Transcript,
+    ownership_check,
+    run_session,
+    run_sessions,
+    session_seed,
+)
 from .protocol import (
     BranchLeaf,
     EprInput,

@@ -2,19 +2,19 @@
 
 Alice owns {a1, a2, a3, A1, A2} and Bob owns {b1, b2, b3, B1, B2}.  A
 session performs no protocol step of its own: it is six seeded draws
-against its input pair's :class:`bqtsim.protocol.Tree` plus a lookup of
-the drawn leaf's record -- transcript, both fidelities and the deprived
-expectation -- memoised on the tree per (leaf key, withheld announcement,
-ops).  The ops are looked up in the caller's table on every call, never
-keyed by the table, so an edited table still takes effect.  Sessions at a
-leaf share its record, so transcripts are immutable: events and message
-payloads are tuples.  Every gate, measurement, classical announcement,
-correction, and final fidelity is a transcript event.
+against its input pair's :class:`bqtsim.protocol.Tree`, then the drawn
+leaf's record -- transcript, both fidelities and the deprived
+expectation -- built from the tree and the caller's table
+(:func:`_records`).  Sessions at a leaf within one run share its record,
+so transcripts are immutable: events and message payloads are tuples.
+Every gate, measurement, classical announcement, correction, and final
+fidelity is a transcript event.
 
 :func:`run_sessions` draws a whole run's sessions in one batch, from a
-vectorised replay of numpy's generator.  :func:`run_session` is the scalar
-path and the batch's oracle: it plays the first session at each leaf with
-numpy's own generator, which cross-checks the batch.
+vectorised replay of numpy's generator, and builds every distinct leaf's
+record in one pass.  It draws the first session at each leaf again with
+numpy's own generator and :func:`run_session`'s scalar rule, which
+cross-checks the batch.
 
 Announcements travel in two rounds, Alice first within each round: after
 the first measurement round each party announces both of its results, and
@@ -44,13 +44,12 @@ import json
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterable
 
 import numpy as np
 
 from ._draws import uniforms
-from .corrections import MEASUREMENT_PLAN, PLAN_QUBITS, Table, correction_key, leaf_index, load_table
+from .corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, Table, correction_key, leaf_index, load_table
 from .protocol import (
     ALICE_INPUT_LABELS,
     BOB_INPUT_LABELS,
@@ -97,9 +96,8 @@ TRANSCRIPT_SCHEMA = "bqtsim.transcript/1"
 #: The direction each party receives, the one whose payload labels it owns; Bob's first.
 _RECEIVES = {p: d for d in DIRECTIONS.values() for p in OWNED if OWNED[p].issuperset(d.labels)}
 
-#: Each measured qubit's basis, and each draw's outcome alphabet, in plan order.
+#: Each measured qubit's basis, in plan order.
 _BASIS = dict(MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
-_ALPHABETS = tuple(map(_alphabet, _BASIS.values()))
 
 
 def session_seed(base: int, trial: int = 0) -> int:
@@ -139,11 +137,6 @@ class Transcript:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-
-    def of_kind(self, kind: str, actor: str | None = None) -> list[Event]:
-        return [
-            e for e in self.events if e.kind == kind and (actor is None or e.actor == actor)
-        ]
 
     def to_json_obj(self) -> dict:
         return {"schema": TRANSCRIPT_SCHEMA, "events": [e.to_dict() for e in self.events]}
@@ -199,23 +192,15 @@ def run_session(
     likely withheld outcomes (``|c0|**4 + |c1|**4`` of the undelivered
     input); under full cooperation it is None.
 
-    Each draw is one ``rng.random()`` picked against :attr:`Tree.born` with
-    :func:`qsim.measure`'s rule (``qsim._pick``), in plan order, so the
-    outcomes are bit-identical to measuring the state one draw at a time.
+    Each draw is one ``rng.random()`` picked with :func:`qsim.measure`'s
+    rule (:func:`_draw_leaf`), in plan order, so the outcomes are
+    bit-identical to measuring the state one draw at a time.
     """
     table = _checked(seed, cooperation, table)
     tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
-    rng = np.random.default_rng(seed)
-    key: tuple = ()
-    for alphabet in _ALPHABETS:
-        key += (alphabet[_pick(tree.born[key], rng.random())],)
-    withheld = WITHHELD[cooperation]
-    # each receiver corrects with the table entry of the key it heard
-    ops = tuple(table[_heard(key, w) if w == withheld else key][d.slot] for w, d in DIRECTIONS.items())
-    memo = key, withheld, ops
-    if memo not in tree.sessions:
-        tree.sessions[memo] = _record(tree, key, withheld, ops, table)
-    return SessionResult(*tree.sessions[memo], dict(zip(PLAN_QUBITS, key)), seed, cooperation)
+    key = LEAF_KEYS[_draw_leaf(tree, np.random.default_rng(seed))]
+    (record,) = _records(tree, [key], WITHHELD[cooperation], table)
+    return SessionResult(*record, dict(zip(PLAN_QUBITS, key)), seed, cooperation)
 
 
 def run_sessions(
@@ -234,26 +219,29 @@ def run_sessions(
     trial.  ``trials`` must be a non-negative integer (ValueError).
 
     All trials' draws come from one vectorised kernel that reproduces
-    ``np.random.default_rng(seed).random()`` bit for bit, and are picked
-    with :func:`run_session`'s rule (:func:`_draw_leaves`), so every leaf
-    is the one :func:`run_session` draws.  The first trial at each leaf is
-    played by :func:`run_session` itself, with numpy's own generator: if
-    it lands on another leaf, RuntimeError names the trial and its seed.
+    ``np.random.default_rng(seed).random()`` bit for bit (:func:`_draw_leaves`).
+    The first trial at each leaf is drawn again as :func:`run_session` draws
+    it, with numpy's own generator: if it lands on another leaf,
+    RuntimeError names the trial and its seed.
     """
     table = _checked(base, cooperation, table)
     session_seed(base, trials)  # checks trials
     tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
-    draws = uniforms(np.arange(trials, dtype=np.uint64) + base, len(_ALPHABETS))
+    draws = uniforms(np.arange(trials, dtype=np.uint64) + base, len(_BITS))
     leaves = _draw_leaves(tree, draws).tolist()
-    first = {}
-    for i in sorted(map(leaves.index, set(leaves))):
+    firsts = sorted(map(leaves.index, set(leaves)))
+    for i in firsts:
         seed = session_seed(base, i)
-        result = run_session(alice_input, bob_input, seed, cooperation, table)
-        if result.leaf != leaves[i]:
+        leaf = _draw_leaf(tree, np.random.default_rng(seed))
+        if leaf != leaves[i]:
             raise RuntimeError(f"trial {i} (seed {seed}): the batched draws reach leaf {leaves[i]}, "
-                               f"run_session reaches leaf {result.leaf}")
-        first[result.leaf] = result
-    return leaves, first
+                               f"run_session reaches leaf {leaf}")
+    keys = [LEAF_KEYS[leaves[i]] for i in firsts]
+    records = _records(tree, keys, WITHHELD[cooperation], table)
+    return leaves, {
+        leaves[i]: SessionResult(*record, dict(zip(PLAN_QUBITS, key)), session_seed(base, i), cooperation)
+        for i, key, record in zip(firsts, keys, records)
+    }
 
 
 def _checked(seed: int, cooperation: str, table: Table | None) -> Table:
@@ -264,50 +252,59 @@ def _checked(seed: int, cooperation: str, table: Table | None) -> Table:
     return load_table() if table is None else table
 
 
+#: Each step's bit in a leaf index, whose bits are its picks, first pick highest
+#: (:func:`leaf_index`).  So at step ``k`` with bit ``b``, below the picks so far,
+#: ``Tree.steps[leaf, k]`` is the first outcome's probability and ``[leaf | b, k]`` the second's.
+_BITS = tuple(1 << k for k in reversed(range(len(PLAN_QUBITS))))
+
+
+def _draw_leaf(tree: Tree, rng: np.random.Generator) -> int:
+    """The leaf index one session reaches: one ``rng.random()`` per step, picked
+    between its two outcomes with ``qsim._pick``, :func:`qsim.measure`'s rule."""
+    leaf = 0
+    for k, bit in enumerate(_BITS):
+        leaf |= bit * _pick((tree.steps[leaf, k], tree.steps[leaf | bit, k]), rng.random())
+    return leaf
+
+
 def _draw_leaves(tree: Tree, draws: np.ndarray) -> np.ndarray:
-    """The leaf index that each row of ``draws`` (one draw per step, plan order) reaches on ``tree``.
+    """The leaf index each row of ``draws`` (one draw per step) reaches: :func:`_draw_leaf`'s
+    rule, since ``qsim._pick`` takes the second of two outcomes iff the draw is at least the first's."""
+    leaves = np.zeros(len(draws), dtype=np.intp)
+    for k, (bit, column) in enumerate(zip(_BITS, draws.T)):
+        leaves |= bit * (column >= tree.steps[leaves, k])
+    return leaves
 
-    Step ``k`` takes the second outcome iff ``draws[:, k]`` is at least the
-    first outcome's :attr:`Tree.born` probability, which is ``qsim._pick``'s
-    rule for two outcomes.  The picks so far are a node of a binary tree:
-    the root is node 1, and node ``n`` has children ``2n`` (first outcome)
-    and ``2n + 1``, so ``p0[n]`` holds each inner node's probability.
+
+def _records(tree: Tree, keys: list[tuple], withheld: str | None, table: Table) -> list[tuple]:
+    """The first five fields of the :class:`SessionResult` of the sessions at each leaf of
+    ``keys`` (transcript to leaf index), all delivered in one :meth:`Tree.deliver` call.
+
+    Each receiver corrects with the table entry of the key it heard: the
+    leaf key, or :func:`_heard` for the one starved of ``withheld``.
     """
-    p0 = np.empty(2 ** len(_ALPHABETS))
-    for prefix, probs in tree.born.items():
-        node = 1
-        for alphabet, outcome in zip(_ALPHABETS, prefix):
-            node = 2 * node + alphabet.index(outcome)
-        p0[node] = probs[0]
-    node = np.ones(len(draws), dtype=np.intp)
-    for column in draws.T:
-        node = 2 * node + (column >= p0[node])
-    return _LEAF_OF_PICKS[node - len(p0)]
-
-
-#: Each leaf's index by its picks read as a binary number, first pick highest.
-_LEAF_OF_PICKS = np.array([leaf_index(*key) for key in product(*_ALPHABETS)])
-
-
-def _record(tree: Tree, key: tuple, withheld: str | None, ops: tuple[str, str], table: Table) -> tuple:
-    """The first five fields of the :class:`SessionResult` of every session at
-    leaf ``key`` (transcript to leaf index), built straight from the key."""
-    events = list(_PREAMBLE)
-    for round_no, plan in enumerate(MEASUREMENT_PLAN, 1):
-        for qubit, basis in plan:
-            n = PLAN_QUBITS.index(qubit)
-            events.append(Event(round_no + 2, _owner(qubit), "measure", _SINGLE[qubit], basis, key[n],
-                                tree.born[key[:n]][_alphabet(basis).index(key[n])]))
-        for sender in (ALICE, BOB):
-            payload = tuple((q, b, key[PLAN_QUBITS.index(q)]) for q, b in plan
-                            if q in OWNED[sender] and q != withheld)
-            if payload:
-                events.append(_message(round_no, sender, payload))
-    fidelities = tree.delivered(key, ops)
-    for kind, results in (("correct", ops), ("fidelity", fidelities)):
-        events += (Event(4, party, kind, d.labels, outcome=r) for (party, d), r in zip(_RECEIVES.items(), results))
-    expected = None if withheld is None else tree.deprived(key, withheld, table)
-    return Transcript(events), *fidelities, expected, leaf_index(*key)
+    if not keys:
+        return []
+    ops = [tuple(table[_heard(key, w) if w == withheld else key][d.slot] for w, d in DIRECTIONS.items())
+           for key in keys]
+    records = []
+    for key, entry, fidelities in zip(keys, ops, tree.deliver(zip(keys, ops))):
+        probs = tree.leaves[key][0]
+        events = list(_PREAMBLE)
+        for round_no, plan in enumerate(MEASUREMENT_PLAN, 1):
+            for qubit, basis in plan:
+                n = PLAN_QUBITS.index(qubit)
+                events.append(Event(round_no + 2, _owner(qubit), "measure", _SINGLE[qubit], basis, key[n], probs[n]))
+            for sender in (ALICE, BOB):
+                payload = tuple((q, b, key[PLAN_QUBITS.index(q)]) for q, b in plan
+                                if q in OWNED[sender] and q != withheld)
+                if payload:
+                    events.append(_message(round_no, sender, payload))
+        for kind, results in (("correct", entry), ("fidelity", fidelities)):
+            events += (Event(4, party, kind, d.labels, outcome=r) for (party, d), r in zip(_RECEIVES.items(), results))
+        expected = None if withheld is None else tree.deprived(key, withheld, table)
+        records.append((Transcript(events), *fidelities, expected, leaf_index(*key)))
+    return records
 
 
 #: Each measured qubit as the ``qubits`` of its measure events.

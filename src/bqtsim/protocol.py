@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import product
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -372,32 +372,20 @@ class Tree:
     """The exact measurement tree of one input pair: all 64 leaves, walked once.
 
     ``leaves`` maps each leaf's outcomes, in :func:`leaf_index` order, to its
-    (step probabilities, payload) from one :func:`_walk_pairs` of the pair.
+    (step probabilities, payload) from one :func:`_walk_pairs` of the pair;
+    ``steps`` holds the same step probabilities as one ``(64, 6)`` array.
     The tree is the one owner of delivery: ``targets`` holds each input
-    written on its receiver's payload labels, indexed by direction slot,
-    and fidelities are memoised by the ops that produced them, never
-    by the table, so a table that changes between calls still takes effect.
-    ``born`` (built on first use) and ``sessions`` (their records) serve only sessions.
+    written on its receiver's payload labels, indexed by direction slot.
     """
 
     def __init__(self, alice: EprInput, bob: EprInput) -> None:
         self.inputs = (alice, bob)
         self.targets = tuple(self.inputs[d.slot].register(d.labels) for d in DIRECTIONS.values())
-        _, rows, steps = _walk_pairs([self.inputs])
+        _, rows, self.steps = _walk_pairs([self.inputs])
+        self.steps.flags.writeable = False
         payloads = Register._rows(PAYLOAD_LABELS, rows)
-        self.leaves = dict(zip(LEAF_KEYS, zip(map(tuple, steps.tolist()), payloads)))
-        self.fidelities: dict[tuple, tuple[float, float]] = {}
+        self.leaves = dict(zip(LEAF_KEYS, zip(map(tuple, self.steps.tolist()), payloads)))
         self.averages: dict[tuple, float] = {}
-        self.sessions: dict[tuple, tuple] = {}
-
-    @cached_property
-    def born(self) -> dict[tuple, list[float]]:
-        """Outcomes so far -> Born probability of each next outcome, in alphabet order."""
-        born: dict[tuple, dict] = {}
-        for outcomes, (probs, _) in self.leaves.items():
-            for k, prob in enumerate(probs):
-                born.setdefault(outcomes[:k], {})[outcomes[k]] = prob
-        return {prefix: list(b.values()) for prefix, b in born.items()}
 
     def rows(self) -> Iterator[Leaf]:
         """Every leaf as (outcomes, probability, payload): round one's probability times round two's."""
@@ -407,23 +395,14 @@ class Tree:
         )
 
     def deliver(self, entries: Iterable[tuple[tuple, tuple[str, str]]]) -> list[tuple[float, float]]:
-        """Both directions' fidelities at each (leaf key, ops) of ``entries``, in order.
+        """Both directions' fidelities at each (leaf key, ops) of ``entries``, in order, from one
+        call of :func:`_deliver`.
 
-        ``ops`` is a table entry (bob_ops, alice_ops), scored against
-        ``targets``.  Entries not yet memoised go through :func:`_deliver`
-        in one call.
+        ``ops`` is a table entry (bob_ops, alice_ops), scored against ``targets``.
         """
-        entries = list(entries)
-        missing = [entry for entry in entries if entry not in self.fidelities]
-        if missing:
-            rows = np.stack([self.leaves[key][1].amps for key, _ in missing])
-            fidelities = _deliver(rows, (ops for _, ops in missing), [t.amps for t in self.targets])
-            self.fidelities.update(zip(missing, map(tuple, fidelities.tolist())))
-        return [self.fidelities[entry] for entry in entries]
-
-    def delivered(self, key: tuple, ops: tuple[str, str]) -> tuple[float, float]:
-        """Both directions' fidelities at leaf ``key`` corrected with ``ops``: :meth:`deliver` of one row."""
-        return self.deliver([(key, ops)])[0]
+        keys, ops = zip(*entries)
+        rows = np.stack([self.leaves[key][1].amps for key in keys])
+        return list(map(tuple, _deliver(rows, ops, [t.amps for t in self.targets]).tolist()))
 
     def deprived(self, key: tuple, withheld: str, table: Table) -> float:
         """Fidelity at the receiver starved of ``withheld`` when the tree lands on leaf ``key``.

@@ -338,11 +338,16 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
+def _born_rows(branches: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`_born` of each row of :func:`_branch_rows`'s pair, ``(n, 2)``, each branch summed in
+    the layout :func:`measure` sums it in: a strided BLAS sum can differ from a contiguous one."""
+    return np.stack([np.vecdot(b, b).real for b in branches], axis=1)
+
+
 def _collapse_rows(branches: Sequence[np.ndarray], measured: tuple, alphabet: Sequence) -> tuple:
-    """:func:`_born` and :func:`_collapse` forced to each outcome, on :func:`_branch_rows`'s pair:
+    """:func:`_born_rows` and :func:`_collapse` forced to each outcome, on :func:`_branch_rows`'s pair:
     Born probabilities ``(n, 2)`` and collapsed rows ``(n, 2, rest)``, each :func:`measure`'s bits."""
-    rows = np.stack(branches, axis=1)
-    probs = np.vecdot(rows, rows).real
+    probs, rows = _born_rows(branches), np.stack(branches, axis=1)
     for r, k in np.argwhere(probs < MIN_FORCE_PROB)[:1]:
         raise ValueError(f"outcome {alphabet[k]!r} on {measured!r} has probability {probs[r, k]:.3e}")
     rows = rows / np.sqrt(probs)[..., None]

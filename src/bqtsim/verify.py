@@ -43,6 +43,7 @@ from .qsim import (
     OUTCOMES,
     Register,
     _apply_rows,
+    _born_rows,
     _branch_rows,
     _pick,
     _row_norms,
@@ -317,9 +318,8 @@ def criterion_reconstruction(
 def criterion_correction_rules() -> tuple[bool, str]:
     """Announcement-keyed published rules fix the worked branch exactly."""
     tree = Tree(EprInput(0.6, 0.8), EprInput.normalized(0.8, 0.6j))
-    worst = 1.0
-    for (A1, B1), ops in TABULATED_RULES.items():
-        worst = min(worst, *tree.delivered(_WORKED + (A1, B1), ops))
+    delivered = tree.deliver((_WORKED + rule, ops) for rule, ops in TABULATED_RULES.items())
+    worst = min(1.0, *(f for fidelities in delivered for f in fidelities))
     # Z on both qubits is the identity on the span of |00> and |11>.
     epr = tree.inputs[0].register(("q0", "q1"))
     zz = apply_gate1(apply_gate1(epr, "q0", "Z"), "q1", "Z")
@@ -349,15 +349,15 @@ def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
     """Seeded sessions hit every leaf uniformly and replay byte-identically.
 
     The sessions are drawn in one batch (:func:`run_sessions`).  The replay
-    compares two independent computations: one session played against the
-    tree the sessions warmed, one against a freshly built tree.
+    compares two computations: one session played against the cached tree
+    the batch walked, one against a freshly built tree.
     """
     alice, bob = EprInput(0.6, 0.8), EprInput.normalized(1, 1)
     table = load_table()  # always the packaged one: an injected table feeds reconstruction
     counts = np.bincount(run_sessions(alice, bob, seed, trials, table=table)[0], minlength=64)
     max_z, uniform = leaf_histogram_gate(counts)
     warm = run_session(alice, bob, seed, table=table).transcript.to_json()
-    _session_tree.cache_clear()  # the replay walks a freshly built tree, not the warmed one
+    _session_tree.cache_clear()  # the replay walks a freshly built tree, not the cached one
     replay = warm == run_session(alice, bob, seed, table=table).transcript.to_json()
     return uniform and replay, (
         f"{trials} sessions, max |z| = {max_z:.2f} (gate {SIGMA_GATE}); "
@@ -464,15 +464,9 @@ def _born_case(rng: np.random.Generator) -> tuple:
 
 
 def _split_rows(rows: np.ndarray, n: int, k: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's two unnormalized branches ``(m, 2, rest)`` on qubit ``k`` and their Born probabilities.
-
-    Each branch is summed in the layout :func:`_branch_rows` gives it, which
-    is the layout :func:`measure` sums it in: a strided BLAS sum can differ
-    from a contiguous one in the last bit.
-    """
+    """Each row's two unnormalized branches ``(m, 2, rest)`` on qubit ``k`` and their Born probabilities."""
     branches = _branch_rows(rows, _labels(n), f"q{k}", basis)
-    probs = np.stack([np.vecdot(b, b).real for b in branches], axis=1)
-    return np.stack(branches, axis=1), probs
+    return np.stack(branches, axis=1), _born_rows(branches)
 
 
 def _collapse_picked(branches: np.ndarray, probs: np.ndarray, picks: np.ndarray) -> tuple:

@@ -20,10 +20,16 @@ exactly: by bytes where the arithmetic is the same, and by ``==`` against
 the public gate path, whose matrix products may turn a negated zero into
 ``0.0``.
 
+``walk_round`` also gives the event-by-event session oracle of
+``tests/test_parties.py`` its Born probabilities, so sessions, which pick
+against their tree's step probabilities, are never checked against the
+tree they draw on.
+
 ``engine_properties`` is the ``engine-properties`` criterion's case-by-case
 loop, one public ``qsim`` call per gate, measurement and partial trace; the
 criterion groups its cases and computes each group through the row kernels.
-``equal_up_to_global_phase`` compares two registers up to a global phase.
+``equal_up_to_global_phase`` compares two registers up to a global phase,
+and ``of_kind`` lists a transcript's events of one kind.
 """
 
 import numpy as np
@@ -145,6 +151,11 @@ def equal_up_to_global_phase(first, second, tol=1e-10):
             f"label mismatch: {sorted(first.labels)} vs {sorted(second.labels)}"
         )
     return _equal_up_to_phase(first.amps, permute(second, first.labels).amps, tol)
+
+
+def of_kind(transcript, kind, actor=None):
+    """The events of ``transcript`` of one kind, and of one actor if given, in order."""
+    return [e for e in transcript.events if e.kind == kind and (actor is None or e.actor == actor)]
 
 
 def _random_register(rng, n, prefix="q"):

@@ -8,6 +8,8 @@ here.
 import json
 import math
 from dataclasses import FrozenInstanceError, replace
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,11 +27,12 @@ from bqtsim.parties import (
     SessionResult,
     Transcript,
     _correction,
+    _draw_leaf,
     _draw_leaves,
     _input_bits,
     _knowledge,
     _owner,
-    _record,
+    _records,
     _session_tree,
     ownership_check,
     run_session,
@@ -47,13 +50,14 @@ from bqtsim.protocol import (
     FIDELITY_FLOOR,
     EprInput,
     Tree,
+    _deliver as deliver_rows,
     encode,
     enumerate_branches,
     prepare_full_state,
     walk_round,
 )
 from bqtsim.qsim import _pick, measure
-from oracles import deliver, deprived_fidelities
+from oracles import deliver, deprived_fidelities, of_kind, walk_round as per_row_walk
 
 ALPHA = EprInput(0.6, 0.8)
 BETA = EprInput.normalized(1, 1)
@@ -145,9 +149,9 @@ def test_session_draws_match_direct_measure_replay(cooperation):
         result = run_session(alice, bob, seed, cooperation)
         assert result.outcomes == outcomes
         assert result.leaf == leaf_index(*outcomes.values())
-        assert [e.probability for e in result.transcript.of_kind("measure")] == probs
+        assert [e.probability for e in of_kind(result.transcript, "measure")] == probs
 
-        ops = tuple(e.outcome for e in result.transcript.of_kind("correct"))
+        ops = tuple(e.outcome for e in of_kind(result.transcript, "correct"))
         _, to_bob, to_alice = deliver(state, ops, (to_bob_target, to_alice_target))
         assert result.fidelity_alice_to_bob == to_bob
         assert result.fidelity_bob_to_alice == to_alice
@@ -187,6 +191,17 @@ def test_cold_session_equals_the_same_seed_after_warm_sessions(cooperation):
     assert _fingerprint(run_session(alice, bob, 77, cooperation)) == cold
 
 
+def _born(alice, bob):
+    """Outcomes so far -> Born probability of each next outcome, in alphabet order, from the
+    per-row walk of ``tests/oracles.py`` (``qsim._born`` row by row), not from a tree."""
+    born = {}
+    plan = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
+    for outcomes, probs, _ in per_row_walk(encode(prepare_full_state(alice, bob)), plan):
+        for k, prob in enumerate(probs):
+            born.setdefault(outcomes[:k], {})[outcomes[k]] = prob
+    return {prefix: list(b.values()) for prefix, b in born.items()}
+
+
 def _play_round(events, born, round_no, outcomes, rng, withheld=None):
     """Draw one round of the plan against ``born`` into ``outcomes``, one
     measure event per draw, then announce it, Alice first."""
@@ -204,10 +219,11 @@ def _play_round(events, born, round_no, outcomes, rng, withheld=None):
                                 outcome=payload, message_round=round_no))
 
 
-def _oracle_session(tree, seed, cooperation, table):
-    """One session built event by event on ``tree``, each correction derived
-    from what its party knows (``_knowledge``, ``_correction``): the builder
-    that the memoised per-leaf records replaced."""
+def _oracle_session(tree, born, seed, cooperation, table):
+    """One session built event by event, its draws against ``born`` (:func:`_born`)
+    and its fidelities from ``tree``, each correction derived from what its party
+    knows (``_knowledge``, ``_correction``): the builder that the per-leaf
+    records replaced."""
     rng = np.random.default_rng(seed)
     events = [
         Event(1, "channel", "prepare", CHANNEL_LABELS),
@@ -218,12 +234,12 @@ def _oracle_session(tree, seed, cooperation, table):
                for control, target in ENCODING]
     outcomes = {}
     withheld = WITHHELD[cooperation]
-    _play_round(events, tree.born, 1, outcomes, rng)
-    _play_round(events, tree.born, 2, outcomes, rng, withheld)
+    _play_round(events, born, 1, outcomes, rng)
+    _play_round(events, born, 2, outcomes, rng, withheld)
     key = tuple(outcomes.values())
     known = _knowledge(events)
     ops = tuple(_correction(known, party, table) for party in (BOB, ALICE))
-    fidelities = tree.delivered(key, ops)
+    fidelities = tree.deliver([(key, ops)])[0]
     for kind, results in (("correct", ops), ("fidelity", fidelities)):
         for party, d, result in zip((BOB, ALICE), DIRECTIONS.values(), results):
             events.append(Event(4, party, kind, d.labels, outcome=result))
@@ -246,7 +262,8 @@ def _fields(result):
 @pytest.mark.parametrize("cooperation", COOPERATION_MODES)
 def test_memoised_sessions_equal_the_event_by_event_builder(cooperation):
     alice, bob = EprInput.normalized(0.3 - 0.2j, 1.1j), EprInput.normalized(0.7, -0.4 + 0.5j)
-    oracle_tree = Tree(alice, bob)  # its own tree, so no memo is shared with the sessions
+    oracle_tree = Tree(alice, bob)  # its own tree, so no state is shared with the sessions
+    born = _born(alice, bob)
     packaged = load_table()
     plain = dict(packaged)
     keys = list(plain)
@@ -258,7 +275,7 @@ def test_memoised_sessions_equal_the_event_by_event_builder(cooperation):
             plain[keys[seed * 7 % 64]] = (legal[seed % len(legal)], legal[(seed // 7) % len(legal)])
         results = []
         for table in (packaged, plain):
-            want = _fields(_oracle_session(oracle_tree, seed, cooperation, table))
+            want = _fields(_oracle_session(oracle_tree, born, seed, cooperation, table))
             got = _fields(run_session(alice, bob, seed, cooperation, table))
             assert got == want, (seed, table is plain)
             results.append(got)
@@ -272,7 +289,7 @@ def test_a_mutated_result_cannot_reach_a_later_session_at_its_leaf():
     first.outcomes["a1"] = 1 - first.outcomes["a1"]
     first.outcomes["extra"] = 0
     again = run_session(ALPHA, BETA, seed=3)
-    assert again.transcript is first.transcript  # shared by leaf
+    assert again.transcript is not first.transcript  # each call builds its own record
     assert again.outcomes is not first.outcomes
     assert _fields(again) == want
 
@@ -286,7 +303,7 @@ def test_a_shared_transcript_cannot_be_edited_in_place():
         transcript.events[0] = transcript.events[1]
     with pytest.raises(FrozenInstanceError):
         transcript.events = ()
-    for message in transcript.of_kind("message"):
+    for message in of_kind(transcript, "message"):
         assert isinstance(message.outcome, tuple)
         assert all(isinstance(row, tuple) for row in message.outcome)
         with pytest.raises(TypeError):
@@ -315,14 +332,14 @@ def test_leaves_with_the_same_round_one_results_share_its_announcements():
     table = load_table()
     first_round = (0, "-", 1, "+")
     records = [
-        _record(Tree(*pair), first_round + second, withheld, table[first_round + second], table)
+        _records(Tree(*pair), [first_round + second], withheld, table)[0]
         for pair, second, withheld in (
             ((ALPHA, BETA), ("+", "+"), None),
             ((ALPHA, BETA), ("-", "+"), "A1"),
             ((BETA, ALPHA), ("-", "-"), "B1"),
         )
     ]
-    messages = [record[0].of_kind("message") for record in records]
+    messages = [of_kind(record[0], "message") for record in records]
     for other in messages[1:]:
         assert [e for e in other if e.message_round == 1] == messages[0][:2]
         assert all(a is b for a, b in zip(other[:2], messages[0][:2]))
@@ -338,8 +355,8 @@ def test_editing_a_plain_table_changes_the_next_correction():
     edited = "XX" if bob_ops != "XX" else "ZZ"
     table[key] = (edited, alice_ops)
     second = run_session(ALPHA, BETA, seed=3, table=table)
-    assert [e.outcome for e in second.transcript.of_kind("correct")] == [edited, alice_ops]
-    assert [e.outcome for e in first.transcript.of_kind("correct")] == [bob_ops, alice_ops]
+    assert [e.outcome for e in of_kind(second.transcript, "correct")] == [edited, alice_ops]
+    assert [e.outcome for e in of_kind(first.transcript, "correct")] == [bob_ops, alice_ops]
     assert second.fidelity_alice_to_bob < FIDELITY_FLOOR
     assert second.fidelity_bob_to_alice == first.fidelity_bob_to_alice
 
@@ -466,24 +483,49 @@ def test_batched_picks_agree_with_pick_at_and_around_ties():
     # every draw sits on the first outcome's probability at the node the
     # earlier draws reached, or one ulp below or above it: 3**6 paths
     tree = Tree(ALPHA, EprInput(0.8, complex(0.36, 0.48)))
+    born = _born(*tree.inputs)
     rows, want = [], []
     for path in range(3 ** 6):
         key, row = (), []
         for k, (_, basis) in enumerate(MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]):
-            probs = tree.born[key]
+            probs = born[key]
             u = (np.nextafter(probs[0], 0.0), probs[0], np.nextafter(probs[0], 1.0))[path // 3**k % 3]
             row.append(float(u))
             key += (OUTCOMES[basis][_pick(probs, row[-1])],)
         rows.append(row)
         want.append(leaf_index(*key))
     assert _draw_leaves(tree, np.array(rows)).tolist() == want
+    # the scalar rule that run_session draws with and run_sessions cross-checks by
+    assert [_draw_leaf(tree, SimpleNamespace(random=iter(row).__next__)) for row in rows] == want
     assert want[sum(3**k for k in range(6))] == 63  # a tie takes the second outcome
+
+
+def test_both_pick_rules_read_the_node_their_picks_reached():
+    # every step of a protocol tree has one probability at all its nodes, so
+    # these steps give each node its own: first[k][n] at node n of step k
+    rng = np.random.default_rng(5)
+    first = [rng.uniform(0.3, 0.7, size=2**k).tolist() for k in range(6)]
+    steps = np.empty((64, 6))  # leaf index bits are its picks, first pick highest
+    for leaf, k in product(range(64), range(6)):
+        p0 = first[k][leaf >> (6 - k)]
+        steps[leaf, k] = 1 - p0 if leaf >> (5 - k) & 1 else p0
+    draws = rng.random((4096, 6))
+    want = []
+    for row in draws.tolist():
+        node = 0
+        for k, u in enumerate(row):
+            node = 2 * node + _pick((first[k][node], 1 - first[k][node]), u)
+        want.append(node)
+    tree = SimpleNamespace(steps=steps)
+    assert _draw_leaves(tree, draws).tolist() == want
+    assert [_draw_leaf(tree, SimpleNamespace(random=iter(row).__next__)) for row in draws.tolist()] == want
+    assert len(set(want)) == 64
 
 
 def test_a_batched_draw_that_disagrees_with_numpy_raises(monkeypatch):
     # nudge trial 0's first draw across the root's first probability: the
     # batch then sends it to another leaf than numpy's own generator does
-    p0 = _session_tree(_input_bits(ALPHA, BETA), ALPHA, BETA).born[()][0]
+    p0 = _born(ALPHA, BETA)[()][0]
 
     def nudged(seeds, n):
         draws = uniforms(seeds, n)
@@ -494,6 +536,20 @@ def test_a_batched_draw_that_disagrees_with_numpy_raises(monkeypatch):
     monkeypatch.setattr("bqtsim.parties.uniforms", nudged)
     with pytest.raises(RuntimeError, match=f"trial 0 \\(seed {0xB97}\\)"):
         run_sessions(ALPHA, BETA, 0xB97, 64)
+
+
+@pytest.mark.parametrize("cooperation", COOPERATION_MODES)
+def test_a_run_delivers_all_its_leaves_in_one_call(monkeypatch, cooperation):
+    calls = []
+
+    def counted(rows, ops, targets):
+        calls.append(len(rows))
+        return deliver_rows(rows, ops, targets)
+
+    monkeypatch.setattr("bqtsim.protocol._deliver", counted)
+    leaves, first = run_sessions(ALPHA, BETA, 0xB97, 4096, cooperation)
+    assert calls == [len(first)] == [64]
+    assert sorted(set(leaves)) == sorted(first)
 
 
 def test_run_sessions_checks_its_arguments():
@@ -520,25 +576,25 @@ def test_run_sessions_plays_no_trials_for_a_zero_count():
 
 def test_event_counts_and_order(session):
     t = session.transcript
-    assert len(t.of_kind("prepare")) == 3
-    assert [e.actor for e in t.of_kind("prepare")] == ["channel", ALICE, BOB]
-    assert [e.outcome for e in t.of_kind("gate")] == ["CNOT", "CNOT"]
-    measures = t.of_kind("measure")
+    assert len(of_kind(t, "prepare")) == 3
+    assert [e.actor for e in of_kind(t, "prepare")] == ["channel", ALICE, BOB]
+    assert [e.outcome for e in of_kind(t, "gate")] == ["CNOT", "CNOT"]
+    measures = of_kind(t, "measure")
     assert [e.qubits[0] for e in measures] == ["a1", "A2", "b3", "B2", "A1", "B1"]
     assert [e.basis for e in measures] == ["Z", "X", "Z", "X", "X", "X"]
-    assert len(t.of_kind("message", ALICE)) == 2
-    assert len(t.of_kind("message", BOB)) == 2
-    corrects = t.of_kind("correct")
+    assert len(of_kind(t, "message", ALICE)) == 2
+    assert len(of_kind(t, "message", BOB)) == 2
+    corrects = of_kind(t, "correct")
     assert [e.actor for e in corrects] == [BOB, ALICE]
     assert [tuple(e.qubits) for e in corrects] == [("b1", "b2"), ("a2", "a3")]
-    assert len(t.of_kind("fidelity")) == 2
+    assert len(of_kind(t, "fidelity")) == 2
 
 
 def test_message_rounds_and_payloads(session):
     for actor in (ALICE, BOB):
-        rounds = [e.message_round for e in session.transcript.of_kind("message", actor)]
+        rounds = [e.message_round for e in of_kind(session.transcript, "message", actor)]
         assert rounds == [1, 2]
-    first_alice = session.transcript.of_kind("message", ALICE)[0]
+    first_alice = of_kind(session.transcript, "message", ALICE)[0]
     announced = {q: outcome for q, _basis, outcome in first_alice.outcome}
     assert announced == {
         "a1": session.outcomes["a1"], "A2": session.outcomes["A2"]
@@ -546,10 +602,10 @@ def test_message_rounds_and_payloads(session):
 
 
 def test_measure_probabilities_recorded(session):
-    for e in session.transcript.of_kind("measure"):
+    for e in of_kind(session.transcript, "measure"):
         assert 0.0 < e.probability <= 1.0
     joint = float(
-        np.prod([e.probability for e in session.transcript.of_kind("measure")])
+        np.prod([e.probability for e in of_kind(session.transcript, "measure")])
     )
     assert joint == pytest.approx(1 / 64, abs=1e-12)
 
@@ -607,8 +663,8 @@ def test_alice_withholding_starves_bob():
             assert r.fidelity_alice_to_bob == pytest.approx(0.0784, abs=1e-12)
             miss += 1
         # one second-round message is missing from the transcript
-        assert len(r.transcript.of_kind("message", ALICE)) == 1
-        assert len(r.transcript.of_kind("message", BOB)) == 2
+        assert len(of_kind(r.transcript, "message", ALICE)) == 1
+        assert len(of_kind(r.transcript, "message", BOB)) == 2
     assert hit > 0 and miss > 0
 
 
@@ -617,7 +673,7 @@ def test_bob_withholding_starves_alice():
     assert r.fidelity_alice_to_bob >= 1.0 - 1e-10
     # the deprived expectation follows Bob's input, balanced here
     assert r.expected_fidelity == pytest.approx(0.5, abs=1e-12)
-    assert len(r.transcript.of_kind("message", BOB)) == 1
+    assert len(of_kind(r.transcript, "message", BOB)) == 1
 
 
 def test_withholding_expected_matches_empirical_mean():

@@ -53,8 +53,9 @@ from bqtsim.protocol import (
     enumerate_branches,
     noncooperation_fidelity,
     prepare_full_state,
+    walk_round,
 )
-from bqtsim.qsim import ATOL, DensityMatrix, fidelity_pure, measure, reduced_density
+from bqtsim.qsim import ATOL, DensityMatrix, Register, fidelity_pure, measure, reduced_density
 
 import oracles
 
@@ -109,7 +110,7 @@ def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_
     to_alice = fidelity_pure(
         reduced_density(fixed, ALICE_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS)
     )
-    assert tree.delivered(key, (bob_ops, alice_ops)) == (to_bob, to_alice)
+    assert tree.deliver([(key, (bob_ops, alice_ops))])[0] == (to_bob, to_alice)
     # amplitudes equal by ==, not by bits: negating a zero gives -0.0 where
     # apply_gate1's matrix product gives 0.0
     rows = _correct_rows(payload.amps[None], _PAIRS, [(bob_ops, alice_ops)])
@@ -134,7 +135,7 @@ def test_the_row_kernel_equals_the_per_leaf_oracle(alice, bob, entries):
                         ((ALICE_PAYLOAD_LABELS,), [e[1:] for e in entries])):
         fixed = _correct_rows(rows, labels, ops)
         assert fixed.tobytes() == oracles.correct_rows(rows, labels, ops).tobytes()
-    # a second batch is served from the memo, in the order asked
+    # a second batch in the reverse order gives each leaf the same values
     assert tree.deliver(zip(keys[::-1], entries[::-1])) == want[::-1]
     table = dict(zip(keys, entries))
     for withheld, (_, slot) in oracles.STARVES.items():
@@ -182,6 +183,33 @@ def test_walk_leaves_equals_the_measure_oracle(alice, bob):
         assert payload.amps.tobytes() == state.amps.tobytes()
 
 
+@st.composite
+def _plans_with_a_last_label_z_step(draw):
+    """A random 2-6 qubit register and a plan that measures its last label in Z,
+    among any other qubits of it in either basis, in any order."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = tuple(f"q{k}" for k in range(n))
+    state = Register(labels, rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+    others = draw(st.lists(st.sampled_from(labels[:-1]), unique=True))
+    plan = [(q, draw(st.sampled_from("ZX"))) for q in others]
+    plan.insert(draw(st.integers(0, len(plan))), (labels[-1], "Z"))
+    return state, plan
+
+
+@PROPERTY
+@given(_plans_with_a_last_label_z_step())
+def test_walk_round_with_a_z_step_on_the_last_label_equals_the_measure_oracle(case):
+    # a Z split of the last label is a strided view, and the walk sums it as measure does
+    state, plan = case
+    got = list(walk_round(state, plan))
+    want = list(_measured_leaves(state, plan))
+    assert len(got) == len(want) == 2 ** len(plan)
+    for (outcomes, probs, reg), (outcomes_want, probs_want, reg_want) in zip(got, want):
+        assert (outcomes, [p.hex() for p in probs]) == (outcomes_want, [p.hex() for p in probs_want])
+        assert reg.labels == reg_want.labels and reg.amps.tobytes() == reg_want.amps.tobytes()
+
+
 @PROPERTY
 @given(payloads(), payloads(), _entries, st.permutations(range(64)), st.integers(1, 64))
 def test_deprived_fidelities_on_any_subset_and_order_equals_the_oracle(alice, bob, entries, order, size):
@@ -218,7 +246,7 @@ def test_one_tree_serves_every_consumer(alice, bob):
         assert leaf.post_state is not payload  # the cached tree's registers never leave it
         assert leaf.post_state.amps.tobytes() == payload.amps.tobytes()
         fidelities = (leaf.fidelity_alice_to_bob, leaf.fidelity_bob_to_alice)
-        assert [f.hex() for f in fidelities] == [f.hex() for f in tree.delivered(key, table[key])]
+        assert [f.hex() for f in fidelities] == [f.hex() for f in tree.deliver([(key, table[key])])[0]]
     # noncooperation_fidelity pairs the sender with a balanced cooperative input
     balanced = EprInput(np.sqrt(0.5), np.sqrt(0.5))
     for withheld, sent, pair, labels in (

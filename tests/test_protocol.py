@@ -443,6 +443,10 @@ def test_a_trees_leaf_payloads_cannot_be_written():
         with pytest.raises(ValueError, match="read-only"):
             payload.amps.base[0] = 0
     assert batch.tobytes() == before
+    # nor can the step probabilities that sessions pick against
+    with pytest.raises(ValueError, match="read-only"):
+        tree.steps[0, 0] = 0.5
+    assert tree.steps.tolist() == [list(probs) for probs, _ in tree.leaves.values()]
 
 
 # ---------------------------------------------------------------------------
