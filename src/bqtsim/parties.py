@@ -49,7 +49,7 @@ from typing import Iterable
 import numpy as np
 
 from ._draws import uniforms
-from .corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, Table, correction_key, leaf_index, load_table
+from .corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, Table, correction_key, load_table
 from .protocol import (
     ALICE_INPUT_LABELS,
     BOB_INPUT_LABELS,
@@ -58,7 +58,7 @@ from .protocol import (
     ENCODING,
     EprInput,
     Tree,
-    _heard,
+    _HEARD,
 )
 from .qsim import _alphabet, _pick
 
@@ -96,8 +96,8 @@ TRANSCRIPT_SCHEMA = "bqtsim.transcript/1"
 #: The direction each party receives, the one whose payload labels it owns; Bob's first.
 _RECEIVES = {p: d for d in DIRECTIONS.values() for p in OWNED if OWNED[p].issuperset(d.labels)}
 
-#: Each measured qubit's basis, in plan order.
-_BASIS = dict(MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
+#: The (qubits, basis) of every legal measure event and announced result: one qubit of the plan, in its basis.
+_MEASURES = tuple(((q,), basis) for q, basis in MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
 
 
 def session_seed(base: int, trial: int = 0) -> int:
@@ -198,9 +198,9 @@ def run_session(
     """
     table = _checked(seed, cooperation, table)
     tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
-    key = LEAF_KEYS[_draw_leaf(tree, np.random.default_rng(seed))]
-    (record,) = _records(tree, [key], WITHHELD[cooperation], table)
-    return SessionResult(*record, dict(zip(PLAN_QUBITS, key)), seed, cooperation)
+    leaf = _draw_leaf(tree, np.random.default_rng(seed))
+    (record,) = _records(tree, [leaf], WITHHELD[cooperation], table)
+    return SessionResult(*record, dict(zip(PLAN_QUBITS, LEAF_KEYS[leaf])), seed, cooperation)
 
 
 def run_sessions(
@@ -236,11 +236,11 @@ def run_sessions(
         if leaf != leaves[i]:
             raise RuntimeError(f"trial {i} (seed {seed}): the batched draws reach leaf {leaves[i]}, "
                                f"run_session reaches leaf {leaf}")
-    keys = [LEAF_KEYS[leaves[i]] for i in firsts]
-    records = _records(tree, keys, WITHHELD[cooperation], table)
+    records = _records(tree, [leaves[i] for i in firsts], WITHHELD[cooperation], table)
     return leaves, {
-        leaves[i]: SessionResult(*record, dict(zip(PLAN_QUBITS, key)), session_seed(base, i), cooperation)
-        for i, key, record in zip(firsts, keys, records)
+        leaves[i]: SessionResult(*record, dict(zip(PLAN_QUBITS, LEAF_KEYS[leaves[i]])), session_seed(base, i),
+                                 cooperation)
+        for i, record in zip(firsts, records)
     }
 
 
@@ -276,20 +276,20 @@ def _draw_leaves(tree: Tree, draws: np.ndarray) -> np.ndarray:
     return leaves
 
 
-def _records(tree: Tree, keys: list[tuple], withheld: str | None, table: Table) -> list[tuple]:
-    """The first five fields of the :class:`SessionResult` of the sessions at each leaf of
-    ``keys`` (transcript to leaf index), all delivered in one :meth:`Tree.deliver` call.
+def _records(tree: Tree, leaves: list[int], withheld: str | None, table: Table) -> list[tuple]:
+    """The first five fields of the :class:`SessionResult` of the sessions at each leaf index
+    of ``leaves`` (transcript to leaf index), all delivered in one :meth:`Tree.deliver` call.
 
     Each receiver corrects with the table entry of the key it heard: the
-    leaf key, or :func:`_heard` for the one starved of ``withheld``.
+    leaf's key, or its heard key (``protocol._HEARD``) for the one starved
+    of ``withheld``.
     """
-    if not keys:
-        return []
-    ops = [tuple(table[_heard(key, w) if w == withheld else key][d.slot] for w, d in DIRECTIONS.items())
-           for key in keys]
+    ops = [tuple(table[_HEARD[w][leaf] if w == withheld else LEAF_KEYS[leaf]][d.slot]
+                 for w, d in DIRECTIONS.items()) for leaf in leaves]
+    steps = tree.steps.tolist()
     records = []
-    for key, entry, fidelities in zip(keys, ops, tree.deliver(zip(keys, ops))):
-        probs = tree.leaves[key][0]
+    for leaf, entry, fidelities in zip(leaves, ops, tree.deliver(leaves, ops)):
+        key, probs = LEAF_KEYS[leaf], steps[leaf]
         events = list(_PREAMBLE)
         for round_no, plan in enumerate(MEASUREMENT_PLAN, 1):
             for qubit, basis in plan:
@@ -302,8 +302,8 @@ def _records(tree: Tree, keys: list[tuple], withheld: str | None, table: Table) 
                     events.append(_message(round_no, sender, payload))
         for kind, results in (("correct", entry), ("fidelity", fidelities)):
             events += (Event(4, party, kind, d.labels, outcome=r) for (party, d), r in zip(_RECEIVES.items(), results))
-        expected = None if withheld is None else tree.deprived(key, withheld, table)
-        records.append((Transcript(events), *fidelities, expected, leaf_index(*key)))
+        expected = None if withheld is None else tree.deprived(leaf, withheld, table)
+        records.append((Transcript(events), *fidelities, expected, leaf))
     return records
 
 
@@ -356,7 +356,8 @@ _PREAMBLE = (
 def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
     """Audit locality and classical information flow of a transcript.
 
-    Returns False if any party touches a qubit it does not own, records a
+    Returns False if any party touches a qubit it does not own, measures
+    anything but one qubit of the plan in the plan's basis, records a
     result outside its basis's alphabet, announces a result it did not
     record (type included) or in another basis than the plan's, announces
     for a foreign qubit or for other qubits than its message's ``qubits``,
@@ -364,7 +365,9 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
     round-one announcements arrive, or applies a correction that differs
     from the one its own outcomes plus received announcements determine
     (withheld second-round announcements default to "+").  Physics is not
-    re-simulated; the audit is purely structural.
+    re-simulated; the audit is purely structural.  A malformed event -- a
+    label that is not a string, a round that is not an int, an announcement
+    that is not a sequence of (qubit, basis, result) triples -- fails it too.
     """
     if table is None:
         table = load_table()
@@ -376,23 +379,29 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
             if event.kind in ("gate", "measure", "message", "correct"):
                 return False  # only parties act; "channel" may only prepare
             continue
-        if not set(event.qubits) <= OWNED[actor]:
+        qubits = event.qubits
+        if not (isinstance(qubits, (tuple, list)) and all(type(q) is str for q in qubits)
+                and OWNED[actor].issuperset(qubits)):
             return False
         if event.kind == "message":
-            if event.message_round is None or event.message_round <= last_round[actor]:
+            if type(event.message_round) is not int or event.message_round <= last_round[actor]:
                 return False
             last_round[actor] = event.message_round
             # typed, since True == 1 == 1.0 but only 1 is a Z result
             recorded = {q: (type(r), r) for q, r in _knowledge(events[:n])[actor].items()}
-            if tuple(event.qubits) != tuple(label for label, *_ in event.outcome):
+            if not isinstance(event.outcome, (tuple, list)) or any(
+                    not isinstance(row, (tuple, list)) or len(row) != 3 for row in event.outcome):
+                return False
+            if tuple(qubits) != tuple(label for label, *_ in event.outcome):
                 return False
             for label, basis, outcome in event.outcome:
-                if (label not in OWNED[actor] or basis != _BASIS.get(label)
+                if (label not in OWNED[actor] or ((label,), basis) not in _MEASURES
                         or recorded.get(label) != (type(outcome), outcome)):
                     return False
         elif event.kind == "measure":
             try:
-                if event.outcome not in _alphabet(event.basis, event.outcome):
+                if ((tuple(qubits), event.basis) not in _MEASURES
+                        or event.outcome not in _alphabet(event.basis, event.outcome)):
                     return False
             except ValueError:
                 return False

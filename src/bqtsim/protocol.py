@@ -68,7 +68,6 @@ __all__ = [
     "EprInput",
     "LeafBatch",
     "Tree",
-    "deprived_fidelities",
     "encode",
     "enumerate_batch",
     "enumerate_branches",
@@ -183,12 +182,12 @@ def encode(full: Register) -> Register:
     return state
 
 
-Leaf = tuple[tuple, float, Register]  # (outcomes, probability, register)
 Pair = tuple[EprInput, EprInput]  # (alice, bob)
 
 
 def _input_rows(pairs: Sequence[Pair]) -> np.ndarray:
-    """Each pair's inputs as :meth:`EprInput.register` writes them: ``(2, n, 4)``, Alice's rows first."""
+    """Each pair's inputs on their receivers' payload labels, as :meth:`EprInput.register` writes them:
+    ``(2, n, 4)``, Alice's rows first.  This is the one writer of the targets a delivery scores against."""
     if not pairs:
         raise ValueError("expected at least one input pair")
     rows = np.zeros((2, len(pairs), 4), dtype=complex)
@@ -257,6 +256,9 @@ def walk_round(
 #: Both rounds' measurements, in order: the walk's leaf rows follow ``LEAF_KEYS``.
 _PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 
+#: Steps of round one: a leaf's step probabilities split here into its two rounds.
+_ROUND_ONE = len(MEASUREMENT_PLAN[0])
+
 
 def _walk_pairs(
     pairs: Sequence[Pair], plan: Sequence[tuple[str, str]] = _PLAN
@@ -274,6 +276,11 @@ def _walk_pairs(
 def _product(columns: Iterable[np.ndarray]) -> np.ndarray:
     """Elementwise product of the columns, left to right: ``math.prod``'s order."""
     return reduce(mul, columns)
+
+
+def _leaf_probabilities(steps: np.ndarray) -> np.ndarray:
+    """Each leaf's probability from its row of ``steps``: round one's product times round two's."""
+    return _product(steps.T[:_ROUND_ONE]) * _product(steps.T[_ROUND_ONE:])
 
 
 #: Each correction gate as an exact map of a payload row, its 16 amplitudes in
@@ -352,8 +359,21 @@ def _scores(rhos: np.ndarray, targets: np.ndarray) -> np.ndarray:
 #: The qubit pairs a table entry (bob_ops, alice_ops) corrects, in its order.
 _PAIRS = tuple(d.labels for d in DIRECTIONS.values())
 
-#: Steps of round one: a leaf's step probabilities split here into its two rounds.
-_ROUND_ONE = len(MEASUREMENT_PLAN[0])
+#: Each withholdable announcement's heard key at every leaf, in leaf order: the table
+#: key of the receiver that never hears it, that result read as "+" (:func:`correction_key`).
+_HEARD = {
+    w: tuple(correction_key({q: o for q, o in zip(PLAN_QUBITS, key) if q != w}) for key in LEAF_KEYS)
+    for w in DIRECTIONS
+}
+
+#: Each withholdable announcement's groups: the distinct heard keys, first seen in leaf
+#: order, and each leaf's group, its heard key's place among them.  Leaves that differ
+#: only in the withheld result, ``i`` and ``i | bit`` for its bit, share a group.
+_GROUPS = {
+    w: (keys, np.array([keys.index(key) for key in heard]))
+    for w, heard in _HEARD.items()
+    for keys in [tuple(dict.fromkeys(heard))]
+}
 
 
 def _deliver(rows: np.ndarray, ops: Iterable[tuple[str, str]], targets) -> np.ndarray:
@@ -368,62 +388,69 @@ def _deliver(rows: np.ndarray, ops: Iterable[tuple[str, str]], targets) -> np.nd
     return np.stack([_scores(_densities(fixed, d.labels), targets[d.slot]) for d in DIRECTIONS.values()], -1)
 
 
+def _deprived(tree: "Tree", weights: np.ndarray, withheld: str, table: Table) -> tuple[list, list]:
+    """Each group of ``withheld`` (:data:`_GROUPS`) at the receiver it starves: (total weights, fidelities).
+
+    Leaves of one group look alike to the receiver: it applies the
+    correction of the key it heard (:data:`_HEARD`) and holds their mixture,
+    each leaf weighted by its entry of ``weights``.  All 64 of the tree's
+    payloads are corrected in one call of the row kernel
+    (:func:`_correct_rows`), and each mixture is scored against the sender's
+    input.
+    """
+    labels, slot, _ = DIRECTIONS[withheld]
+    keys, groups = _GROUPS[withheld]
+    fixed = _correct_rows(tree.payloads, (labels,), ((table[key][slot],) for key in _HEARD[withheld]))
+    totals, mixed = np.zeros(len(keys)), np.zeros((len(keys), 4, 4), dtype=complex)
+    np.add.at(totals, groups, weights)  # unbuffered, in leaf order: 0.0 + w1 + w2 + ... per group
+    np.add.at(mixed, groups, weights[:, None, None] * _densities(fixed, labels))
+    return totals.tolist(), _scores(mixed / totals[:, None, None], tree.targets[slot]).tolist()
+
+
 class Tree:
     """The exact measurement tree of one input pair: all 64 leaves, walked once.
 
-    ``leaves`` maps each leaf's outcomes, in :func:`leaf_index` order, to its
-    (step probabilities, payload) from one :func:`_walk_pairs` of the pair;
-    ``steps`` holds the same step probabilities as one ``(64, 6)`` array.
-    The tree is the one owner of delivery: ``targets`` holds each input
-    written on its receiver's payload labels, indexed by direction slot.
+    It holds one :func:`_walk_pairs` of the pair as three read-only arrays,
+    each leaf's row at its :func:`leaf_index`: ``payloads`` ``(64, 16)``,
+    every uncorrected payload over PAYLOAD_LABELS; ``steps`` ``(64, 6)``,
+    every leaf's step probabilities in plan order; and ``targets``
+    ``(2, 4)``, each input on its receiver's payload labels
+    (:func:`_input_rows`), by direction slot.  The tree is the one owner of
+    delivery.
     """
 
     def __init__(self, alice: EprInput, bob: EprInput) -> None:
         self.inputs = (alice, bob)
-        self.targets = tuple(self.inputs[d.slot].register(d.labels) for d in DIRECTIONS.values())
-        _, rows, self.steps = _walk_pairs([self.inputs])
-        self.steps.flags.writeable = False
-        payloads = Register._rows(PAYLOAD_LABELS, rows)
-        self.leaves = dict(zip(LEAF_KEYS, zip(map(tuple, self.steps.tolist()), payloads)))
+        inputs, payloads, steps = _walk_pairs([self.inputs])
+        # copies that own their memory, so no writable base is left behind them
+        self.payloads, self.steps, self.targets = (a.copy() for a in (payloads, steps, inputs[:, 0]))
+        for array in (self.payloads, self.steps, self.targets):
+            array.flags.writeable = False
         self.averages: dict[tuple, float] = {}
 
-    def rows(self) -> Iterator[Leaf]:
-        """Every leaf as (outcomes, probability, payload): round one's probability times round two's."""
-        return (
-            (outcomes, math.prod(probs[:_ROUND_ONE]) * math.prod(probs[_ROUND_ONE:]), payload)
-            for outcomes, (probs, payload) in self.leaves.items()
-        )
+    def deliver(self, leaves: Sequence[int], ops: Sequence[tuple[str, str]]) -> list[tuple[float, float]]:
+        """Both directions' fidelities at each leaf index of ``leaves``, corrected with the
+        table entry (bob_ops, alice_ops) at the same place of ``ops``: one call of :func:`_deliver`."""
+        if len(leaves) != len(ops):
+            raise ValueError(f"{len(leaves)} leaves but {len(ops)} table entries")
+        return list(map(tuple, _deliver(self.payloads[list(leaves)], ops, self.targets).tolist()))
 
-    def deliver(self, entries: Iterable[tuple[tuple, tuple[str, str]]]) -> list[tuple[float, float]]:
-        """Both directions' fidelities at each (leaf key, ops) of ``entries``, in order, from one
-        call of :func:`_deliver`.
+    def deprived(self, leaf: int, withheld: str, table: Table) -> float:
+        """Fidelity at the receiver starved of ``withheld`` when the tree lands on leaf index ``leaf``.
 
-        ``ops`` is a table entry (bob_ops, alice_ops), scored against ``targets``.
-        """
-        keys, ops = zip(*entries)
-        rows = np.stack([self.leaves[key][1].amps for key in keys])
-        return list(map(tuple, _deliver(rows, ops, [t.amps for t in self.targets]).tolist()))
-
-    def deprived(self, key: tuple, withheld: str, table: Table) -> float:
-        """Fidelity at the receiver starved of ``withheld`` when the tree lands on leaf ``key``.
-
-        It is that receiver's group in :func:`deprived_fidelities`, with
-        leaves weighted by their round-two probabilities alone; one miss fills
-        every group of ``withheld``.  The memo key is (withheld, heard key,
-        ops), since both receivers can hear the same key with the same ops:
+        It is that receiver's group in :func:`_deprived`, with leaves weighted
+        by their round-two probabilities alone; one miss fills every group of
+        ``withheld``.  The memo key is (withheld, heard key, ops), since both
+        receivers can hear the same key with the same ops:
         ``(0, "+", 0, "+", "+", "+")`` with ``"II"`` in the packaged table.
         """
         slot = DIRECTIONS[withheld].slot
-        heard = _heard(key, withheld)
+        heard = _HEARD[withheld][leaf]
         memo = (withheld, heard, table[heard][slot])
         if memo not in self.averages:
-            leaves = (
-                (outcomes, math.prod(probs[_ROUND_ONE:]), payload)
-                for outcomes, (probs, payload) in self.leaves.items()
-            )
-            groups = deprived_fidelities(leaves, withheld, self.targets[slot], table)
-            for group, (_, fidelity) in groups.items():
-                self.averages[withheld, group, table[group][slot]] = fidelity
+            _, fidelities = _deprived(self, _product(self.steps.T[_ROUND_ONE:]), withheld, table)
+            for key, fidelity in zip(_GROUPS[withheld][0], fidelities):
+                self.averages[withheld, key, table[key][slot]] = fidelity
         return self.averages[memo]
 
 
@@ -468,7 +495,7 @@ def enumerate_batch(pairs: Sequence[Pair], table: Table | None = None) -> LeafBa
     raises KeyError on the first such leaf.  All pairs are then encoded and
     walked as rows of one array (:func:`_walk_pairs`), and all their leaves
     corrected and scored in one call of :func:`_deliver`.  Every value is
-    bit-identical to the pair's own :class:`Tree`: its ``rows()`` and
+    bit-identical to the pair's own :class:`Tree`: its arrays and
     ``deliver``.  Memory grows with ``len(pairs)``, so callers walk many
     pairs in chunks.
     """
@@ -477,7 +504,7 @@ def enumerate_batch(pairs: Sequence[Pair], table: Table | None = None) -> LeafBa
     ops = [table[key] for key in LEAF_KEYS]
     inputs, rows, steps = _walk_pairs(pairs)
     n, size = len(pairs), len(LEAF_KEYS)
-    probabilities = _product(steps.T[:_ROUND_ONE]) * _product(steps.T[_ROUND_ONE:])
+    probabilities = _leaf_probabilities(steps)
     fidelities = _deliver(rows, ops * n, inputs.repeat(size, axis=1))
     return LeafBatch(
         ops, probabilities.reshape(n, size), fidelities.reshape(n, size, 2), rows.reshape(n, size, -1)
@@ -502,38 +529,6 @@ def enumerate_branches(
     ]
 
 
-@lru_cache(maxsize=128)  # bounded: 64 outcome tuples per withheld announcement
-def _heard(outcomes: tuple, withheld: str) -> tuple:
-    """The table key of the receiver that never hears ``withheld``: that result read as "+"."""
-    return correction_key({q: o for q, o in zip(PLAN_QUBITS, outcomes) if q != withheld})
-
-
-def deprived_fidelities(
-    leaves: Iterable[Leaf], withheld: str, target: Register, table: Table
-) -> dict[tuple, tuple[float, float]]:
-    """Fidelity at the receiver ``DIRECTIONS[withheld]`` starved of one announcement.
-
-    ``leaves`` gives (outcomes in plan order, weight, payload).  Leaves that
-    differ only in the withheld result look alike to the receiver: it
-    applies the correction of the key it heard (:func:`_heard`) and holds
-    their weighted mixture.  All leaves are corrected in one call of the
-    row kernel (:func:`_correct_rows`).  Returns {heard key: (total weight,
-    the mixture's fidelity against ``target``)}, in first-seen order.
-    """
-    labels, slot, _ = DIRECTIONS[withheld]
-    outcomes, weights, payloads = zip(*leaves)
-    heard = [_heard(tuple(o), withheld) for o in outcomes]
-    rows = np.stack([payload.amps for payload in payloads])
-    fixed = _correct_rows(rows, (labels,), ((table[key][slot],) for key in heard))
-    groups: dict[tuple, int] = {}
-    index = [groups.setdefault(key, len(groups)) for key in heard]
-    totals, mixed = np.zeros(len(groups)), np.zeros((len(groups), 4, 4), dtype=complex)
-    np.add.at(totals, index, weights)  # unbuffered, in leaf order: 0.0 + w1 + w2 + ... per group
-    np.add.at(mixed, index, np.array(weights)[:, None, None] * _densities(fixed, labels))
-    fidelities = _scores(mixed / totals[:, None, None], permute(target, labels).amps)
-    return dict(zip(groups, zip(totals.tolist(), fidelities.tolist())))
-
-
 def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     """Expected fidelity at the deprived receiver when one announcement is withheld.
 
@@ -541,7 +536,7 @@ def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     ``epr`` is Alice's input); ``"B1"`` starves Alice.  The returned value
     weights every leaf by its full probability, averages the receiver's
     corrected reduced state over the two equally likely withheld outcomes
-    (:func:`deprived_fidelities`) and equals ``|c0|**4 + |c1|**4``.
+    (:func:`_deprived`) and equals ``|c0|**4 + |c1|**4``.
     """
     if withheld not in DIRECTIONS:
         raise ValueError(f"withheld must be 'A1' or 'B1', got {withheld!r}")
@@ -550,8 +545,8 @@ def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     inputs = [EprInput(np.sqrt(0.5), np.sqrt(0.5))] * 2
     inputs[slot] = epr
     tree = Tree(*inputs)
-    groups = deprived_fidelities(tree.rows(), withheld, tree.targets[slot], load_table())
+    totals, fidelities = _deprived(tree, _leaf_probabilities(tree.steps), withheld, load_table())
     expected = 0.0
-    for weight, fidelity in groups.values():
+    for weight, fidelity in zip(totals, fidelities):
         expected += weight * fidelity
     return expected

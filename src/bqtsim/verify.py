@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, load_table
+from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, leaf_index, load_table
 from .ghz import entanglement_swap
 from .parties import _session_tree, run_session, run_sessions
 from .protocol import (
@@ -283,14 +283,14 @@ def _worked_branch_factorization(tree: Tree) -> bool:
     """Payloads of branch (0,+,0,+) equal the published sign-keyed products."""
     alice, bob = tree.inputs
     for A1, B1 in TABULATED_RULES:
-        _probs, payload = tree.leaves[_WORKED + (A1, B1)]
+        payload = tree.payloads[leaf_index(*_WORKED, A1, B1)]
         sa = 1.0 if A1 == "+" else -1.0
         sb = 1.0 if B1 == "+" else -1.0
         expected = tensor(
             make_register([("00", alice.c0), ("11", sa * alice.c1)], BOB_PAYLOAD_LABELS),
             make_register([("00", bob.c0), ("11", sb * bob.c1)], ALICE_PAYLOAD_LABELS),
         )
-        if not np.allclose(payload.amps, expected.amps, atol=ATOL, rtol=0.0):
+        if not np.allclose(payload, expected.amps, atol=ATOL, rtol=0.0):
             return False
     return True
 
@@ -318,7 +318,8 @@ def criterion_reconstruction(
 def criterion_correction_rules() -> tuple[bool, str]:
     """Announcement-keyed published rules fix the worked branch exactly."""
     tree = Tree(EprInput(0.6, 0.8), EprInput.normalized(0.8, 0.6j))
-    delivered = tree.deliver((_WORKED + rule, ops) for rule, ops in TABULATED_RULES.items())
+    leaves = [leaf_index(*_WORKED, *rule) for rule in TABULATED_RULES]
+    delivered = tree.deliver(leaves, list(TABULATED_RULES.values()))
     worst = min(1.0, *(f for fidelities in delivered for f in fidelities))
     # Z on both qubits is the identity on the span of |00> and |11>.
     epr = tree.inputs[0].register(("q0", "q1"))
@@ -463,41 +464,26 @@ def _born_case(rng: np.random.Generator) -> tuple:
     return key, parts, rng.random()  # measure's one draw
 
 
-def _split_rows(rows: np.ndarray, n: int, k: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's two unnormalized branches ``(m, 2, rest)`` on qubit ``k`` and their Born probabilities."""
-    branches = _branch_rows(rows, _labels(n), f"q{k}", basis)
-    return np.stack(branches, axis=1), _born_rows(branches)
-
-
-def _collapse_picked(branches: np.ndarray, probs: np.ndarray, picks: np.ndarray) -> tuple:
-    """Each row's probability of outcome ``picks[r]`` and that branch renormalized, as
-    :func:`measure` collapses."""
-    at = np.arange(len(picks))
-    prob = probs[at, picks]
-    return prob, _normalized(branches[at, picks] / np.sqrt(prob)[:, None])
-
-
 def _born_worst(rng: np.random.Generator, cases: int) -> float:
-    """Born completeness, a sampled outcome against the same outcome forced,
-    and the collapsed norm.  A sampled outcome below ``MIN_FORCE_PROB`` raises
+    """Born completeness and the norm of the sampled outcome's collapse, as :func:`measure`
+    picks and collapses it.  A sampled outcome below ``MIN_FORCE_PROB`` raises
     :func:`measure`'s ValueError, for the first such case in draw order."""
     worst = 0.0
     for groups in _case_groups(rng, cases, _born_case):
         unlikely = []
         for (n, k, basis), (index, parts, draws) in groups.items():
-            rows = _states(parts)
-            branches, probs = _split_rows(rows, n, k, basis)
+            branches = _branch_rows(_states(parts), _labels(n), f"q{k}", basis)
+            probs = _born_rows(branches)
             picks = np.array([_pick(p, u) for p, u in zip(probs.tolist(), draws.tolist())])
-            prob, collapsed = _collapse_picked(branches, probs, picks)
-            forced_prob, forced = _collapse_picked(*_split_rows(rows, n, k, basis), picks)
+            at = np.arange(len(picks))
+            prob = probs[at, picks]
+            collapsed = _normalized(np.stack(branches, axis=1)[at, picks] / np.sqrt(prob)[:, None])
             for r in np.flatnonzero(prob < qsim.MIN_FORCE_PROB)[:1]:
                 outcome = OUTCOMES[basis][picks[r]]
                 unlikely.append((index[r], f"outcome {outcome!r} on ('q{k}',) has probability {prob[r]:.3e}"))
             worst = max(
                 worst,
                 np.max(np.abs(probs[:, 0] + probs[:, 1] - 1.0)),
-                np.max(np.abs(prob - forced_prob)),
-                np.max(np.abs(collapsed - forced)),
                 np.max(np.abs(_row_norms(collapsed) - 1.0)),
             )
         if unlikely:

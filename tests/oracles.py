@@ -2,9 +2,13 @@
 
 ``bqtsim.protocol`` walks all open branches of a step in one array and
 corrects and scores many leaves in one call of its row kernel
-(``Tree.deliver``, ``Tree.deprived``, ``deprived_fidelities``), with every
-reduction batched over the rows.  These oracles do the same one row or one
-register at a time:
+(``Tree.deliver``, ``Tree.deprived``, ``noncooperation_fidelity``), with
+every reduction batched over the rows.  A ``Tree`` holds its leaves as
+arrays indexed by leaf index; ``tree_leaves`` reads them back as one
+register per leaf, ``weighted`` gives each leaf its probability with
+``math.prod``, and ``targets`` writes each input on its receiver's payload
+labels with ``EprInput.register``.  These oracles do the same one row or
+one register at a time:
 
 - ``walk_round`` splits each level in one batch but takes every row's Born
   probabilities and collapse through ``qsim._born`` and ``qsim._collapse``;
@@ -32,9 +36,11 @@ criterion groups its cases and computes each group through the row kernels.
 and ``of_kind`` lists a transcript's events of one kind.
 """
 
+import math
+
 import numpy as np
 
-from bqtsim.corrections import PLAN_QUBITS, apply_ops, parse_ops
+from bqtsim.corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, apply_ops, parse_ops
 from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS, PAYLOAD_LABELS
 from bqtsim.qsim import (
     DensityMatrix,
@@ -56,6 +62,30 @@ from bqtsim.qsim import (
 
 #: Each withholdable announcement: the payload labels it starves and their table column.
 STARVES = {"A1": (BOB_PAYLOAD_LABELS, 0), "B1": (ALICE_PAYLOAD_LABELS, 1)}
+
+
+def tree_leaves(tree):
+    """{outcomes: (step probabilities, payload register)} of every leaf of ``tree``, in leaf
+    order, read from ``Tree.steps`` and ``Tree.payloads``: each payload a read-only register
+    over PAYLOAD_LABELS viewing a copy of its row."""
+    payloads = Register._rows(PAYLOAD_LABELS, tree.payloads)
+    return dict(zip(LEAF_KEYS, zip(map(tuple, tree.steps.tolist()), payloads)))
+
+
+def weighted(leaves, round_one=True):
+    """Each leaf of ``tree_leaves`` as (outcomes, weight, payload): its probability, round one's
+    ``math.prod`` times round two's, or round two's ``math.prod`` alone."""
+    split = len(MEASUREMENT_PLAN[0])
+    return [
+        (outcomes, (math.prod(probs[:split]) if round_one else 1.0) * math.prod(probs[split:]), payload)
+        for outcomes, (probs, payload) in leaves.items()
+    ]
+
+
+def targets(tree):
+    """Each input of ``tree`` on its receiver's payload labels, by direction slot, as registers."""
+    alice, bob = tree.inputs
+    return alice.register(BOB_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS)
 
 
 def walk_round(state, plan):

@@ -35,7 +35,7 @@ from bqtsim.protocol import (
     Tree,
 )
 from bqtsim.qsim import Register, make_register, permute
-from oracles import equal_up_to_global_phase
+from oracles import equal_up_to_global_phase, tree_leaves
 
 
 def _epr(c0, c1, labels=("u", "v")):
@@ -152,7 +152,7 @@ def searched_correction_table():
     target_bob = _GENERIC_ALICE.register(BOB_PAYLOAD_LABELS)
     target_alice = _GENERIC_BOB.register(ALICE_PAYLOAD_LABELS)
     table = {}
-    for key, _prob, payload in Tree(_GENERIC_ALICE, _GENERIC_BOB).rows():
+    for key, (_, payload) in tree_leaves(Tree(_GENERIC_ALICE, _GENERIC_BOB)).items():
         bob_part, alice_part = _payload_factors(payload)
         table[key] = (
             "".join(minimal_correction(bob_part, target_bob)),

@@ -239,11 +239,11 @@ def _oracle_session(tree, born, seed, cooperation, table):
     key = tuple(outcomes.values())
     known = _knowledge(events)
     ops = tuple(_correction(known, party, table) for party in (BOB, ALICE))
-    fidelities = tree.deliver([(key, ops)])[0]
+    fidelities = tree.deliver([leaf_index(*key)], [ops])[0]
     for kind, results in (("correct", ops), ("fidelity", fidelities)):
         for party, d, result in zip((BOB, ALICE), DIRECTIONS.values(), results):
             events.append(Event(4, party, kind, d.labels, outcome=result))
-    expected = None if withheld is None else tree.deprived(key, withheld, table)
+    expected = None if withheld is None else tree.deprived(leaf_index(*key), withheld, table)
     return SessionResult(Transcript(events), *fidelities, expected, leaf_index(*key), outcomes,
                          seed, cooperation)
 
@@ -332,7 +332,7 @@ def test_leaves_with_the_same_round_one_results_share_its_announcements():
     table = load_table()
     first_round = (0, "-", 1, "+")
     records = [
-        _records(Tree(*pair), [first_round + second], withheld, table)[0]
+        _records(Tree(*pair), [leaf_index(*first_round, *second)], withheld, table)[0]
         for pair, second, withheld in (
             ((ALPHA, BETA), ("+", "+"), None),
             ((ALPHA, BETA), ("-", "+"), "A1"),
@@ -814,7 +814,7 @@ def test_audit_rejects_results_of_the_wrong_type(seed_11, convert, kinds):
     assert not ownership_check(forged)
 
 
-@pytest.mark.parametrize("basis", ["Y", None, ["Z"]], ids=repr)
+@pytest.mark.parametrize("basis", ["Y", None, ["Z"], np.array(["Z", "Z"])], ids=repr)
 def test_audit_rejects_a_measurement_in_no_basis(seed_11, basis):
     i = _index_of(seed_11.transcript, "measure", ALICE)
     assert not ownership_check(_edit(seed_11.transcript, i, basis=basis))
@@ -828,6 +828,38 @@ def test_audit_accepts_withheld_default_correction():
     honest_ops = r.transcript.events[i].outcome
     conditioned = "ZI" if honest_ops != "ZI" else "II"
     assert not ownership_check(_edit(r.transcript, i, outcome=conditioned))
+
+
+def test_audit_rejects_a_measurement_of_a_payload_qubit(seed_11):
+    # measuring a2 would destroy Bob's payload: a2 is Alice's, but no step of the plan
+    i = _index_of(seed_11.transcript, "measure", ALICE)
+    events = list(seed_11.transcript.events)
+    events.insert(i + 1, Event(3, ALICE, "measure", ("a2",), "Z", 0, 0.5))
+    assert ownership_check(seed_11.transcript)
+    assert not ownership_check(Transcript(events))
+
+
+@pytest.mark.parametrize("qubits", [("a1", "a2"), ("a2",), ("A2",), ()], ids=repr)
+def test_audit_rejects_a_measurement_that_names_other_qubits_than_one_step(seed_11, qubits):
+    i = _index_of(seed_11.transcript, "measure", ALICE)
+    assert seed_11.transcript.events[i].qubits == ("a1",)
+    assert not ownership_check(_edit(seed_11.transcript, i, qubits=qubits))
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("message", {"outcome": None}),
+    ("message", {"outcome": (("a1", "Z"), ("A2", "X"))}),
+    ("message", {"outcome": "a1"}),
+    ("message", {"message_round": "2"}),
+    ("message", {"message_round": True}),
+    ("message", {"qubits": (["a1"], "A2")}),
+    ("measure", {"qubits": (["a1"],)}),
+    ("measure", {"qubits": None}),
+    ("gate", {"qubits": ("A1", ["a1"])}),
+], ids=repr)
+def test_audit_returns_false_for_a_malformed_event(seed_11, kind, changes):
+    i = _index_of(seed_11.transcript, kind, ALICE)
+    assert ownership_check(_edit(seed_11.transcript, i, **changes)) is False
 
 
 def test_owned_partition():

@@ -14,9 +14,9 @@ last bits differ).  The row kernel that corrects and scores the leaves,
 also batched, is checked against the written-out oracles of
 ``tests/oracles.py``: per row, gate by gate (by bytes), and per leaf
 through the public gate path (by ``==``), on arbitrary legal ops for
-every row and on arbitrary subsets and orders of the leaves.  One tree
-serves every consumer: the session tree, ``enumerate_branches`` and
-``noncooperation_fidelity`` agree bit for bit.
+every row; the deprived mixtures are checked the same way at every leaf,
+under both weightings.  One tree serves every consumer: the session tree,
+``enumerate_branches`` and ``noncooperation_fidelity`` agree bit for bit.
 
 The report encoder ``cli._dumps`` indents ``json.dumps`` text to sit at
 any depth; spliced into nested lists, it is checked against ``json.dumps``
@@ -35,7 +35,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bqtsim.cli import _dumps, _json_default, _open, _report, _trial_rows
-from bqtsim.corrections import FACTORS, OUTCOMES, PLAN_QUBITS, apply_ops, load_table, parse_ops
+from bqtsim.corrections import FACTORS, LEAF_KEYS, OUTCOMES, PLAN_QUBITS, apply_ops, leaf_index, load_table, parse_ops
 from bqtsim.parties import COOPERATION_MODES, _input_bits, _session_tree, run_session, session_seed
 from bqtsim.protocol import (
     ALICE_PAYLOAD_LABELS,
@@ -47,8 +47,10 @@ from bqtsim.protocol import (
     EprInput,
     Tree,
     _correct_rows,
+    _deprived,
+    _GROUPS,
+    _leaf_probabilities,
     _PAIRS,
-    deprived_fidelities,
     encode,
     enumerate_branches,
     noncooperation_fidelity,
@@ -101,7 +103,7 @@ def test_withholding_degrades_to_fourth_powers(epr):
 @given(payloads(), payloads(), st.sampled_from(sorted(load_table(), key=str)), _ops, _ops)
 def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_ops):
     tree = Tree(alice, bob)
-    _, payload = tree.leaves[key]
+    _, payload = oracles.tree_leaves(tree)[key]
     fixed = apply_ops(payload, BOB_PAYLOAD_LABELS, bob_ops)
     fixed = apply_ops(fixed, ALICE_PAYLOAD_LABELS, alice_ops)
     to_bob = fidelity_pure(
@@ -110,7 +112,7 @@ def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_
     to_alice = fidelity_pure(
         reduced_density(fixed, ALICE_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS)
     )
-    assert tree.deliver([(key, (bob_ops, alice_ops))])[0] == (to_bob, to_alice)
+    assert tree.deliver([leaf_index(*key)], [(bob_ops, alice_ops)])[0] == (to_bob, to_alice)
     # amplitudes equal by ==, not by bits: negating a zero gives -0.0 where
     # apply_gate1's matrix product gives 0.0
     rows = _correct_rows(payload.amps[None], _PAIRS, [(bob_ops, alice_ops)])
@@ -125,31 +127,18 @@ _entries = st.lists(st.tuples(_ops, _ops), min_size=64, max_size=64)
 def test_the_row_kernel_equals_the_per_leaf_oracle(alice, bob, entries):
     # every row its own legal ops, not only the table's
     tree = Tree(alice, bob)
-    keys = list(tree.leaves)
-    got = tree.deliver(zip(keys, entries))
-    want = [oracles.deliver(tree.leaves[key][1], ops, tree.targets)[1:]
-            for key, ops in zip(keys, entries)]
+    leaves = oracles.tree_leaves(tree)
+    got = tree.deliver(range(64), entries)
+    want = [oracles.deliver(leaves[key][1], ops, oracles.targets(tree))[1:]
+            for key, ops in zip(LEAF_KEYS, entries)]
     assert got == want
-    rows = np.stack([tree.leaves[key][1].amps for key in keys])
+    rows = tree.payloads
     for labels, ops in ((_PAIRS, entries), ((BOB_PAYLOAD_LABELS,), [e[:1] for e in entries]),
                         ((ALICE_PAYLOAD_LABELS,), [e[1:] for e in entries])):
         fixed = _correct_rows(rows, labels, ops)
         assert fixed.tobytes() == oracles.correct_rows(rows, labels, ops).tobytes()
     # a second batch in the reverse order gives each leaf the same values
-    assert tree.deliver(zip(keys[::-1], entries[::-1])) == want[::-1]
-    table = dict(zip(keys, entries))
-    for withheld, (_, slot) in oracles.STARVES.items():
-        target = tree.targets[slot]
-        got = deprived_fidelities(tree.rows(), withheld, target, table)
-        want = oracles.deprived_fidelities(tree.rows(), withheld, target, table)
-        assert list(got) == list(want)  # group keys in first-seen order
-        assert list(got.values()) == list(want.values())  # weights and fidelities
-        # the session path: weights are round two's probabilities alone
-        rounds = ((key, math.prod(probs[ROUND_ONE:]), payload)
-                  for key, (probs, payload) in tree.leaves.items())
-        groups = oracles.deprived_fidelities(rounds, withheld, target, table)
-        for key in keys:
-            assert tree.deprived(key, withheld, table) == groups[oracles.heard(key, withheld)][1]
+    assert tree.deliver(range(63, -1, -1), entries[::-1]) == want[::-1]
 
 
 def _measured_leaves(state, steps):
@@ -168,17 +157,19 @@ def _measured_leaves(state, steps):
 @given(payloads(), payloads())
 def test_walk_leaves_equals_the_measure_oracle(alice, bob):
     tree = Tree(alice, bob)
+    leaves = oracles.tree_leaves(tree)
     expected = list(_measured_leaves(encode(prepare_full_state(alice, bob)), PLAN))
-    assert len(tree.leaves) == len(expected) == 64
-    for (outcomes, prob, payload), (want, probs, state) in zip(tree.rows(), expected):
+    assert len(leaves) == len(expected) == 64
+    rows = zip(oracles.weighted(leaves), _leaf_probabilities(tree.steps).tolist())
+    for ((outcomes, prob, payload), tree_prob), (want, probs, state) in zip(rows, expected):
         assert outcomes == want
-        assert tree.leaves[outcomes][0] == probs
-        assert prob == math.prod(probs[:ROUND_ONE]) * math.prod(probs[ROUND_ONE:])
+        assert leaves[outcomes][0] == probs
+        assert prob == tree_prob == math.prod(probs[:ROUND_ONE]) * math.prod(probs[ROUND_ONE:])
         assert payload.labels == state.labels
         assert np.array_equal(payload.amps, state.amps)
     # the per-row walk that the batched one replaced, by bytes
     per_row = oracles.walk_round(encode(prepare_full_state(alice, bob)), PLAN)
-    for (outcomes, (probs, payload)), (want, steps, state) in zip(tree.leaves.items(), per_row):
+    for (outcomes, (probs, payload)), (want, steps, state) in zip(leaves.items(), per_row):
         assert (outcomes, [p.hex() for p in probs]) == (want, [p.hex() for p in steps])
         assert payload.amps.tobytes() == state.amps.tobytes()
 
@@ -211,19 +202,26 @@ def test_walk_round_with_a_z_step_on_the_last_label_equals_the_measure_oracle(ca
 
 
 @PROPERTY
-@given(payloads(), payloads(), _entries, st.permutations(range(64)), st.integers(1, 64))
-def test_deprived_fidelities_on_any_subset_and_order_equals_the_oracle(alice, bob, entries, order, size):
-    # groups of one or two leaves, interleaved: the batched sum may not assume pairs
+@given(payloads(), payloads(), _entries)
+def test_the_deprived_groups_equal_the_per_leaf_oracle_under_both_weightings(alice, bob, entries):
+    # every row its own legal ops; A1's groups pair leaves i and i | 2, which
+    # interleave (0 and 2 around 1), and B1's pair i and i | 1
     tree = Tree(alice, bob)
-    rows = list(tree.rows())
-    leaves = [rows[i] for i in order[:size]]
-    table = dict(zip(tree.leaves, entries))
-    for withheld, (_, slot) in oracles.STARVES.items():
-        target = tree.targets[slot]
-        got = deprived_fidelities(leaves, withheld, target, table)
-        want = oracles.deprived_fidelities(leaves, withheld, target, table)
-        assert list(got) == list(want)
-        assert list(got.values()) == list(want.values())
+    leaves = oracles.tree_leaves(tree)
+    table = dict(zip(LEAF_KEYS, entries))
+    for (withheld, (_, slot)), bit in zip(oracles.STARVES.items(), (2, 1)):
+        keys, groups = _GROUPS[withheld]
+        assert all(np.flatnonzero(groups == groups[i]).tolist() == sorted({i, i ^ bit}) for i in range(64))
+        target = oracles.targets(tree)[slot]
+        # noncooperation_fidelity's weighting: every leaf's full probability
+        want = oracles.deprived_fidelities(oracles.weighted(leaves), withheld, target, table)
+        assert list(keys) == list(want)  # group keys in first-seen order
+        got = _deprived(tree, _leaf_probabilities(tree.steps), withheld, table)
+        assert list(zip(*got)) == list(want.values())  # weights and fidelities
+        # the session path: weights are round two's probabilities alone
+        want = oracles.deprived_fidelities(oracles.weighted(leaves, round_one=False), withheld, target, table)
+        for leaf, key in enumerate(LEAF_KEYS):
+            assert tree.deprived(leaf, withheld, table) == want[oracles.heard(key, withheld)][1]
 
 
 def _warm_session_tree(alice, bob):
@@ -239,22 +237,24 @@ def test_one_tree_serves_every_consumer(alice, bob):
     table = load_table()
     tree = _warm_session_tree(alice, bob)
     leaves = enumerate_branches(alice, bob, table)
-    assert len(leaves) == len(tree.leaves) == 64
-    for leaf, (key, prob, payload) in zip(leaves, tree.rows()):
+    rows = oracles.weighted(oracles.tree_leaves(tree))
+    assert len(leaves) == len(rows) == 64
+    probabilities = _leaf_probabilities(tree.steps).tolist()
+    for n, (leaf, (key, prob, payload)) in enumerate(zip(leaves, rows)):
         assert tuple(leaf.outcomes().values()) == key
-        assert leaf.probability.hex() == prob.hex()
-        assert leaf.post_state is not payload  # the cached tree's registers never leave it
-        assert leaf.post_state.amps.tobytes() == payload.amps.tobytes()
+        assert leaf.probability.hex() == prob.hex() == probabilities[n].hex()
+        assert not np.shares_memory(leaf.post_state.amps, tree.payloads)  # the cached tree's rows never leave it
+        assert leaf.post_state.amps.tobytes() == payload.amps.tobytes() == tree.payloads[n].tobytes()
         fidelities = (leaf.fidelity_alice_to_bob, leaf.fidelity_bob_to_alice)
-        assert [f.hex() for f in fidelities] == [f.hex() for f in tree.deliver([(key, table[key])])[0]]
+        assert [f.hex() for f in fidelities] == [f.hex() for f in tree.deliver([n], [table[key]])[0]]
     # noncooperation_fidelity pairs the sender with a balanced cooperative input
     balanced = EprInput(np.sqrt(0.5), np.sqrt(0.5))
     for withheld, sent, pair, labels in (
         ("A1", alice, (alice, balanced), BOB_PAYLOAD_LABELS),
         ("B1", bob, (balanced, bob), ALICE_PAYLOAD_LABELS),
     ):
-        groups = deprived_fidelities(
-            _warm_session_tree(*pair).rows(), withheld, sent.register(labels), table
+        groups = oracles.deprived_fidelities(
+            oracles.weighted(oracles.tree_leaves(_warm_session_tree(*pair))), withheld, sent.register(labels), table
         )
         expected = 0.0
         for weight, fidelity in groups.values():
@@ -314,7 +314,9 @@ def test_enumerate_branches_agrees_with_the_einsum_kernel(alice, bob):
 @given(payloads(), payloads())
 def test_walk_payloads_keep_register_invariants(alice, bob):
     # payloads are built by the trusted constructor: check what validation used to
-    for _, _, payload in Tree(alice, bob).rows():
+    tree = Tree(alice, bob)
+    assert not tree.payloads.flags.writeable
+    for _, payload in oracles.tree_leaves(tree).values():
         assert not payload.amps.flags.writeable
         assert np.all(np.isfinite(payload.amps))
         assert abs(np.linalg.norm(payload.amps) - 1.0) <= ATOL

@@ -14,7 +14,7 @@ import pytest
 
 import bqtsim.protocol as protocol
 from bqtsim import generate_correction_table
-from bqtsim.corrections import load_table
+from bqtsim.corrections import LEAF_KEYS, load_table
 from bqtsim.protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
@@ -35,7 +35,16 @@ from bqtsim.protocol import (
     walk_round,
 )
 from bqtsim.qsim import make_register, measure, permute, tensor
-from oracles import STARVES, deliver, deprived_fidelities, equal_up_to_global_phase
+from oracles import (
+    STARVES,
+    deliver,
+    deprived_fidelities,
+    equal_up_to_global_phase,
+    targets,
+    tree_leaves,
+    walk_round as per_row_walk,
+    weighted,
+)
 
 ALPHA = EprInput(0.6, 0.8)
 BETA = EprInput.normalized(2.0, 1.0j)
@@ -271,10 +280,10 @@ def test_leaf_index_packing():
 # ---------------------------------------------------------------------------
 
 def test_correct_worked_branch_sign_case():
-    _, payload = Tree(ALPHA, BETA).leaves[WORKED + ("-", "-")]
-    targets = (ALPHA.register(BOB_PAYLOAD_LABELS), BETA.register(ALICE_PAYLOAD_LABELS))
-    fixed, _, _ = deliver(payload, load_table()[(0, "+", 0, "+", "-", "-")], targets)
-    expected = tensor(*targets)
+    _, payload = tree_leaves(Tree(ALPHA, BETA))[WORKED + ("-", "-")]
+    wanted = (ALPHA.register(BOB_PAYLOAD_LABELS), BETA.register(ALICE_PAYLOAD_LABELS))
+    fixed, _, _ = deliver(payload, load_table()[(0, "+", 0, "+", "-", "-")], wanted)
+    expected = tensor(*wanted)
     assert equal_up_to_global_phase(fixed, expected)
 
 
@@ -307,14 +316,14 @@ def test_corrected_payload_is_exact_product_state():
     for _ in range(3):
         alice, bob = _random_epr(rng), _random_epr(rng)
         encoded = encode(prepare_full_state(alice, bob))
-        targets = (alice.register(BOB_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS))
-        expected = tensor(*targets)
+        wanted = (alice.register(BOB_PAYLOAD_LABELS), bob.register(ALICE_PAYLOAD_LABELS))
+        expected = tensor(*wanted)
         for branch in ((1, "-", 0, "+"), (0, "-", 1, "-"), (1, "+", 1, "+")):
             _, _, remainder = _round(encoded, FIRST_ROUND, branch)
             for A1 in X:
                 for B1 in X:
                     _, _, payload = _round(remainder, SECOND_ROUND, (A1, B1))
-                    fixed, _, _ = deliver(payload, table[(*branch, A1, B1)], targets)
+                    fixed, _, _ = deliver(payload, table[(*branch, A1, B1)], wanted)
                     assert equal_up_to_global_phase(fixed, expected)
 
 
@@ -328,24 +337,34 @@ def test_branch_probabilities_input_independent():
 
 def test_editing_a_plain_table_between_calls_on_one_tree_reaches_the_kernel():
     tree = Tree(ALPHA, BETA)
+    leaves = tree_leaves(tree)
     table = dict(load_table())
-    keys = list(tree.leaves)
     key = WORKED + ("+", "+")  # what both deprived receivers hear at this leaf
-    before = tree.deliver((k, table[k]) for k in keys)
-    deprived = {w: tree.deprived(key, w, table) for w in STARVES}
+    leaf, everywhere = leaf_index(*key), range(64)
+    before = tree.deliver(everywhere, [table[k] for k in LEAF_KEYS])
+    deprived = {w: tree.deprived(leaf, w, table) for w in STARVES}
     # one entry gets a legal, wrong correction in both columns
     bob_ops, alice_ops = table[key]
     table[key] = ("XX" if bob_ops != "XX" else "ZZ", "XI" if alice_ops != "XI" else "ZI")
-    after = tree.deliver((k, table[k]) for k in keys)
-    for k, old, new in zip(keys, before, after):
-        assert new == deliver(tree.leaves[k][1], table[k], tree.targets)[1:]
+    after = tree.deliver(everywhere, [table[k] for k in LEAF_KEYS])
+    for k, old, new in zip(LEAF_KEYS, before, after):
+        assert new == deliver(leaves[k][1], table[k], targets(tree))[1:]
         assert (new == old) == (k != key)
-    assert max(after[keys.index(key)]) < FIDELITY_FLOOR
+    assert max(after[leaf]) < FIDELITY_FLOOR
     for withheld, (_, slot) in STARVES.items():
-        rounds = [(k, math.prod(probs[len(FIRST_ROUND):]), payload)
-                  for k, (probs, payload) in tree.leaves.items()]
-        groups = deprived_fidelities(rounds, withheld, tree.targets[slot], table)
-        assert tree.deprived(key, withheld, table) == groups[key][1] != deprived[withheld]
+        groups = deprived_fidelities(weighted(leaves, round_one=False), withheld, targets(tree)[slot], table)
+        assert tree.deprived(leaf, withheld, table) == groups[key][1] != deprived[withheld]
+
+
+def test_deliver_pairs_each_leaf_with_one_table_entry():
+    tree = Tree(ALPHA, BETA)
+    entry = load_table()[LEAF_KEYS[0]]
+    assert tree.deliver([], []) == []
+    assert tree.deliver((0, 0), [entry, entry]) == 2 * tree.deliver([0], [entry])
+    # a leaf left without an entry would be scored uncorrected
+    for leaves, entries in (([0, 1], [entry]), ([0], [entry, entry])):
+        with pytest.raises(ValueError, match="leaves but"):
+            tree.deliver(leaves, entries)
 
 
 def test_generate_table_matches_packaged_asset():
@@ -360,9 +379,11 @@ def test_walk_leaves_matches_sequential_measurement():
     # oracle: measure each leaf of the tree from scratch, one qsim.measure call per step
     bob = EprInput(0.8, complex(0.36, 0.48))
     encoded = encode(prepare_full_state(ALPHA, bob))
-    leaves = list(Tree(ALPHA, bob).rows())
+    tree = Tree(ALPHA, bob)
+    leaves = weighted(tree_leaves(tree))
     assert [leaf_index(*outcomes) for outcomes, _p, _r in leaves] == list(range(64))
-    for outcomes, prob, payload in leaves:
+    probabilities = protocol._leaf_probabilities(tree.steps).tolist()
+    for (outcomes, prob, payload), tree_prob in zip(leaves, probabilities):
         state, forced, round_probs = encoded, iter(outcomes), []
         for round_plan in MEASUREMENT_PLAN:
             round_prob = 1.0
@@ -370,7 +391,7 @@ def test_walk_leaves_matches_sequential_measurement():
                 res = measure(state, qubit, basis, force=next(forced))
                 state, round_prob = res.register, round_prob * res.probability
             round_probs.append(round_prob)
-        assert prob == round_probs[0] * round_probs[1]
+        assert prob == tree_prob == round_probs[0] * round_probs[1]
         assert payload.labels == state.labels
         assert np.array_equal(payload.amps, state.amps)
 
@@ -406,7 +427,7 @@ def test_walk_leaves_shares_measured_prefixes(monkeypatch):
     monkeypatch.setattr(
         protocol, "_branch_rows", lambda rows, *a: calls.append(2 * len(rows)) or real(rows, *a)
     )
-    assert len(Tree(ALPHA, BETA).leaves) == 64
+    assert Tree(ALPHA, BETA).payloads.shape == (64, 16)
     assert len(calls) == len(MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
     assert sum(calls) == (2 + 4 + 8 + 16) + 16 * (2 + 4)
 
@@ -431,22 +452,47 @@ def test_walk_round_refuses_an_empty_branch_as_measure_does(entries, labels, pla
 
 
 def test_a_trees_leaf_payloads_cannot_be_written():
-    # the 64 payloads view one batch: a write through any of them would reach every leaf
+    # the 64 payloads are one array: a write through any row would reach that leaf for every caller
     tree = Tree(ALPHA, BETA)
-    payloads = [payload for _, payload in tree.leaves.values()]
-    batch = payloads[0].amps.base
-    assert batch.shape == (64, 16) and all(p.amps.base is batch for p in payloads)
+    batch = tree.payloads
+    assert batch.shape == (64, 16) and batch.base is None  # no writable base behind it
     before = batch.tobytes()
-    for payload in payloads[::21]:
+    for leaf in range(0, 64, 21):
         with pytest.raises(ValueError, match="read-only"):
-            payload.amps[0] = 0
+            batch[leaf, 0] = 0
         with pytest.raises(ValueError, match="read-only"):
-            payload.amps.base[0] = 0
+            batch[leaf][:] = 0
     assert batch.tobytes() == before
     # nor can the step probabilities that sessions pick against
     with pytest.raises(ValueError, match="read-only"):
         tree.steps[0, 0] = 0.5
-    assert tree.steps.tolist() == [list(probs) for probs, _ in tree.leaves.values()]
+    walked = per_row_walk(encode(prepare_full_state(ALPHA, BETA)), FIRST_ROUND + SECOND_ROUND)
+    assert [row.hex() for row in tree.steps.ravel().tolist()] == [p.hex() for _, probs, _ in walked for p in probs]
+    assert tree.payloads.tobytes() == b"".join(state.amps.tobytes() for _, _, state in walked)
+
+
+@pytest.mark.parametrize("name", ["payloads", "steps", "targets"])
+def test_writes_to_any_of_a_trees_arrays_raise(name):
+    array = getattr(Tree(ALPHA, BETA), name)
+    before = array.tobytes()
+    assert array.base is None  # a copy: nothing writable stands behind it
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        array += 0
+    assert array.tobytes() == before
+
+
+def test_a_trees_targets_are_each_input_written_on_its_receivers_payload_labels():
+    rng = np.random.default_rng(83)
+    for alice, bob in [(ALPHA, BETA)] + [(_random_epr(rng), _random_epr(rng)) for _ in range(20)]:
+        tree = Tree(alice, bob)
+        assert tree.targets.shape == (2, 4)
+        for slot, (want, labels) in enumerate(((alice, BOB_PAYLOAD_LABELS), (bob, ALICE_PAYLOAD_LABELS))):
+            assert tree.targets[slot].tobytes() == want.register(labels).amps.tobytes()
+        assert [t.amps.tobytes() for t in targets(tree)] == [row.tobytes() for row in tree.targets]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +538,7 @@ def test_global_phase_on_inputs_does_not_matter():
         for A1, B1 in (("+", "+"), ("-", "-")):
             payloads = []
             for alice in (ALPHA, rotated_alpha):
-                _, payload = Tree(alice, BETA).leaves[branch + (A1, B1)]
-                targets = (alice.register(BOB_PAYLOAD_LABELS), BETA.register(ALICE_PAYLOAD_LABELS))
-                payloads.append(deliver(payload, load_table()[(*branch, A1, B1)], targets)[0])
+                tree = Tree(alice, BETA)
+                _, payload = tree_leaves(tree)[branch + (A1, B1)]
+                payloads.append(deliver(payload, load_table()[(*branch, A1, B1)], targets(tree))[0])
             assert equal_up_to_global_phase(payloads[0], payloads[1])
