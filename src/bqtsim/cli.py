@@ -131,18 +131,10 @@ def _inputs_config(alpha: EprInput, beta: EprInput) -> dict:
             for name, inp in (("alpha", alpha), ("beta", beta))}
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _dumps(value, depth: int = 0) -> str:
     """``value`` as report JSON, indented to sit ``depth`` levels deep.  Indenting
     each line break is exact: ``json`` escapes every line break inside a string."""
-    text = json.dumps(value, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(value, indent=2, sort_keys=True)
     return text.replace("\n", "\n" + "  " * depth)
 
 

@@ -3,16 +3,17 @@
 Alice owns {a1, a2, a3, A1, A2} and Bob owns {b1, b2, b3, B1, B2}.  A
 session performs no protocol step of its own: it is six seeded draws
 against its input pair's :class:`bqtsim.protocol.Tree`, then the drawn
-leaf's record -- transcript, both fidelities and the deprived
-expectation -- built from the tree and the caller's table
-(:func:`_records`).  Sessions at a leaf within one run share its record,
-so transcripts are immutable: events and message payloads are tuples.
+leaf's whole :class:`SessionResult` -- transcript, both fidelities, the
+deprived expectation, outcomes, seed and mode -- built from the tree and
+the caller's table by one builder (:func:`_records`).  Sessions at a leaf
+within one run share its result, so transcripts are immutable: events and
+message payloads are tuples.
 Every gate, measurement, classical announcement, correction, and final
 fidelity is a transcript event.
 
 :func:`run_sessions` draws a whole run's sessions in one batch, from a
 vectorised replay of numpy's generator, and builds every distinct leaf's
-record in one pass.  It draws the first session at each leaf again with
+result in one pass.  It draws the first session at each leaf again with
 numpy's own generator and :func:`run_session`'s scalar rule, which
 cross-checks the batch.
 
@@ -44,7 +45,6 @@ import json
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -145,25 +145,6 @@ class Transcript:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
-def _knowledge(events: Iterable[Event]) -> dict[str, dict[str, int | str]]:
-    """What each party knows after ``events``: its own measurement results
-    plus every result announced to it, as qubit -> result."""
-    known: dict[str, dict[str, int | str]] = {ALICE: {}, BOB: {}}
-    for event in events:
-        if event.actor not in known:
-            continue
-        if event.kind == "measure":
-            known[event.actor][event.qubits[0]] = event.outcome
-        elif event.kind == "message":
-            known[BOB if event.actor == ALICE else ALICE].update((q, result) for q, _basis, result in event.outcome)
-    return known
-
-
-def _correction(known: dict[str, dict[str, int | str]], actor: str, table: Table) -> str:
-    """The ops ``actor`` applies, given what each party knows."""
-    return table[correction_key(known[actor], OWNED[actor])][_RECEIVES[actor].slot]
-
-
 @dataclass(frozen=True)
 class SessionResult:
     transcript: Transcript
@@ -196,11 +177,9 @@ def run_session(
     rule (:func:`_draw_leaf`), in plan order, so the outcomes are
     bit-identical to measuring the state one draw at a time.
     """
-    table = _checked(seed, cooperation, table)
-    tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
+    table, tree = _checked(seed, cooperation, table, alice_input, bob_input)
     leaf = _draw_leaf(tree, np.random.default_rng(seed))
-    (record,) = _records(tree, [leaf], WITHHELD[cooperation], table)
-    return SessionResult(*record, dict(zip(PLAN_QUBITS, LEAF_KEYS[leaf])), seed, cooperation)
+    return _records(tree, [leaf], [seed], cooperation, table)[0]
 
 
 def run_sessions(
@@ -224,32 +203,26 @@ def run_sessions(
     it, with numpy's own generator: if it lands on another leaf,
     RuntimeError names the trial and its seed.
     """
-    table = _checked(base, cooperation, table)
+    table, tree = _checked(base, cooperation, table, alice_input, bob_input)
     session_seed(base, trials)  # checks trials
-    tree = _session_tree(_input_bits(alice_input, bob_input), alice_input, bob_input)
     draws = uniforms(np.arange(trials, dtype=np.uint64) + base, len(_BITS))
     leaves = _draw_leaves(tree, draws).tolist()
     firsts = sorted(map(leaves.index, set(leaves)))
-    for i in firsts:
-        seed = session_seed(base, i)
+    seeds = [session_seed(base, i) for i in firsts]
+    for i, seed in zip(firsts, seeds):
         leaf = _draw_leaf(tree, np.random.default_rng(seed))
         if leaf != leaves[i]:
             raise RuntimeError(f"trial {i} (seed {seed}): the batched draws reach leaf {leaves[i]}, "
                                f"run_session reaches leaf {leaf}")
-    records = _records(tree, [leaves[i] for i in firsts], WITHHELD[cooperation], table)
-    return leaves, {
-        leaves[i]: SessionResult(*record, dict(zip(PLAN_QUBITS, LEAF_KEYS[leaves[i]])), session_seed(base, i),
-                                 cooperation)
-        for i, record in zip(firsts, records)
-    }
+    return leaves, {r.leaf: r for r in _records(tree, [leaves[i] for i in firsts], seeds, cooperation, table)}
 
 
-def _checked(seed: int, cooperation: str, table: Table | None) -> Table:
-    """The table a session uses, once its seed and mode are checked."""
+def _checked(seed: int, cooperation: str, table: Table | None, alice: EprInput, bob: EprInput) -> tuple[Table, Tree]:
+    """The table and the cached tree a session uses, once its seed and mode are checked."""
     session_seed(seed)  # range check
     if cooperation not in COOPERATION_MODES:
         raise ValueError(f"cooperation must be one of {COOPERATION_MODES}")
-    return load_table() if table is None else table
+    return load_table() if table is None else table, _session_tree(_input_bits(alice, bob), alice, bob)
 
 
 #: Each step's bit in a leaf index, whose bits are its picks, first pick highest
@@ -276,25 +249,26 @@ def _draw_leaves(tree: Tree, draws: np.ndarray) -> np.ndarray:
     return leaves
 
 
-def _records(tree: Tree, leaves: list[int], withheld: str | None, table: Table) -> list[tuple]:
-    """The first five fields of the :class:`SessionResult` of the sessions at each leaf index
-    of ``leaves`` (transcript to leaf index), all delivered in one :meth:`Tree.deliver` call.
+def _records(tree: Tree, leaves: list[int], seeds: list[int], cooperation: str, table: Table) -> list[SessionResult]:
+    """The :class:`SessionResult` of the session seeded with each of ``seeds`` at the
+    matching leaf index of ``leaves``, all delivered in one :meth:`Tree.deliver` call.
 
     Each receiver corrects with the table entry of the key it heard: the
     leaf's key, or its heard key (``protocol._HEARD``) for the one starved
-    of ``withheld``.
+    of the announcement that ``cooperation`` withholds.
     """
+    withheld = WITHHELD[cooperation]
     ops = [tuple(table[_HEARD[w][leaf] if w == withheld else LEAF_KEYS[leaf]][d.slot]
                  for w, d in DIRECTIONS.items()) for leaf in leaves]
-    steps = tree.steps.tolist()
     records = []
-    for leaf, entry, fidelities in zip(leaves, ops, tree.deliver(leaves, ops)):
-        key, probs = LEAF_KEYS[leaf], steps[leaf]
+    for leaf, seed, probs, entry, fidelities in zip(leaves, seeds, tree.steps[leaves].tolist(), ops,
+                                                    tree.deliver(leaves, ops)):
+        key = LEAF_KEYS[leaf]
         events = list(_PREAMBLE)
         for round_no, plan in enumerate(MEASUREMENT_PLAN, 1):
             for qubit, basis in plan:
                 n = PLAN_QUBITS.index(qubit)
-                events.append(Event(round_no + 2, _owner(qubit), "measure", _SINGLE[qubit], basis, key[n], probs[n]))
+                events.append(Event(round_no + 2, _owner(qubit), "measure", (qubit,), basis, key[n], probs[n]))
             for sender in (ALICE, BOB):
                 payload = tuple((q, b, key[PLAN_QUBITS.index(q)]) for q, b in plan
                                 if q in OWNED[sender] and q != withheld)
@@ -303,12 +277,10 @@ def _records(tree: Tree, leaves: list[int], withheld: str | None, table: Table) 
         for kind, results in (("correct", entry), ("fidelity", fidelities)):
             events += (Event(4, party, kind, d.labels, outcome=r) for (party, d), r in zip(_RECEIVES.items(), results))
         expected = None if withheld is None else tree.deprived(leaf, withheld, table)
-        records.append((Transcript(events), *fidelities, expected, leaf))
+        records.append(SessionResult(Transcript(events), *fidelities, expected, leaf,
+                                     dict(zip(PLAN_QUBITS, key)), seed, cooperation))
     return records
 
-
-#: Each measured qubit as the ``qubits`` of its measure events.
-_SINGLE = {q: (q,) for q in PLAN_QUBITS}
 
 #: Every message event built so far, by (round, sender, payload).  The
 #: alphabets bound them to twelve, so all records share one of each.
@@ -357,25 +329,30 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
     """Audit locality and classical information flow of a transcript.
 
     Returns False if any party touches a qubit it does not own, measures
-    anything but one qubit of the plan in the plan's basis, records a
-    result outside its basis's alphabet, announces a result it did not
-    record (type included) or in another basis than the plan's, announces
-    for a foreign qubit or for other qubits than its message's ``qubits``,
-    sends messages out of round order, corrects before the required
-    round-one announcements arrive, or applies a correction that differs
-    from the one its own outcomes plus received announcements determine
-    (withheld second-round announcements default to "+").  Physics is not
-    re-simulated; the audit is purely structural.  A malformed event -- a
-    label that is not a string, a round that is not an int, an announcement
-    that is not a sequence of (qubit, basis, result) triples -- fails it too.
+    anything but one qubit of the plan in the plan's basis, measures a
+    qubit twice, records a result outside its basis's alphabet, announces
+    a result it did not record (type included) or in another basis than
+    the plan's, announces for a foreign qubit or for other qubits than its
+    message's ``qubits``, sends messages out of round order, corrects
+    before the required round-one announcements arrive, or applies a
+    correction that differs from the one its own outcomes plus received
+    announcements determine (withheld second-round announcements default
+    to "+").  Physics is not re-simulated; the audit is purely structural.
+    A malformed event -- an actor, kind, label, basis or correction that is
+    not a string, a round that is not an int, an announcement that is not a
+    sequence of (qubit, basis, result) triples -- fails it too, and the
+    audit never raises.
     """
     if table is None:
         table = load_table()
-    events = transcript.events
+    # one pass: what each party knows so far, its own results plus those announced to it
+    known: dict[str, dict[str, int | str]] = {ALICE: {}, BOB: {}}
     last_round = {ALICE: 0, BOB: 0}
-    for n, event in enumerate(events):
+    for event in transcript.events:
         actor = event.actor
-        if actor not in (ALICE, BOB):
+        if type(actor) is not str or type(event.kind) is not str:
+            return False
+        if actor not in known:
             if event.kind in ("gate", "measure", "message", "correct"):
                 return False  # only parties act; "channel" may only prepare
             continue
@@ -383,33 +360,35 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
         if not (isinstance(qubits, (tuple, list)) and all(type(q) is str for q in qubits)
                 and OWNED[actor].issuperset(qubits)):
             return False
+        mine = known[actor]
         if event.kind == "message":
             if type(event.message_round) is not int or event.message_round <= last_round[actor]:
                 return False
             last_round[actor] = event.message_round
-            # typed, since True == 1 == 1.0 but only 1 is a Z result
-            recorded = {q: (type(r), r) for q, r in _knowledge(events[:n])[actor].items()}
-            if not isinstance(event.outcome, (tuple, list)) or any(
-                    not isinstance(row, (tuple, list)) or len(row) != 3 for row in event.outcome):
+            rows = event.outcome
+            if not (isinstance(rows, (tuple, list)) and all(
+                    isinstance(row, (tuple, list)) and len(row) == 3 and type(row[0]) is str and type(row[1]) is str
+                    for row in rows) and tuple(qubits) == tuple(label for label, *_ in rows)):
                 return False
-            if tuple(qubits) != tuple(label for label, *_ in event.outcome):
-                return False
-            for label, basis, outcome in event.outcome:
-                if (label not in OWNED[actor] or ((label,), basis) not in _MEASURES
-                        or recorded.get(label) != (type(outcome), outcome)):
+            for label, basis, result in rows:
+                # typed, since True == 1 == 1.0 but only 1 is a Z result
+                if (((label,), basis) not in _MEASURES or label not in mine
+                        or type(mine[label]) is not type(result) or mine[label] != result):
                     return False
+            known[BOB if actor == ALICE else ALICE].update((label, result) for label, _, result in rows)
         elif event.kind == "measure":
             try:
-                if ((tuple(qubits), event.basis) not in _MEASURES
-                        or event.outcome not in _alphabet(event.basis, event.outcome)):
+                if (type(event.basis) is not str or (tuple(qubits), event.basis) not in _MEASURES
+                        or qubits[0] in mine or event.outcome not in _alphabet(event.basis, event.outcome)):
                     return False
             except ValueError:
                 return False
+            mine[qubits[0]] = event.outcome
         elif event.kind == "correct":
             try:
-                expected = _correction(_knowledge(events[:n]), actor, table)
+                expected = table[correction_key(mine, OWNED[actor])][_RECEIVES[actor].slot]
             except KeyError:
                 return False
-            if event.outcome != expected:
+            if type(event.outcome) is not str or event.outcome != expected:
                 return False
     return True

@@ -29,6 +29,13 @@ the public gate path, whose matrix products may turn a negated zero into
 against their tree's step probabilities, are never checked against the
 tree they draw on.
 
+``ownership_check`` is the transcript audit that the one-pass audit of
+``bqtsim.parties`` replaced: at every message and correction it rebuilds
+what each party knows from the whole event prefix (``_knowledge``) and
+derives the correction from that (``_correction``).  The event-by-event
+session oracle of ``tests/test_parties.py`` derives its corrections with
+the same two helpers.
+
 ``engine_properties`` is the ``engine-properties`` criterion's case-by-case
 loop, one public ``qsim`` call per gate, measurement and partial trace; the
 criterion groups its cases and computes each group through the row kernels.
@@ -40,7 +47,8 @@ import math
 
 import numpy as np
 
-from bqtsim.corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, apply_ops, parse_ops
+from bqtsim.corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, apply_ops, correction_key, load_table, parse_ops
+from bqtsim.parties import ALICE, BOB, OWNED, _MEASURES, _RECEIVES
 from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS, PAYLOAD_LABELS
 from bqtsim.qsim import (
     DensityMatrix,
@@ -186,6 +194,76 @@ def equal_up_to_global_phase(first, second, tol=1e-10):
 def of_kind(transcript, kind, actor=None):
     """The events of ``transcript`` of one kind, and of one actor if given, in order."""
     return [e for e in transcript.events if e.kind == kind and (actor is None or e.actor == actor)]
+
+
+def _knowledge(events):
+    """What each party knows after ``events``: its own measurement results
+    plus every result announced to it, as qubit -> result."""
+    known = {ALICE: {}, BOB: {}}
+    for event in events:
+        if event.actor not in known:
+            continue
+        if event.kind == "measure":
+            known[event.actor][event.qubits[0]] = event.outcome
+        elif event.kind == "message":
+            known[BOB if event.actor == ALICE else ALICE].update((q, result) for q, _basis, result in event.outcome)
+    return known
+
+
+def _correction(known, actor, table):
+    """The ops ``actor`` applies, given what each party knows."""
+    return table[correction_key(known[actor], OWNED[actor])][_RECEIVES[actor].slot]
+
+
+def ownership_check(transcript, table=None):
+    """The prefix-replay audit: ``bqtsim.parties.ownership_check`` as it was
+    before it kept a running record, with the knowledge at each message and
+    correction rebuilt from ``events[:n]``.  It accepts a repeated
+    measurement, and some wrongly typed fields raise or pass here."""
+    if table is None:
+        table = load_table()
+    events = transcript.events
+    last_round = {ALICE: 0, BOB: 0}
+    for n, event in enumerate(events):
+        actor = event.actor
+        if actor not in (ALICE, BOB):
+            if event.kind in ("gate", "measure", "message", "correct"):
+                return False  # only parties act; "channel" may only prepare
+            continue
+        qubits = event.qubits
+        if not (isinstance(qubits, (tuple, list)) and all(type(q) is str for q in qubits)
+                and OWNED[actor].issuperset(qubits)):
+            return False
+        if event.kind == "message":
+            if type(event.message_round) is not int or event.message_round <= last_round[actor]:
+                return False
+            last_round[actor] = event.message_round
+            # typed, since True == 1 == 1.0 but only 1 is a Z result
+            recorded = {q: (type(r), r) for q, r in _knowledge(events[:n])[actor].items()}
+            if not isinstance(event.outcome, (tuple, list)) or any(
+                    not isinstance(row, (tuple, list)) or len(row) != 3 for row in event.outcome):
+                return False
+            if tuple(qubits) != tuple(label for label, *_ in event.outcome):
+                return False
+            for label, basis, outcome in event.outcome:
+                if (label not in OWNED[actor] or ((label,), basis) not in _MEASURES
+                        or recorded.get(label) != (type(outcome), outcome)):
+                    return False
+        elif event.kind == "measure":
+            try:
+                if ((tuple(qubits), event.basis) not in _MEASURES
+                        or event.outcome not in _alphabet(event.basis, event.outcome)):
+                    return False
+            except ValueError:
+                return False
+        elif event.kind == "correct":
+            try:
+                expected = _correction(_knowledge(events[:n]), actor, table)
+            except KeyError:
+                return False
+            if event.outcome != expected:
+                return False
+    return True
 
 
 def _random_register(rng, n, prefix="q"):

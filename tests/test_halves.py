@@ -18,13 +18,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bqtsim.corrections import MEASUREMENT_PLAN, OUTCOMES, PLAN_QUBITS, apply_ops, load_table
+from bqtsim.corrections import FACTORS, LEAF_KEYS, MEASUREMENT_PLAN, OUTCOMES, PLAN_QUBITS, apply_ops, load_table
 from bqtsim.ghz import ghz_state
 from bqtsim.protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
     EprInput,
     Tree,
+    enumerate_batch,
     enumerate_branches,
     noncooperation_fidelity,
 )
@@ -118,3 +119,16 @@ def test_noncooperation_fidelity_is_the_deprived_average_on_the_senders_half(wit
         got = noncooperation_fidelity(epr, withheld)
         assert got == pytest.approx(expected, abs=ATOL, rel=0)
         assert got == pytest.approx(abs(epr.c0) ** 4 + abs(epr.c1) ** 4, abs=ATOL, rel=0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_each_directions_fidelity_at_every_leaf_reads_only_its_senders_input(seed):
+    # a random legal table, so the fidelities spread over [0, 1], not only 1
+    rng = np.random.default_rng(seed)
+    legal = ["".join(pair) for pair in product(FACTORS, repeat=2)]
+    table = {key: tuple(rng.choice(legal, size=2).tolist()) for key in LEAF_KEYS}
+    sender, others = _random_epr(rng), [_random_epr(rng) for _ in range(3)]
+    for column, pairs in ((0, [(sender, other) for other in others]), (1, [(other, sender) for other in others])):
+        fidelities = enumerate_batch(pairs, table).fidelities[:, :, column]
+        assert np.ptp(fidelities) > 0.5
+        assert np.allclose(fidelities, fidelities[0], atol=ATOL, rtol=0)

@@ -26,11 +26,9 @@ from bqtsim.parties import (
     Event,
     SessionResult,
     Transcript,
-    _correction,
     _draw_leaf,
     _draw_leaves,
     _input_bits,
-    _knowledge,
     _owner,
     _records,
     _session_tree,
@@ -57,7 +55,8 @@ from bqtsim.protocol import (
     walk_round,
 )
 from bqtsim.qsim import _pick, measure
-from oracles import deliver, deprived_fidelities, of_kind, walk_round as per_row_walk
+import oracles
+from oracles import _correction, _knowledge, deliver, deprived_fidelities, of_kind, walk_round as per_row_walk
 
 ALPHA = EprInput(0.6, 0.8)
 BETA = EprInput.normalized(1, 1)
@@ -222,8 +221,8 @@ def _play_round(events, born, round_no, outcomes, rng, withheld=None):
 def _oracle_session(tree, born, seed, cooperation, table):
     """One session built event by event, its draws against ``born`` (:func:`_born`)
     and its fidelities from ``tree``, each correction derived from what its party
-    knows (``_knowledge``, ``_correction``): the builder that the per-leaf
-    records replaced."""
+    knows (``oracles._knowledge``, ``oracles._correction``): the builder that
+    the per-leaf records replaced."""
     rng = np.random.default_rng(seed)
     events = [
         Event(1, "channel", "prepare", CHANNEL_LABELS),
@@ -332,14 +331,14 @@ def test_leaves_with_the_same_round_one_results_share_its_announcements():
     table = load_table()
     first_round = (0, "-", 1, "+")
     records = [
-        _records(Tree(*pair), [leaf_index(*first_round, *second)], withheld, table)[0]
-        for pair, second, withheld in (
-            ((ALPHA, BETA), ("+", "+"), None),
-            ((ALPHA, BETA), ("-", "+"), "A1"),
-            ((BETA, ALPHA), ("-", "-"), "B1"),
+        _records(Tree(*pair), [leaf_index(*first_round, *second)], [0], cooperation, table)[0]
+        for pair, second, cooperation in (
+            ((ALPHA, BETA), ("+", "+"), "full"),
+            ((ALPHA, BETA), ("-", "+"), "alice_withholds_A1"),
+            ((BETA, ALPHA), ("-", "-"), "bob_withholds_B1"),
         )
     ]
-    messages = [of_kind(record[0], "message") for record in records]
+    messages = [of_kind(record.transcript, "message") for record in records]
     for other in messages[1:]:
         assert [e for e in other if e.message_round == 1] == messages[0][:2]
         assert all(a is b for a, b in zip(other[:2], messages[0][:2]))
@@ -860,6 +859,120 @@ def test_audit_rejects_a_measurement_that_names_other_qubits_than_one_step(seed_
 def test_audit_returns_false_for_a_malformed_event(seed_11, kind, changes):
     i = _index_of(seed_11.transcript, kind, ALICE)
     assert ownership_check(_edit(seed_11.transcript, i, **changes)) is False
+
+
+@pytest.mark.parametrize("where, outcome", [("after it", 1), ("at the end", 1), ("at the end", 0)], ids=repr)
+def test_audit_rejects_a_repeated_measurement(seed_11, where, outcome):
+    # a second b3 result after the last correction reaches no later check,
+    # so the prefix replay accepted even another outcome there
+    i = _index_of(seed_11.transcript, "measure", BOB)
+    events = list(seed_11.transcript.events)
+    assert events[i].qubits == ("b3",) and events[i].outcome == 1
+    events.insert(i + 1 if where == "after it" else len(events), replace(events[i], outcome=outcome))
+    forged = Transcript(events)
+    assert oracles.ownership_check(forged)  # the prefix replay kept only the last result
+    assert ownership_check(seed_11.transcript)
+    assert ownership_check(forged) is False
+
+
+def _first_row(**changes):
+    """An edit of a message event that rewrites fields of its first announced triple."""
+    def edit(event):
+        label, basis, result = event.outcome[0]
+        row = {"label": label, "basis": basis, "result": result, **changes}
+        return {"outcome": ((row["label"], row["basis"], row["result"]),) + tuple(event.outcome[1:])}
+    return edit
+
+
+@pytest.mark.parametrize("kind, actor, edit", [
+    ("message", ALICE, _first_row(basis=np.array(["Z", "Z"]))),
+    ("message", ALICE, _first_row(label=np.array(["a1", "a1"]))),
+    ("correct", BOB, lambda e: {"outcome": np.array(["II", "XX"])}),
+    ("correct", BOB, lambda e: {"outcome": np.array("II")}),
+    ("gate", ALICE, lambda e: {"actor": np.array([ALICE, BOB])}),
+    ("prepare", "channel", lambda e: {"kind": np.array(["prepare", "gate"])}),
+], ids=["array basis", "array label", "array ops", "0-d array ops", "array actor", "array kind"])
+def test_audit_returns_false_for_a_field_of_the_wrong_type(seed_11, kind, actor, edit):
+    i = _index_of(seed_11.transcript, kind, actor)
+    forged = _edit(seed_11.transcript, i, **edit(seed_11.transcript.events[i]))
+    assert ownership_check(forged) is False
+
+
+#: Values that rewrite one field of an event: the right type in the wrong place, and the wrong type.
+_POOL = (0, 1, 2, "+", "-", True, False, 1.0, None, "", "XX", "II", "XXZ", "Y", "Z", "X", "a1", "A1", "A2",
+         "b3", "B1", "channel", ALICE, BOB, "prepare", "gate", "measure", "message", "correct",
+         ("a1",), ["b1", "b2"], (), np.array("II"), np.array(["Z", "Z"]), np.array(["a1", "A2"]))
+
+_FIELDS = ("step", "actor", "kind", "qubits", "basis", "outcome", "probability", "message_round")
+
+
+def _mutated(events, rng):
+    """``events`` with one event dropped, swapped with another or repeated, one field of an
+    event rewritten from ``_POOL``, or one field of an announced triple rewritten."""
+    events = list(events)
+    i, j = rng.integers(len(events), size=2)
+    how = rng.integers(5)
+    if how == 0:
+        del events[i]
+    elif how == 1:
+        events[i], events[j] = events[j], events[i]
+    elif how == 2:
+        events.insert(j, events[i])
+    elif how == 3:
+        events[i] = replace(events[i], **{_FIELDS[rng.integers(len(_FIELDS))]: _POOL[rng.integers(len(_POOL))]})
+    else:
+        i = rng.choice([k for k, e in enumerate(events) if e.kind == "message"])
+        rows = [list(row) for row in events[i].outcome]
+        rows[rng.integers(len(rows))][rng.integers(3)] = _POOL[rng.integers(len(_POOL))]
+        events[i] = replace(events[i], outcome=rows)
+    return events
+
+
+def _newly_false(events):
+    """Whether the one-pass audit fails ``events`` where the prefix replay need not: a party
+    measures a qubit twice, or an actor, kind, measured basis, announced label or basis, or
+    correction is not a str."""
+    measured = set()
+    for e in events:
+        if type(e.actor) is not str or type(e.kind) is not str:
+            return True
+        if e.actor not in (ALICE, BOB):
+            continue
+        if e.kind == "measure":
+            if type(e.basis) is not str:
+                return True
+            if isinstance(e.qubits, (tuple, list)) and e.qubits and type(e.qubits[0]) is str:
+                if (e.actor, e.qubits[0]) in measured:
+                    return True
+                measured.add((e.actor, e.qubits[0]))
+        elif e.kind == "message" and isinstance(e.outcome, (tuple, list)):
+            if any(isinstance(row, (tuple, list)) and len(row) == 3
+                   and not (type(row[0]) is str and type(row[1]) is str) for row in e.outcome):
+                return True
+        elif e.kind == "correct" and type(e.outcome) is not str:
+            return True
+    return False
+
+
+def test_the_one_pass_audit_equals_the_prefix_replay_on_mutated_transcripts():
+    rng = np.random.default_rng(0xA0D17)
+    honest = [run_session(ALPHA, BETA, seed, mode).transcript for seed in range(4) for mode in COOPERATION_MODES]
+    # and as `bqtsim run --transcripts` writes them: lists where the records hold tuples
+    honest += [Transcript(Event(**e) for e in json.loads(t.to_json())["events"]) for t in honest]
+    verdicts = {True: 0, False: 0, "newly false": 0}
+    for n in range(6000):
+        events = _mutated(honest[n % len(honest)].events, rng)
+        forged = Transcript(events)
+        newly_false = _newly_false(events)
+        try:
+            want = oracles.ownership_check(forged)
+        except (TypeError, ValueError):
+            assert newly_false, events  # the prefix replay raised only on a field of the wrong type
+            want = None
+        got = ownership_check(forged)
+        assert got is (False if newly_false else want), events
+        verdicts["newly false" if newly_false and want is not False else got] += 1
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def test_owned_partition():
