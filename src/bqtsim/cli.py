@@ -15,8 +15,8 @@ more than 1e-9 are rejected; accepted pairs are normalized exactly.
 Reports (see ``_report``) are JSON by default (``--format text`` for a
 human summary) and are byte-identical for identical configuration and
 seed, except for the ``timestamp`` field.  Exit status: 0 when all checks
-pass, 1 when a check fails, 2 for configuration errors, which are reported
-on one ``error:`` line.
+pass, 1 when a check fails, 2 for configuration errors and for a run too
+large for memory, which are reported on one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .corrections import load_table
 from .ghz import entanglement_swap
-from .parties import WITHHELD, run_sessions, session_seed
+from .parties import WITHHELD, Event, Transcript, run_sessions, session_seed
 from .protocol import DIRECTIONS, FIDELITY_FLOOR, EprInput, enumerate_branches
 from .qsim import ATOL
 from .verify import DEFAULT_SEED, SIGMA_GATE, leaf_histogram_gate, run_all
@@ -155,6 +156,54 @@ def _trial_rows(heads: dict[int, str], leaves: list[int], base: int) -> list[str
             for i, leaf in enumerate(leaves)]
 
 
+def _splice(value: dict, lists: dict[str, list[str]], depth: int) -> list[str]:
+    """The text of a dict ``depth`` levels deep, as parts to join: ``value``,
+    with each list named in ``lists`` holding the items given there, each
+    already rendered ``depth + 2`` levels deep.
+
+    ``value`` holds each of those lists empty, so ``json`` lays out every
+    field in its sorted place, and the text is cut open at each.  The cut is
+    exact: ``json`` escapes every line break inside a string, so a line that
+    starts ``depth + 1`` levels deep with a quote is one of ``value``'s own
+    keys.  A list that ``value`` does not hold empty raises ValueError.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    parts, rest = [], _dumps(value, depth)
+    for name in sorted(lists):
+        field = f"{pad}{json.dumps(name)}: ["
+        head, rest = rest.split(field + "]")
+        parts += head, field
+        for i, text in enumerate(lists[name]):
+            parts += f"{',' if i else ''}{pad}  ", text
+        parts.append(f"{pad}]" if lists[name] else "]")
+    parts.append(rest)
+    return parts
+
+
+def _transcript_texts(transcripts: Iterable[Transcript]) -> list[str]:
+    """Each of ``transcripts`` as report JSON two levels deep, rendering each
+    distinct event once: a transcript is :meth:`Transcript.to_json_obj` of no
+    events, with its events' texts spliced in (:func:`_splice`).
+
+    Events that are ``==`` can still render differently, since ``0.0 ==
+    -0.0`` and ``1 == 1.0 == True``.  So each text is keyed on its event
+    plus the ``repr`` of every field that may hold a number, which is the
+    text ``json`` writes for one.
+    """
+    empty = Transcript().to_json_obj()
+    texts: dict[tuple[Event, str], str] = {}
+    rendered = []
+    for transcript in transcripts:
+        events = []
+        for e in transcript.events:
+            key = e, repr((e.step, e.outcome, e.probability, e.message_round))
+            if key not in texts:
+                texts[key] = _dumps(e.to_dict(), 4)
+            events.append(texts[key])
+        rendered.append("".join(_splice(empty, {"events": events}, 2)))
+    return rendered
+
+
 def _report(
     args: argparse.Namespace, schema: str, config: dict, body: dict, ok: bool, lines: list[str],
     spliced: dict[str, list[str]] = {},
@@ -163,8 +212,12 @@ def _report(
 
     The JSON report is ``body`` plus the fields every report carries, which
     are set here only, plus ``spliced``: lists whose items are already
-    rendered two levels deep, in fields that sort after all others.  The
-    text report is ``lines``.
+    rendered two levels deep (:func:`_splice`).  The text report is
+    ``lines``.  The report is built as parts.  stdout gets them joined, in
+    one write: a reader that closes the pipe early then ends the program
+    quietly, where ``writelines`` prints a BrokenPipeError traceback.  A
+    file gets them unjoined, through a 1 MiB buffer, so a large report is
+    written in writes of about 1 MiB and never copied whole.
     """
     if args.format == "json":
         report = {
@@ -173,20 +226,13 @@ def _report(
             "config": config,
             **body,
             "pass": ok,
+            **{name: [] for name in spliced},
         }
-        # one flat join: a large report is built as one string, never two
-        parts = [_open(report, spliced, 0)]
-        for name in sorted(spliced):
-            parts.append(f',\n  "{name}": [')
-            for i, text in enumerate(spliced[name]):
-                parts += ",\n    " if i else "\n    ", text
-            parts.append("\n  ]" if spliced[name] else "]")
-        parts.append("\n}\n")
-        rendered = "".join(parts)
+        parts = _splice(report, spliced, 0) + ["\n"]
     else:
-        rendered = "\n".join(lines) + "\n"
+        parts = ["\n".join(lines) + "\n"]
     if args.out is None:
-        sys.stdout.write(rendered)
+        sys.stdout.write("".join(parts))
     else:
         path = Path(args.out)
         base = os.environ.get(OUTPUT_DIR_ENV)
@@ -194,7 +240,8 @@ def _report(
             path = Path(base) / path
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(rendered)
+            with open(path, "w", buffering=1 << 20) as fh:
+                fh.writelines(parts)
         except OSError as exc:
             raise ConfigError(f"--out: cannot write {path}: {exc}") from None
     return 0 if ok else 1
@@ -297,7 +344,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                  for leaf, r in first.items()}
         spliced["trials"] = _trial_rows(heads, leaves, args.seed)
         if args.transcripts:
-            texts = {leaf: _dumps(r.transcript.to_json_obj(), 2) for leaf, r in first.items()}
+            texts = dict(zip(first, _transcript_texts(r.transcript for r in first.values())))
             spliced["transcripts"] = [texts[leaf] for leaf in leaves]
     return _report(args, "bqtsim.session-report/1", config, body, ok, lines, spliced)
 
@@ -413,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation it refused
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 2
 
 

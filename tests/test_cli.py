@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import bqtsim
-from bqtsim.cli import INPUT_NORM_TOL, OUTPUT_DIR_ENV, main
-from bqtsim.corrections import load_table, table_to_records, write_table
-from bqtsim.parties import run_session, session_seed
-from bqtsim.protocol import EprInput
+from bqtsim import cli
+from bqtsim.cli import INPUT_NORM_TOL, OUTPUT_DIR_ENV, _dumps, _transcript_texts, main
+from bqtsim.corrections import LEAF_KEYS, load_table, table_to_records, write_table
+from bqtsim.parties import COOPERATION_MODES, Event, Transcript, _records, run_session, session_seed
+from bqtsim.protocol import EprInput, Tree
 from bqtsim.verify import leaf_histogram_gate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -116,6 +117,17 @@ def test_trials_beyond_the_bound_are_one_error_line(capsys, trials):
     code, out, err = run_cli(capsys, "run", "--trials", trials)
     assert code == 2 and out == ""
     assert err == "error: --trials must be at most 2**63 - 1 (9223372036854775807)\n"
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    # a run too large for memory, as numpy reports it, without allocating anything
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type uint64")
+
+    monkeypatch.setattr(cli, "run_sessions", refuse)
+    code, out, err = run_cli(capsys, "run", "--trials", "10000000000", "--format", "text")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type uint64\n"
 
 
 def test_seed_accepts_hex(capsys):
@@ -321,6 +333,41 @@ def test_run_report_is_json_dumps_of_its_sessions(capsys, trials, flag, mode, tr
     assert code == 0
     expected = _expected_run_report(json.loads(out)["config"], mode, trials, 0xFFFFFFFFFFFFFFF8, transcripts)
     assert _lines_without_timestamp(out) == expected.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("mode", COOPERATION_MODES)
+@pytest.mark.parametrize("edited", [False, True], ids=["packaged", "edited"])
+def test_transcript_texts_match_json_of_each_transcript(mode, edited):
+    # every leaf's transcript, rendered from its events' shared texts, against json of the whole
+    table = load_table()
+    if edited:
+        table = dict(table)
+        table[LEAF_KEYS[37]] = ("XI", table[LEAF_KEYS[37]][1])  # legal, but no Pauli frame
+    tree = Tree(EprInput.normalized(0.6, 0.8j), EprInput.normalized(1 - 2j, 0.5))
+    transcripts = [r.transcript for r in _records(tree, list(range(64)), [0] * 64, mode, table)]
+    assert _transcript_texts(transcripts) == [_dumps(t.to_json_obj(), 2) for t in transcripts]
+
+
+def test_transcript_texts_tell_equal_events_apart():
+    # == events that json writes differently must not share a text
+    events = [Event(4, "Bob", "fidelity", ("B1", "B2"), outcome=f) for f in (0.0, -0.0, 1, 1.0, True)]
+    events += [Event(3, "Alice", "measure", ("a1",), "Z", outcome=o, probability=0.5) for o in (1, True, 1.0)]
+    events += [Event(3, "Alice", "measure", ("a1",), "Z", outcome=0, probability=p) for p in (0.0, -0.0)]
+    assert len(set(events)) == 4
+    transcripts = [Transcript([e]) for e in events] + [Transcript(events)]
+    texts = _transcript_texts(transcripts)
+    assert texts == [_dumps(t.to_json_obj(), 2) for t in transcripts]
+    assert len(set(texts)) == len(texts)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("run", "--trials", "4096", "--transcripts"), ("swap", "0", "0")],
+                         ids=lambda argv: argv[0])
+def test_out_that_fills_up_mid_write_exits_2(capsys, argv):
+    # the large report fails while it streams, the small one when the file closes
+    code, out, err = run_cli(capsys, *argv, "--out", "/dev/full")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --out: cannot write /dev/full"), err
 
 
 def test_closed_stdout_pipe_is_quiet():
