@@ -291,60 +291,51 @@ _X_MAPS = np.arange(16) ^ _BITS[:, None]
 _Z_SIGNS = np.where(np.arange(16) & _BITS[:, None], -1.0, 1.0)
 
 
-Pairs = tuple[tuple[str, str], ...]  # qubit pairs, each corrected by one ops string
-
-
 @lru_cache(maxsize=None)  # bounded: parse_ops admits 16 ops strings per qubit pair
-def _gate_ids(labels: Pairs, ops: tuple[str, ...]) -> tuple[int, ...]:
-    """Each gate of ``ops[k]`` on the qubits ``labels[k]``, for k in order: X on payload
-    qubit k as k, Z as 4 + k.
+def _gate_ids(labels: tuple[str, str], ops: str) -> tuple[int, ...]:
+    """Each gate of ``ops`` on the qubits ``labels``: X on payload qubit k as k, Z as 4 + k.
 
     Within a factor the gates run reversed ("XZ" is Z, then X) and "I" is
     none: the order of :func:`corrections.apply_ops`, the gate-level oracle.
     """
     return tuple(
         PAYLOAD_LABELS.index(q) + 4 * (gate == "Z")
-        for qubits, pair in zip(labels, ops, strict=True)
-        for q, factor in zip(qubits, parse_ops(pair), strict=True)
+        for q, factor in zip(labels, parse_ops(ops), strict=True)
         for gate in reversed(factor)
         if gate != "I"
     )
 
 
-def _correct_rows(rows: np.ndarray, labels: Pairs, ops: Iterable[tuple[str, ...]]) -> np.ndarray:
-    """The row kernel: payload row ``r`` corrected with the ``r``-th ops, as ``(n, 4, 4)``.
+def _correct_rows(rows: np.ndarray, labels: tuple[str, str], ops: Sequence[str]) -> np.ndarray:
+    """The row kernel: payload row ``r`` with its qubit pair ``labels`` corrected by ``ops[r]``.
 
-    ``rows`` holds one payload's amplitudes per row; the ``r``-th entry of
-    ``ops`` gives one ops string per qubit pair of ``labels``.  Each distinct
-    entry is read once, as a gate id per position; at each position, every
-    row with a gate there is reordered (X) or negated (Z) by its gate's map
-    and divided by its own norm, as :meth:`qsim.Register._trusted` does
-    after every gate: each row equals :func:`corrections.apply_ops` on its
-    register bit for bit.  The result's axes are (b1, b2) and (a2, a3).
+    ``rows`` holds one payload's 16 amplitudes per row, in PAYLOAD_LABELS
+    order.  Rows that share an ops string are gathered once and corrected
+    as one group: each gate reorders (X) or negates (Z) the whole group by
+    its map and divides each row by its own norm, as
+    :meth:`qsim.Register._trusted` does after every gate, so each row
+    equals :func:`corrections.apply_ops` on its register bit for bit.
     """
-    distinct: dict[tuple[str, ...], int] = {}
-    index = [distinct.setdefault(entry, len(distinct)) for entry in ops]
-    gates = [_gate_ids(labels, entry) for entry in distinct]
-    steps = np.full((len(gates), max(map(len, gates), default=0)), -1)
-    for k, ids in enumerate(gates):
-        steps[k, : len(ids)] = ids
+    groups: dict[str, list[int]] = {}
+    for r, pair in enumerate(ops):
+        groups.setdefault(pair, []).append(r)
     fixed = rows.copy()
-    for step in steps[index].T:  # the gate of every row at one position, -1 for none
-        touched = np.flatnonzero(step >= 0)
-        gate, part = step[touched], fixed[touched]
-        xs, zs = np.flatnonzero(gate < 4), np.flatnonzero(gate >= 4)
-        if len(xs):
-            part[xs] = part[xs[:, None], _X_MAPS[gate[xs]]]
-        if len(zs):
-            part[zs] *= _Z_SIGNS[gate[zs] - 4]
-        part /= _row_norms(part)[:, None]
-        fixed[touched] = part
-    return fixed.reshape(-1, 4, 4)
+    for pair, members in groups.items():
+        part = rows[members]
+        for gate in _gate_ids(labels, pair):
+            if gate < 4:
+                part = part[:, _X_MAPS[gate]]
+            else:
+                part *= _Z_SIGNS[gate - 4]
+            part /= _row_norms(part)[:, None]
+        fixed[members] = part
+    return fixed
 
 
 def _densities(fixed: np.ndarray, labels: tuple[str, str]) -> np.ndarray:
-    """Each corrected row's reduced density on ``labels``: :func:`qsim.reduced_density`'s product."""
-    psi = fixed if labels == BOB_PAYLOAD_LABELS else fixed.swapaxes(-1, -2)
+    """Each corrected payload row's reduced density on ``labels``: :func:`qsim.reduced_density`'s product."""
+    psi = fixed.reshape(-1, 4, 4)  # axes (b1, b2) and (a2, a3)
+    psi = psi if labels == BOB_PAYLOAD_LABELS else psi.swapaxes(-1, -2)
     return psi @ psi.conj().swapaxes(-1, -2)
 
 
@@ -355,9 +346,6 @@ def _scores(rhos: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """
     return np.vecdot(targets, (rhos @ targets[..., None])[..., 0]).real
 
-
-#: The qubit pairs a table entry (bob_ops, alice_ops) corrects, in its order.
-_PAIRS = tuple(d.labels for d in DIRECTIONS.values())
 
 #: Each withholdable announcement's heard key at every leaf, in leaf order: the table
 #: key of the receiver that never hears it, that result read as "+" (:func:`correction_key`).
@@ -376,15 +364,18 @@ _GROUPS = {
 }
 
 
-def _deliver(rows: np.ndarray, ops: Iterable[tuple[str, str]], targets) -> np.ndarray:
-    """Both directions' fidelities of payload row ``r`` corrected with the ``r``-th table entry: ``(n, 2)``.
+def _deliver(rows: np.ndarray, ops: Sequence[tuple[str, str]], targets) -> np.ndarray:
+    """Both directions' fidelities of payload row ``r`` corrected with the table entry ``ops[r]``: ``(n, 2)``.
 
-    Bob's ops act on (b1, b2) first, then Alice's on (a2, a3), in one call
-    of the row kernel (:func:`_correct_rows`), and each corrected half is
-    scored against ``targets[slot]`` of its direction: one target for every
-    row, or one row per row.
+    The row kernel (:func:`_correct_rows`) corrects each direction's pair
+    with its column of ``ops``, in :data:`DIRECTIONS` order: Bob's ops on
+    (b1, b2) first, then Alice's on (a2, a3).  Each corrected half is scored
+    against ``targets[slot]`` of its direction: one target for every row,
+    or one row per row.
     """
-    fixed = _correct_rows(rows, _PAIRS, ops)
+    fixed = rows
+    for d in DIRECTIONS.values():
+        fixed = _correct_rows(fixed, d.labels, [entry[d.slot] for entry in ops])
     return np.stack([_scores(_densities(fixed, d.labels), targets[d.slot]) for d in DIRECTIONS.values()], -1)
 
 
@@ -392,15 +383,15 @@ def _deprived(tree: "Tree", weights: np.ndarray, withheld: str, table: Table) ->
     """Each group of ``withheld`` (:data:`_GROUPS`) at the receiver it starves: (total weights, fidelities).
 
     Leaves of one group look alike to the receiver: it applies the
-    correction of the key it heard (:data:`_HEARD`) and holds their mixture,
-    each leaf weighted by its entry of ``weights``.  All 64 of the tree's
-    payloads are corrected in one call of the row kernel
-    (:func:`_correct_rows`), and each mixture is scored against the sender's
-    input.
+    correction of the key it heard (:data:`_HEARD`) to its own pair and
+    holds their mixture, each leaf weighted by its entry of ``weights``.
+    All 64 of the tree's payloads are corrected in one call of the row
+    kernel (:func:`_correct_rows`), and each mixture is scored against the
+    sender's input.
     """
     labels, slot, _ = DIRECTIONS[withheld]
     keys, groups = _GROUPS[withheld]
-    fixed = _correct_rows(tree.payloads, (labels,), ((table[key][slot],) for key in _HEARD[withheld]))
+    fixed = _correct_rows(tree.payloads, labels, [table[key][slot] for key in _HEARD[withheld]])
     totals, mixed = np.zeros(len(keys)), np.zeros((len(keys), 4, 4), dtype=complex)
     np.add.at(totals, groups, weights)  # unbuffered, in leaf order: 0.0 + w1 + w2 + ... per group
     np.add.at(mixed, groups, weights[:, None, None] * _densities(fixed, labels))

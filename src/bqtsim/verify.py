@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Callable, Iterator
 
 import numpy as np
@@ -31,17 +31,13 @@ from .protocol import (
     Tree,
     _product,
     _walk_pairs,
-    encode,
     enumerate_batch,
     noncooperation_fidelity,
-    prepare_full_state,
-    walk_round,
 )
 from . import qsim
 from .qsim import (
     ATOL,
     OUTCOMES,
-    Register,
     _apply_rows,
     _born_rows,
     _branch_rows,
@@ -182,41 +178,29 @@ def find_reference_permutations(alice: EprInput, bob: EprInput) -> list[tuple[st
     (coefficient, qubit-value assignment) multisets and compared against
     the directly simulated collapsed states; only permutations under which
     all sixteen branches match exactly are returned, and none when a
-    branch does not hold exactly the published four terms.
+    branch does not hold exactly the published four terms.  The sixteen
+    branches are one batched walk of round one, rows over REMAINDER_LABELS,
+    and every permutation is tested at once: one gather of each published
+    ket's amplitude under each of them.
     """
+    rows = _walk_pairs([(alice, bob)], MEASUREMENT_PLAN[0])[1]
+    if (np.count_nonzero(np.abs(rows) > 1e-9, axis=1) != 4).any():
+        return []
     prods = [
         [alice.c0 * bob.c0, alice.c0 * bob.c1],
         [alice.c1 * bob.c0, alice.c1 * bob.c1],
     ]
-    encoded = encode(prepare_full_state(alice, bob))
-    simulated = {
-        branch: reg for branch, _probs, reg in walk_round(encoded, MEASUREMENT_PLAN[0])
-    }
-    if any(len(reg.nonzero_terms(1e-9)) != 4 for reg in simulated.values()):
-        return []
-    matches = []
-    for perm in permutations(REMAINDER_LABELS):
-        if all(
-            _branch_matches(reg, branch, perm, prods)
-            for branch, reg in simulated.items()
-        ):
-            matches.append(perm)
-    return matches
-
-
-def _branch_matches(
-    reg: Register,
-    branch: tuple[int, str, int, str],
-    perm: tuple[str, ...],
-    prods: list[list[complex]],
-) -> bool:
-    a1, A2, b3, B2 = branch
-    for sign, (i, j), ket in reference_branch_terms(a1, A2, b3, B2):
-        assignment = {perm[k]: int(ket[k]) for k in range(6)}
-        amp = reg.amps[reg.index_of(assignment)]
-        if abs(amp - sign * prods[i][j]) > ATOL:
-            return False
-    return True
+    branches = product(*(OUTCOMES[basis] for _, basis in MEASUREMENT_PLAN[0]))
+    terms = [reference_branch_terms(*branch) for branch in branches]
+    kets = np.array([[[int(bit) for bit in ket] for _, _, ket in row] for row in terms])  # (16, 4, 6)
+    want = np.array([[sign * prods[i][j] for sign, (i, j), _ in row] for row in terms])  # (16, 4)
+    perms = list(permutations(REMAINDER_LABELS))
+    # a ket's index in the register: bit k of the ket sits at its qubit's place, perm[k]
+    places = np.array([[REMAINDER_LABELS.index(q) for q in perm] for perm in perms])  # (720, 6)
+    index = kets @ (1 << (len(REMAINDER_LABELS) - 1 - places)).T  # (16, 4, 720)
+    amps = rows[np.arange(len(rows))[:, None, None], index]
+    fits = (np.abs(amps - want[..., None]) <= ATOL).all(axis=(0, 1))
+    return [perm for perm, fit in zip(perms, fits.tolist()) if fit]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """The multi-pair batch: many input pairs encoded, walked and delivered as rows of one array.
 
 ``protocol.enumerate_batch`` walks every leaf of every pair in one
-level-batched walk and corrects and scores them in one call of the row
-kernel; the battery's ``bidirectional-reconstruction`` and
-``branch-uniformity`` criteria run their random pairs through it in chunks
-of ``verify._CHUNK_PAIRS``.  Each pair is checked here against the
-oracles of ``tests/oracles.py``, one pair at a time: the per-row walk from
-the public ``encode(prepare_full_state(...))`` register, and delivery
-through the public gate path.  Probabilities and fidelities are compared by
+level-batched walk and corrects and scores them in one delivery, one call
+of the row kernel per direction; the battery's
+``bidirectional-reconstruction`` and ``branch-uniformity`` criteria run
+their random pairs through it in chunks of ``verify._CHUNK_PAIRS``.  Each
+pair is checked here against the oracles of ``tests/oracles.py``, one pair
+at a time: the per-row walk from the public
+``encode(prepare_full_state(...))`` register, and delivery through the
+public gate path.  Probabilities and fidelities are compared by
 ``.hex()`` and payload rows by ``tobytes()``, so a pair's results are the
 same bits whatever its position in the batch and whatever the batch size.
 """
@@ -29,7 +30,6 @@ from bqtsim.protocol import (
     _correct_rows,
     _encode_rows,
     _input_rows,
-    _PAIRS,
     _walk_pairs,
     encode,
     enumerate_batch,
@@ -185,8 +185,9 @@ def test_the_row_kernel_on_many_pairs_equals_the_per_row_oracle():
     factors = np.array(FACTORS)
     distinct = [("".join(rng.choice(factors, 2)), "".join(rng.choice(factors, 2))) for _ in range(40)]
     ops = [distinct[i] for i in rng.integers(0, len(distinct), len(rows))]
-    fixed = _correct_rows(rows, _PAIRS, ops)
-    assert fixed.tobytes() == oracles.correct_rows(rows, _PAIRS, ops).tobytes()
+    fixed = _correct_rows(rows, BOB_PAYLOAD_LABELS, [entry[0] for entry in ops])
+    fixed = _correct_rows(fixed, ALICE_PAYLOAD_LABELS, [entry[1] for entry in ops])
+    assert fixed.tobytes() == oracles.correct_rows(rows, (BOB_PAYLOAD_LABELS, ALICE_PAYLOAD_LABELS), ops).tobytes()
 
 
 def test_the_reconstruction_detail_equals_the_per_pair_oracle_loop():

@@ -50,7 +50,6 @@ from bqtsim.protocol import (
     _deprived,
     _GROUPS,
     _leaf_probabilities,
-    _PAIRS,
     encode,
     enumerate_branches,
     noncooperation_fidelity,
@@ -78,6 +77,17 @@ def payloads(draw) -> EprInput:
 
 
 _ops = st.tuples(st.sampled_from(FACTORS), st.sampled_from(FACTORS)).map("".join)
+
+#: The 16 legal ops strings of one qubit pair, and the pairs a table entry corrects, in its order.
+EVERY_OPS = [a + b for a in FACTORS for b in FACTORS]
+PAIRS = (BOB_PAYLOAD_LABELS, ALICE_PAYLOAD_LABELS)
+
+
+def _kernel(rows, labels, ops):
+    """The row kernel once per qubit pair of ``labels``, in order, each with its column of ``ops``."""
+    for k, pair in enumerate(labels):
+        rows = _correct_rows(rows, pair, [entry[k] for entry in ops])
+    return rows
 
 
 @PROPERTY
@@ -115,7 +125,7 @@ def test_deliver_matches_its_written_out_oracle(alice, bob, key, bob_ops, alice_
     assert tree.deliver([leaf_index(*key)], [(bob_ops, alice_ops)])[0] == (to_bob, to_alice)
     # amplitudes equal by ==, not by bits: negating a zero gives -0.0 where
     # apply_gate1's matrix product gives 0.0
-    rows = _correct_rows(payload.amps[None], _PAIRS, [(bob_ops, alice_ops)])
+    rows = _kernel(payload.amps[None], PAIRS, [(bob_ops, alice_ops)])
     assert np.array_equal(rows.reshape(-1), fixed.amps)
 
 
@@ -133,10 +143,15 @@ def test_the_row_kernel_equals_the_per_leaf_oracle(alice, bob, entries):
             for key, ops in zip(LEAF_KEYS, entries)]
     assert got == want
     rows = tree.payloads
-    for labels, ops in ((_PAIRS, entries), ((BOB_PAYLOAD_LABELS,), [e[:1] for e in entries]),
+    for labels, ops in ((PAIRS, entries), ((BOB_PAYLOAD_LABELS,), [e[:1] for e in entries]),
                         ((ALICE_PAYLOAD_LABELS,), [e[1:] for e in entries])):
-        fixed = _correct_rows(rows, labels, ops)
+        fixed = _kernel(rows, labels, ops)
         assert fixed.tobytes() == oracles.correct_rows(rows, labels, ops).tobytes()
+    # every legal ops string in both columns, alone on one row and all 16 mixed in one
+    # batch: the kernel gathers the rows that share a string into one array
+    mixed = [(EVERY_OPS[k % 16], EVERY_OPS[5 * k % 16]) for k in range(64)]
+    for part, ops in [(rows, mixed)] + [(rows[k : k + 1], mixed[k : k + 1]) for k in range(16)]:
+        assert _kernel(part, PAIRS, ops).tobytes() == oracles.correct_rows(part, PAIRS, ops).tobytes()
     # a second batch in the reverse order gives each leaf the same values
     assert tree.deliver(range(63, -1, -1), entries[::-1]) == want[::-1]
 
