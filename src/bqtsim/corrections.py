@@ -130,7 +130,7 @@ def apply_ops(reg: Register, qubits: Sequence[str], ops: str) -> Register:
     """Apply a two-qubit ops string, one factor per named qubit in order.
 
     One ``qsim.apply_gate1`` call per gate: the gate-level oracle of the row
-    kernel (``protocol._gate_ids``, ``protocol._correct_rows``), which turns
+    kernel (``protocol._row_groups``, ``protocol._correct_rows``), which turns
     the same ops into index permutations and sign flips.
     """
     for qubit, factor in zip(qubits, parse_ops(ops), strict=True):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -198,12 +198,12 @@ def _input_rows(pairs: Sequence[Pair]) -> np.ndarray:
 def _encode_rows(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """:func:`encode` of :func:`prepare_full_state` for each row pair of :func:`_input_rows`: ``(n, 1024)``.
 
-    The two tensor products are outer products with the channel, and each
+    The two tensor products are outer products with :data:`_CHANNEL`, and each
     CNOT is one :func:`qsim._apply_rows` call; every step divides each row by
     its own norm, as :meth:`qsim.Register._trusted` does, so every row is
     bit-identical to the pair's encoded register.
     """
-    rows = prepare_channel().amps
+    rows = _CHANNEL
     for inputs in (alice, bob):
         rows = (rows[..., :, None] * inputs[:, None, :]).reshape(len(inputs), -1)
         rows /= _row_norms(rows)[:, None]
@@ -253,6 +253,10 @@ def walk_round(
     return zip(outcomes, map(tuple, probs.tolist()), Register._rows(labels, rows))
 
 
+#: :func:`prepare_channel`'s amplitudes, built once: the read-only row every encoding starts from.
+_CHANNEL = prepare_channel().amps
+_BALANCED = EprInput(np.sqrt(0.5), np.sqrt(0.5))  # the cooperative input of noncooperation_fidelity
+
 #: Both rounds' measurements, in order: the walk's leaf rows follow ``LEAF_KEYS``.
 _PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 
@@ -291,19 +295,26 @@ _X_MAPS = np.arange(16) ^ _BITS[:, None]
 _Z_SIGNS = np.where(np.arange(16) & _BITS[:, None], -1.0, 1.0)
 
 
-@lru_cache(maxsize=None)  # bounded: parse_ops admits 16 ops strings per qubit pair
-def _gate_ids(labels: tuple[str, str], ops: str) -> tuple[int, ...]:
-    """Each gate of ``ops`` on the qubits ``labels``: X on payload qubit k as k, Z as 4 + k.
+@lru_cache(maxsize=64)  # bounded: the columns come from callers' tables
+def _row_groups(labels: tuple[str, str], ops: tuple[str, ...]) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """Each distinct string of ``ops``, first seen first, as (its gates on ``labels``, its rows read-only).
 
-    Within a factor the gates run reversed ("XZ" is Z, then X) and "I" is
-    none: the order of :func:`corrections.apply_ops`, the gate-level oracle.
+    X on payload qubit k is gate k and Z is 4 + k.  Within a factor the
+    gates run reversed ("XZ" is Z, then X) and "I" is none: the order of
+    :func:`corrections.apply_ops`, the gate-level oracle.
     """
-    return tuple(
-        PAYLOAD_LABELS.index(q) + 4 * (gate == "Z")
-        for q, factor in zip(labels, parse_ops(ops), strict=True)
-        for gate in reversed(factor)
-        if gate != "I"
-    )
+    rows: dict[str, list[int]] = {}
+    for r, pair in enumerate(ops):
+        rows.setdefault(pair, []).append(r)
+    groups = []
+    for pair, members in rows.items():
+        factors = zip(labels, parse_ops(pair), strict=True)
+        gates = tuple(PAYLOAD_LABELS.index(q) + 4 * (g == "Z")
+                      for q, factor in factors for g in reversed(factor) if g != "I")
+        members = np.array(members)
+        members.flags.writeable = False
+        groups.append((gates, members))
+    return tuple(groups)
 
 
 def _correct_rows(rows: np.ndarray, labels: tuple[str, str], ops: Sequence[str]) -> np.ndarray:
@@ -316,13 +327,10 @@ def _correct_rows(rows: np.ndarray, labels: tuple[str, str], ops: Sequence[str])
     :meth:`qsim.Register._trusted` does after every gate, so each row
     equals :func:`corrections.apply_ops` on its register bit for bit.
     """
-    groups: dict[str, list[int]] = {}
-    for r, pair in enumerate(ops):
-        groups.setdefault(pair, []).append(r)
     fixed = rows.copy()
-    for pair, members in groups.items():
+    for gates, members in _row_groups(labels, tuple(ops)):
         part = rows[members]
-        for gate in _gate_ids(labels, pair):
+        for gate in gates:
             if gate < 4:
                 part = part[:, _X_MAPS[gate]]
             else:
@@ -379,23 +387,23 @@ def _deliver(rows: np.ndarray, ops: Sequence[tuple[str, str]], targets) -> np.nd
     return np.stack([_scores(_densities(fixed, d.labels), targets[d.slot]) for d in DIRECTIONS.values()], -1)
 
 
-def _deprived(tree: "Tree", weights: np.ndarray, withheld: str, table: Table) -> tuple[list, list]:
+def _deprived(payloads: np.ndarray, targets, weights: np.ndarray, withheld: str, table: Table) -> tuple[list, list]:
     """Each group of ``withheld`` (:data:`_GROUPS`) at the receiver it starves: (total weights, fidelities).
 
     Leaves of one group look alike to the receiver: it applies the
     correction of the key it heard (:data:`_HEARD`) to its own pair and
     holds their mixture, each leaf weighted by its entry of ``weights``.
-    All 64 of the tree's payloads are corrected in one call of the row
-    kernel (:func:`_correct_rows`), and each mixture is scored against the
-    sender's input.
+    All 64 of one pair's ``payloads`` (:attr:`Tree.payloads`) are corrected
+    in one call of the row kernel (:func:`_correct_rows`), and each mixture
+    is scored against the sender's row of ``targets`` (:attr:`Tree.targets`).
     """
     labels, slot, _ = DIRECTIONS[withheld]
     keys, groups = _GROUPS[withheld]
-    fixed = _correct_rows(tree.payloads, labels, [table[key][slot] for key in _HEARD[withheld]])
+    fixed = _correct_rows(payloads, labels, [table[key][slot] for key in _HEARD[withheld]])
     totals, mixed = np.zeros(len(keys)), np.zeros((len(keys), 4, 4), dtype=complex)
     np.add.at(totals, groups, weights)  # unbuffered, in leaf order: 0.0 + w1 + w2 + ... per group
     np.add.at(mixed, groups, weights[:, None, None] * _densities(fixed, labels))
-    return totals.tolist(), _scores(mixed / totals[:, None, None], tree.targets[slot]).tolist()
+    return totals.tolist(), _scores(mixed / totals[:, None, None], targets[slot]).tolist()
 
 
 class Tree:
@@ -439,7 +447,8 @@ class Tree:
         heard = _HEARD[withheld][leaf]
         memo = (withheld, heard, table[heard][slot])
         if memo not in self.averages:
-            _, fidelities = _deprived(self, _product(self.steps.T[_ROUND_ONE:]), withheld, table)
+            weights = _product(self.steps.T[_ROUND_ONE:])
+            _, fidelities = _deprived(self.payloads, self.targets, weights, withheld, table)
             for key, fidelity in zip(_GROUPS[withheld][0], fidelities):
                 self.averages[withheld, key, table[key][slot]] = fidelity
         return self.averages[memo]
@@ -524,20 +533,15 @@ def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     """Expected fidelity at the deprived receiver when one announcement is withheld.
 
     ``withheld="A1"`` starves Bob of Alice's second-round result (so
-    ``epr`` is Alice's input); ``"B1"`` starves Alice.  The returned value
-    weights every leaf by its full probability, averages the receiver's
-    corrected reduced state over the two equally likely withheld outcomes
-    (:func:`_deprived`) and equals ``|c0|**4 + |c1|**4``.
+    ``epr`` is Alice's input); ``"B1"`` starves Alice.  The pair, ``epr``
+    and :data:`_BALANCED`, is walked without a :class:`Tree` and its rows go
+    to :func:`_deprived`.  The returned value weights every leaf by its full
+    probability, averages the receiver's corrected reduced state over the
+    two equally likely withheld outcomes and equals ``|c0|**4 + |c1|**4``.
     """
     if withheld not in DIRECTIONS:
         raise ValueError(f"withheld must be 'A1' or 'B1', got {withheld!r}")
-    slot = DIRECTIONS[withheld].slot
-    # The cooperative direction's input never influences the deprived side.
-    inputs = [EprInput(np.sqrt(0.5), np.sqrt(0.5))] * 2
-    inputs[slot] = epr
-    tree = Tree(*inputs)
-    totals, fidelities = _deprived(tree, _leaf_probabilities(tree.steps), withheld, load_table())
-    expected = 0.0
-    for weight, fidelity in zip(totals, fidelities):
-        expected += weight * fidelity
-    return expected
+    pair = (epr, _BALANCED) if DIRECTIONS[withheld].slot == 0 else (_BALANCED, epr)
+    inputs, payloads, steps = _walk_pairs([pair])
+    totals, fidelities = _deprived(payloads, inputs[:, 0], _leaf_probabilities(steps), withheld, load_table())
+    return reduce(add, map(mul, totals, fidelities), 0.0)  # 0.0 + w1 * f1 + w2 * f2 + ..., in group order

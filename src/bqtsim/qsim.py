@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -251,19 +252,20 @@ def tensor(first: Register, second: Register) -> Register:
     return Register._trusted(labels, np.kron(first.amps, second.amps))
 
 
-def _axis_order(labels: tuple[str, ...], qubits: Sequence[str]) -> list[int]:
-    """Axis permutation that puts ``qubits`` first, in the order given, then the rest."""
+@lru_cache(maxsize=256)  # bounded: labels come from callers' registers
+def _axis_order(labels: tuple[str, ...], qubits: tuple[str, ...]) -> tuple[int, ...]:
+    """Axes of a batch of rows over ``labels``: the batch (axis 0), ``qubits`` in the order given, the rest."""
     for q in qubits:
         if q not in labels:
             raise ValueError(f"no qubit labeled {q!r} in {labels!r}")
-    axes = [labels.index(q) for q in qubits]
-    return axes + [k for k in range(len(labels)) if k not in axes]
+    axes = [labels.index(q) + 1 for q in qubits]
+    return (0, *axes, *(k for k in range(1, len(labels) + 1) if k not in axes))
 
 
 def _front(reg: Register, qubits: Sequence[str]) -> np.ndarray:
     """Amplitudes as a ``(2**k, rest)`` matrix: rows index ``qubits``, columns the rest."""
-    order = _axis_order(reg.labels, qubits)
-    return reg.amps.reshape((2,) * reg.n_qubits).transpose(order).reshape(1 << len(qubits), -1)
+    psi = reg.amps.reshape((1,) + (2,) * reg.n_qubits).transpose(_axis_order(reg.labels, tuple(qubits)))
+    return psi.reshape(1 << len(qubits), -1)
 
 
 def _apply_rows(
@@ -274,7 +276,7 @@ def _apply_rows(
     Each row is one ``matrix @`` call on its own :func:`_front` matrix, so
     every row is bit-identical to applying the gate to its register alone.
     """
-    order = [0] + [k + 1 for k in _axis_order(labels, qubits)]
+    order = _axis_order(labels, tuple(qubits))
     shape = (len(rows),) + (2,) * len(labels)
     psi = matrix @ rows.reshape(shape).transpose(order).reshape(len(rows), len(matrix), -1)
     back = sorted(range(len(order)), key=order.__getitem__)
@@ -319,18 +321,18 @@ def _split(psi: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray]:
     return (zero + one) * _SQRT_HALF, (zero - one) * _SQRT_HALF
 
 
-def _branch_rows(
-    rows: np.ndarray, labels: tuple[str, ...], qubit: str, basis: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_split` on ``qubit`` for a batch: row ``r`` of each result splits ``rows[r]``.
+def _branch_rows(rows: np.ndarray, labels: tuple[str, ...], qubit: str, basis: str) -> np.ndarray:
+    """:func:`_split` on ``qubit`` for a batch, as one ``(n, 2, rest)`` array: ``[r, k]`` is outcome
+    ``k``'s branch of ``rows[r]``.
 
-    ``rows`` holds one register's amplitudes over ``labels`` per row.  The
-    split is elementwise, so every row is bit-identical to splitting its
-    register on its own.
+    A Z split is the transposed rows and an X split stacks its fresh branches once, so each branch is
+    laid out, and summed by BLAS, as :func:`measure` has it: a strided sum can differ from a contiguous
+    one.  The split is elementwise: each row is bit-identical to splitting its register on its own.
     """
-    order = [0] + [k + 1 for k in _axis_order(labels, (qubit,))]
-    psi = rows.reshape((len(rows),) + (2,) * len(labels)).transpose(order)
-    return _split(psi.reshape(len(rows), 2, -1), basis)
+    psi = rows.reshape((len(rows),) + (2,) * len(labels)).transpose(_axis_order(labels, (qubit,)))
+    psi = psi.reshape(len(rows), 2, -1)
+    branches = _split(psi, basis)
+    return psi if basis == "Z" else np.stack(branches, axis=1)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -338,19 +340,14 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
-def _born_rows(branches: Sequence[np.ndarray]) -> np.ndarray:
-    """:func:`_born` of each row of :func:`_branch_rows`'s pair, ``(n, 2)``, each branch summed in
-    the layout :func:`measure` sums it in: a strided BLAS sum can differ from a contiguous one."""
-    return np.stack([np.vecdot(b, b).real for b in branches], axis=1)
-
-
-def _collapse_rows(branches: Sequence[np.ndarray], measured: tuple, alphabet: Sequence) -> tuple:
-    """:func:`_born_rows` and :func:`_collapse` forced to each outcome, on :func:`_branch_rows`'s pair:
+def _collapse_rows(branches: np.ndarray, measured: tuple, alphabet: Sequence) -> tuple:
+    """:func:`_born` and :func:`_collapse` forced to each outcome, on :func:`_branch_rows`'s array:
     Born probabilities ``(n, 2)`` and collapsed rows ``(n, 2, rest)``, each :func:`measure`'s bits."""
-    probs, rows = _born_rows(branches), np.stack(branches, axis=1)
-    for r, k in np.argwhere(probs < MIN_FORCE_PROB)[:1]:
+    probs = np.vecdot(branches, branches).real
+    if (probs < MIN_FORCE_PROB).any():  # the floor is read at call time, as tests move it
+        r, k = np.argwhere(probs < MIN_FORCE_PROB)[0]
         raise ValueError(f"outcome {alphabet[k]!r} on {measured!r} has probability {probs[r, k]:.3e}")
-    rows = rows / np.sqrt(probs)[..., None]
+    rows = np.divide(branches, np.sqrt(probs)[..., None], order="C")  # measure's layout, for later sums
     return probs, rows / _row_norms(rows)[..., None]
 
 

@@ -39,7 +39,6 @@ from .qsim import (
     ATOL,
     OUTCOMES,
     _apply_rows,
-    _born_rows,
     _branch_rows,
     _pick,
     _row_norms,
@@ -457,11 +456,11 @@ def _born_worst(rng: np.random.Generator, cases: int) -> float:
         unlikely = []
         for (n, k, basis), (index, parts, draws) in groups.items():
             branches = _branch_rows(_states(parts), _labels(n), f"q{k}", basis)
-            probs = _born_rows(branches)
+            probs = np.vecdot(branches, branches).real
             picks = np.array([_pick(p, u) for p, u in zip(probs.tolist(), draws.tolist())])
             at = np.arange(len(picks))
             prob = probs[at, picks]
-            collapsed = _normalized(np.stack(branches, axis=1)[at, picks] / np.sqrt(prob)[:, None])
+            collapsed = _normalized(branches[at, picks] / np.sqrt(prob)[:, None])
             for r in np.flatnonzero(prob < qsim.MIN_FORCE_PROB)[:1]:
                 outcome = OUTCOMES[basis][picks[r]]
                 unlikely.append((index[r], f"outcome {outcome!r} on ('q{k}',) has probability {prob[r]:.3e}"))

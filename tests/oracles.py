@@ -102,7 +102,7 @@ def walk_round(state, plan):
     for qubit, basis in plan:
         labels, alphabet = level[0][2].labels, _alphabet(basis)
         rows = np.stack([reg.amps for _, _, reg in level])
-        splits = zip(*_branch_rows(rows, labels, qubit, basis))
+        splits = _branch_rows(rows, labels, qubit, basis)  # (n, 2, rest): each row's two branches
         children = []
         for (outcomes, probs, _), branches in zip(level, splits):
             born = _born(branches)

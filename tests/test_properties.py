@@ -31,7 +31,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from bqtsim.cli import _dumps, _open, _report, _trial_rows
@@ -63,7 +63,11 @@ import oracles
 PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 ROUND_ONE = len(MEASUREMENT_PLAN[0])
 
-PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+# no shrink phase: a failing example is reported as drawn, since minimising one
+# against a broken kernel took minutes and gigabytes
+PROPERTY = settings(
+    max_examples=25, derandomize=True, deadline=None, database=None, phases=[p for p in Phase if p is not Phase.shrink]
+)
 
 _part = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -231,7 +235,7 @@ def test_the_deprived_groups_equal_the_per_leaf_oracle_under_both_weightings(ali
         # noncooperation_fidelity's weighting: every leaf's full probability
         want = oracles.deprived_fidelities(oracles.weighted(leaves), withheld, target, table)
         assert list(keys) == list(want)  # group keys in first-seen order
-        got = _deprived(tree, _leaf_probabilities(tree.steps), withheld, table)
+        got = _deprived(tree.payloads, tree.targets, _leaf_probabilities(tree.steps), withheld, table)
         assert list(zip(*got)) == list(want.values())  # weights and fidelities
         # the session path: weights are round two's probabilities alone
         want = oracles.deprived_fidelities(oracles.weighted(leaves, round_one=False), withheld, target, table)

@@ -485,6 +485,35 @@ def test_writes_to_any_of_a_trees_arrays_raise(name):
     assert array.tobytes() == before
 
 
+def test_the_channel_row_built_once_is_prepare_channel_and_cannot_be_written():
+    channel = protocol._CHANNEL
+    assert channel.tobytes() == prepare_channel().amps.tobytes()
+    assert channel.base is None  # owns its memory: nothing writable stands behind it
+    with pytest.raises(ValueError, match="read-only"):
+        channel[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        channel[...] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        channel += 0
+    assert protocol._CHANNEL.tobytes() == prepare_channel().amps.tobytes()
+
+
+def test_the_cached_row_groups_cannot_be_written():
+    table = load_table()
+    for labels, slot in STARVES.values():
+        ops = tuple(table[key][slot] for key in LEAF_KEYS)
+        groups = protocol._row_groups(labels, ops)
+        assert protocol._row_groups(labels, ops) is groups  # cached per (labels, ops column)
+        assert sorted(np.concatenate([rows for _, rows in groups]).tolist()) == list(range(64))
+        for gates, rows in groups:
+            assert rows.base is None and {ops[r] for r in rows.tolist()} == {ops[rows[0]]}
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 63
+            with pytest.raises(ValueError, match="read-only"):
+                rows += 0
+        assert sorted(np.concatenate([rows for _, rows in groups]).tolist()) == list(range(64))
+
+
 def test_a_trees_targets_are_each_input_written_on_its_receivers_payload_labels():
     rng = np.random.default_rng(83)
     for alice, bob in [(ALPHA, BETA)] + [(_random_epr(rng), _random_epr(rng)) for _ in range(20)]:
