@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Iterable
 from datetime import datetime, timezone
@@ -217,7 +218,8 @@ def _report(
     one write: a reader that closes the pipe early then ends the program
     quietly, where ``writelines`` prints a BrokenPipeError traceback.  A
     file gets them unjoined, through a 1 MiB buffer, so a large report is
-    written in writes of about 1 MiB and never copied whole.
+    written in writes of about 1 MiB and never copied whole, in place: ext4
+    flushes a file truncated to zero on close.  A failed write leaves its tail.
     """
     if args.format == "json":
         report = {
@@ -240,8 +242,10 @@ def _report(
             path = Path(base) / path
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", buffering=1 << 20) as fh:
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", buffering=1 << 20) as fh:
                 fh.writelines(parts)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null, a pipe or a tty
+                    fh.truncate()
         except OSError as exc:
             raise ConfigError(f"--out: cannot write {path}: {exc}") from None
     return 0 if ok else 1

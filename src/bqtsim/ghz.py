@@ -1,5 +1,5 @@
-"""The eight-state GHZ basis; GHZ-basis measurement and entanglement
-swapping between two GHZ triples collapse through :mod:`bqtsim.qsim`.
+"""The eight-state GHZ basis; GHZ-basis measurement, which collapses through
+:mod:`bqtsim.qsim`, and entanglement swapping, one row kernel over channel pairs.
 
 Basis convention: index ``2k`` is ``(|s> + |s~>)/sqrt(2)`` and ``2k+1`` is
 ``(|s> - |s~>)/sqrt(2)`` where ``s`` runs over 000, 100, 010, 110 and
@@ -13,17 +13,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qsim import (
-    MIN_FORCE_PROB,
-    MeasureResult,
-    Register,
-    _born,
-    _collapse,
-    _equal_up_to_phase,
-    _front,
-    make_register,
-    tensor,
-)
+from . import qsim
+from .qsim import MeasureResult, Register, _axis_order, _born, _collapse, _front, _row_norms, make_register
 
 __all__ = [
     "GHZ_TERMS",
@@ -49,10 +40,16 @@ GHZ_TERMS: tuple[tuple[str, str, int], ...] = (
 GHZ_OUTCOMES = tuple(range(8))
 
 
+def _checked(value: object, what: str) -> int:
+    """``value`` if it is an int in 0..7 (not a bool), else ValueError naming ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 7:
+        raise ValueError(f"GHZ {what} must be an int in 0..7, got {value!r}")
+    return value
+
+
 def ghz_state(index: int, labels: Sequence[str]) -> Register:
     """GHZ basis state ``index`` (0..7) on three named qubits."""
-    if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index <= 7:
-        raise ValueError(f"GHZ index must be an int in 0..7, got {index!r}")
+    _checked(index, "index")
     if len(tuple(labels)) != 3:
         raise ValueError(f"a GHZ state needs exactly 3 labels, got {labels!r}")
     first, second, sign = GHZ_TERMS[index]
@@ -71,13 +68,6 @@ class SwapOutcome(NamedTuple):
     matched: int | None
 
 
-def _ghz_branches(reg: Register, triple: tuple[str, ...]) -> np.ndarray:
-    """Unnormalized remainders for all 8 GHZ outcomes on ``triple``, one per row."""
-    if len(set(triple)) != 3:
-        raise ValueError(f"need three distinct labels, got {triple!r}")
-    return _BASIS.conj() @ _front(reg, triple)
-
-
 def ghz_basis_measure(
     reg: Register,
     triple: Sequence[str],
@@ -91,13 +81,39 @@ def ghz_basis_measure(
     probability outcome raises.  The remaining qubits keep their original
     relative order.
     """
-    if force is not None and (
-        not isinstance(force, int) or isinstance(force, bool) or not 0 <= force <= 7
-    ):
-        raise ValueError(f"GHZ outcome must be an int in 0..7, got {force!r}")
+    if force is not None:
+        _checked(force, "outcome")
     triple = tuple(triple)
-    branches = _ghz_branches(reg, triple)
+    if len(set(triple)) != 3:
+        raise ValueError(f"need three distinct labels, got {triple!r}")
+    branches = _BASIS.conj() @ _front(reg, triple)  # outcome k's unnormalized remainder in row k
     return _collapse(reg.labels, triple, branches, _born(branches), GHZ_OUTCOMES, force, rng)
+
+
+def _swap_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`entanglement_swap` of each row ``(i, j)`` of an ``(n, 2)`` int array: the Born
+    probabilities ``(n, 8)``; the live ``(row, outcome)`` cells ``(m, 2)``, those at or above
+    ``qsim.MIN_FORCE_PROB`` (read at call time) in row-major order; their remainders ``(m, 8)``
+    over (2,4,6); and each one's first basis index equal to it up to phase, or -1.  Each row is
+    ``tensor``, :func:`ghz_basis_measure`'s branches, :func:`_born` and :func:`_collapse` of one
+    register, bit for bit.
+    """
+    rows = (_BASIS[pairs[:, 0], :, None] * _BASIS[pairs[:, 1], None, :]).reshape(len(pairs), -1)
+    rows = rows / _row_norms(rows)[:, None]
+    psi = rows.reshape((len(rows),) + (2,) * 6).transpose(_axis_order(tuple("123456"), tuple("135")))
+    branches = _BASIS.conj() @ psi.reshape(len(rows), 8, 8)
+    probs = np.vecdot(branches, branches).real
+    cells = np.argwhere(probs >= qsim.MIN_FORCE_PROB)
+    live = branches[tuple(cells.T)] / np.sqrt(probs[tuple(cells.T)])[:, None]
+    live = live / _row_norms(live)[:, None]
+    # the phase is read at each remainder's first largest amplitude; a basis row below 1e-12 there never matches
+    peak = np.argmax(np.abs(live), axis=1)
+    ref = _BASIS[:, peak].T  # (m, 8): every basis row at each remainder's peak
+    held = np.abs(ref) >= 1e-12
+    phase = np.take_along_axis(live, peak[:, None], 1) * np.conj(np.where(held, ref, 1.0))
+    phase /= np.abs(phase)
+    match = held & (_row_norms(live[:, None] - phase[..., None] * _BASIS) <= 1e-10)
+    return probs, cells, live, np.where(match.any(axis=1), match.argmax(axis=1), -1)
 
 
 def entanglement_swap(i: int, j: int) -> list[SwapOutcome]:
@@ -106,21 +122,9 @@ def entanglement_swap(i: int, j: int) -> list[SwapOutcome]:
     Prepares ``ghz(i) x ghz(j)``, projects qubits (1,3,5) onto the GHZ
     basis, and classifies each nonzero remainder on (2,4,6) against the
     rows of the GHZ basis up to global phase (``matched`` is None if
-    unclassifiable, which does not occur for GHZ inputs).
+    unclassifiable, which does not occur for GHZ inputs).  It is
+    :func:`_swap_rows` of one row; each remainder is a read-only view of one array.
     """
-    reg = tensor(ghz_state(i, ("1", "2", "3")), ghz_state(j, ("4", "5", "6")))
-    triple = ("1", "3", "5")
-    branches = _ghz_branches(reg, triple)
-    probs = _born(branches)
-    outcomes = []
-    for k in GHZ_OUTCOMES:
-        if probs[k] < MIN_FORCE_PROB:
-            continue
-        _, prob, remainder = _collapse(reg.labels, triple, branches, probs, GHZ_OUTCOMES, force=k)
-        matched = next(
-            (m for m in GHZ_OUTCOMES
-             if _equal_up_to_phase(remainder.amps, _BASIS[m], tol=1e-10)),
-            None,
-        )
-        outcomes.append(SwapOutcome(k, prob, remainder, matched))
-    return outcomes
+    probs, cells, live, matched = _swap_rows(np.array([[_checked(i, "index"), _checked(j, "index")]]))
+    return [SwapOutcome(k, probs[0, k].item(), reg, None if m < 0 else m)
+            for k, reg, m in zip(cells[:, 1].tolist(), Register._rows(tuple("246"), live), matched.tolist())]

@@ -438,20 +438,6 @@ def fidelity_pure(rho: DensityMatrix, target: Register) -> float:
     return float(np.real(np.vdot(vec, rho.mat @ vec)))
 
 
-def _equal_up_to_phase(first: np.ndarray, other: np.ndarray, tol: float) -> bool:
-    """Whether two amplitude vectors in the same qubit order differ only by a global phase.
-
-    The phase is read off at ``first``'s largest-magnitude amplitude, then
-    the full vectors are compared within ``tol``.
-    """
-    k = int(np.argmax(np.abs(first)))
-    if abs(other[k]) < 1e-12:
-        return False
-    phase = first[k] * np.conj(other[k])
-    phase /= abs(phase)
-    return bool(np.linalg.norm(first - phase * other) <= tol)
-
-
 def permute(reg: Register, new_order: Sequence[str]) -> Register:
     """Reorder the label tuple (and amplitudes to match); contents unchanged."""
     new_order = tuple(new_order)

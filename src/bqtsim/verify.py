@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, leaf_index, load_table
-from .ghz import entanglement_swap
+from .ghz import _swap_rows, entanglement_swap
 from .parties import _session_tree, run_session, run_sessions
 from .protocol import (
     ALICE_PAYLOAD_LABELS,
@@ -221,16 +221,20 @@ def criterion_swap_reference() -> tuple[bool, str]:
 
 @_criterion("swap-exhaustive", 5.0)
 def criterion_swap_exhaustive() -> tuple[bool, str]:
-    """Every (i, j) channel pair yields four 1/4 outcomes with GHZ remainders."""
-    for i in range(8):
-        for j in range(8):
-            outcomes = entanglement_swap(i, j)
-            if len(outcomes) != 4:
-                return False, f"channel ({i},{j}) produced {len(outcomes)} outcomes"
-            for o in outcomes:
-                if abs(o.probability - 0.25) > ATOL or o.matched is None:
-                    return False, f"channel ({i},{j}) outcome {o.outcome} failed"
-    return True, "64 channel pairs, 4 outcomes each at 1/4, all remainders classified"
+    """Every (i, j) channel pair yields four 1/4 outcomes with GHZ remainders; a failure names the
+    first failing pair, then its first failing outcome, in (i, j, outcome) order."""
+    pairs = np.array(list(product(range(8), repeat=2)))
+    probs, cells, _, matched = _swap_rows(pairs)
+    counts = np.bincount(cells[:, 0], minlength=len(pairs))
+    bad = cells[(np.abs(probs[tuple(cells.T)] - 0.25) > ATOL) | (matched < 0)]
+    failing = np.flatnonzero(counts != 4)[:1].tolist() + bad[:1, 0].tolist()
+    if not failing:
+        return True, "64 channel pairs, 4 outcomes each at 1/4, all remainders classified"
+    first = min(failing)  # a pair without exactly 4 live outcomes fails on its count
+    i, j = pairs[first].tolist()
+    if counts[first] != 4:
+        return False, f"channel ({i},{j}) produced {counts[first]} outcomes"
+    return False, f"channel ({i},{j}) outcome {bad[0, 1]} failed"
 
 
 @_criterion("branch-uniformity", 10.0)

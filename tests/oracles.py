@@ -39,6 +39,10 @@ the same two helpers.
 ``engine_properties`` is the ``engine-properties`` criterion's case-by-case
 loop, one public ``qsim`` call per gate, measurement and partial trace; the
 criterion groups its cases and computes each group through the row kernels.
+``entanglement_swap`` swaps one channel pair at a time, one register and one
+``_collapse`` per outcome, as ``bqtsim.ghz.entanglement_swap`` did before it
+became the one-row form of ``ghz._swap_rows``; ``swap_exhaustive`` is the
+``swap-exhaustive`` criterion's pair-by-pair loop over it.
 ``equal_up_to_global_phase`` compares two registers up to a global phase,
 and ``of_kind`` lists a transcript's events of one kind.
 """
@@ -47,17 +51,20 @@ import math
 
 import numpy as np
 
+from bqtsim import qsim
 from bqtsim.corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, apply_ops, correction_key, load_table, parse_ops
+from bqtsim.ghz import _BASIS, GHZ_OUTCOMES, SwapOutcome, ghz_state
 from bqtsim.parties import ALICE, BOB, OWNED, _MEASURES, _RECEIVES
 from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS, PAYLOAD_LABELS
 from bqtsim.qsim import (
+    ATOL,
     DensityMatrix,
     Register,
     _alphabet,
     _born,
     _branch_rows,
     _collapse,
-    _equal_up_to_phase,
+    _front,
     apply_cnot,
     apply_gate1,
     fidelity_pure,
@@ -176,6 +183,56 @@ def deprived_fidelities(leaves, withheld, target, table):
         key: (total, fidelity_pure(DensityMatrix._trusted(labels, mixed / total), target))
         for key, (total, mixed) in groups.items()
     }
+
+
+def entanglement_swap(i, j):
+    """``bqtsim.ghz.entanglement_swap`` one register and one outcome at a time: ``tensor`` of the
+    two triples, ``_born`` of their GHZ branches (``ghz_basis_measure``'s product), ``_collapse``
+    forced to each outcome at or above ``qsim.MIN_FORCE_PROB`` (read at call time) and
+    ``_equal_up_to_phase`` against each basis row."""
+    reg = tensor(ghz_state(i, ("1", "2", "3")), ghz_state(j, ("4", "5", "6")))
+    triple = ("1", "3", "5")
+    branches = _BASIS.conj() @ _front(reg, triple)
+    probs = _born(branches)
+    outcomes = []
+    for k in GHZ_OUTCOMES:
+        if probs[k] < qsim.MIN_FORCE_PROB:
+            continue
+        _, prob, remainder = _collapse(reg.labels, triple, branches, probs, GHZ_OUTCOMES, force=k)
+        matched = next(
+            (m for m in GHZ_OUTCOMES
+             if _equal_up_to_phase(remainder.amps, _BASIS[m], tol=1e-10)),
+            None,
+        )
+        outcomes.append(SwapOutcome(k, prob, remainder, matched))
+    return outcomes
+
+
+def swap_exhaustive(swap=entanglement_swap):
+    """The ``swap-exhaustive`` criterion's pair-by-pair loop over ``swap(i, j)``: (passed, detail)."""
+    for i in range(8):
+        for j in range(8):
+            outcomes = swap(i, j)
+            if len(outcomes) != 4:
+                return False, f"channel ({i},{j}) produced {len(outcomes)} outcomes"
+            for o in outcomes:
+                if abs(o.probability - 0.25) > ATOL or o.matched is None:
+                    return False, f"channel ({i},{j}) outcome {o.outcome} failed"
+    return True, "64 channel pairs, 4 outcomes each at 1/4, all remainders classified"
+
+
+def _equal_up_to_phase(first, other, tol):
+    """Whether two amplitude vectors in the same qubit order differ only by a global phase.
+
+    The phase is read off at ``first``'s largest-magnitude amplitude, then
+    the full vectors are compared within ``tol``.
+    """
+    k = int(np.argmax(np.abs(first)))
+    if abs(other[k]) < 1e-12:
+        return False
+    phase = first[k] * np.conj(other[k])
+    phase /= abs(phase)
+    return bool(np.linalg.norm(first - phase * other) <= tol)
 
 
 def equal_up_to_global_phase(first, second, tol=1e-10):

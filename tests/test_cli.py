@@ -9,6 +9,7 @@ success.
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -523,3 +524,45 @@ def test_out_unwritable_exits_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, "swap", "0", "0", "--out", str(target))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: --out")
+
+
+def test_out_over_a_longer_file_leaves_exactly_the_new_report(tmp_path, capsys):
+    # the file is rewritten in place, so its inode and hard links see the new report
+    target, alias = tmp_path / "report.txt", tmp_path / "alias.txt"
+    target.write_text("an older, longer report\n" * 4000)
+    os.link(target, alias)
+    inode = target.stat().st_ino
+    code, want, _err = run_cli(capsys, "swap", "3", "5", "--format", "text")
+    assert code == 0
+    code, out, _err = run_cli(capsys, "swap", "3", "5", "--format", "text", "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == alias.read_bytes() == want.encode()
+    assert target.stat().st_ino == inode
+
+
+def test_out_through_a_symlink_writes_its_target_and_keeps_the_link(tmp_path, capsys):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("an older, longer report\n" * 100)
+    link.symlink_to(real)
+    code, want, _err = run_cli(capsys, "swap", "0", "0", "--format", "text")
+    code, _out, _err = run_cli(capsys, "swap", "0", "0", "--format", "text", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == want
+
+
+def test_out_keeps_the_file_mode(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("{}\n")
+    target.chmod(0o640)
+    code, _out, _err = run_cli(capsys, "swap", "0", "0", "--out", str(target))
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert json.loads(target.read_text())["schema"] == "bqtsim.swap-report/1"
+
+
+@pytest.mark.skipif(not Path(os.devnull).exists(), reason="needs a null device")
+def test_out_to_the_null_device_exits_0(capsys):
+    # not a regular file, so it is written but never truncated
+    code, out, err = run_cli(capsys, "run", "--trials", "64", "--transcripts", "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bqtsim.ghz import GHZ_TERMS, entanglement_swap, ghz_basis_measure, ghz_state
+import oracles
+from bqtsim import qsim, verify
+from bqtsim.ghz import GHZ_TERMS, _swap_rows, entanglement_swap, ghz_basis_measure, ghz_state
 from bqtsim.qsim import Register, make_register, tensor
 from oracles import equal_up_to_global_phase
 
@@ -228,3 +230,105 @@ def test_ghz_sampled_and_forced_collapse_agree():
         assert f_prob == prob
         assert f_collapsed.labels == collapsed.labels
         assert np.array_equal(f_collapsed.amps, collapsed.amps)
+
+
+# ---------------------------------------------------------------------------
+# the swap kernel against the one-register oracle
+# ---------------------------------------------------------------------------
+
+ALL_PAIRS = [(i, j) for i in range(8) for j in range(8)]
+
+
+def _fields(outcome):
+    """Every bit of a swap outcome, its types included."""
+    reg = outcome.remainder
+    return (outcome.outcome, type(outcome.outcome), outcome.probability.hex(), type(outcome.probability),
+            reg.labels, reg.amps.dtype, reg.amps.tobytes(), outcome.matched, type(outcome.matched))
+
+
+@pytest.mark.parametrize("i,j", ALL_PAIRS)
+def test_entanglement_swap_equals_the_oracle_bit_for_bit(i, j):
+    got, want = entanglement_swap(i, j), oracles.entanglement_swap(i, j)
+    assert len(got) == len(want) == 4
+    assert [_fields(o) for o in got] == [_fields(o) for o in want]
+    assert all(not o.remainder.amps.flags.writeable for o in got)
+
+
+def test_the_kernel_on_many_pairs_equals_the_oracle_pair_by_pair():
+    # repeated pairs in random order: each row is computed as if it were alone
+    pairs = np.random.default_rng(29).integers(0, 8, size=(200, 2))
+    probs, cells, live, matched = _swap_rows(pairs)
+    assert probs.shape == (200, 8) and cells.shape == (800, 2) and live.shape == (800, 8)
+    assert cells.tolist() == sorted(cells.tolist())  # row-major: pair, then outcome
+    for r, (i, j) in enumerate(pairs.tolist()):
+        want = oracles.entanglement_swap(i, j)
+        mine = cells[:, 0] == r
+        assert cells[mine, 1].tolist() == [o.outcome for o in want]
+        assert [probs[r, k].item().hex() for k in cells[mine, 1]] == [o.probability.hex() for o in want]
+        assert [row.tobytes() for row in live[mine]] == [o.remainder.amps.tobytes() for o in want]
+        assert matched[mine].tolist() == [o.matched for o in want]
+
+
+@pytest.mark.parametrize("i,j,bad", [(8, 0, 8), (0, 8, 8), (-1, 0, -1), (0, -1, -1), (True, 0, True), (0, False, False),
+                                     (1.0, 0, 1.0), ("0", 0, "0"), (np.int64(1), 0, np.int64(1)), (None, 9, None)])
+def test_entanglement_swap_index_errors_are_ghz_states(i, j, bad):
+    # the first bad index raises ghz_state's error, so -1 never reaches a negative row of the basis
+    with pytest.raises(ValueError) as raised:
+        entanglement_swap(i, j)
+    with pytest.raises(ValueError) as expected:
+        ghz_state(bad, ("x", "y", "z"))
+    assert str(raised.value) == str(expected.value) == f"GHZ index must be an int in 0..7, got {bad!r}"
+
+
+def test_a_patched_floor_above_a_quarter_leaves_no_live_outcome(monkeypatch):
+    # the floor is read at call time; every swap outcome has probability 1/4, so at
+    # 0.3 none is live (before the kernel, the forced collapse raised here instead)
+    monkeypatch.setattr(qsim, "MIN_FORCE_PROB", 0.3)
+    assert entanglement_swap(0, 0) == oracles.entanglement_swap(0, 0) == []
+    result = verify.criterion_swap_exhaustive()
+    assert (result.passed, result.detail) == oracles.swap_exhaustive() == (False, "channel (0,0) produced 0 outcomes")
+    monkeypatch.setattr(qsim, "MIN_FORCE_PROB", 0.25 - 1e-9)
+    assert len(entanglement_swap(0, 0)) == 4
+
+
+def _faulty(drop=(), off=(), unmatched=()):
+    """The kernel and the oracle swap with the same faults at (pair, outcome) cells: an outcome
+    dropped, its probability moved by 1e-9, or its remainder left unclassified."""
+    def kernel(pairs):
+        probs, cells, live, matched = _swap_rows(pairs)
+        probs, matched, at = probs.copy(), matched.copy(), [tuple(c) for c in cells.tolist()]
+        for r, k in off:
+            probs[r, k] += 1e-9
+        matched[[at.index(c) for c in unmatched]] = -1
+        keep = [n for n, c in enumerate(at) if c not in drop]
+        return probs, cells[keep], live[keep], matched[keep]
+
+    def swap(i, j):
+        outcomes = [o for o in oracles.entanglement_swap(i, j) if (8 * i + j, o.outcome) not in drop]
+        return [o._replace(probability=o.probability + 1e-9 if (8 * i + j, o.outcome) in off else o.probability,
+                           matched=None if (8 * i + j, o.outcome) in unmatched else o.matched)
+                for o in outcomes]
+
+    return kernel, swap
+
+
+def _cases():
+    live = [(8 * i + j, o.outcome) for i, j in ALL_PAIRS for o in oracles.entanglement_swap(i, j)]
+    yield {}
+    yield {"drop": [live[-1]]}
+    yield {"off": [live[-1]]}
+    yield {"unmatched": [live[0]]}
+    yield {"drop": [live[41]], "off": [live[42]]}  # the same pair: its count fails first
+    yield {"drop": [live[45]], "unmatched": [live[43]]}  # an earlier pair fails on an outcome
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        yield {kind: [live[n] for n in rng.choice(len(live), size=rng.integers(0, 4), replace=False)]
+               for kind in ("drop", "off", "unmatched")}
+
+
+@pytest.mark.parametrize("faults", list(_cases()))
+def test_the_swap_exhaustive_detail_equals_the_oracle_loop(monkeypatch, faults):
+    kernel, swap = _faulty(**faults)
+    monkeypatch.setattr(verify, "_swap_rows", kernel)
+    result = verify.criterion_swap_exhaustive()
+    assert (result.passed, result.detail) == oracles.swap_exhaustive(swap)

@@ -5,6 +5,8 @@ The battery's pass/fail gates themselves are exercised in
 ``test_acceptance.py``; here we check that the machinery can also fail.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,31 @@ def test_leaf_histogram_gate():
         max_z, ok = leaf_histogram_gate(counts)
         assert ok is within
         assert max_z == pytest.approx(extra / np.sqrt(63), rel=1e-12)
+
+
+def test_the_gates_false_alarm_rate_is_0_6791_percent():
+    # One leaf passes the gate at counts 33..95 of 4096 trials, read off the gate
+    # itself: the other 63 leaves share the rest and stay near 64, inside the band.
+    trials, leaves = 4096, 64
+    def passes(count):
+        rest = np.full(leaves - 1, (trials - count) // (leaves - 1))
+        rest[: (trials - count) % (leaves - 1)] += 1
+        return leaf_histogram_gate(np.concatenate(([count], rest)))[1]
+    band = [count for count in range(301) if passes(count)]
+    assert band == list(range(33, 96))
+    # Multinomial counts are 64 independent Poisson(64) counts conditioned on their
+    # sum: P(every leaf in band) = (64-fold convolution of the in-band pmf)(4096)
+    # over the Poisson(4096) pmf at 4096.
+    def pmf(mean, count):
+        return np.exp(count * np.log(mean) - mean - np.array([math.lgamma(c + 1) for c in count]))
+    power, base, k = np.ones(1), np.zeros(band[-1] + 1), leaves
+    base[band] = pmf(leaves * 1.0, np.array(band))
+    while k:  # the convolution power by squaring, cut at the sum that matters
+        if k & 1:
+            power = np.convolve(power, base)[: trials + 1]
+        base, k = np.convolve(base, base)[: trials + 1], k >> 1
+    inside = power[trials] / pmf(float(trials), np.array([trials]))[0]
+    assert round(100 * (1 - inside), 4) == 0.6791
 
 
 def test_reference_branch_terms_worked_branch():
