@@ -14,7 +14,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import qsim
-from .qsim import MeasureResult, Register, _axis_order, _born, _collapse, _front, _row_norms, make_register
+from .qsim import (MeasureResult, Register, _axis_order, _born, _collapse, _front, _normalized, _reciprocals,
+                   _row_norms, make_register)
 
 __all__ = [
     "GHZ_TERMS",
@@ -96,22 +97,21 @@ def _swap_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     ``qsim.MIN_FORCE_PROB`` (read at call time) in row-major order; their remainders ``(m, 8)``
     over (2,4,6); and each one's first basis index equal to it up to phase, or -1.  Each row is
     ``tensor``, :func:`ghz_basis_measure`'s branches, :func:`_born` and :func:`_collapse` of one
-    register, bit for bit.
+    register, bit for bit, with exact reciprocals (:func:`qsim._reciprocals`) where those divide.
     """
     rows = (_BASIS[pairs[:, 0], :, None] * _BASIS[pairs[:, 1], None, :]).reshape(len(pairs), -1)
-    rows = rows / _row_norms(rows)[:, None]
+    rows = _normalized(rows)
     psi = rows.reshape((len(rows),) + (2,) * 6).transpose(_axis_order(tuple("123456"), tuple("135")))
     branches = _BASIS.conj() @ psi.reshape(len(rows), 8, 8)
     probs = np.vecdot(branches, branches).real
     cells = np.argwhere(probs >= qsim.MIN_FORCE_PROB)
-    live = branches[tuple(cells.T)] / np.sqrt(probs[tuple(cells.T)])[:, None]
-    live = live / _row_norms(live)[:, None]
+    live = _normalized(branches[tuple(cells.T)] * _reciprocals(np.sqrt(probs[tuple(cells.T)]))[:, None])
     # the phase is read at each remainder's first largest amplitude; a basis row below 1e-12 there never matches
     peak = np.argmax(np.abs(live), axis=1)
     ref = _BASIS[:, peak].T  # (m, 8): every basis row at each remainder's peak
     held = np.abs(ref) >= 1e-12
     phase = np.take_along_axis(live, peak[:, None], 1) * np.conj(np.where(held, ref, 1.0))
-    phase /= np.abs(phase)
+    phase *= _reciprocals(np.abs(phase))
     match = held & (_row_norms(live[:, None] - phase[..., None] * _BASIS) <= 1e-10)
     return probs, cells, live, np.where(match.any(axis=1), match.argmax(axis=1), -1)
 

@@ -171,11 +171,8 @@ def run_session(
     announcement defaulted to "+", and ``expected_fidelity`` reports the
     density-matrix average of its corrected state over the two equally
     likely withheld outcomes (``|c0|**4 + |c1|**4`` of the undelivered
-    input); under full cooperation it is None.
-
-    Each draw is one ``rng.random()`` picked with :func:`qsim.measure`'s
-    rule (:func:`_draw_leaf`), in plan order, so the outcomes are
-    bit-identical to measuring the state one draw at a time.
+    input); under full cooperation it is None.  The draws pick the outcomes
+    as :func:`qsim.measure` would (:func:`_draw_leaf`).
     """
     table, tree = _checked(seed, cooperation, table, alice_input, bob_input)
     leaf = _draw_leaf(tree, np.random.default_rng(seed))
@@ -197,8 +194,7 @@ def run_sessions(
     fixes every field of a result but ``seed``, so these describe every
     trial.  ``trials`` must be a non-negative integer (ValueError).
 
-    All trials' draws come from one vectorised kernel that reproduces
-    ``np.random.default_rng(seed).random()`` bit for bit (:func:`_draw_leaves`).
+    All trials' draws come from one vectorised kernel (:func:`_draw_leaves`).
     The first trial at each leaf is drawn again as :func:`run_session` draws
     it, with numpy's own generator: if it lands on another leaf,
     RuntimeError names the trial and its seed.

@@ -43,7 +43,8 @@ from .qsim import (
     _apply_rows,
     _branch_rows,
     _collapse_rows,
-    _row_norms,
+    _normalized,
+    _reciprocals,
     apply_cnot,
     make_register,
     permute,
@@ -186,30 +187,28 @@ Pair = tuple[EprInput, EprInput]  # (alice, bob)
 
 
 def _input_rows(pairs: Sequence[Pair]) -> np.ndarray:
-    """Each pair's inputs on their receivers' payload labels, as :meth:`EprInput.register` writes them:
-    ``(2, n, 4)``, Alice's rows first.  This is the one writer of the targets a delivery scores against."""
+    """Each pair's inputs on their receivers' payload labels, as :meth:`EprInput.register` writes them
+    (:func:`qsim._normalized`): ``(2, n, 4)``, Alice's first.  The one writer of the targets deliveries score."""
     if not pairs:
         raise ValueError("expected at least one input pair")
     rows = np.zeros((2, len(pairs), 4), dtype=complex)
     rows[..., (0, 3)] += [[(epr.c0, epr.c1) for epr in inputs] for inputs in zip(*pairs)]
-    return rows / _row_norms(rows)[..., None]
+    return _normalized(rows)
 
 
 def _encode_rows(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """:func:`encode` of :func:`prepare_full_state` for each row pair of :func:`_input_rows`: ``(n, 1024)``.
 
     The two tensor products are outer products with :data:`_CHANNEL`, and each
-    CNOT is one :func:`qsim._apply_rows` call; every step divides each row by
-    its own norm, as :meth:`qsim.Register._trusted` does, so every row is
-    bit-identical to the pair's encoded register.
+    CNOT is one :func:`qsim._apply_rows` call; every step normalizes each
+    row (:func:`qsim._normalized`, by reciprocals where the register divides),
+    so every row is bit-identical to the pair's encoded register.
     """
     rows = _CHANNEL
     for inputs in (alice, bob):
-        rows = (rows[..., :, None] * inputs[:, None, :]).reshape(len(inputs), -1)
-        rows /= _row_norms(rows)[:, None]
+        rows = _normalized((rows[..., :, None] * inputs[:, None, :]).reshape(len(inputs), -1))
     for control, target in ENCODING:
-        rows = _apply_rows(rows, FULL_LABELS, (control, target), _CNOT)
-        rows /= _row_norms(rows)[:, None]
+        rows = _normalized(_apply_rows(rows, FULL_LABELS, (control, target), _CNOT))
     return rows
 
 
@@ -323,9 +322,9 @@ def _correct_rows(rows: np.ndarray, labels: tuple[str, str], ops: Sequence[str])
     ``rows`` holds one payload's 16 amplitudes per row, in PAYLOAD_LABELS
     order.  Rows that share an ops string are gathered once and corrected
     as one group: each gate reorders (X) or negates (Z) the whole group by
-    its map and divides each row by its own norm, as
-    :meth:`qsim.Register._trusted` does after every gate, so each row
-    equals :func:`corrections.apply_ops` on its register bit for bit.
+    its map and normalizes each row (:func:`qsim._normalized`), by reciprocals
+    where :meth:`qsim.Register._trusted` divides after every gate, so each
+    row equals :func:`corrections.apply_ops` on its register bit for bit.
     """
     fixed = rows.copy()
     for gates, members in _row_groups(labels, tuple(ops)):
@@ -335,7 +334,7 @@ def _correct_rows(rows: np.ndarray, labels: tuple[str, str], ops: Sequence[str])
                 part = part[:, _X_MAPS[gate]]
             else:
                 part *= _Z_SIGNS[gate - 4]
-            part /= _row_norms(part)[:, None]
+            part = _normalized(part)
         fixed[members] = part
     return fixed
 
@@ -372,14 +371,21 @@ _GROUPS = {
 }
 
 
+def _entries(ops: Sequence, kind: str, names: Sequence) -> Sequence:
+    """``ops`` if every entry is (bob_ops, alice_ops), two strings; else ValueError naming the first other."""
+    for name, entry in zip(names, ops):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(isinstance(o, str) for o in entry)):
+            raise ValueError(f"correction table entry {entry!r} for {kind} {name!r} is not two ops strings")
+    return ops
+
+
 def _deliver(rows: np.ndarray, ops: Sequence[tuple[str, str]], targets) -> np.ndarray:
     """Both directions' fidelities of payload row ``r`` corrected with the table entry ``ops[r]``: ``(n, 2)``.
 
     The row kernel (:func:`_correct_rows`) corrects each direction's pair
-    with its column of ``ops``, in :data:`DIRECTIONS` order: Bob's ops on
-    (b1, b2) first, then Alice's on (a2, a3).  Each corrected half is scored
-    against ``targets[slot]`` of its direction: one target for every row,
-    or one row per row.
+    with its column of ``ops``, in :data:`DIRECTIONS` order.  Each corrected
+    half is scored against ``targets[slot]`` of its direction: one target
+    for every row, or one row per row.
     """
     fixed = rows
     for d in DIRECTIONS.values():
@@ -394,8 +400,9 @@ def _deprived(payloads: np.ndarray, targets, weights: np.ndarray, withheld: str,
     correction of the key it heard (:data:`_HEARD`) to its own pair and
     holds their mixture, each leaf weighted by its entry of ``weights``.
     All 64 of one pair's ``payloads`` (:attr:`Tree.payloads`) are corrected
-    in one call of the row kernel (:func:`_correct_rows`), and each mixture
-    is scored against the sender's row of ``targets`` (:attr:`Tree.targets`).
+    in one call of the row kernel (:func:`_correct_rows`), and each mixture,
+    over its total weight (by :func:`qsim._reciprocals`), is scored against
+    the sender's row of ``targets`` (:attr:`Tree.targets`).
     """
     labels, slot, _ = DIRECTIONS[withheld]
     keys, groups = _GROUPS[withheld]
@@ -403,7 +410,7 @@ def _deprived(payloads: np.ndarray, targets, weights: np.ndarray, withheld: str,
     totals, mixed = np.zeros(len(keys)), np.zeros((len(keys), 4, 4), dtype=complex)
     np.add.at(totals, groups, weights)  # unbuffered, in leaf order: 0.0 + w1 + w2 + ... per group
     np.add.at(mixed, groups, weights[:, None, None] * _densities(fixed, labels))
-    return totals.tolist(), _scores(mixed / totals[:, None, None], targets[slot]).tolist()
+    return totals.tolist(), _scores(mixed * _reciprocals(totals)[:, None, None], targets[slot]).tolist()
 
 
 class Tree:
@@ -432,6 +439,7 @@ class Tree:
         table entry (bob_ops, alice_ops) at the same place of ``ops``: one call of :func:`_deliver`."""
         if len(leaves) != len(ops):
             raise ValueError(f"{len(leaves)} leaves but {len(ops)} table entries")
+        ops = _entries(ops, "leaf", leaves)
         return list(map(tuple, _deliver(self.payloads[list(leaves)], ops, self.targets).tolist()))
 
     def deprived(self, leaf: int, withheld: str, table: Table) -> float:
@@ -492,16 +500,17 @@ def enumerate_batch(pairs: Sequence[Pair], table: Table | None = None) -> LeafBa
     """Every corrected leaf of every (alice, bob) pair of ``pairs``, walked and delivered in one batch.
 
     The table is read first, in :func:`leaf_index` order, so a missing key
-    raises KeyError on the first such leaf.  All pairs are then encoded and
-    walked as rows of one array (:func:`_walk_pairs`), and all their leaves
-    corrected and scored in one call of :func:`_deliver`.  Every value is
+    raises KeyError on the first such leaf, and an entry not two strings
+    ValueError.  All pairs are then encoded and walked as rows of one array
+    (:func:`_walk_pairs`), and all their leaves corrected and scored in one
+    call of :func:`_deliver`.  Every value is
     bit-identical to the pair's own :class:`Tree`: its arrays and
     ``deliver``.  Memory grows with ``len(pairs)``, so callers walk many
     pairs in chunks.
     """
     if table is None:
         table = load_table()
-    ops = [table[key] for key in LEAF_KEYS]
+    ops = _entries([table[key] for key in LEAF_KEYS], "key", LEAF_KEYS)
     inputs, rows, steps = _walk_pairs(pairs)
     n, size = len(pairs), len(LEAF_KEYS)
     probabilities = _leaf_probabilities(steps)
@@ -514,11 +523,7 @@ def enumerate_batch(pairs: Sequence[Pair], table: Table | None = None) -> LeafBa
 def enumerate_branches(
     alice: EprInput, bob: EprInput, table: Table | None = None
 ) -> list[BranchLeaf]:
-    """Every outcome combination's corrected leaf: :func:`enumerate_batch` of the one pair.
-
-    Leaves are ordered by :func:`leaf_index`.  Each leaf's fidelities are
-    those of the corrected payload halves against the intended inputs.
-    """
+    """Every corrected leaf of the pair, in :func:`leaf_index` order: :func:`enumerate_batch` of the one pair."""
     batch = enumerate_batch([(alice, bob)], table)
     payloads = Register._rows(PAYLOAD_LABELS, batch.payloads[0])
     return [

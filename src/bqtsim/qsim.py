@@ -7,10 +7,8 @@ fresh register, so values can be shared between threads without locking.
 
 Public constructors validate their input; results computed from registers
 that are already valid are built with the ``_trusted`` constructors.
-A measurement of one register, single-qubit or GHZ-basis, collapses in
-:func:`_collapse`; the walk in :mod:`bqtsim.protocol` collapses all its
-rows at once in :func:`_collapse_rows`, with the same arithmetic per row.
-:func:`measure` is the oracle that tests check the walk and sessions against.
+A measurement of one register collapses in :func:`_collapse`, the walk's rows all at once in
+:func:`_collapse_rows`, with the same bits: :func:`measure` is the oracle tests check them against.
 """
 
 from __future__ import annotations
@@ -283,23 +281,18 @@ def _apply_rows(
     return psi.reshape(shape).transpose(back).reshape(len(rows), -1)
 
 
-def _apply_matrix(reg: Register, qubits: Sequence[str], matrix: np.ndarray) -> np.ndarray:
-    """Apply ``matrix`` to the listed qubits; returns the new flat vector."""
-    return _apply_rows(reg.amps[None], reg.labels, qubits, matrix)[0]
-
-
 def apply_gate1(reg: Register, qubit: str, gate: str) -> Register:
     """Apply a named single-qubit gate (one of I, X, Z, H)."""
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(GATES)}")
-    return Register._trusted(reg.labels, _apply_matrix(reg, (qubit,), GATES[gate]))
+    return Register._trusted(reg.labels, _apply_rows(reg.amps[None], reg.labels, (qubit,), GATES[gate])[0])
 
 
 def apply_cnot(reg: Register, control: str, target: str) -> Register:
     """Apply a controlled-NOT from ``control`` onto ``target``."""
     if control == target:
         raise ValueError("control and target must differ")
-    return Register._trusted(reg.labels, _apply_matrix(reg, (control, target), _CNOT))
+    return Register._trusted(reg.labels, _apply_rows(reg.amps[None], reg.labels, (control, target), _CNOT)[0])
 
 
 def _alphabet(basis: str, force: object = None) -> tuple:
@@ -340,15 +333,28 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
+def _reciprocals(d: np.ndarray) -> np.ndarray:
+    """``1/d - 0j`` for positive reals ``d``: an array times it is bit for bit the array over ``d``
+    (numpy's Smith division by ``d + 0j``), zero signs included, unless a negative part's quotient
+    rounds to 0, which needs ``d >= 2``.  numpy's complex multiply runs about 3x faster."""
+    return np.conj((1.0 / d).astype(complex))
+
+
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    """Each row (last axis) over its own norm, bit for bit as :meth:`Register._trusted` divides."""
+    return rows * _reciprocals(_row_norms(rows))[..., None]
+
+
 def _collapse_rows(branches: np.ndarray, measured: tuple, alphabet: Sequence) -> tuple:
     """:func:`_born` and :func:`_collapse` forced to each outcome, on :func:`_branch_rows`'s array:
-    Born probabilities ``(n, 2)`` and collapsed rows ``(n, 2, rest)``, each :func:`measure`'s bits."""
+    Born probabilities ``(n, 2)`` and collapsed rows ``(n, 2, rest)``, each :func:`measure`'s bits:
+    it multiplies by reciprocals where :func:`_collapse` divides."""
     probs = np.vecdot(branches, branches).real
     if (probs < MIN_FORCE_PROB).any():  # the floor is read at call time, as tests move it
         r, k = np.argwhere(probs < MIN_FORCE_PROB)[0]
         raise ValueError(f"outcome {alphabet[k]!r} on {measured!r} has probability {probs[r, k]:.3e}")
-    rows = np.divide(branches, np.sqrt(probs)[..., None], order="C")  # measure's layout, for later sums
-    return probs, rows / _row_norms(rows)[..., None]
+    rows = np.multiply(branches, _reciprocals(np.sqrt(probs))[..., None], order="C")  # measure's layout, for later sums
+    return probs, _normalized(rows)
 
 
 def _born(branches: Iterable[np.ndarray]) -> list[float]:

@@ -40,6 +40,7 @@ from .qsim import (
     OUTCOMES,
     _apply_rows,
     _branch_rows,
+    _normalized,
     _pick,
     _row_norms,
     apply_gate1,
@@ -363,13 +364,10 @@ def criterion_engine_properties(seed: int, cases: int = 1000) -> tuple[bool, str
 def _engine_worsts(seed: int, cases: int) -> tuple[float, float, float]:
     """Each property's worst deviation over ``cases`` cases: gates, Born rule, partial trace.
 
-    The cases are drawn from ``np.random.default_rng(seed)`` one by one, in
-    the order a loop of one :mod:`qsim` call per gate, measurement and
-    partial trace draws them.  Each group of cases of one shape is then
-    computed at once through the row kernels, with every row's arithmetic
-    that of the single call, so each worst is the loop's to the bit.  The
-    gate matrices and the forcing floor are read from :mod:`qsim` when
-    used, as its calls read them.
+    The cases are drawn in the order of a loop of one :mod:`qsim` call per gate, measurement
+    and partial trace, and each group of one shape (:func:`_case_groups`) is computed through
+    the row kernels, so each worst is the loop's to the bit.  Gate matrices and the forcing
+    floor are read from :mod:`qsim` when used, as its calls read them.
     """
     rng = np.random.default_rng(seed)
     return _gate_worst(rng, cases), _born_worst(rng, cases), _trace_worst(rng, cases)
@@ -406,11 +404,6 @@ def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _labels(n: int) -> tuple[str, ...]:
     return tuple(f"q{k}" for k in range(n))
-
-
-def _normalized(rows: np.ndarray) -> np.ndarray:
-    """Each row divided by its norm, as :class:`Register` and ``Register._trusted`` divide."""
-    return rows / _row_norms(rows)[:, None]
 
 
 def _states(parts: np.ndarray) -> np.ndarray:
@@ -452,9 +445,9 @@ def _born_case(rng: np.random.Generator) -> tuple:
 
 
 def _born_worst(rng: np.random.Generator, cases: int) -> float:
-    """Born completeness and the norm of the sampled outcome's collapse, as :func:`measure`
-    picks and collapses it.  A sampled outcome below ``MIN_FORCE_PROB`` raises
-    :func:`measure`'s ValueError, for the first such case in draw order."""
+    """Born completeness and the norm of the sampled outcome's collapse, as :func:`measure` picks
+    and collapses it (by reciprocals where it divides).  A sampled outcome below ``MIN_FORCE_PROB``
+    raises :func:`measure`'s ValueError, for the first such case in draw order."""
     worst = 0.0
     for groups in _case_groups(rng, cases, _born_case):
         unlikely = []
@@ -464,7 +457,7 @@ def _born_worst(rng: np.random.Generator, cases: int) -> float:
             picks = np.array([_pick(p, u) for p, u in zip(probs.tolist(), draws.tolist())])
             at = np.arange(len(picks))
             prob = probs[at, picks]
-            collapsed = _normalized(branches[at, picks] / np.sqrt(prob)[:, None])
+            collapsed = _normalized(branches[at, picks] * qsim._reciprocals(np.sqrt(prob))[:, None])
             for r in np.flatnonzero(prob < qsim.MIN_FORCE_PROB)[:1]:
                 outcome = OUTCOMES[basis][picks[r]]
                 unlikely.append((index[r], f"outcome {outcome!r} on ('q{k}',) has probability {prob[r]:.3e}"))

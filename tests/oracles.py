@@ -51,9 +51,9 @@ import math
 
 import numpy as np
 
-from bqtsim import qsim
+from bqtsim import ghz, qsim
 from bqtsim.corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, apply_ops, correction_key, load_table, parse_ops
-from bqtsim.ghz import _BASIS, GHZ_OUTCOMES, SwapOutcome, ghz_state
+from bqtsim.ghz import GHZ_OUTCOMES, SwapOutcome
 from bqtsim.parties import ALICE, BOB, OWNED, _MEASURES, _RECEIVES
 from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS, PAYLOAD_LABELS
 from bqtsim.qsim import (
@@ -188,11 +188,14 @@ def deprived_fidelities(leaves, withheld, target, table):
 def entanglement_swap(i, j):
     """``bqtsim.ghz.entanglement_swap`` one register and one outcome at a time: ``tensor`` of the
     two triples, ``_born`` of their GHZ branches (``ghz_basis_measure``'s product), ``_collapse``
-    forced to each outcome at or above ``qsim.MIN_FORCE_PROB`` (read at call time) and
-    ``_equal_up_to_phase`` against each basis row."""
-    reg = tensor(ghz_state(i, ("1", "2", "3")), ghz_state(j, ("4", "5", "6")))
+    forced to each outcome at or above ``qsim.MIN_FORCE_PROB`` and ``_equal_up_to_phase``
+    against each basis row.  The floor and the basis rows, ``ghz._BASIS``, are read at call
+    time, so tests can patch in other unit rows; each triple's register holds its row's bytes."""
+    basis = ghz._BASIS
+    first, second = (Register._rows(labels, basis[[k]])[0] for k, labels in ((i, tuple("123")), (j, tuple("456"))))
+    reg = tensor(first, second)
     triple = ("1", "3", "5")
-    branches = _BASIS.conj() @ _front(reg, triple)
+    branches = basis.conj() @ _front(reg, triple)
     probs = _born(branches)
     outcomes = []
     for k in GHZ_OUTCOMES:
@@ -201,7 +204,7 @@ def entanglement_swap(i, j):
         _, prob, remainder = _collapse(reg.labels, triple, branches, probs, GHZ_OUTCOMES, force=k)
         matched = next(
             (m for m in GHZ_OUTCOMES
-             if _equal_up_to_phase(remainder.amps, _BASIS[m], tol=1e-10)),
+             if _equal_up_to_phase(remainder.amps, basis[m], tol=1e-10)),
             None,
         )
         outcomes.append(SwapOutcome(k, prob, remainder, matched))

@@ -151,6 +151,29 @@ def test_a_missing_key_raises_on_the_first_in_leaf_order():
     assert raised.value.args == (keys[9],)
 
 
+MALFORMED = [("II",), ("II", "II", "XZ"), (), "IZ", ["II"], ("II", 3), (b"II", "II"), None]
+
+
+@pytest.mark.parametrize("entry", MALFORMED, ids=repr)
+def test_an_entry_that_is_not_two_strings_raises_one_value_error_naming_it(entry):
+    # raised as the table is read, before the walk: not an IndexError from the row
+    # kernel, nor a TypeError from BranchLeaf; the first in leaf order is named
+    table = dict(load_table())
+    keys = list(table)
+    table[keys[9]], table[keys[40]] = entry, None
+    for call in (lambda: enumerate_batch(RANDOM[:3], table), lambda: enumerate_branches(*RANDOM[0], table)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == f"correction table entry {entry!r} for key {keys[9]!r} is not two ops strings"
+
+
+def test_a_list_of_two_strings_is_an_entry():
+    table = dict(load_table())
+    edited = {key: list(entry) for key, entry in table.items()}
+    want = enumerate_batch(RANDOM[:2], table).fidelities
+    assert enumerate_batch(RANDOM[:2], edited).fidelities.tobytes() == want.tobytes()
+
+
 def test_an_empty_batch_is_refused():
     with pytest.raises(ValueError, match="at least one input pair"):
         enumerate_batch([])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bqtsim import qsim, verify
+from bqtsim import ghz, qsim, verify
 from bqtsim.ghz import GHZ_TERMS, _swap_rows, entanglement_swap, ghz_basis_measure, ghz_state
 from bqtsim.qsim import Register, make_register, tensor
 from oracles import equal_up_to_global_phase
@@ -267,6 +267,44 @@ def test_the_kernel_on_many_pairs_equals_the_oracle_pair_by_pair():
         assert [probs[r, k].item().hex() for k in cells[mine, 1]] == [o.probability.hex() for o in want]
         assert [row.tobytes() for row in live[mine]] == [o.remainder.amps.tobytes() for o in want]
         assert matched[mine].tolist() == [o.matched for o in want]
+
+
+def _inexact_basis(seed, real):
+    """A seeded random unitary's 8 rows, real orthogonal if ``real``: unit rows whose products,
+    norms and Born sums round, unlike the GHZ rows'.  Each row is renormalised by Register until
+    Register leaves it unchanged, so it is a register's amplitudes, as the GHZ rows are."""
+    rng = np.random.default_rng(seed)
+    unitary = np.linalg.qr(rng.normal(size=(8, 8)) + (0 if real else 1j * rng.normal(size=(8, 8))))[0]
+    rows = unitary.T.astype(complex)
+    for k in range(8):
+        for _ in range(10):
+            fixed = Register(("x", "y", "z"), rows[k]).amps
+            if fixed.tobytes() == rows[k].tobytes():
+                break
+            rows[k] = fixed
+        assert fixed.tobytes() == rows[k].tobytes(), k
+    rows.flags.writeable = False
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("real", [False, True], ids=["unitary", "orthogonal"])
+def test_the_swap_kernel_equals_the_oracle_on_inexact_basis_rows(monkeypatch, seed, real):
+    # every GHZ product, norm and Born sum is exact in binary, so only inexact rows show the
+    # kernel's arithmetic: each reduction, normalisation and reciprocal.  The orthogonal rows'
+    # products hold signed zeros, but the basis matrix product returns no -0.0 part, so the
+    # sign of the reciprocals' zero reaches no output here; tests/test_qsim.py checks it
+    monkeypatch.setattr(ghz, "_BASIS", _inexact_basis(seed, real))
+    probs, cells, live, matched = _swap_rows(np.array(ALL_PAIRS))
+    assert len(cells) > 64 * 4  # more than the GHZ rows' four live outcomes per pair
+    for r, (i, j) in enumerate(ALL_PAIRS):
+        got, want = entanglement_swap(i, j), oracles.entanglement_swap(i, j)
+        assert [_fields(o) for o in got] == [_fields(o) for o in want], (i, j)
+        mine = cells[:, 0] == r
+        assert cells[mine, 1].tolist() == [o.outcome for o in want], (i, j)
+        assert [probs[r, k].item().hex() for k in cells[mine, 1]] == [o.probability.hex() for o in want], (i, j)
+        assert [row.tobytes() for row in live[mine]] == [o.remainder.amps.tobytes() for o in want], (i, j)
+        assert [None if m < 0 else m for m in matched[mine].tolist()] == [o.matched for o in want], (i, j)
 
 
 @pytest.mark.parametrize("i,j,bad", [(8, 0, 8), (0, 8, 8), (-1, 0, -1), (0, -1, -1), (True, 0, True), (0, False, False),

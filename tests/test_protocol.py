@@ -367,6 +367,16 @@ def test_deliver_pairs_each_leaf_with_one_table_entry():
             tree.deliver(leaves, entries)
 
 
+@pytest.mark.parametrize("entry", [("II",), ("II", "II", "XZ"), "IZ", ("II", None)], ids=repr)
+def test_deliver_refuses_an_entry_that_is_not_two_strings(entry):
+    tree = Tree(ALPHA, BETA)
+    good = load_table()[LEAF_KEYS[0]]
+    with pytest.raises(ValueError) as raised:
+        tree.deliver([7, 12, 3], [good, entry, entry])
+    assert str(raised.value) == f"correction table entry {entry!r} for leaf 12 is not two ops strings"
+    assert tree.deliver([7, 12], [good, list(good)]) == tree.deliver([7, 12], [good, good])
+
+
 def test_generate_table_matches_packaged_asset():
     assert generate_correction_table() == dict(load_table())
 

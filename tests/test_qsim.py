@@ -16,6 +16,8 @@ from bqtsim.qsim import (
     MAX_QUBITS,
     DensityMatrix,
     Register,
+    _normalized,
+    _reciprocals,
     apply_cnot,
     apply_gate1,
     fidelity_pure,
@@ -461,3 +463,62 @@ def test_tensor_keeps_the_qubit_cap():
             Register(tuple(f"a{k}" for k in range(half)), np.ones(1 << half)),
             Register(tuple(f"b{k}" for k in range(half)), np.ones(1 << half)),
         )
+
+
+# ---------------------------------------------------------------------------
+# the row kernels' exact reciprocals
+# ---------------------------------------------------------------------------
+
+def _parts_rows(rng, shape, low, high, zeros=0.3):
+    """Complex rows whose parts have random signs and magnitudes ``e**low`` to ``e**high``, a
+    share ``zeros`` of them +0.0 or -0.0; written part by part, so every zero keeps its sign."""
+    parts = rng.normal(size=(2, *shape)) * np.exp(rng.uniform(low, high, size=(2, *shape)))
+    hit = rng.random(parts.shape) < zeros
+    parts[hit] = np.copysign(0.0, rng.normal(size=hit.sum()))
+    rows = np.empty(shape, dtype=complex)
+    rows.real, rows.imag = parts
+    return rows
+
+
+def _layouts(rows):
+    """``rows`` (n, m) as C-contiguous, transposed, reversed-stride and strided-column arrays."""
+    wide = np.repeat(rows, 2, axis=1)
+    return {"C": rows, "T": rows.T.copy().T, "reversed": rows[::-1, ::-1].copy()[::-1, ::-1], "strided": wide[:, ::2]}
+
+
+@pytest.mark.parametrize("length", [*range(1, 18), 31, 64, 1000])
+@pytest.mark.parametrize(
+    "low, high, divisors",
+    [
+        (-30, 30, (0.25, 1.99)),  # signed zeros among ordinary parts: the kernels' own divisors
+        (-300, 300, (1e-8, 1e8)),  # magnitudes e**-300 to e**300, every quotient a normal number
+        (-745, -700, (0.25, 1.99)),  # subnormal parts over divisors below 2: no nonzero quotient rounds to 0
+    ],
+    ids=["signed-zeros", "e300", "subnormal"],
+)
+def test_multiplying_by_reciprocals_is_numpys_division_bit_for_bit(length, low, high, divisors):
+    # the row kernels multiply by _reciprocals where the oracle divides by a positive real;
+    # every byte must agree, the sign of every zero included, in every layout and with order="C".
+    # A nonzero part whose quotient rounds to 0 (a divisor of 2 or more over a subnormal part)
+    # would read -0.0 divided and +0.0 multiplied; no kernel divides by so large a norm there
+    rng = np.random.default_rng(length)
+    d = rng.uniform(*divisors, size=40)
+    for name, rows in _layouts(_parts_rows(rng, (40, length), low, high)).items():
+        assert rows.shape == (40, length), name
+        want = rows / d[:, None]
+        assert (rows * _reciprocals(d)[:, None]).tobytes() == want.tobytes(), name
+        got = np.multiply(rows, _reciprocals(d)[:, None], order="C")
+        assert got.flags.c_contiguous and got.tobytes() == np.divide(rows, d[:, None], order="C").tobytes(), name
+        batch, by = rows.reshape(8, 5, length), d.reshape(8, 5)  # a leading batch axis, as _collapse_rows has
+        assert (batch * _reciprocals(by)[..., None]).tobytes() == (batch / by[..., None]).tobytes(), name
+
+
+def test_normalized_rows_are_registers_bit_for_bit():
+    # _normalized is the row kernels' one rule for "each row over its own norm": Register's bytes
+    rng = np.random.default_rng(30)
+    for n in range(11):
+        rows = _parts_rows(rng, (6, 1 << n), -3, 3, zeros=0.1)
+        labels = tuple(f"q{k}" for k in range(n))
+        for row, normalized in zip(rows, _normalized(rows), strict=True):
+            assert normalized.tobytes() == Register(labels, row).amps.tobytes(), n
+        assert _normalized(rows.reshape(3, 2, -1)).tobytes() == _normalized(rows).tobytes(), n
