@@ -59,6 +59,7 @@ from .protocol import (
     EprInput,
     Tree,
     _HEARD,
+    _entries,
 )
 from .qsim import _alphabet, _pick
 
@@ -251,11 +252,14 @@ def _records(tree: Tree, leaves: list[int], seeds: list[int], cooperation: str, 
 
     Each receiver corrects with the table entry of the key it heard: the
     leaf's key, or its heard key (``protocol._HEARD``) for the one starved
-    of the announcement that ``cooperation`` withholds.
+    of the announcement that ``cooperation`` withholds.  Each key's entry
+    is read once, through ``protocol._entries``.
     """
     withheld = WITHHELD[cooperation]
-    ops = [tuple(table[_HEARD[w][leaf] if w == withheld else LEAF_KEYS[leaf]][d.slot]
-                 for w, d in DIRECTIONS.items()) for leaf in leaves]
+    heard = [[_HEARD[w][leaf] if w == withheld else LEAF_KEYS[leaf] for w in DIRECTIONS] for leaf in leaves]
+    keys = list(dict.fromkeys(key for pair in heard for key in pair))
+    entries = dict(zip(keys, _entries([table[key] for key in keys], "key", keys)))
+    ops = [tuple(entries[key][d.slot] for key, d in zip(pair, DIRECTIONS.values())) for pair in heard]
     records = []
     for leaf, seed, probs, entry, fidelities in zip(leaves, seeds, tree.steps[leaves].tolist(), ops,
                                                     tree.deliver(leaves, ops)):

@@ -379,6 +379,13 @@ def _entries(ops: Sequence, kind: str, names: Sequence) -> Sequence:
     return ops
 
 
+def _heard_ops(table: Table, withheld: str) -> list[str]:
+    """The ops that the receiver starved of ``withheld`` applies in each of its groups (:data:`_GROUPS`),
+    each group's table entry read once, through :func:`_entries`."""
+    keys = _GROUPS[withheld][0]
+    return [entry[DIRECTIONS[withheld].slot] for entry in _entries([table[key] for key in keys], "key", keys)]
+
+
 def _deliver(rows: np.ndarray, ops: Sequence[tuple[str, str]], targets) -> np.ndarray:
     """Both directions' fidelities of payload row ``r`` corrected with the table entry ``ops[r]``: ``(n, 2)``.
 
@@ -393,11 +400,12 @@ def _deliver(rows: np.ndarray, ops: Sequence[tuple[str, str]], targets) -> np.nd
     return np.stack([_scores(_densities(fixed, d.labels), targets[d.slot]) for d in DIRECTIONS.values()], -1)
 
 
-def _deprived(payloads: np.ndarray, targets, weights: np.ndarray, withheld: str, table: Table) -> tuple[list, list]:
+def _deprived(payloads: np.ndarray, targets, weights: np.ndarray, withheld: str, ops: list[str]) -> tuple[list, list]:
     """Each group of ``withheld`` (:data:`_GROUPS`) at the receiver it starves: (total weights, fidelities).
 
     Leaves of one group look alike to the receiver: it applies the
-    correction of the key it heard (:data:`_HEARD`) to its own pair and
+    group's ``ops`` (:func:`_heard_ops`), the correction of the key it heard
+    (:data:`_HEARD`), to its own pair and
     holds their mixture, each leaf weighted by its entry of ``weights``.
     All 64 of one pair's ``payloads`` (:attr:`Tree.payloads`) are corrected
     in one call of the row kernel (:func:`_correct_rows`), and each mixture,
@@ -406,7 +414,7 @@ def _deprived(payloads: np.ndarray, targets, weights: np.ndarray, withheld: str,
     """
     labels, slot, _ = DIRECTIONS[withheld]
     keys, groups = _GROUPS[withheld]
-    fixed = _correct_rows(payloads, labels, [table[key][slot] for key in _HEARD[withheld]])
+    fixed = _correct_rows(payloads, labels, [ops[group] for group in groups])
     totals, mixed = np.zeros(len(keys)), np.zeros((len(keys), 4, 4), dtype=complex)
     np.add.at(totals, groups, weights)  # unbuffered, in leaf order: 0.0 + w1 + w2 + ... per group
     np.add.at(mixed, groups, weights[:, None, None] * _densities(fixed, labels))
@@ -451,14 +459,15 @@ class Tree:
         receivers can hear the same key with the same ops:
         ``(0, "+", 0, "+", "+", "+")`` with ``"II"`` in the packaged table.
         """
-        slot = DIRECTIONS[withheld].slot
         heard = _HEARD[withheld][leaf]
-        memo = (withheld, heard, table[heard][slot])
+        (entry,) = _entries([table[heard]], "key", [heard])
+        memo = (withheld, heard, entry[DIRECTIONS[withheld].slot])
         if memo not in self.averages:
             weights = _product(self.steps.T[_ROUND_ONE:])
-            _, fidelities = _deprived(self.payloads, self.targets, weights, withheld, table)
-            for key, fidelity in zip(_GROUPS[withheld][0], fidelities):
-                self.averages[withheld, key, table[key][slot]] = fidelity
+            ops = _heard_ops(table, withheld)
+            _, fidelities = _deprived(self.payloads, self.targets, weights, withheld, ops)
+            for key, group_ops, fidelity in zip(_GROUPS[withheld][0], ops, fidelities):
+                self.averages[withheld, key, group_ops] = fidelity
         return self.averages[memo]
 
 
@@ -548,5 +557,6 @@ def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
         raise ValueError(f"withheld must be 'A1' or 'B1', got {withheld!r}")
     pair = (epr, _BALANCED) if DIRECTIONS[withheld].slot == 0 else (_BALANCED, epr)
     inputs, payloads, steps = _walk_pairs([pair])
-    totals, fidelities = _deprived(payloads, inputs[:, 0], _leaf_probabilities(steps), withheld, load_table())
+    ops = _heard_ops(load_table(), withheld)
+    totals, fidelities = _deprived(payloads, inputs[:, 0], _leaf_probabilities(steps), withheld, ops)
     return reduce(add, map(mul, totals, fidelities), 0.0)  # 0.0 + w1 * f1 + w2 * f2 + ..., in group order

@@ -35,9 +35,12 @@ def run_cli(capsys, *argv):
 
 
 def run_json(capsys, *argv):
+    """The parsed report, which must be written exactly as ``json.dumps`` writes it."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err or out
-    return json.loads(out)
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return report
 
 
 # ---------------------------------------------------------------------------

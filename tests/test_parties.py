@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bqtsim._draws import uniforms
-from bqtsim.corrections import FRAME, MEASUREMENT_PLAN, OUTCOMES, PLAN_QUBITS, leaf_index, load_table
+from bqtsim.corrections import FRAME, LEAF_KEYS, MEASUREMENT_PLAN, OUTCOMES, PLAN_QUBITS, leaf_index, load_table
 from bqtsim.parties import (
     ALICE,
     BOB,
@@ -48,6 +48,7 @@ from bqtsim.protocol import (
     FIDELITY_FLOOR,
     EprInput,
     Tree,
+    _HEARD,
     _deliver as deliver_rows,
     encode,
     enumerate_branches,
@@ -375,6 +376,26 @@ def test_editing_a_plain_table_changes_the_next_deprived_average():
     assert fresh.expected_fidelity.hex() == second.expected_fidelity.hex()
 
 
+@pytest.mark.parametrize("entry", [("II",), ("II", "II", "XZ"), "IZ", ("II", None)], ids=repr)
+@pytest.mark.parametrize("cooperation", COOPERATION_MODES)
+def test_a_session_refuses_an_entry_that_is_not_two_strings(cooperation, entry):
+    # each receiver's entry, the leaf's key or the heard key of a starved one,
+    # raises one ValueError naming it: not an IndexError, nor the first two of three strings
+    leaf = run_session(ALPHA, BETA, seed=11, cooperation=cooperation).leaf
+    withheld = WITHHELD[cooperation]
+    for w in DIRECTIONS:
+        key = _HEARD[w][leaf] if w == withheld else LEAF_KEYS[leaf]
+        table = dict(load_table())
+        table[key] = entry
+        for call in (lambda: run_session(ALPHA, BETA, 11, cooperation, table),
+                     lambda: run_sessions(ALPHA, BETA, 11, 1, cooperation, table)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == f"correction table entry {entry!r} for key {key!r} is not two ops strings"
+    listed = {key: list(ops) for key, ops in load_table().items()}
+    assert _fields(run_session(ALPHA, BETA, 11, cooperation, listed)) == _fields(run_session(ALPHA, BETA, 11, cooperation))
+
+
 @pytest.mark.parametrize("order", ["A1 first", "B1 first"])
 def test_both_deprived_receivers_keep_their_own_averages_on_one_tree(order):
     # Below the worked branch (0, +, 0, +), leaf (.., +, +) and its neighbours
@@ -692,8 +713,11 @@ def test_withholding_expected_matches_empirical_mean():
 
 def test_honest_sessions_pass_audit():
     for mode in COOPERATION_MODES:
-        result = run_session(ALPHA, BETA, seed=5, cooperation=mode)
-        assert ownership_check(result.transcript), mode
+        for seed in range(64):
+            transcript = run_session(ALPHA, BETA, seed=seed, cooperation=mode).transcript
+            # and as `bqtsim run --transcripts` writes it: lists where the records hold tuples
+            rebuilt = Transcript(Event(**e) for e in json.loads(transcript.to_json())["events"])
+            assert ownership_check(transcript) and ownership_check(rebuilt), (mode, seed)
 
 
 def _index_of(transcript, kind, actor=None, occurrence=0):

@@ -49,6 +49,7 @@ from bqtsim.protocol import (
     _correct_rows,
     _deprived,
     _GROUPS,
+    _heard_ops,
     _leaf_probabilities,
     encode,
     enumerate_branches,
@@ -235,7 +236,8 @@ def test_the_deprived_groups_equal_the_per_leaf_oracle_under_both_weightings(ali
         # noncooperation_fidelity's weighting: every leaf's full probability
         want = oracles.deprived_fidelities(oracles.weighted(leaves), withheld, target, table)
         assert list(keys) == list(want)  # group keys in first-seen order
-        got = _deprived(tree.payloads, tree.targets, _leaf_probabilities(tree.steps), withheld, table)
+        ops = _heard_ops(table, withheld)
+        got = _deprived(tree.payloads, tree.targets, _leaf_probabilities(tree.steps), withheld, ops)
         assert list(zip(*got)) == list(want.values())  # weights and fidelities
         # the session path: weights are round two's probabilities alone
         want = oracles.deprived_fidelities(oracles.weighted(leaves, round_one=False), withheld, target, table)

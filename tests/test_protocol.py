@@ -377,6 +377,23 @@ def test_deliver_refuses_an_entry_that_is_not_two_strings(entry):
     assert tree.deliver([7, 12], [good, list(good)]) == tree.deliver([7, 12], [good, good])
 
 
+@pytest.mark.parametrize("entry", [("II",), ("II", "II", "XZ"), "IZ", ("II", None)], ids=repr)
+@pytest.mark.parametrize("withheld", sorted(STARVES))
+def test_deprived_refuses_an_entry_that_is_not_two_strings(withheld, entry):
+    # the entry of the key the leaf's receiver heard is read first, then, on a
+    # miss, every group's: not an IndexError, nor the first two of three strings
+    keys = protocol._GROUPS[withheld][0]
+    leaf = protocol._HEARD[withheld].index(keys[3])
+    for bad in (keys[3], keys[20]):
+        table = dict(load_table())
+        table[bad] = entry
+        with pytest.raises(ValueError) as raised:
+            Tree(ALPHA, BETA).deprived(leaf, withheld, table)
+        assert str(raised.value) == f"correction table entry {entry!r} for key {bad!r} is not two ops strings"
+    listed = {key: list(ops) for key, ops in load_table().items()}
+    assert Tree(ALPHA, BETA).deprived(leaf, withheld, listed) == Tree(ALPHA, BETA).deprived(leaf, withheld, load_table())
+
+
 def test_generate_table_matches_packaged_asset():
     assert generate_correction_table() == dict(load_table())
 

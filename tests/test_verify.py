@@ -182,7 +182,7 @@ def test_engine_worsts_match_the_loop(seed):
         assert _hex(verify._engine_worsts(seed, cases)) == _hex(oracles.engine_properties(seed, cases)), cases
 
 
-@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 2**64 - 1])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 7, 2**64 - 1])
 def test_engine_criterion_matches_the_loop_at_1000_cases(seed):
     want = oracles.engine_properties(seed)
     assert _hex(verify._engine_worsts(seed, 1000)) == _hex(want)
