@@ -62,13 +62,13 @@ MEASUREMENT_PLAN = (
     (("a1", "Z"), ("A2", "X"), ("b3", "Z"), ("B2", "X")),
     (("A1", "X"), ("B1", "X")),
 )
-_KEY_PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
+_PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
 
 #: The six measured qubits in plan order: the fields of a table key.
-PLAN_QUBITS = tuple(q for q, _ in _KEY_PLAN)
+PLAN_QUBITS = tuple(q for q, _ in _PLAN)
 
 #: Every leaf's outcomes, in plan order, listed in :func:`leaf_index` order.
-LEAF_KEYS = tuple(product(*(OUTCOMES[basis] for _, basis in _KEY_PLAN)))
+LEAF_KEYS = tuple(product(*(OUTCOMES[basis] for _, basis in _PLAN)))
 
 #: Legal per-qubit correction factors.
 FACTORS = ("I", "Z", "X", "XZ")
@@ -99,7 +99,7 @@ Table = Mapping[TableKey, tuple[str, str]]
 def leaf_index(a1: int, A2: str, b3: int, B2: str, A1: str, B1: str) -> int:
     """Pack the six outcomes into 0..63 (plan order, 0/"+" = zero bit)."""
     idx = 0
-    for (_, basis), outcome in zip(_KEY_PLAN, (a1, A2, b3, B2, A1, B1)):
+    for (_, basis), outcome in zip(_PLAN, (a1, A2, b3, B2, A1, B1)):
         idx = (idx << 1) | _alphabet(basis, outcome).index(outcome)
     return idx
 
@@ -149,7 +149,7 @@ def generate_correction_table() -> dict[TableKey, tuple[str, str]]:
     """
     table = {}
     for key in LEAF_KEYS:
-        a1, A2, b3, B2, A1, B1 = (OUTCOMES[basis].index(o) for (_, basis), o in zip(_KEY_PLAN, key))
+        a1, A2, b3, B2, A1, B1 = (OUTCOMES[basis].index(o) for (_, basis), o in zip(_PLAN, key))
         table[key] = (FRAME[a1, A2 ^ A1], FRAME[b3, B2 ^ B1])
     return table
 
@@ -159,7 +159,7 @@ def table_to_records(table: Table) -> list[dict]:
     records = []
     for key in sorted(table, key=lambda k: leaf_index(*k)):
         bob_ops, alice_ops = table[key]
-        record = {q: o if basis == "Z" else _PM[o] for (q, basis), o in zip(_KEY_PLAN, key)}
+        record = {q: o if basis == "Z" else _PM[o] for (q, basis), o in zip(_PLAN, key)}
         records.append({**record, "bob_ops": bob_ops, "alice_ops": alice_ops})
     return records
 
@@ -177,13 +177,13 @@ def records_to_table(records: list[Mapping]) -> dict[TableKey, tuple[str, str]]:
         if not isinstance(rec, Mapping):
             raise ValueError(f"malformed correction record {rec!r}")
         try:
-            key = tuple(rec[q] if basis == "Z" else _MP[rec[q]] for q, basis in _KEY_PLAN)
+            key = tuple(rec[q] if basis == "Z" else _MP[rec[q]] for q, basis in _PLAN)
             ops = (str(rec["bob_ops"]), str(rec["alice_ops"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed correction record {rec!r}") from exc
         if any(
             type(o) is not int or o not in (0, 1)
-            for o, (_, basis) in zip(key, _KEY_PLAN)
+            for o, (_, basis) in zip(key, _PLAN)
             if basis == "Z"
         ):
             raise ValueError(f"bad Z outcome in record {rec!r}")

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._draws import uniforms
-from .corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, Table, correction_key, load_table
+from .corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, Table, _PLAN, correction_key, load_table
 from .protocol import (
     ALICE_INPUT_LABELS,
     BOB_INPUT_LABELS,
@@ -58,8 +58,9 @@ from .protocol import (
     ENCODING,
     EprInput,
     Tree,
-    _HEARD,
+    _GROUPS,
     _entries,
+    _heard_ops,
 )
 from .qsim import _alphabet, _pick
 
@@ -98,7 +99,7 @@ TRANSCRIPT_SCHEMA = "bqtsim.transcript/1"
 _RECEIVES = {p: d for d in DIRECTIONS.values() for p in OWNED if OWNED[p].issuperset(d.labels)}
 
 #: The (qubits, basis) of every legal measure event and announced result: one qubit of the plan, in its basis.
-_MEASURES = tuple(((q,), basis) for q, basis in MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1])
+_MEASURES = tuple(((q,), basis) for q, basis in _PLAN)
 
 
 def session_seed(base: int, trial: int = 0) -> int:
@@ -250,19 +251,24 @@ def _records(tree: Tree, leaves: list[int], seeds: list[int], cooperation: str, 
     """The :class:`SessionResult` of the session seeded with each of ``seeds`` at the
     matching leaf index of ``leaves``, all delivered in one :meth:`Tree.deliver` call.
 
-    Each receiver corrects with the table entry of the key it heard: the
-    leaf's key, or its heard key (``protocol._HEARD``) for the one starved
-    of the announcement that ``cooperation`` withholds.  Each key's entry
-    is read once, through ``protocol._entries``.
+    Each receiver corrects with its leaf key's table entry, each read once through
+    ``protocol._entries``, but the one starved of the announcement that ``cooperation``
+    withholds applies its group's ops from the column ``protocol._heard_ops`` reads once,
+    and that column's :meth:`Tree.deprived` gives its expected fidelity.
     """
     withheld = WITHHELD[cooperation]
-    heard = [[_HEARD[w][leaf] if w == withheld else LEAF_KEYS[leaf] for w in DIRECTIONS] for leaf in leaves]
-    keys = list(dict.fromkeys(key for pair in heard for key in pair))
+    keys = list(dict.fromkeys(LEAF_KEYS[leaf] for leaf in leaves))
     entries = dict(zip(keys, _entries([table[key] for key in keys], "key", keys)))
-    ops = [tuple(entries[key][d.slot] for key, d in zip(pair, DIRECTIONS.values())) for pair in heard]
+    ops, expected = [list(entries[LEAF_KEYS[leaf]]) for leaf in leaves], [None] * len(leaves)
+    if withheld is not None and leaves:
+        column, groups = _heard_ops(table, withheld), _GROUPS[withheld][1][leaves].tolist()
+        averages = tree.deprived(withheld, column)
+        for entry, group in zip(ops, groups):
+            entry[DIRECTIONS[withheld].slot] = column[group]
+        expected = [averages[group] for group in groups]
     records = []
-    for leaf, seed, probs, entry, fidelities in zip(leaves, seeds, tree.steps[leaves].tolist(), ops,
-                                                    tree.deliver(leaves, ops)):
+    for leaf, seed, probs, entry, fidelities, average in zip(leaves, seeds, tree.steps[leaves].tolist(), ops,
+                                                             tree.deliver(leaves, ops), expected):
         key = LEAF_KEYS[leaf]
         events = list(_PREAMBLE)
         for round_no, plan in enumerate(MEASUREMENT_PLAN, 1):
@@ -276,8 +282,7 @@ def _records(tree: Tree, leaves: list[int], seeds: list[int], cooperation: str, 
                     events.append(_message(round_no, sender, payload))
         for kind, results in (("correct", entry), ("fidelity", fidelities)):
             events += (Event(4, party, kind, d.labels, outcome=r) for (party, d), r in zip(_RECEIVES.items(), results))
-        expected = None if withheld is None else tree.deprived(leaf, withheld, table)
-        records.append(SessionResult(Transcript(events), *fidelities, expected, leaf,
+        records.append(SessionResult(Transcript(events), *fidelities, average, leaf,
                                      dict(zip(PLAN_QUBITS, key)), seed, cooperation))
     return records
 
@@ -340,8 +345,9 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
     to "+").  Physics is not re-simulated; the audit is purely structural.
     A malformed event -- an actor, kind, label, basis or correction that is
     not a string, a round that is not an int, an announcement that is not a
-    sequence of (qubit, basis, result) triples -- fails it too, and the
-    audit never raises.
+    sequence of (qubit, basis, result) triples -- fails it too, as does a
+    missing table key or an entry that is not two ops strings, and the audit
+    never raises.
     """
     if table is None:
         table = load_table()
@@ -386,9 +392,10 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
             mine[qubits[0]] = event.outcome
         elif event.kind == "correct":
             try:
-                expected = table[correction_key(mine, OWNED[actor])][_RECEIVES[actor].slot]
-            except KeyError:
+                key = correction_key(mine, OWNED[actor])
+                (entry,) = _entries([table[key]], "key", [key])
+            except (KeyError, ValueError):
                 return False
-            if type(event.outcome) is not str or event.outcome != expected:
+            if type(event.outcome) is not str or event.outcome != entry[_RECEIVES[actor].slot]:
                 return False
     return True

@@ -29,6 +29,7 @@ from .corrections import (
     MEASUREMENT_PLAN,
     PLAN_QUBITS,
     Table,
+    _PLAN,
     correction_key,
     leaf_index,
     load_table,
@@ -256,9 +257,6 @@ def walk_round(
 _CHANNEL = prepare_channel().amps
 _BALANCED = EprInput(np.sqrt(0.5), np.sqrt(0.5))  # the cooperative input of noncooperation_fidelity
 
-#: Both rounds' measurements, in order: the walk's leaf rows follow ``LEAF_KEYS``.
-_PLAN = MEASUREMENT_PLAN[0] + MEASUREMENT_PLAN[1]
-
 #: Steps of round one: a leaf's step probabilities split here into its two rounds.
 _ROUND_ONE = len(MEASUREMENT_PLAN[0])
 
@@ -374,7 +372,8 @@ _GROUPS = {
 def _entries(ops: Sequence, kind: str, names: Sequence) -> Sequence:
     """``ops`` if every entry is (bob_ops, alice_ops), two strings; else ValueError naming the first other."""
     for name, entry in zip(names, ops):
-        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(isinstance(o, str) for o in entry)):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise ValueError(f"correction table entry {entry!r} for {kind} {name!r} is not two ops strings")
     return ops
 
@@ -400,7 +399,7 @@ def _deliver(rows: np.ndarray, ops: Sequence[tuple[str, str]], targets) -> np.nd
     return np.stack([_scores(_densities(fixed, d.labels), targets[d.slot]) for d in DIRECTIONS.values()], -1)
 
 
-def _deprived(payloads: np.ndarray, targets, weights: np.ndarray, withheld: str, ops: list[str]) -> tuple[list, list]:
+def _deprived(payloads: np.ndarray, targets, weights: np.ndarray, withheld: str, ops: Sequence) -> tuple[list, list]:
     """Each group of ``withheld`` (:data:`_GROUPS`) at the receiver it starves: (total weights, fidelities).
 
     Leaves of one group look alike to the receiver: it applies the
@@ -430,7 +429,7 @@ class Tree:
     every leaf's step probabilities in plan order; and ``targets``
     ``(2, 4)``, each input on its receiver's payload labels
     (:func:`_input_rows`), by direction slot.  The tree is the one owner of
-    delivery.
+    delivery, and keeps each deprived column's averages (:meth:`deprived`).
     """
 
     def __init__(self, alice: EprInput, bob: EprInput) -> None:
@@ -440,7 +439,7 @@ class Tree:
         self.payloads, self.steps, self.targets = (a.copy() for a in (payloads, steps, inputs[:, 0]))
         for array in (self.payloads, self.steps, self.targets):
             array.flags.writeable = False
-        self.averages: dict[tuple, float] = {}
+        self.averages: dict[tuple, tuple[float, ...]] = {}
 
     def deliver(self, leaves: Sequence[int], ops: Sequence[tuple[str, str]]) -> list[tuple[float, float]]:
         """Both directions' fidelities at each leaf index of ``leaves``, corrected with the
@@ -450,24 +449,17 @@ class Tree:
         ops = _entries(ops, "leaf", leaves)
         return list(map(tuple, _deliver(self.payloads[list(leaves)], ops, self.targets).tolist()))
 
-    def deprived(self, leaf: int, withheld: str, table: Table) -> float:
-        """Fidelity at the receiver starved of ``withheld`` when the tree lands on leaf index ``leaf``.
-
-        It is that receiver's group in :func:`_deprived`, with leaves weighted
-        by their round-two probabilities alone; one miss fills every group of
-        ``withheld``.  The memo key is (withheld, heard key, ops), since both
-        receivers can hear the same key with the same ops:
-        ``(0, "+", 0, "+", "+", "+")`` with ``"II"`` in the packaged table.
-        """
-        heard = _HEARD[withheld][leaf]
-        (entry,) = _entries([table[heard]], "key", [heard])
-        memo = (withheld, heard, entry[DIRECTIONS[withheld].slot])
+    def deprived(self, withheld: str, ops: Sequence[str]) -> tuple[float, ...]:
+        """Each group's fidelity at the receiver starved of ``withheld`` that applies ``ops[g]``
+        in group ``g``, one string per group (else ValueError), as :func:`_heard_ops` reads them:
+        :func:`_deprived`, with leaves weighted by their round-two probabilities alone.  No table
+        is read, so (withheld, ops) is all the memo needs to key on."""
+        memo, groups = (withheld, tuple(ops)), len(_GROUPS[withheld][0])
+        if len(memo[1]) != groups:
+            raise ValueError(f"{len(memo[1])} ops strings for the {groups} groups of {withheld!r}")
         if memo not in self.averages:
             weights = _product(self.steps.T[_ROUND_ONE:])
-            ops = _heard_ops(table, withheld)
-            _, fidelities = _deprived(self.payloads, self.targets, weights, withheld, ops)
-            for key, group_ops, fidelity in zip(_GROUPS[withheld][0], ops, fidelities):
-                self.averages[withheld, key, group_ops] = fidelity
+            self.averages[memo] = tuple(_deprived(self.payloads, self.targets, weights, *memo)[1])
         return self.averages[memo]
 
 

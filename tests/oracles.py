@@ -17,7 +17,8 @@ one register at a time:
 - ``deliver`` and ``deprived_fidelities`` go through the public gate path
   -- ``corrections.apply_ops``, ``qsim.reduced_density`` and
   ``qsim.fidelity_pure`` -- and read the heard key straight from the
-  outcomes.
+  outcomes, and its entry from the table leaf by leaf, where
+  ``Tree.deprived`` takes the whole column (``protocol._heard_ops``) at once.
 
 They share no reduction with the batched code, so the tests compare the two
 exactly: by bytes where the arithmetic is the same, and by ``==`` against

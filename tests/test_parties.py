@@ -48,8 +48,11 @@ from bqtsim.protocol import (
     FIDELITY_FLOOR,
     EprInput,
     Tree,
+    _GROUPS,
     _HEARD,
     _deliver as deliver_rows,
+    _deprived,
+    _heard_ops,
     encode,
     enumerate_branches,
     prepare_full_state,
@@ -243,7 +246,8 @@ def _oracle_session(tree, born, seed, cooperation, table):
     for kind, results in (("correct", ops), ("fidelity", fidelities)):
         for party, d, result in zip((BOB, ALICE), DIRECTIONS.values(), results):
             events.append(Event(4, party, kind, d.labels, outcome=result))
-    expected = None if withheld is None else tree.deprived(leaf_index(*key), withheld, table)
+    expected = None if withheld is None else (
+        tree.deprived(withheld, _heard_ops(table, withheld))[_GROUPS[withheld][1][leaf_index(*key)]])
     return SessionResult(Transcript(events), *fidelities, expected, leaf_index(*key), outcomes,
                          seed, cooperation)
 
@@ -419,6 +423,36 @@ def test_both_deprived_receivers_keep_their_own_averages_on_one_tree(order):
         for mode in modes:
             assert run_session(ALPHA, BETA, seed, mode).expected_fidelity.hex() == fresh[seed, mode]
     assert all(fresh[seed, modes[0]] != fresh[seed, modes[1]] for seed in seeds)
+
+
+@pytest.mark.parametrize("cooperation", ["alice_withholds_A1", "bob_withholds_B1"])
+def test_a_withholding_run_computes_its_deprived_column_once(monkeypatch, cooperation):
+    calls = []
+
+    def counted(payloads, targets, weights, withheld, ops):
+        calls.append(withheld)
+        return _deprived(payloads, targets, weights, withheld, ops)
+
+    monkeypatch.setattr("bqtsim.protocol._deprived", counted)
+    withheld, table = WITHHELD[cooperation], dict(load_table())
+    _session_tree.cache_clear()
+    first = run_sessions(ALPHA, BETA, 0xB97, 4096, cooperation, table)[1]
+    assert calls == [withheld] and len(first) == 64
+    # the same table on the same tree computes nothing more
+    again = run_sessions(ALPHA, BETA, 0xB97 + 4096, 4096, cooperation, table)[1]
+    assert calls == [withheld]
+    assert {leaf: r.expected_fidelity for leaf, r in again.items()} == {
+        leaf: r.expected_fidelity for leaf, r in first.items()}
+    # one heard entry edited: one more computation, and only its group's average moves
+    keys, groups = _GROUPS[withheld]
+    slot = DIRECTIONS[withheld].slot
+    entry = list(table[keys[5]])
+    entry[slot] = "ZI" if entry[slot] != "ZI" else "II"
+    table[keys[5]] = tuple(entry)
+    edited = run_sessions(ALPHA, BETA, 0xB97, 4096, cooperation, table)[1]
+    assert calls == [withheld] * 2
+    moved = [leaf for leaf in range(64) if edited[leaf].expected_fidelity != first[leaf].expected_fidelity]
+    assert moved == np.flatnonzero(groups == 5).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -795,6 +829,32 @@ def test_audit_rejects_unjustified_correction(session):
     actual = session.transcript.events[i].outcome
     forged = _edit(session.transcript, i, outcome="XX" if actual != "XX" else "ZI")
     assert not ownership_check(forged)
+
+
+@pytest.mark.parametrize("entry", [("II",), ("II", "II", "XZ"), "IZ", ("II", None)], ids=repr)
+@pytest.mark.parametrize("cooperation", COOPERATION_MODES)
+def test_the_audit_fails_an_entry_that_is_not_two_strings(cooperation, entry):
+    # each correction's entry, the leaf's key or the heard key of a starved receiver, in turn
+    result = run_session(ALPHA, BETA, 11, cooperation)
+    withheld = WITHHELD[cooperation]
+    assert ownership_check(result.transcript)
+    for w in DIRECTIONS:
+        key = _HEARD[w][result.leaf] if w == withheld else LEAF_KEYS[result.leaf]
+        table = dict(load_table())
+        table[key] = entry
+        assert ownership_check(result.transcript, table) is False
+        del table[key]
+        assert ownership_check(result.transcript, table) is False
+    # three strings that begin with the right two fail as well
+    padded = {key: (*ops, "XZ") for key, ops in load_table().items()}
+    assert ownership_check(result.transcript, padded) is False
+    # a list of two strings audits as the tuple does
+    listed = {key: list(ops) for key, ops in load_table().items()}
+    i = _index_of(result.transcript, "correct", BOB)
+    actual = result.transcript.events[i].outcome
+    forged = _edit(result.transcript, i, outcome="XX" if actual != "XX" else "ZI")
+    for transcript, honest in ((result.transcript, True), (forged, False)):
+        assert ownership_check(transcript, listed) is ownership_check(transcript, load_table()) is honest
 
 
 def test_audit_rejects_correction_without_announcements(session):

@@ -242,7 +242,7 @@ def test_the_deprived_groups_equal_the_per_leaf_oracle_under_both_weightings(ali
         # the session path: weights are round two's probabilities alone
         want = oracles.deprived_fidelities(oracles.weighted(leaves, round_one=False), withheld, target, table)
         for leaf, key in enumerate(LEAF_KEYS):
-            assert tree.deprived(leaf, withheld, table) == want[oracles.heard(key, withheld)][1]
+            assert tree.deprived(withheld, ops)[groups[leaf]] == want[oracles.heard(key, withheld)][1]
 
 
 def _warm_session_tree(alice, bob):

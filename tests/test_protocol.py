@@ -342,7 +342,7 @@ def test_editing_a_plain_table_between_calls_on_one_tree_reaches_the_kernel():
     key = WORKED + ("+", "+")  # what both deprived receivers hear at this leaf
     leaf, everywhere = leaf_index(*key), range(64)
     before = tree.deliver(everywhere, [table[k] for k in LEAF_KEYS])
-    deprived = {w: tree.deprived(leaf, w, table) for w in STARVES}
+    deprived = {w: tree.deprived(w, protocol._heard_ops(table, w))[protocol._GROUPS[w][1][leaf]] for w in STARVES}
     # one entry gets a legal, wrong correction in both columns
     bob_ops, alice_ops = table[key]
     table[key] = ("XX" if bob_ops != "XX" else "ZZ", "XI" if alice_ops != "XI" else "ZI")
@@ -353,7 +353,8 @@ def test_editing_a_plain_table_between_calls_on_one_tree_reaches_the_kernel():
     assert max(after[leaf]) < FIDELITY_FLOOR
     for withheld, (_, slot) in STARVES.items():
         groups = deprived_fidelities(weighted(leaves, round_one=False), withheld, targets(tree)[slot], table)
-        assert tree.deprived(leaf, withheld, table) == groups[key][1] != deprived[withheld]
+        column, group = protocol._heard_ops(table, withheld), protocol._GROUPS[withheld][1][leaf]
+        assert tree.deprived(withheld, column)[group] == groups[key][1] != deprived[withheld]
 
 
 def test_deliver_pairs_each_leaf_with_one_table_entry():
@@ -380,18 +381,30 @@ def test_deliver_refuses_an_entry_that_is_not_two_strings(entry):
 @pytest.mark.parametrize("entry", [("II",), ("II", "II", "XZ"), "IZ", ("II", None)], ids=repr)
 @pytest.mark.parametrize("withheld", sorted(STARVES))
 def test_deprived_refuses_an_entry_that_is_not_two_strings(withheld, entry):
-    # the entry of the key the leaf's receiver heard is read first, then, on a
-    # miss, every group's: not an IndexError, nor the first two of three strings
-    keys = protocol._GROUPS[withheld][0]
+    # every group's entry, the leaf's own and the others, is read through
+    # protocol._heard_ops: not an IndexError, nor the first two of three strings
+    keys, groups = protocol._GROUPS[withheld]
     leaf = protocol._HEARD[withheld].index(keys[3])
     for bad in (keys[3], keys[20]):
         table = dict(load_table())
         table[bad] = entry
         with pytest.raises(ValueError) as raised:
-            Tree(ALPHA, BETA).deprived(leaf, withheld, table)
+            Tree(ALPHA, BETA).deprived(withheld, protocol._heard_ops(table, withheld))[groups[leaf]]
         assert str(raised.value) == f"correction table entry {entry!r} for key {bad!r} is not two ops strings"
     listed = {key: list(ops) for key, ops in load_table().items()}
-    assert Tree(ALPHA, BETA).deprived(leaf, withheld, listed) == Tree(ALPHA, BETA).deprived(leaf, withheld, load_table())
+    assert (Tree(ALPHA, BETA).deprived(withheld, protocol._heard_ops(listed, withheld))[groups[leaf]]
+            == Tree(ALPHA, BETA).deprived(withheld, protocol._heard_ops(load_table(), withheld))[groups[leaf]])
+
+
+@pytest.mark.parametrize("withheld", sorted(STARVES))
+def test_deprived_refuses_a_column_of_the_wrong_length(withheld):
+    tree = Tree(ALPHA, BETA)
+    column = protocol._heard_ops(load_table(), withheld)
+    for ops in (column[:-1], column + ["II"], []):
+        with pytest.raises(ValueError, match=f"^{len(ops)} ops strings for the 32 groups of '{withheld}'$"):
+            tree.deprived(withheld, ops)
+    assert tree.averages == {}
+    assert len(tree.deprived(withheld, column)) == 32 and list(tree.averages) == [(withheld, tuple(column))]
 
 
 def test_generate_table_matches_packaged_asset():
