@@ -35,7 +35,7 @@ import numpy as np
 
 from .corrections import load_table
 from .ghz import entanglement_swap
-from .parties import WITHHELD, Event, Transcript, run_sessions, session_seed
+from .parties import WITHHELD, Transcript, _trial_seeds, run_sessions, session_seed
 from .protocol import DIRECTIONS, FIDELITY_FLOOR, EprInput, enumerate_branches
 from .qsim import ATOL
 from .verify import DEFAULT_SEED, SIGMA_GATE, leaf_histogram_gate, run_all
@@ -153,8 +153,9 @@ def _open(value: dict, later, depth: int) -> str:
 def _trial_rows(heads: dict[int, str], leaves: list[int], base: int) -> list[str]:
     """The rendered ``run`` trial rows: trial ``i`` is its leaf's head, rendered
     by :func:`_open` two levels deep, with its "seed" and "trial" spliced in."""
-    return [f'{heads[leaf]},\n      "seed": {session_seed(base, i)},\n      "trial": {i}\n    }}'
-            for i, leaf in enumerate(leaves)]
+    seeds = _trial_seeds(base, len(leaves)).tolist()
+    return [f'{heads[leaf]},\n      "seed": {seed},\n      "trial": {i}\n    }}'
+            for i, (leaf, seed) in enumerate(zip(leaves, seeds))]
 
 
 def _splice(value: dict, lists: dict[str, list[str]], depth: int) -> list[str]:
@@ -187,17 +188,16 @@ def _transcript_texts(transcripts: Iterable[Transcript]) -> list[str]:
     events, with its events' texts spliced in (:func:`_splice`).
 
     Events that are ``==`` can still render differently, since ``0.0 ==
-    -0.0`` and ``1 == 1.0 == True``.  So each text is keyed on its event
-    plus the ``repr`` of every field that may hold a number, which is the
-    text ``json`` writes for one.
+    -0.0`` and ``1 == 1.0 == True``.  So each text is keyed on its event's
+    ``repr``, which tells those apart: events with equal reprs render alike.
     """
     empty = Transcript().to_json_obj()
-    texts: dict[tuple[Event, str], str] = {}
+    texts: dict[str, str] = {}
     rendered = []
     for transcript in transcripts:
         events = []
         for e in transcript.events:
-            key = e, repr((e.step, e.outcome, e.probability, e.message_round))
+            key = repr(e)
             if key not in texts:
                 texts[key] = _dumps(e.to_dict(), 4)
             events.append(texts[key])

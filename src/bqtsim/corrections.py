@@ -119,7 +119,7 @@ def correction_key(known: Mapping[str, int | str], owned: Collection[str] = ()) 
 
 def parse_ops(ops: str) -> tuple[str, str]:
     """Split a concatenated two-qubit ops string into its unique factors."""
-    for cut in (1, 2):
+    for cut in (1, 2) if isinstance(ops, str) else ():
         first, second = ops[:cut], ops[cut:]
         if first in FACTORS and second in FACTORS:
             return first, second

@@ -11,11 +11,11 @@ message payloads are tuples.
 Every gate, measurement, classical announcement, correction, and final
 fidelity is a transcript event.
 
-:func:`run_sessions` draws a whole run's sessions in one batch, from a
-vectorised replay of numpy's generator, and builds every distinct leaf's
-result in one pass.  It draws the first session at each leaf again with
-numpy's own generator and :func:`run_session`'s scalar rule, which
-cross-checks the batch.
+:func:`run_session` and :func:`run_sessions` pick leaves by one rule
+(:func:`_draw_leaves`).  The first draws from numpy's generator; the second
+draws a whole run from a vectorised replay of it (``_draws.uniforms``),
+checks the first session's draws at each leaf against numpy's own, bit for
+bit, and builds every distinct leaf's result in one pass.
 
 Announcements travel in two rounds, Alice first within each round: after
 the first measurement round each party announces both of its results, and
@@ -62,7 +62,7 @@ from .protocol import (
     _entries,
     _heard_ops,
 )
-from .qsim import _alphabet, _pick
+from .qsim import _alphabet
 
 __all__ = [
     "ALICE",
@@ -173,12 +173,12 @@ def run_session(
     announcement defaulted to "+", and ``expected_fidelity`` reports the
     density-matrix average of its corrected state over the two equally
     likely withheld outcomes (``|c0|**4 + |c1|**4`` of the undelivered
-    input); under full cooperation it is None.  The draws pick the outcomes
-    as :func:`qsim.measure` would (:func:`_draw_leaf`).
+    input); under full cooperation it is None.  The leaf is picked from
+    ``np.random.default_rng(seed)``'s first six draws (:func:`_draw_leaves`).
     """
     table, tree = _checked(seed, cooperation, table, alice_input, bob_input)
-    leaf = _draw_leaf(tree, np.random.default_rng(seed))
-    return _records(tree, [leaf], [seed], cooperation, table)[0]
+    leaves = _draw_leaves(tree, np.random.default_rng(seed).random((1, len(_BITS)))).tolist()
+    return _records(tree, leaves, [seed], cooperation, table)[0]
 
 
 def run_sessions(
@@ -196,23 +196,30 @@ def run_sessions(
     fixes every field of a result but ``seed``, so these describe every
     trial.  ``trials`` must be a non-negative integer (ValueError).
 
-    All trials' draws come from one vectorised kernel (:func:`_draw_leaves`).
-    The first trial at each leaf is drawn again as :func:`run_session` draws
-    it, with numpy's own generator: if it lands on another leaf,
-    RuntimeError names the trial and its seed.
+    All trials' draws come from one vectorised kernel (``_draws.uniforms``)
+    and pick their leaves as :func:`run_session` does.  The first trial's
+    six draws at each leaf must equal numpy's own generator's, bit for bit,
+    else RuntimeError names the trial and its seed.
     """
     table, tree = _checked(base, cooperation, table, alice_input, bob_input)
-    session_seed(base, trials)  # checks trials
-    draws = uniforms(np.arange(trials, dtype=np.uint64) + base, len(_BITS))
+    seeds = _trial_seeds(base, trials)
+    draws = uniforms(seeds, len(_BITS))
     leaves = _draw_leaves(tree, draws).tolist()
     firsts = sorted(map(leaves.index, set(leaves)))
-    seeds = [session_seed(base, i) for i in firsts]
-    for i, seed in zip(firsts, seeds):
-        leaf = _draw_leaf(tree, np.random.default_rng(seed))
-        if leaf != leaves[i]:
-            raise RuntimeError(f"trial {i} (seed {seed}): the batched draws reach leaf {leaves[i]}, "
-                               f"run_session reaches leaf {leaf}")
-    return leaves, {r.leaf: r for r in _records(tree, [leaves[i] for i in firsts], seeds, cooperation, table)}
+    first_seeds = seeds[firsts].tolist()
+    for i, seed in zip(firsts, first_seeds):
+        want = np.random.default_rng(seed).random(len(_BITS))
+        if draws[i].tobytes() != want.tobytes():
+            raise RuntimeError(f"trial {i} (seed {seed}): the batched draws {draws[i].tolist()} "
+                               f"differ from numpy's generator's {want.tolist()}")
+    return leaves, {r.leaf: r for r in _records(tree, [leaves[i] for i in firsts], first_seeds, cooperation, table)}
+
+
+def _trial_seeds(base: int, trials: int) -> np.ndarray:
+    """Every trial's :func:`session_seed` as a uint64 array, checked as it checks
+    them.  Array sums wrap mod 2**64 silently, where numpy scalars would warn."""
+    session_seed(base, trials)
+    return np.arange(trials, dtype=np.uint64) + np.uint64(base)
 
 
 def _checked(seed: int, cooperation: str, table: Table | None, alice: EprInput, bob: EprInput) -> tuple[Table, Tree]:
@@ -224,23 +231,14 @@ def _checked(seed: int, cooperation: str, table: Table | None, alice: EprInput, 
 
 
 #: Each step's bit in a leaf index, whose bits are its picks, first pick highest
-#: (:func:`leaf_index`).  So at step ``k`` with bit ``b``, below the picks so far,
-#: ``Tree.steps[leaf, k]`` is the first outcome's probability and ``[leaf | b, k]`` the second's.
+#: (:func:`leaf_index`).  So at step ``k``, below the picks so far,
+#: ``Tree.steps[leaf, k]`` is the first outcome's probability.
 _BITS = tuple(1 << k for k in reversed(range(len(PLAN_QUBITS))))
 
 
-def _draw_leaf(tree: Tree, rng: np.random.Generator) -> int:
-    """The leaf index one session reaches: one ``rng.random()`` per step, picked
-    between its two outcomes with ``qsim._pick``, :func:`qsim.measure`'s rule."""
-    leaf = 0
-    for k, bit in enumerate(_BITS):
-        leaf |= bit * _pick((tree.steps[leaf, k], tree.steps[leaf | bit, k]), rng.random())
-    return leaf
-
-
 def _draw_leaves(tree: Tree, draws: np.ndarray) -> np.ndarray:
-    """The leaf index each row of ``draws`` (one draw per step) reaches: :func:`_draw_leaf`'s
-    rule, since ``qsim._pick`` takes the second of two outcomes iff the draw is at least the first's."""
+    """The leaf index each row of ``draws`` (one draw per step) reaches, by :func:`qsim.measure`'s
+    rule: ``qsim._pick`` takes the second of two outcomes iff the draw is at least the first's."""
     leaves = np.zeros(len(draws), dtype=np.intp)
     for k, (bit, column) in enumerate(zip(_BITS, draws.T)):
         leaves |= bit * (column >= tree.steps[leaves, k])

@@ -378,6 +378,13 @@ def _entries(ops: Sequence, kind: str, names: Sequence) -> Sequence:
     return ops
 
 
+def _check_withheld(withheld: str) -> str:
+    """``withheld``, if it is a second-round announcement; else ValueError."""
+    if not (isinstance(withheld, str) and withheld in DIRECTIONS):
+        raise ValueError(f"withheld must be 'A1' or 'B1', got {withheld!r}")
+    return withheld
+
+
 def _heard_ops(table: Table, withheld: str) -> list[str]:
     """The ops that the receiver starved of ``withheld`` applies in each of its groups (:data:`_GROUPS`),
     each group's table entry read once, through :func:`_entries`."""
@@ -442,10 +449,13 @@ class Tree:
         self.averages: dict[tuple, tuple[float, ...]] = {}
 
     def deliver(self, leaves: Sequence[int], ops: Sequence[tuple[str, str]]) -> list[tuple[float, float]]:
-        """Both directions' fidelities at each leaf index of ``leaves``, corrected with the
-        table entry (bob_ops, alice_ops) at the same place of ``ops``: one call of :func:`_deliver`."""
+        """Both directions' fidelities at each leaf index of ``leaves``, an int in [0, 64), corrected
+        with the table entry (bob_ops, alice_ops) at the same place of ``ops``: one call of :func:`_deliver`."""
         if len(leaves) != len(ops):
             raise ValueError(f"{len(leaves)} leaves but {len(ops)} table entries")
+        for leaf in leaves:
+            if not isinstance(leaf, int) or isinstance(leaf, bool) or not 0 <= leaf < len(LEAF_KEYS):
+                raise ValueError(f"a leaf must be an integer in [0, {len(LEAF_KEYS)}), got {leaf!r}")
         ops = _entries(ops, "leaf", leaves)
         return list(map(tuple, _deliver(self.payloads[list(leaves)], ops, self.targets).tolist()))
 
@@ -454,9 +464,11 @@ class Tree:
         in group ``g``, one string per group (else ValueError), as :func:`_heard_ops` reads them:
         :func:`_deprived`, with leaves weighted by their round-two probabilities alone.  No table
         is read, so (withheld, ops) is all the memo needs to key on."""
-        memo, groups = (withheld, tuple(ops)), len(_GROUPS[withheld][0])
+        memo, groups = (_check_withheld(withheld), tuple(ops)), len(_GROUPS[withheld][0])
         if len(memo[1]) != groups:
             raise ValueError(f"{len(memo[1])} ops strings for the {groups} groups of {withheld!r}")
+        if not all(isinstance(o, str) for o in memo[1]):
+            raise ValueError(f"every ops entry for the groups of {withheld!r} must be a string")
         if memo not in self.averages:
             weights = _product(self.steps.T[_ROUND_ONE:])
             self.averages[memo] = tuple(_deprived(self.payloads, self.targets, weights, *memo)[1])
@@ -545,9 +557,7 @@ def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     probability, averages the receiver's corrected reduced state over the
     two equally likely withheld outcomes and equals ``|c0|**4 + |c1|**4``.
     """
-    if withheld not in DIRECTIONS:
-        raise ValueError(f"withheld must be 'A1' or 'B1', got {withheld!r}")
-    pair = (epr, _BALANCED) if DIRECTIONS[withheld].slot == 0 else (_BALANCED, epr)
+    pair = (epr, _BALANCED) if DIRECTIONS[_check_withheld(withheld)].slot == 0 else (_BALANCED, epr)
     inputs, payloads, steps = _walk_pairs([pair])
     ops = _heard_ops(load_table(), withheld)
     totals, fidelities = _deprived(payloads, inputs[:, 0], _leaf_probabilities(steps), withheld, ops)

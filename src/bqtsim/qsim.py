@@ -149,18 +149,6 @@ class Register:
         except ValueError:
             raise ValueError(f"no qubit labeled {label!r} in {self.labels!r}") from None
 
-    def index_of(self, assignment: dict[str, int]) -> int:
-        """Flat index of the basis state assigning each label its given bit."""
-        if set(assignment) != set(self.labels):
-            raise ValueError("assignment must cover exactly the register labels")
-        idx = 0
-        for label in self.labels:
-            bit = assignment[label]
-            if bit not in (0, 1):
-                raise ValueError(f"bit for {label!r} must be 0 or 1, got {bit!r}")
-            idx = (idx << 1) | bit
-        return idx
-
     def amplitude(self, bits: str) -> complex:
         """Amplitude of the basis state written as a bitstring in label order."""
         if len(bits) != self.n_qubits or set(bits) - {"0", "1"}:

@@ -28,7 +28,9 @@ the public gate path, whose matrix products may turn a negated zero into
 ``walk_round`` also gives the event-by-event session oracle of
 ``tests/test_parties.py`` its Born probabilities, so sessions, which pick
 against their tree's step probabilities, are never checked against the
-tree they draw on.
+tree they draw on.  ``draw_leaf`` is the scalar pick rule that sessions
+drew with before ``parties._draw_leaves`` picked every session's leaf: one
+``rng.random()`` per step, picked with ``qsim._pick``.
 
 ``ownership_check`` is the transcript audit that the one-pass audit of
 ``bqtsim.parties`` replaced: at every message and correction it rebuilds
@@ -55,7 +57,7 @@ import numpy as np
 from bqtsim import ghz, qsim
 from bqtsim.corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, apply_ops, correction_key, load_table, parse_ops
 from bqtsim.ghz import GHZ_OUTCOMES, SwapOutcome
-from bqtsim.parties import ALICE, BOB, OWNED, _MEASURES, _RECEIVES
+from bqtsim.parties import ALICE, BOB, OWNED, _BITS, _MEASURES, _RECEIVES
 from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS, PAYLOAD_LABELS
 from bqtsim.qsim import (
     ATOL,
@@ -66,6 +68,7 @@ from bqtsim.qsim import (
     _branch_rows,
     _collapse,
     _front,
+    _pick,
     apply_cnot,
     apply_gate1,
     fidelity_pure,
@@ -119,6 +122,15 @@ def walk_round(state, plan):
                 children.append((outcomes + (res.outcome,), probs + (res.probability,), res.register))
         level = children
     return level
+
+
+def draw_leaf(tree, rng):
+    """The leaf index one session reaches: one ``rng.random()`` per step, picked
+    between its two outcomes with ``qsim._pick``, :func:`qsim.measure`'s rule."""
+    leaf = 0
+    for k, bit in enumerate(_BITS):
+        leaf |= bit * _pick((tree.steps[leaf, k], tree.steps[leaf | bit, k]), rng.random())
+    return leaf
 
 
 def correct_rows(rows, labels, ops):

@@ -6,6 +6,7 @@ pair that repairs each factor of the payload.
 """
 
 import json
+import re
 from importlib import resources
 from itertools import product
 
@@ -58,6 +59,12 @@ def test_parse_ops_unique_split():
 @pytest.mark.parametrize("bad", ["", "X", "XY", "ZXZZ", "XZZX", "ix"])
 def test_parse_ops_rejects_garbage(bad):
     with pytest.raises(ValueError, match="cannot parse"):
+        parse_ops(bad)
+
+
+@pytest.mark.parametrize("bad", [5, None, 2.5, ["X", "Z"]], ids=repr)
+def test_parse_ops_rejects_what_is_not_a_string(bad):
+    with pytest.raises(ValueError, match=f"^cannot parse correction ops {re.escape(repr(bad))}$"):
         parse_ops(bad)
 
 

@@ -26,12 +26,12 @@ from bqtsim.parties import (
     Event,
     SessionResult,
     Transcript,
-    _draw_leaf,
     _draw_leaves,
     _input_bits,
     _owner,
     _records,
     _session_tree,
+    _trial_seeds,
     ownership_check,
     run_session,
     run_sessions,
@@ -110,6 +110,18 @@ def test_seed_validation():
 
 def test_session_seed_wraps_past_2_64():
     assert [session_seed(2**64 - 2, i) for i in range(4)] == [2**64 - 2, 2**64 - 1, 0, 1]
+    # the uint64 array that runs seed their trials from wraps alike
+    seeds = _trial_seeds(2**64 - 2, 4)
+    assert seeds.dtype == np.uint64 and seeds.tolist() == [2**64 - 2, 2**64 - 1, 0, 1]
+
+
+@pytest.mark.parametrize("base, trials", [(-1, 4), (2**64, 4), (5, -1)])
+def test_trial_seeds_reject_what_session_seed_rejects(base, trials):
+    with pytest.raises(ValueError) as want:
+        session_seed(base, trials)
+    with pytest.raises(ValueError) as got:
+        _trial_seeds(base, trials)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("trial", [2.5, -5, True, False, 1.0, "1", None, np.int64(3)], ids=repr)
@@ -515,6 +527,7 @@ def test_batched_sessions_equal_run_session_trial_by_trial(cooperation, base):
     legal = sorted(set(FRAME.values()) | {"IZ", "ZZ", "XZX"})
     trials = 2048
     edited_leaves = 0
+    tree = Tree(alice, bob)
     for call in range(3):
         for n in range(8):  # edit the plain table between calls
             plain[keys[(call * 8 + n) * 5 % 64]] = (legal[(call + n) % len(legal)], legal[n % len(legal)])
@@ -528,6 +541,8 @@ def test_batched_sessions_equal_run_session_trial_by_trial(cooperation, base):
                 want.setdefault(r.leaf, r)
             assert list(first) == list(want)  # in order of first trial
             assert all(_fields(first[leaf]) == _fields(r) for leaf, r in want.items())
+            # each leaf's first trial, drawn by numpy's generator and the scalar pick rule
+            assert all(oracles.draw_leaf(tree, np.random.default_rng(r.seed)) == leaf for leaf, r in first.items())
             results.append(first)
         edited_leaves += sum(_fields(results[0][leaf]) != _fields(results[1][leaf]) for leaf in results[0])
     assert edited_leaves > 10  # the edits reached the batch's results
@@ -549,8 +564,8 @@ def test_batched_picks_agree_with_pick_at_and_around_ties():
         rows.append(row)
         want.append(leaf_index(*key))
     assert _draw_leaves(tree, np.array(rows)).tolist() == want
-    # the scalar rule that run_session draws with and run_sessions cross-checks by
-    assert [_draw_leaf(tree, SimpleNamespace(random=iter(row).__next__)) for row in rows] == want
+    # the scalar rule that sessions drew with before _draw_leaves
+    assert [oracles.draw_leaf(tree, SimpleNamespace(random=iter(row).__next__)) for row in rows] == want
     assert want[sum(3**k for k in range(6))] == 63  # a tie takes the second outcome
 
 
@@ -572,7 +587,7 @@ def test_both_pick_rules_read_the_node_their_picks_reached():
         want.append(node)
     tree = SimpleNamespace(steps=steps)
     assert _draw_leaves(tree, draws).tolist() == want
-    assert [_draw_leaf(tree, SimpleNamespace(random=iter(row).__next__)) for row in draws.tolist()] == want
+    assert [oracles.draw_leaf(tree, SimpleNamespace(random=iter(row).__next__)) for row in draws.tolist()] == want
     assert len(set(want)) == 64
 
 
@@ -589,6 +604,25 @@ def test_a_batched_draw_that_disagrees_with_numpy_raises(monkeypatch):
     assert len(run_sessions(ALPHA, BETA, 0xB97, 64)[0]) == 64
     monkeypatch.setattr("bqtsim.parties.uniforms", nudged)
     with pytest.raises(RuntimeError, match=f"trial 0 \\(seed {0xB97}\\)"):
+        run_sessions(ALPHA, BETA, 0xB97, 64)
+
+
+def test_a_batched_draw_that_moves_within_its_leaf_raises(monkeypatch):
+    # nudge trial 0's first draw one ulp away from the root's first
+    # probability: it keeps its leaf, but no longer equals numpy's draw
+    p0 = _born(ALPHA, BETA)[()][0]
+    leaves = run_sessions(ALPHA, BETA, 0xB97, 64)[0]
+
+    def nudged(seeds, n):
+        draws = uniforms(seeds, n)
+        draws[0, 0] = np.nextafter(draws[0, 0], 0.0 if draws[0, 0] < p0 else 1.0)
+        return draws
+
+    moved = nudged(_trial_seeds(0xB97, 1), 6)
+    assert moved[0, 0] != uniforms([0xB97], 1)[0, 0]
+    assert _draw_leaves(Tree(ALPHA, BETA), moved).tolist() == leaves[:1]
+    monkeypatch.setattr("bqtsim.parties.uniforms", nudged)
+    with pytest.raises(RuntimeError, match=f"^trial 0 \\(seed {0xB97}\\): the batched draws .* differ from numpy's"):
         run_sessions(ALPHA, BETA, 0xB97, 64)
 
 

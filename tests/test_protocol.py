@@ -407,6 +407,42 @@ def test_deprived_refuses_a_column_of_the_wrong_length(withheld):
     assert len(tree.deprived(withheld, column)) == 32 and list(tree.averages) == [(withheld, tuple(column))]
 
 
+#: The pair on which each refusal below was first seen to slip through.
+REFUSING = EprInput(0.6, 0.8), EprInput.normalized(1, 1j)
+
+
+@pytest.mark.parametrize("leaf", [-1, 64, True, 1.0], ids=repr)
+def test_deliver_refuses_a_leaf_that_is_not_a_leaf_index(leaf):
+    # -1 once delivered leaf 63 silently, the others raised numpy IndexErrors
+    tree = Tree(*REFUSING)
+    with pytest.raises(ValueError) as raised:
+        tree.deliver([0, leaf], [("II", "II")] * 2)
+    assert str(raised.value) == f"a leaf must be an integer in [0, 64), got {leaf!r}"
+    assert len(tree.deliver([0, 63], [("II", "II")] * 2)) == 2
+
+
+@pytest.mark.parametrize("withheld", ["C1", "a1", None, ["A1"]], ids=repr)
+def test_deprived_refuses_what_noncooperation_fidelity_refuses(withheld):
+    column = protocol._heard_ops(load_table(), "A1")
+    with pytest.raises(ValueError) as raised:
+        Tree(*REFUSING).deprived(withheld, column)
+    assert str(raised.value) == f"withheld must be 'A1' or 'B1', got {withheld!r}"
+    with pytest.raises(ValueError) as want:
+        noncooperation_fidelity(REFUSING[0], withheld)
+    assert str(want.value) == str(raised.value)
+
+
+@pytest.mark.parametrize("stray", [None, 5, ["I", "I"], b"II"], ids=repr)
+@pytest.mark.parametrize("withheld", sorted(STARVES))
+def test_deprived_refuses_an_ops_entry_that_is_not_a_string(withheld, stray):
+    tree = Tree(*REFUSING)
+    column = protocol._heard_ops(load_table(), withheld)
+    for ops in ([stray] * 32, column[:5] + [stray] + column[6:]):
+        with pytest.raises(ValueError, match=f"^every ops entry for the groups of '{withheld}' must be a string$"):
+            tree.deprived(withheld, ops)
+    assert tree.averages == {}
+
+
 def test_generate_table_matches_packaged_asset():
     assert generate_correction_table() == dict(load_table())
 

@@ -48,14 +48,6 @@ class TestRegister:
         # flat index 2.
         reg = Register(("q0", "q1"), [0, 0, 1, 0])
         assert reg.amplitude("10") == 1.0 + 0j
-        assert reg.index_of({"q0": 1, "q1": 0}) == 2
-        assert reg.index_of({"q0": 0, "q1": 1}) == 1
-
-    def test_index_of_rejects_non_bits(self):
-        reg = Register(("a", "b"), [1, 0, 0, 0])
-        for bad in ({"a": 3, "b": 2}, {"a": 0, "b": -1}):
-            with pytest.raises(ValueError, match="0 or 1"):
-                reg.index_of(bad)
 
     def test_normalizes_on_entry(self):
         reg = Register(("q",), [3.0, 4.0])
@@ -113,11 +105,6 @@ class TestRegister:
         assert reg.axis("y") == 1
         with pytest.raises(ValueError, match="no qubit labeled"):
             reg.axis("w")
-
-    def test_index_of_requires_full_assignment(self):
-        reg = Register(("x", "y"), [1, 0, 0, 0])
-        with pytest.raises(ValueError, match="cover exactly"):
-            reg.index_of({"x": 0})
 
     def test_amplitude_validates_bitstring(self):
         reg = Register(("x", "y"), [1, 0, 0, 0])
