@@ -62,7 +62,7 @@ from .protocol import (
     _entries,
     _heard_ops,
 )
-from .qsim import _alphabet
+from .qsim import _alphabet, _picks
 
 __all__ = [
     "ALICE",
@@ -237,11 +237,11 @@ _BITS = tuple(1 << k for k in reversed(range(len(PLAN_QUBITS))))
 
 
 def _draw_leaves(tree: Tree, draws: np.ndarray) -> np.ndarray:
-    """The leaf index each row of ``draws`` (one draw per step) reaches, by :func:`qsim.measure`'s
-    rule: ``qsim._pick`` takes the second of two outcomes iff the draw is at least the first's."""
+    """The leaf index each row of ``draws`` (one draw per step) reaches, each step picked by
+    :func:`qsim.measure`'s rule for many draws at once (``qsim._picks``)."""
     leaves = np.zeros(len(draws), dtype=np.intp)
     for k, (bit, column) in enumerate(zip(_BITS, draws.T)):
-        leaves |= bit * (column >= tree.steps[leaves, k])
+        leaves |= bit * _picks(tree.steps[leaves, k], column)
     return leaves
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -385,6 +386,13 @@ def _check_withheld(withheld: str) -> str:
     return withheld
 
 
+def _sequence(value: object, name: str) -> Sequence:
+    """``value``, if it is a sequence; else ValueError naming the argument ``name``."""
+    if not isinstance(value, Sequence):
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return value
+
+
 def _heard_ops(table: Table, withheld: str) -> list[str]:
     """The ops that the receiver starved of ``withheld`` applies in each of its groups (:data:`_GROUPS`),
     each group's table entry read once, through :func:`_entries`."""
@@ -451,7 +459,7 @@ class Tree:
     def deliver(self, leaves: Sequence[int], ops: Sequence[tuple[str, str]]) -> list[tuple[float, float]]:
         """Both directions' fidelities at each leaf index of ``leaves``, an int in [0, 64), corrected
         with the table entry (bob_ops, alice_ops) at the same place of ``ops``: one call of :func:`_deliver`."""
-        if len(leaves) != len(ops):
+        if len(_sequence(leaves, "leaves")) != len(_sequence(ops, "ops")):
             raise ValueError(f"{len(leaves)} leaves but {len(ops)} table entries")
         for leaf in leaves:
             if not isinstance(leaf, int) or isinstance(leaf, bool) or not 0 <= leaf < len(LEAF_KEYS):
@@ -464,7 +472,7 @@ class Tree:
         in group ``g``, one string per group (else ValueError), as :func:`_heard_ops` reads them:
         :func:`_deprived`, with leaves weighted by their round-two probabilities alone.  No table
         is read, so (withheld, ops) is all the memo needs to key on."""
-        memo, groups = (_check_withheld(withheld), tuple(ops)), len(_GROUPS[withheld][0])
+        memo, groups = (_check_withheld(withheld), tuple(_sequence(ops, "ops"))), len(_GROUPS[withheld][0])
         if len(memo[1]) != groups:
             raise ValueError(f"{len(memo[1])} ops strings for the {groups} groups of {withheld!r}")
         if not all(isinstance(o, str) for o in memo[1]):

@@ -359,6 +359,11 @@ def _pick(probs: Iterable[float], u: float) -> int:
     return pick
 
 
+def _picks(first: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """:func:`_pick` between two outcomes, for many draws: 1 where a draw is at least ``first``."""
+    return (draws >= first).astype(np.intp)
+
+
 def _collapse(
     labels: tuple[str, ...],
     measured: Sequence[str],

@@ -41,7 +41,7 @@ from .qsim import (
     _apply_rows,
     _branch_rows,
     _normalized,
-    _pick,
+    _picks,
     _row_norms,
     apply_gate1,
     make_register,
@@ -373,24 +373,17 @@ def _engine_worsts(seed: int, cases: int) -> tuple[float, float, float]:
     return _gate_worst(rng, cases), _born_worst(rng, cases), _trace_worst(rng, cases)
 
 
-#: Cases drawn per batch by engine-properties: a case holds at most 64
-#: amplitudes, so one batch's arrays stay within about 1 MiB.
-_CHUNK_CASES = 1000
-
-
 def _case_groups(
     rng: np.random.Generator, cases: int, draw: Callable[[np.random.Generator], tuple]
-) -> Iterator[dict[tuple, list[np.ndarray]]]:
-    """Draw ``cases`` cases in order with ``draw`` -> (key, fields), in chunks of
-    at most ``_CHUNK_CASES``; yield each chunk's cases grouped by key, as the
-    case numbers and then each field, stacked in draw order."""
-    for start in range(0, cases, _CHUNK_CASES):
-        groups: dict[tuple, list] = {}
-        for i in range(start, min(cases, start + _CHUNK_CASES)):
-            key, *fields = draw(rng)
-            groups.setdefault(key, []).append((i, *fields))
-        # each group's drawn arrays are freed once stacked, so the chunk is held about once
-        yield {key: [np.array(column) for column in zip(*groups.pop(key))] for key in list(groups)}
+) -> dict[tuple, list[np.ndarray]]:
+    """Draw ``cases`` cases in order with ``draw`` -> (key, fields), in one pass, grouped by
+    key: each group's case numbers and then each field, stacked in draw order.  A case holds
+    at most 64 amplitudes, so the battery's 1000 cases stay within about 1 MiB."""
+    groups: dict[tuple, list] = {}
+    for i in range(cases):
+        key, *fields = draw(rng)
+        groups.setdefault(key, []).append((i, *fields))
+    return {key: [np.array(column) for column in zip(*rows)] for key, rows in groups.items()}
 
 
 def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -422,18 +415,15 @@ def _gate_worst(rng: np.random.Generator, cases: int) -> float:
     """Norms after one gate and one CNOT, and both involutions (the CNOT from
     the gate's qubit onto the next one, on two qubits or more)."""
     worst = 0.0
-    for groups in _case_groups(rng, cases, _gate_case):
-        for (n, k, gate), (_, parts) in groups.items():
-            labels, rows = _labels(n), _states(parts)
-            words = [((labels[k],), qsim.GATES[gate])]
-            if n >= 2:
-                words.append(((labels[k], labels[(k + 1) % n]), qsim._CNOT))
-            for qubits, matrix in words:
-                once = _normalized(_apply_rows(rows, labels, qubits, matrix))
-                twice = _normalized(_apply_rows(once, labels, qubits, matrix))
-                worst = max(
-                    worst, np.max(np.abs(_row_norms(once) - 1.0)), np.max(np.abs(twice - rows))
-                )
+    for (n, k, gate), (_, parts) in _case_groups(rng, cases, _gate_case).items():
+        labels, rows = _labels(n), _states(parts)
+        words = [((labels[k],), qsim.GATES[gate])]
+        if n >= 2:
+            words.append(((labels[k], labels[(k + 1) % n]), qsim._CNOT))
+        for qubits, matrix in words:
+            once = _normalized(_apply_rows(rows, labels, qubits, matrix))
+            twice = _normalized(_apply_rows(once, labels, qubits, matrix))
+            worst = max(worst, np.max(np.abs(_row_norms(once) - 1.0)), np.max(np.abs(twice - rows)))
     return float(worst)
 
 
@@ -446,28 +436,23 @@ def _born_case(rng: np.random.Generator) -> tuple:
 
 def _born_worst(rng: np.random.Generator, cases: int) -> float:
     """Born completeness and the norm of the sampled outcome's collapse, as :func:`measure` picks
-    and collapses it (by reciprocals where it divides).  A sampled outcome below ``MIN_FORCE_PROB``
-    raises :func:`measure`'s ValueError, for the first such case in draw order."""
-    worst = 0.0
-    for groups in _case_groups(rng, cases, _born_case):
-        unlikely = []
-        for (n, k, basis), (index, parts, draws) in groups.items():
-            branches = _branch_rows(_states(parts), _labels(n), f"q{k}", basis)
-            probs = np.vecdot(branches, branches).real
-            picks = np.array([_pick(p, u) for p, u in zip(probs.tolist(), draws.tolist())])
-            at = np.arange(len(picks))
-            prob = probs[at, picks]
-            collapsed = _normalized(branches[at, picks] * qsim._reciprocals(np.sqrt(prob))[:, None])
-            for r in np.flatnonzero(prob < qsim.MIN_FORCE_PROB)[:1]:
-                outcome = OUTCOMES[basis][picks[r]]
-                unlikely.append((index[r], f"outcome {outcome!r} on ('q{k}',) has probability {prob[r]:.3e}"))
-            worst = max(
-                worst,
-                np.max(np.abs(probs[:, 0] + probs[:, 1] - 1.0)),
-                np.max(np.abs(_row_norms(collapsed) - 1.0)),
-            )
-        if unlikely:
-            raise ValueError(min(unlikely)[1])
+    (by ``qsim._picks``, its rule for many draws) and collapses it (by reciprocals where it
+    divides).  A sampled outcome below ``MIN_FORCE_PROB`` raises :func:`measure`'s ValueError
+    for the first such case in draw order, the smallest case number over all groups."""
+    worst, unlikely = 0.0, []
+    for (n, k, basis), (index, parts, draws) in _case_groups(rng, cases, _born_case).items():
+        branches = _branch_rows(_states(parts), _labels(n), f"q{k}", basis)
+        probs = np.vecdot(branches, branches).real
+        at, picks = np.arange(len(draws)), _picks(probs[:, 0], draws)
+        prob = probs[at, picks]
+        collapsed = _normalized(branches[at, picks] * qsim._reciprocals(np.sqrt(prob))[:, None])
+        for r in np.flatnonzero(prob < qsim.MIN_FORCE_PROB)[:1]:
+            outcome = OUTCOMES[basis][picks[r]]
+            unlikely.append((index[r], f"outcome {outcome!r} on ('q{k}',) has probability {prob[r]:.3e}"))
+        sums, norms = probs[:, 0] + probs[:, 1], _row_norms(collapsed)
+        worst = max(worst, np.max(np.abs(sums - 1.0)), np.max(np.abs(norms - 1.0)))
+    if unlikely:
+        raise ValueError(min(unlikely)[1])
     return float(worst)
 
 
@@ -481,14 +466,13 @@ def _trace_case(rng: np.random.Generator) -> tuple:
 def _trace_worst(rng: np.random.Generator, cases: int) -> float:
     """Purity of the left factor traced out of a product of two random states."""
     worst = 0.0
-    for groups in _case_groups(rng, cases, _trace_case):
-        for _, left, right in groups.values():
-            left, right = _states(left), _states(right)
-            product = left[:, :, None] * right[:, None, :]  # np.kron per row
-            psi = _normalized(product.reshape(len(product), -1)).reshape(product.shape)
-            rho = psi @ psi.conj().transpose(0, 2, 1)
-            purity = np.trace(rho @ rho, axis1=1, axis2=2).real
-            worst = max(worst, np.max(np.abs(purity - 1.0)))
+    for _, left, right in _case_groups(rng, cases, _trace_case).values():
+        left, right = _states(left), _states(right)
+        product = left[:, :, None] * right[:, None, :]  # np.kron per row
+        psi = _normalized(product.reshape(len(product), -1)).reshape(product.shape)
+        rho = psi @ psi.conj().transpose(0, 2, 1)
+        purity = np.trace(rho @ rho, axis1=1, axis2=2).real
+        worst = max(worst, np.max(np.abs(purity - 1.0)))
     return float(worst)
 
 

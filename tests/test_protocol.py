@@ -411,13 +411,23 @@ def test_deprived_refuses_a_column_of_the_wrong_length(withheld):
 REFUSING = EprInput(0.6, 0.8), EprInput.normalized(1, 1j)
 
 
-@pytest.mark.parametrize("leaf", [-1, 64, True, 1.0], ids=repr)
-def test_deliver_refuses_a_leaf_that_is_not_a_leaf_index(leaf):
-    # -1 once delivered leaf 63 silently, the others raised numpy IndexErrors
+@pytest.mark.parametrize(
+    "leaves, ops, refused",
+    [([0, leaf], [("II", "II")] * 2, f"a leaf must be an integer in [0, 64), got {leaf!r}") for leaf in (-1, 64, True, 1.0)]
+    + [
+        (5, [("II", "II")], "leaves must be a sequence, got 5"),
+        ([0], None, "ops must be a sequence, got None"),
+        (None, None, "leaves must be a sequence, got None"),
+    ],
+    ids=["-1", "64", "True", "1.0", "5-[('II', 'II')]", "[0]-None", "None-None"],
+)
+def test_deliver_refuses_a_leaf_that_is_not_a_leaf_index(leaves, ops, refused):
+    # -1 once delivered leaf 63 silently, the other leaves raised numpy IndexErrors,
+    # and leaves or ops that are not sequences TypeErrors
     tree = Tree(*REFUSING)
     with pytest.raises(ValueError) as raised:
-        tree.deliver([0, leaf], [("II", "II")] * 2)
-    assert str(raised.value) == f"a leaf must be an integer in [0, 64), got {leaf!r}"
+        tree.deliver(leaves, ops)
+    assert str(raised.value) == refused
     assert len(tree.deliver([0, 63], [("II", "II")] * 2)) == 2
 
 
@@ -440,6 +450,9 @@ def test_deprived_refuses_an_ops_entry_that_is_not_a_string(withheld, stray):
     for ops in ([stray] * 32, column[:5] + [stray] + column[6:]):
         with pytest.raises(ValueError, match=f"^every ops entry for the groups of '{withheld}' must be a string$"):
             tree.deprived(withheld, ops)
+    if stray in (None, 5):  # nor is a column that is not a sequence (a TypeError once)
+        with pytest.raises(ValueError, match=f"^ops must be a sequence, got {stray!r}$"):
+            tree.deprived(withheld, stray)
     assert tree.averages == {}
 
 

@@ -17,6 +17,8 @@ from bqtsim.qsim import (
     DensityMatrix,
     Register,
     _normalized,
+    _pick,
+    _picks,
     _reciprocals,
     apply_cnot,
     apply_gate1,
@@ -257,6 +259,20 @@ def test_measure_consumes_exactly_one_draw():
     measure(reg, "a", rng=rng)
     clone.random()
     assert rng.random() == clone.random()
+
+
+def test_batched_two_outcome_pick_is_pick():
+    # draws at the first outcome's probability p0, one ulp either side of it, and at or above
+    # p0 + p1, where _pick falls through to its last outcome; random draws never tie
+    cases = [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (0.3, 0.7000000000000001), (1 / 3, 2 / 3), (0.25, 0.5)]
+    probs, draws = [], []
+    for p0, p1 in cases:
+        for u in (np.nextafter(p0, -1.0), p0, np.nextafter(p0, 2.0), p0 + p1, np.nextafter(p0 + p1, 2.0), 1.0):
+            probs.append((p0, p1))
+            draws.append(float(u))
+    got = _picks(np.array([p0 for p0, _ in probs]), np.array(draws))
+    assert got.dtype == np.intp
+    assert got.tolist() == [_pick(p, u) for p, u in zip(probs, draws)]
 
 
 def test_measure_against_projector_oracle():

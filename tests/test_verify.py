@@ -190,9 +190,8 @@ def test_engine_criterion_matches_the_loop_at_1000_cases(seed):
     assert result.passed and result.detail == _engine_detail(1000, want)
 
 
-def test_engine_chunks_keep_the_draw_order(monkeypatch):
-    monkeypatch.setattr(verify, "_CHUNK_CASES", 3)
-    for cases in (1, 3, 7, 50):
+def test_engine_worsts_match_the_loop_past_1000_cases():
+    for cases in (1001, 2500):
         assert _hex(verify._engine_worsts(11, cases)) == _hex(oracles.engine_properties(11, cases)), cases
 
 
@@ -221,14 +220,12 @@ def test_engine_criterion_fails_on_a_broken_engine_as_the_loop_does(monkeypatch,
     assert not result.passed and result.detail == _engine_detail(1000, want)
 
 
-@pytest.mark.parametrize("chunk", [1000, 4])
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2, 3])
-def test_engine_criterion_raises_the_loop_error_for_the_first_unlikely_outcome(monkeypatch, seed, chunk):
+def test_engine_criterion_raises_the_loop_error_for_the_first_unlikely_outcome(monkeypatch, seed):
     # At this floor many sampled outcomes, in many groups, are too unlikely to
     # force.  At seeds 1, 2 and 3 the first of them in draw order is not in the
     # first group, in order of first appearance, that holds one.
     monkeypatch.setattr(qsim, "MIN_FORCE_PROB", 0.3)
-    monkeypatch.setattr(verify, "_CHUNK_CASES", chunk)
     with pytest.raises(ValueError) as raised:
         oracles.engine_properties(seed)
     assert "has probability" in str(raised.value)
