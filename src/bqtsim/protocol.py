@@ -520,20 +520,30 @@ class LeafBatch(NamedTuple):
 def enumerate_batch(pairs: Sequence[Pair], table: Table | None = None) -> LeafBatch:
     """Every corrected leaf of every (alice, bob) pair of ``pairs``, walked and delivered in one batch.
 
-    The table is read first, in :func:`leaf_index` order, so a missing key
-    raises KeyError on the first such leaf, and an entry not two strings
-    ValueError.  All pairs are then encoded and walked as rows of one array
-    (:func:`_walk_pairs`), and all their leaves corrected and scored in one
-    call of :func:`_deliver`.  Every value is
+    The table is read first (:func:`_leaf_ops`), so a missing key raises
+    KeyError before any walk.  All pairs are then encoded and walked as rows
+    of one array (:func:`_walk_pairs`), and all their leaves corrected and
+    scored in one call of :func:`_deliver` (:func:`_delivered`).  Every value is
     bit-identical to the pair's own :class:`Tree`: its arrays and
     ``deliver``.  Memory grows with ``len(pairs)``, so callers walk many
     pairs in chunks.
     """
+    ops = _leaf_ops(table)
+    return _delivered(ops, *_walk_pairs(pairs))
+
+
+def _leaf_ops(table: Table | None) -> list[tuple[str, str]]:
+    """Every leaf's entry of ``table`` (the packaged one if None), in :func:`leaf_index` order: a missing
+    key raises KeyError on the first such leaf, and an entry not two strings ValueError."""
     if table is None:
         table = load_table()
-    ops = _entries([table[key] for key in LEAF_KEYS], "key", LEAF_KEYS)
-    inputs, rows, steps = _walk_pairs(pairs)
-    n, size = len(pairs), len(LEAF_KEYS)
+    return _entries([table[key] for key in LEAF_KEYS], "key", LEAF_KEYS)
+
+
+def _delivered(ops: list[tuple[str, str]], inputs: np.ndarray, rows: np.ndarray, steps: np.ndarray) -> LeafBatch:
+    """The delivery half of :func:`enumerate_batch`: the batch of one :func:`_walk_pairs`, every pair's
+    leaves corrected with ``ops`` (:func:`_leaf_ops`) and scored in one call of :func:`_deliver`."""
+    n, size = inputs.shape[1], len(LEAF_KEYS)
     probabilities = _leaf_probabilities(steps)
     fidelities = _deliver(rows, ops * n, inputs.repeat(size, axis=1))
     return LeafBatch(
@@ -561,12 +571,24 @@ def noncooperation_fidelity(epr: EprInput, withheld: str = "A1") -> float:
     ``withheld="A1"`` starves Bob of Alice's second-round result (so
     ``epr`` is Alice's input); ``"B1"`` starves Alice.  The pair, ``epr``
     and :data:`_BALANCED`, is walked without a :class:`Tree` and its rows go
-    to :func:`_deprived`.  The returned value weights every leaf by its full
-    probability, averages the receiver's corrected reduced state over the
-    two equally likely withheld outcomes and equals ``|c0|**4 + |c1|**4``.
+    to :func:`_deprived` (:func:`_noncooperation_fidelities` of one case).  The
+    returned value weights every leaf by its full probability, averages the
+    receiver's corrected reduced state over the two equally likely withheld
+    outcomes and equals ``|c0|**4 + |c1|**4``.
     """
-    pair = (epr, _BALANCED) if DIRECTIONS[_check_withheld(withheld)].slot == 0 else (_BALANCED, epr)
-    inputs, payloads, steps = _walk_pairs([pair])
-    ops = _heard_ops(load_table(), withheld)
-    totals, fidelities = _deprived(payloads, inputs[:, 0], _leaf_probabilities(steps), withheld, ops)
-    return reduce(add, map(mul, totals, fidelities), 0.0)  # 0.0 + w1 * f1 + w2 * f2 + ..., in group order
+    return _noncooperation_fidelities([(epr, withheld)])[0]
+
+
+def _noncooperation_fidelities(cases: Sequence[tuple[EprInput, str]]) -> list[float]:
+    """:func:`noncooperation_fidelity` of each ``(epr, withheld)`` case, bit for bit: every pair is
+    walked in one batch, and each case's 64 leaves then go to :func:`_deprived` on their own."""
+    pairs = [(epr, _BALANCED) if DIRECTIONS[_check_withheld(w)].slot == 0 else (_BALANCED, epr) for epr, w in cases]
+    inputs, payloads, steps = _walk_pairs(pairs)
+    weights, table, size = _leaf_probabilities(steps), load_table(), len(LEAF_KEYS)
+    fidelities = []
+    for i, (_, withheld) in enumerate(cases):
+        leaves = slice(i * size, (i + 1) * size)
+        ops = _heard_ops(table, withheld)
+        totals, scores = _deprived(payloads[leaves], inputs[:, i], weights[leaves], withheld, ops)
+        fidelities.append(reduce(add, map(mul, totals, scores), 0.0))  # 0.0 + w1 * f1 + ..., in group order
+    return fidelities

@@ -29,10 +29,12 @@ from .protocol import (
     EprInput,
     Pair,
     Tree,
+    _ROUND_ONE,
+    _delivered,
+    _leaf_ops,
+    _noncooperation_fidelities,
     _product,
     _walk_pairs,
-    enumerate_batch,
-    noncooperation_fidelity,
 )
 from . import qsim
 from .qsim import (
@@ -88,8 +90,19 @@ class CriterionResult:
 
 
 def leaf_histogram_gate(counts: np.ndarray) -> tuple[float, bool]:
-    """Largest |z| of the sampled leaf frequencies against 1/64, and whether it passes."""
+    """Largest |z| of the sampled leaf frequencies against 1/64, and whether it passes.
+    ``counts`` must be 64 non-negative integer counts with a positive total, else ValueError."""
+    try:
+        counts = np.asarray(counts)
+    except ValueError:
+        raise ValueError("expected 64 integer leaf counts, got a ragged sequence") from None
+    if counts.shape != (64,) or not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"expected 64 integer leaf counts, got shape {counts.shape} of {counts.dtype}")
+    if (counts < 0).any():
+        raise ValueError(f"leaf counts must be non-negative, got {int(counts.min())}")
     trials = int(counts.sum())
+    if trials == 0:
+        raise ValueError("leaf counts must have a positive total, got 0")
     p = 1 / 64
     sigma = np.sqrt(p * (1 - p) / trials)
     max_z = float(np.max(np.abs(counts / trials - p)) / sigma)
@@ -106,6 +119,26 @@ def _random_pairs(rng: np.random.Generator, n: int) -> Iterator[list[Pair]]:
     """``n`` random input pairs, Alice's input then Bob's, in chunks of at most ``_CHUNK_PAIRS``."""
     for start in range(0, n, _CHUNK_PAIRS):
         yield [(_random_epr(rng), _random_epr(rng)) for _ in range(min(_CHUNK_PAIRS, n - start))]
+
+
+class _SharedWalk:
+    """One :func:`run_all` call's walk of the seed's random input pairs that uniformity and
+    reconstruction both draw: each chunk's :func:`_walk_pairs` through the whole plan, made by
+    the first reader that asks, inside its own timed call.  A walk that raises is not kept."""
+
+    def __init__(self, seed: int, n_inputs: int = 100) -> None:
+        self.seed, self.n_inputs, self._chunks = seed, n_inputs, None
+
+    def chunks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+        """Each chunk's ``(inputs, rows, steps)``; None if the walk raises, and the reader then walks
+        its own pairs, as the criterion alone does, and meets the error there (or not, as alone)."""
+        if self._chunks is None:
+            try:
+                pairs = _random_pairs(np.random.default_rng(self.seed), self.n_inputs)
+                self._chunks = [_walk_pairs(chunk) for chunk in pairs]
+            except Exception:
+                return None
+        return self._chunks
 
 
 def _criterion(name: str, budget: float | None = None):
@@ -238,13 +271,27 @@ def criterion_swap_exhaustive() -> tuple[bool, str]:
     return False, f"channel ({i},{j}) outcome {bad[0, 1]} failed"
 
 
+#: Leaves below each round-one branch.
+_ROUND_TWO_LEAVES = 1 << len(MEASUREMENT_PLAN[1])
+
+
 @_criterion("branch-uniformity", 10.0)
-def criterion_branch_uniformity(seed: int, n_inputs: int = 100) -> tuple[bool, str]:
-    """All 16 first-round outcome combinations have probability exactly 1/16."""
-    rng = np.random.default_rng(seed)
+def criterion_branch_uniformity(
+    seed: int, n_inputs: int = 100, *, shared: _SharedWalk | None = None
+) -> tuple[bool, str]:
+    """All 16 first-round outcome combinations have probability exactly 1/16.
+
+    Each chunk of pairs is walked through round one, or read from ``shared``: the first leaf
+    below each round-one branch, whose first steps are that branch's Born sums, bit for bit.
+    """
+    chunks = shared and shared.chunks()
+    if chunks is None:
+        pairs = _random_pairs(np.random.default_rng(seed), n_inputs)
+        rounds = (_walk_pairs(chunk, MEASUREMENT_PLAN[0])[2] for chunk in pairs)
+    else:
+        rounds = (steps[::_ROUND_TWO_LEAVES, :_ROUND_ONE] for _, _, steps in chunks)
     worst = 0.0
-    for pairs in _random_pairs(rng, n_inputs):
-        steps = _walk_pairs(pairs, MEASUREMENT_PLAN[0])[2]
+    for steps in rounds:
         worst = max(worst, *np.abs(_product(steps.T) - 1 / 16).tolist())
     return worst <= ATOL, f"{n_inputs} random input pairs, max |p - 1/16| = {worst:.2e}"
 
@@ -285,14 +332,20 @@ def _worked_branch_factorization(tree: Tree) -> bool:
 
 @_criterion("bidirectional-reconstruction", 60.0)
 def criterion_reconstruction(
-    seed: int, n_inputs: int = 100, table: Table | None = None
+    seed: int, n_inputs: int = 100, table: Table | None = None, *, shared: _SharedWalk | None = None
 ) -> tuple[bool, str]:
-    """All 64 corrected leaves reach fidelity 1 in both directions."""
-    tbl = table if table is not None else load_table()
-    rng = np.random.default_rng(seed)
+    """All 64 corrected leaves reach fidelity 1 in both directions.
+
+    The table is read before any walk.  Each chunk of pairs is then walked, or read from
+    ``shared``, and delivered as :func:`enumerate_batch` delivers it.
+    """
+    ops = _leaf_ops(table)
+    chunks = shared and shared.chunks()
+    if chunks is None:
+        chunks = map(_walk_pairs, _random_pairs(np.random.default_rng(seed), n_inputs))
     worst = 1.0
-    for pairs in _random_pairs(rng, n_inputs):
-        batch = enumerate_batch(pairs, tbl)
+    for chunk in chunks:
+        batch = _delivered(ops, *chunk)
         off = np.abs(batch.probabilities - 1 / 64) > ATOL
         if off.any():  # the first in pair order, then leaf order
             pair, leaf = divmod(int(np.argmax(off)), off.shape[1])
@@ -319,17 +372,16 @@ def criterion_correction_rules() -> tuple[bool, str]:
 
 @_criterion("non-cooperation-bound")
 def criterion_noncooperation() -> tuple[bool, str]:
-    """Withholding degrades the deprived direction to |c0|^4 + |c1|^4."""
+    """Withholding degrades the deprived direction to |c0|^4 + |c1|^4; the six
+    (input, withheld) cases are walked in one batch (``_noncooperation_fidelities``)."""
     cases = [
         (EprInput.normalized(1, 1), 0.5),
         (EprInput(0.6, 0.8), 0.5392),
         (EprInput(1, 0), 1.0),
     ]
-    worst = 0.0
-    for epr, expected in cases:
-        for withheld in DIRECTIONS:
-            got = noncooperation_fidelity(epr, withheld)
-            worst = max(worst, abs(got - expected))
+    got = _noncooperation_fidelities([(epr, withheld) for epr, _ in cases for withheld in DIRECTIONS])
+    expected = [value for _, value in cases for _ in DIRECTIONS]
+    worst = max(0.0, *(abs(f - value) for f, value in zip(got, expected)))
     return worst <= ATOL, f"balanced=0.5, (0.6,0.8)=0.5392, degenerate=1; max err {worst:.2e}"
 
 
@@ -477,13 +529,15 @@ def _trace_worst(rng: np.random.Generator, cases: int) -> float:
 
 
 def run_all(seed: int = DEFAULT_SEED, table: Table | None = None) -> list[CriterionResult]:
-    """Execute the full battery in criterion order."""
+    """Execute the full battery in criterion order; uniformity and reconstruction share one
+    walk of the seed's pairs (:class:`_SharedWalk`), and every result is the criterion's own."""
+    shared = _SharedWalk(seed)
     return [
         criterion_swap_reference(),
         criterion_swap_exhaustive(),
-        criterion_branch_uniformity(seed),
+        criterion_branch_uniformity(seed, shared=shared),
         criterion_reference_branches(seed),
-        criterion_reconstruction(seed, table=table),
+        criterion_reconstruction(seed, table=table, shared=shared),
         criterion_correction_rules(),
         criterion_noncooperation(),
         criterion_sampling(seed),

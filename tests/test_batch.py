@@ -28,6 +28,7 @@ from bqtsim.protocol import (
     PAYLOAD_LABELS,
     EprInput,
     _correct_rows,
+    _delivered,
     _encode_rows,
     _input_rows,
     _walk_pairs,
@@ -201,6 +202,15 @@ def test_the_batched_first_round_equals_each_pairs_walk():
             assert rows[16 * i + k].tobytes() == register.amps.tobytes(), (i, k)
 
 
+def test_round_one_read_from_the_whole_walk_equals_the_round_one_walk():
+    # branch-uniformity reads round one from the battery's whole walk: the first leaf below
+    # each round-one branch carries that branch's Born sums, bit for bit
+    pairs = SPECIAL + RANDOM[: _CHUNK_PAIRS + 1]
+    steps = _walk_pairs(pairs)[2]
+    alone = _walk_pairs(pairs, MEASUREMENT_PLAN[0])[2]
+    assert steps[:: 1 << len(MEASUREMENT_PLAN[1]), :ROUND_ONE].tobytes() == alone.tobytes()
+
+
 def test_the_row_kernel_on_many_pairs_equals_the_per_row_oracle():
     # 704 rows sharing 40 distinct entries, each row's drawn at random
     rng = np.random.default_rng(4)
@@ -223,25 +233,28 @@ def test_the_reconstruction_detail_equals_the_per_pair_oracle_loop():
         for outcomes, probs, payload in _oracle_walk(alice, bob):
             assert abs(math.prod(probs[:ROUND_ONE]) * math.prod(probs[ROUND_ONE:]) - 1 / 64) <= ATOL
             worst = min(worst, *oracles.deliver(payload, table[outcomes], targets)[1:])
-    result = criterion_reconstruction(seed, n_inputs=n, table=table)
-    assert not result.passed
-    assert result.detail == f"{n} random input pairs, worst corrected fidelity {worst:.15f}"
+    for shared in (None, verify._SharedWalk(seed, n)):  # alone, then from a battery's walk
+        result = criterion_reconstruction(seed, n_inputs=n, table=table, shared=shared)
+        assert not result.passed
+        assert result.detail == f"{n} random input pairs, worst corrected fidelity {worst:.15f}"
 
 
 def test_a_probability_failure_names_the_first_failing_pair_and_leaf(monkeypatch):
-    # no real input moves a leaf off 1/64, so two are moved after the batch
-    def shifted(pairs, table):
-        batch = enumerate_batch(pairs, table)
-        if pairs[0] == first_chunk[0]:
+    # no real input moves a leaf off 1/64, so two are moved after the delivery
+    def shifted(ops, inputs, rows, steps):
+        batch = _delivered(ops, inputs, rows, steps)
+        if np.array_equal(inputs, first_chunk):
             batch.probabilities[3, 40] = 0.25
             batch.probabilities[1, 52] = 1 / 64 + 2 * ATOL
         return batch
 
-    first_chunk = _random_pairs(8, _CHUNK_PAIRS)
-    monkeypatch.setattr(verify, "enumerate_batch", shifted)
-    result = criterion_reconstruction(8, n_inputs=2 * _CHUNK_PAIRS)
-    assert not result.passed
-    assert result.detail == f"leaf 52 probability {1 / 64 + 2 * ATOL!r}"
+    first_chunk = _input_rows(_random_pairs(8, _CHUNK_PAIRS))
+    monkeypatch.setattr(verify, "_delivered", shifted)
+    n = 2 * _CHUNK_PAIRS
+    for shared in (None, verify._SharedWalk(8, n)):  # alone, then from a battery's walk
+        result = criterion_reconstruction(8, n_inputs=n, shared=shared)
+        assert not result.passed
+        assert result.detail == f"leaf 52 probability {1 / 64 + 2 * ATOL!r}"
 
 
 def test_the_uniformity_detail_equals_the_per_pair_oracle_loop():
@@ -250,6 +263,7 @@ def test_the_uniformity_detail_equals_the_per_pair_oracle_loop():
     for alice, bob in _random_pairs(seed, n):
         for _, probs, _ in _oracle_walk(alice, bob, plan=MEASUREMENT_PLAN[0]):
             worst = max(worst, abs(math.prod(probs) - 1 / 16))
-    result = criterion_branch_uniformity(seed, n_inputs=n)
-    assert result.passed
-    assert result.detail == f"{n} random input pairs, max |p - 1/16| = {worst:.2e}"
+    for shared in (None, verify._SharedWalk(seed, n)):  # alone, then from a battery's walk
+        result = criterion_branch_uniformity(seed, n_inputs=n, shared=shared)
+        assert result.passed
+        assert result.detail == f"{n} random input pairs, max |p - 1/16| = {worst:.2e}"

@@ -645,6 +645,18 @@ def test_noncooperation_bound_range():
 def test_noncooperation_validates_argument():
     with pytest.raises(ValueError, match="withheld"):
         noncooperation_fidelity(ALPHA, "B2")
+    with pytest.raises(ValueError, match="withheld"):  # every case is checked before the walk
+        protocol._noncooperation_fidelities([(ALPHA, "A1"), (ALPHA, "B2")])
+
+
+def test_the_noncooperation_batch_equals_one_case_calls():
+    # the battery's six cases, then random Gaussian inputs in both directions, in one batch each
+    rng = np.random.default_rng(79)
+    criterion = [EprInput.normalized(1, 1), EprInput(0.6, 0.8), EprInput(1, 0)]
+    for eprs in (criterion, [_random_epr(rng) for _ in range(7)]):
+        cases = [(epr, withheld) for epr in eprs for withheld in ("A1", "B1")]
+        got = [f.hex() for f in protocol._noncooperation_fidelities(cases)]
+        assert got == [noncooperation_fidelity(*case).hex() for case in cases]
 
 
 def test_global_phase_on_inputs_does_not_matter():

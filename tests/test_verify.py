@@ -11,15 +11,21 @@ import numpy as np
 import pytest
 
 import oracles
-from bqtsim import qsim, verify
+from bqtsim import protocol, qsim, verify
 from bqtsim.corrections import load_table
 from bqtsim.protocol import EprInput
 from bqtsim.verify import (
     CRITERIA,
     DEFAULT_SEED,
+    criterion_branch_uniformity,
+    criterion_correction_rules,
     criterion_engine_properties,
+    criterion_noncooperation,
     criterion_reconstruction,
+    criterion_reference_branches,
     criterion_sampling,
+    criterion_swap_exhaustive,
+    criterion_swap_reference,
     find_reference_permutations,
     leaf_histogram_gate,
     reference_branch_terms,
@@ -44,6 +50,25 @@ def test_leaf_histogram_gate():
         max_z, ok = leaf_histogram_gate(counts)
         assert ok is within
         assert max_z == pytest.approx(extra / np.sqrt(63), rel=1e-12)
+    assert leaf_histogram_gate([64] * 64) == (0.0, True)  # a sequence is read as an array
+    # anything but 64 non-negative integer counts with a positive total is refused with one line
+    for counts, message in [
+        (np.zeros(64, dtype=int), "leaf counts must have a positive total, got 0"),
+        (np.r_[-1, np.full(63, 65)], "leaf counts must be non-negative, got -1"),
+        (np.array([4096]), "expected 64 integer leaf counts, got shape (1,) of int64"),
+        (np.full(64, 64.0), "expected 64 integer leaf counts, got shape (64,) of float64"),
+        (np.full(64, True), "expected 64 integer leaf counts, got shape (64,) of bool"),
+        (np.full((8, 8), 64), "expected 64 integer leaf counts, got shape (8, 8) of int64"),
+        (4096, "expected 64 integer leaf counts, got shape () of int64"),
+        ([[64] * 63, [64] * 65], "expected 64 integer leaf counts, got a ragged sequence"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            leaf_histogram_gate(counts)
+        assert str(raised.value) == message
+    # so the sampling criterion fails on no trials with that line, not a ZeroDivisionError
+    result = criterion_sampling(1, trials=0)
+    assert not result.passed
+    assert result.detail == "raised ValueError: leaf counts must have a positive total, got 0"
 
 
 def test_the_gates_false_alarm_rate_is_0_6791_percent():
@@ -162,6 +187,119 @@ def test_sampling_criterion_wraps_seeds_past_2_64():
     # sessions 1..63 of this battery seed wrap to 0..62 instead of raising
     result = criterion_sampling(2**64 - 1, trials=64)
     assert result.detail.startswith("64 sessions, max |z|"), result.detail
+
+
+# ---------------------------------------------------------------------------
+# one walk per battery: the battery against its criteria run alone
+# ---------------------------------------------------------------------------
+
+def _rows(results):
+    return [(r.name, r.passed, r.detail) for r in results]
+
+
+def _alone(seed, table=None):
+    """Each criterion called on its own, in battery order, as ``run_all`` calls them."""
+    return [
+        criterion_swap_reference(),
+        criterion_swap_exhaustive(),
+        criterion_branch_uniformity(seed),
+        criterion_reference_branches(seed),
+        criterion_reconstruction(seed, table=table),
+        criterion_correction_rules(),
+        criterion_noncooperation(),
+        criterion_sampling(seed),
+        criterion_engine_properties(seed),
+    ]
+
+
+def _table(case):
+    table = dict(load_table())
+    if case == "sabotaged":
+        table[(1, "-", 1, "-", "-", "-")] = ("II", "II")
+    elif case == "missing-key":
+        del table[(0, "+", 0, "+", "+", "+")]
+    elif case == "malformed":
+        table[(0, "-", 1, "+", "-", "+")] = ("II", 5)
+    return table
+
+
+@pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**64 - 1])
+@pytest.mark.parametrize("case", ["packaged", "sabotaged", "missing-key", "malformed", "floor-above-half"])
+def test_the_battery_equals_its_criteria_run_alone(monkeypatch, case, seed):
+    table = None
+    if case == "floor-above-half":  # every walk raises at its first step, the shared one too
+        monkeypatch.setattr(qsim, "MIN_FORCE_PROB", 0.6)
+    elif case != "packaged":
+        table = _table(case)
+    battery = _rows(run_all(seed, table=table))
+    assert battery == _rows(_alone(seed, table))
+    failed = {name for name, passed, _ in battery if not passed}
+    if case in ("sabotaged", "missing-key", "malformed"):
+        assert failed == {"bidirectional-reconstruction"}
+    elif case == "floor-above-half":
+        assert {"branch-uniformity", "bidirectional-reconstruction"} <= failed
+
+
+def test_a_failed_shared_walk_is_not_kept(monkeypatch):
+    shared = verify._SharedWalk(DEFAULT_SEED)
+    with monkeypatch.context() as patched:
+        patched.setattr(qsim, "MIN_FORCE_PROB", 0.6)
+        alone = criterion_branch_uniformity(DEFAULT_SEED)
+        failed = criterion_branch_uniformity(DEFAULT_SEED, shared=shared)
+    assert not failed.passed and failed.detail == alone.detail
+    assert failed.detail.startswith("raised ValueError: outcome 0 on ('a1',)")
+    # with the floor back, the next reader walks afresh and passes as the criterion alone does
+    assert _rows([criterion_reconstruction(DEFAULT_SEED, shared=shared)]) == _rows(
+        [criterion_reconstruction(DEFAULT_SEED)]
+    )
+    assert shared.chunks() is not None
+
+
+def test_a_shared_walk_failing_in_round_two_leaves_uniformity_as_it_is_alone(monkeypatch):
+    # At seed 32 the least round-one step probability is 0.4999999999999998 and a round-two
+    # one is an ulp lower, so at this floor only the whole walk raises: uniformity alone
+    # walks round one and passes, and so it does in the battery.
+    monkeypatch.setattr(qsim, "MIN_FORCE_PROB", 0.4999999999999998)
+    battery = _rows(run_all(32))
+    assert battery == _rows(_alone(32))
+    passed = {name: ok for name, ok, _ in battery}
+    assert passed["branch-uniformity"] and not passed["bidirectional-reconstruction"]
+
+
+def _encodings(monkeypatch) -> list:
+    """Alice's input rows of every ``protocol._encode_rows`` call from now on, one array per call."""
+    calls, encode_rows = [], protocol._encode_rows
+
+    def counted(alice, bob):
+        calls.append(alice.copy())
+        return encode_rows(alice, bob)
+
+    monkeypatch.setattr(protocol, "_encode_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 2**64 - 1])
+def test_each_battery_encodes_its_seeds_pairs_once(monkeypatch, seed):
+    chunks = [protocol._input_rows(pairs)[0]
+              for pairs in verify._random_pairs(np.random.default_rng(seed), 100)]
+    calls = _encodings(monkeypatch)
+
+    def encoded():  # times each chunk of the seed's 100 pairs went through the encoder
+        return [sum(np.array_equal(call, chunk) for call in calls) for chunk in chunks]
+
+    run_all(seed)
+    assert len(chunks) == 10 and encoded() == [1] * 10
+    run_all(seed)  # no walk outlives its battery: the same seed is walked again
+    assert encoded() == [2] * 10
+    criterion_branch_uniformity(seed)  # a criterion alone walks its own pairs
+    criterion_reconstruction(seed)
+    assert encoded() == [4] * 10
+
+
+def test_non_cooperation_walks_its_six_pairs_in_one_batch(monkeypatch):
+    calls = _encodings(monkeypatch)
+    assert criterion_noncooperation().passed
+    assert [len(call) for call in calls] == [6]
 
 
 # ---------------------------------------------------------------------------
