@@ -341,11 +341,11 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
     correction that differs from the one its own outcomes plus received
     announcements determine (withheld second-round announcements default
     to "+").  Physics is not re-simulated; the audit is purely structural.
-    A malformed event -- an actor, kind, label, basis or correction that is
-    not a string, a round that is not an int, an announcement that is not a
-    sequence of (qubit, basis, result) triples -- fails it too, as does a
-    missing table key or an entry that is not two ops strings, and the audit
-    never raises.
+    A malformed event -- not an :class:`Event`, or an actor, kind, label,
+    basis or correction that is not a string, a round that is not an int, an
+    announcement that is not a sequence of (qubit, basis, result) triples --
+    fails it too, as does a missing table key or an entry that is not two
+    ops strings, and the audit never raises.
     """
     if table is None:
         table = load_table()
@@ -353,6 +353,8 @@ def ownership_check(transcript: Transcript, table: Table | None = None) -> bool:
     known: dict[str, dict[str, int | str]] = {ALICE: {}, BOB: {}}
     last_round = {ALICE: 0, BOB: 0}
     for event in transcript.events:
+        if not isinstance(event, Event):
+            return False
         actor = event.actor
         if type(actor) is not str or type(event.kind) is not str:
             return False

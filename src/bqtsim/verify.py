@@ -19,7 +19,7 @@ import numpy as np
 
 from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, leaf_index, load_table
 from .ghz import _swap_rows, entanglement_swap
-from .parties import _session_tree, run_session, run_sessions
+from .parties import _session_tree, run_session, run_sessions, session_seed
 from .protocol import (
     ALICE_PAYLOAD_LABELS,
     BOB_PAYLOAD_LABELS,
@@ -29,12 +29,12 @@ from .protocol import (
     EprInput,
     Pair,
     Tree,
-    _ROUND_ONE,
     _delivered,
     _leaf_ops,
     _noncooperation_fidelities,
     _product,
     _walk_pairs,
+    _walk_rows,
 )
 from . import qsim
 from .qsim import (
@@ -122,23 +122,28 @@ def _random_pairs(rng: np.random.Generator, n: int) -> Iterator[list[Pair]]:
 
 
 class _SharedWalk:
-    """One :func:`run_all` call's walk of the seed's random input pairs that uniformity and
-    reconstruction both draw: each chunk's :func:`_walk_pairs` through the whole plan, made by
-    the first reader that asks, inside its own timed call.  A walk that raises is not kept."""
+    """The seed's ``n_inputs`` (a positive int) random input pairs, walked in chunks, round by
+    round.  :func:`run_all` hands one to uniformity (:meth:`round_one`) and reconstruction
+    (:meth:`leaves`); a criterion alone makes its own.  A round that raises is not kept, so
+    each reader meets the error it meets alone."""
 
     def __init__(self, seed: int, n_inputs: int = 100) -> None:
-        self.seed, self.n_inputs, self._chunks = seed, n_inputs, None
+        if not isinstance(n_inputs, int) or isinstance(n_inputs, bool) or n_inputs < 1:
+            raise ValueError(f"n_inputs must be a positive integer, got {n_inputs!r}")
+        self.seed, self.n_inputs, self._round_one = seed, n_inputs, None
 
-    def chunks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-        """Each chunk's ``(inputs, rows, steps)``; None if the walk raises, and the reader then walks
-        its own pairs, as the criterion alone does, and meets the error there (or not, as alone)."""
-        if self._chunks is None:
-            try:
-                pairs = _random_pairs(np.random.default_rng(self.seed), self.n_inputs)
-                self._chunks = [_walk_pairs(chunk) for chunk in pairs]
-            except Exception:
-                return None
-        return self._chunks
+    def round_one(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each chunk's ``_walk_pairs(chunk, MEASUREMENT_PLAN[0])``, walked once and kept."""
+        if self._round_one is None:
+            pairs = _random_pairs(np.random.default_rng(self.seed), self.n_inputs)
+            self._round_one = [_walk_pairs(chunk, MEASUREMENT_PLAN[0]) for chunk in pairs]
+        return self._round_one
+
+    def leaves(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each chunk's ``_walk_pairs(chunk)`` to the bit: its kept round one walked through round two."""
+        for inputs, rows, steps in self.round_one():
+            leaves, more = _walk_rows(REMAINDER_LABELS, rows, MEASUREMENT_PLAN[1])[1:]
+            yield inputs, leaves, np.hstack([steps.repeat(len(leaves) // len(rows), axis=0), more])
 
 
 def _criterion(name: str, budget: float | None = None):
@@ -271,29 +276,17 @@ def criterion_swap_exhaustive() -> tuple[bool, str]:
     return False, f"channel ({i},{j}) outcome {bad[0, 1]} failed"
 
 
-#: Leaves below each round-one branch.
-_ROUND_TWO_LEAVES = 1 << len(MEASUREMENT_PLAN[1])
-
-
 @_criterion("branch-uniformity", 10.0)
 def criterion_branch_uniformity(
     seed: int, n_inputs: int = 100, *, shared: _SharedWalk | None = None
 ) -> tuple[bool, str]:
-    """All 16 first-round outcome combinations have probability exactly 1/16.
-
-    Each chunk of pairs is walked through round one, or read from ``shared``: the first leaf
-    below each round-one branch, whose first steps are that branch's Born sums, bit for bit.
-    """
-    chunks = shared and shared.chunks()
-    if chunks is None:
-        pairs = _random_pairs(np.random.default_rng(seed), n_inputs)
-        rounds = (_walk_pairs(chunk, MEASUREMENT_PLAN[0])[2] for chunk in pairs)
-    else:
-        rounds = (steps[::_ROUND_TWO_LEAVES, :_ROUND_ONE] for _, _, steps in chunks)
+    """All 16 first-round outcome combinations have probability exactly 1/16: each round-one
+    branch's product of Born sums, read from ``shared`` or from a walk of its own."""
+    walk = shared or _SharedWalk(seed, n_inputs)
     worst = 0.0
-    for steps in rounds:
+    for _, _, steps in walk.round_one():
         worst = max(worst, *np.abs(_product(steps.T) - 1 / 16).tolist())
-    return worst <= ATOL, f"{n_inputs} random input pairs, max |p - 1/16| = {worst:.2e}"
+    return worst <= ATOL, f"{walk.n_inputs} random input pairs, max |p - 1/16| = {worst:.2e}"
 
 
 @_criterion("reference-branch-content")
@@ -336,15 +329,13 @@ def criterion_reconstruction(
 ) -> tuple[bool, str]:
     """All 64 corrected leaves reach fidelity 1 in both directions.
 
-    The table is read before any walk.  Each chunk of pairs is then walked, or read from
-    ``shared``, and delivered as :func:`enumerate_batch` delivers it.
+    The table is read before any walk.  Each chunk's leaves, from ``shared`` or from a walk of
+    its own, are then delivered as :func:`enumerate_batch` delivers them.
     """
     ops = _leaf_ops(table)
-    chunks = shared and shared.chunks()
-    if chunks is None:
-        chunks = map(_walk_pairs, _random_pairs(np.random.default_rng(seed), n_inputs))
+    walk = shared or _SharedWalk(seed, n_inputs)
     worst = 1.0
-    for chunk in chunks:
+    for chunk in walk.leaves():
         batch = _delivered(ops, *chunk)
         off = np.abs(batch.probabilities - 1 / 64) > ATOL
         if off.any():  # the first in pair order, then leaf order
@@ -352,7 +343,7 @@ def criterion_reconstruction(
             return False, f"leaf {leaf} probability {float(batch.probabilities[pair, leaf])!r}"
         worst = min(worst, *batch.fidelities.ravel().tolist())
     ok = worst >= FIDELITY_FLOOR
-    return ok, f"{n_inputs} random input pairs, worst corrected fidelity {worst:.15f}"
+    return ok, f"{walk.n_inputs} random input pairs, worst corrected fidelity {worst:.15f}"
 
 
 @_criterion("correction-rules")
@@ -409,6 +400,8 @@ def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
 @_criterion("engine-properties", 30.0)
 def criterion_engine_properties(seed: int, cases: int = 1000) -> tuple[bool, str]:
     """Gate unitarity, Born completeness, collapse norms, partial-trace purity."""
+    if cases < 1:
+        raise ValueError(f"cases must be a positive integer, got {cases!r}")
     worst = max(_engine_worsts(seed, cases))
     return worst <= ATOL, f"{cases} cases per property, max deviation {worst:.2e}"
 
@@ -529,8 +522,9 @@ def _trace_worst(rng: np.random.Generator, cases: int) -> float:
 
 
 def run_all(seed: int = DEFAULT_SEED, table: Table | None = None) -> list[CriterionResult]:
-    """Execute the full battery in criterion order; uniformity and reconstruction share one
-    walk of the seed's pairs (:class:`_SharedWalk`), and every result is the criterion's own."""
+    """Execute the full battery in criterion order, once :func:`session_seed` accepts ``seed``;
+    uniformity and reconstruction share a :class:`_SharedWalk`: each result is the criterion's."""
+    session_seed(seed)
     shared = _SharedWalk(seed)
     return [
         criterion_swap_reference(),

@@ -7,7 +7,7 @@ here.
 
 import json
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from itertools import product
 from types import SimpleNamespace
 
@@ -977,6 +977,15 @@ def test_audit_rejects_a_measurement_that_names_other_qubits_than_one_step(seed_
 def test_audit_returns_false_for_a_malformed_event(seed_11, kind, changes):
     i = _index_of(seed_11.transcript, kind, ALICE)
     assert ownership_check(_edit(seed_11.transcript, i, **changes)) is False
+
+
+@pytest.mark.parametrize("convert", [lambda e: None, Event.to_dict, astuple], ids=["None", "dict", "tuple"])
+def test_audit_returns_false_for_an_event_that_is_not_an_event(seed_11, convert):
+    events = list(seed_11.transcript.events)
+    i = _index_of(seed_11.transcript, "measure", ALICE)
+    for at in (0, i):  # before every event, and in place of a measurement
+        forged = events[:at] + [convert(events[i])] + events[at + (at == i):]
+        assert ownership_check(Transcript(forged)) is False
 
 
 @pytest.mark.parametrize("where, outcome", [("after it", 1), ("at the end", 1), ("at the end", 0)], ids=repr)

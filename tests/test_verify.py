@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from bqtsim import protocol, qsim, verify
-from bqtsim.corrections import load_table
+from bqtsim.corrections import MEASUREMENT_PLAN, load_table
 from bqtsim.protocol import EprInput
 from bqtsim.verify import (
     CRITERIA,
@@ -252,7 +252,7 @@ def test_a_failed_shared_walk_is_not_kept(monkeypatch):
     assert _rows([criterion_reconstruction(DEFAULT_SEED, shared=shared)]) == _rows(
         [criterion_reconstruction(DEFAULT_SEED)]
     )
-    assert shared.chunks() is not None
+    assert shared._round_one is not None and shared.round_one() is shared._round_one
 
 
 def test_a_shared_walk_failing_in_round_two_leaves_uniformity_as_it_is_alone(monkeypatch):
@@ -264,6 +264,65 @@ def test_a_shared_walk_failing_in_round_two_leaves_uniformity_as_it_is_alone(mon
     assert battery == _rows(_alone(32))
     passed = {name: ok for name, ok, _ in battery}
     assert passed["branch-uniformity"] and not passed["bidirectional-reconstruction"]
+
+
+@pytest.mark.parametrize("seed", [2**64, True, -1, 1.5, "7"], ids=repr)
+def test_the_battery_refuses_a_bad_seed_before_any_criterion_runs(monkeypatch, seed):
+    ran = []
+    for name in dir(verify):
+        if name.startswith("criterion_"):
+            monkeypatch.setattr(verify, name, lambda *args, name=name, **kwargs: ran.append(name))
+    with pytest.raises(ValueError) as raised:
+        run_all(seed)
+    assert str(raised.value) == f"seed must be an integer in [0, 2**64), got {seed!r}"
+    assert ran == []
+
+
+@pytest.mark.parametrize("n_inputs", [0, -5, True, 1.5], ids=repr)
+@pytest.mark.parametrize("criterion", [criterion_branch_uniformity, criterion_reconstruction])
+def test_a_walk_of_no_pairs_fails_its_criterion(criterion, n_inputs):
+    result = criterion(7, n_inputs=n_inputs)
+    assert not result.passed
+    assert result.detail == f"raised ValueError: n_inputs must be a positive integer, got {n_inputs!r}"
+
+
+@pytest.mark.parametrize("n_inputs", [1, verify._CHUNK_PAIRS, 23, 100])
+@pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**64 - 1])
+def test_a_shared_walks_leaves_are_each_chunks_whole_walk(seed, n_inputs):
+    chunks = list(verify._random_pairs(np.random.default_rng(seed), n_inputs))
+    leaves = list(verify._SharedWalk(seed, n_inputs).leaves())
+    assert len(leaves) == len(chunks) == -(-n_inputs // verify._CHUNK_PAIRS)
+    for got, chunk in zip(leaves, chunks):
+        for mine, want in zip(got, protocol._walk_pairs(chunk), strict=True):
+            assert (mine.shape, mine.tobytes()) == (want.shape, want.tobytes())
+
+
+def test_each_round_is_walked_once_per_chunk(monkeypatch):
+    chunks = list(verify._random_pairs(np.random.default_rng(DEFAULT_SEED), 100))
+    firsts = [protocol._walk_pairs(chunk, MEASUREMENT_PLAN[0])[1] for chunk in chunks]
+    walks, walk_pairs, walk_rows = [], verify._walk_pairs, verify._walk_rows
+
+    def counted_pairs(pairs, plan=protocol._PLAN):  # round one, or the whole plan, of a chunk
+        if pairs in chunks:
+            walks.append(("one" if plan == MEASUREMENT_PLAN[0] else "whole", chunks.index(pairs)))
+        return walk_pairs(pairs, plan)
+
+    def counted_rows(labels, rows, plan):  # round two, from a chunk's round-one rows
+        walks.append(("two", next(k for k, first in enumerate(firsts) if np.array_equal(rows, first))))
+        return walk_rows(labels, rows, plan)
+
+    monkeypatch.setattr(verify, "_walk_pairs", counted_pairs)
+    monkeypatch.setattr(verify, "_walk_rows", counted_rows)
+    one, two = [("one", k) for k in range(10)], [("two", k) for k in range(10)]
+
+    assert all(result.passed for result in run_all(DEFAULT_SEED))
+    assert walks == one + two
+    walks.clear()
+    assert criterion_branch_uniformity(DEFAULT_SEED).passed  # alone, it never walks round two
+    assert walks == one
+    walks.clear()
+    assert criterion_reconstruction(DEFAULT_SEED).passed
+    assert walks == one + two
 
 
 def _encodings(monkeypatch) -> list:
@@ -334,8 +393,10 @@ def test_engine_worsts_match_the_loop_past_1000_cases():
 
 
 def test_engine_criterion_with_no_cases():
+    # an empty sample shows nothing, so the criterion fails; its worsts over no cases stay legal
     result = criterion_engine_properties(DEFAULT_SEED, cases=0)
-    assert result.passed and result.detail == "0 cases per property, max deviation 0.00e+00"
+    assert not result.passed
+    assert result.detail == "raised ValueError: cases must be a positive integer, got 0"
 
 
 @pytest.mark.parametrize(
