@@ -61,6 +61,7 @@ from .protocol import (
     _GROUPS,
     _entries,
     _heard_ops,
+    _input_pair,
 )
 from .qsim import _alphabet, _picks
 
@@ -223,10 +224,11 @@ def _trial_seeds(base: int, trials: int) -> np.ndarray:
 
 
 def _checked(seed: int, cooperation: str, table: Table | None, alice: EprInput, bob: EprInput) -> tuple[Table, Tree]:
-    """The table and the cached tree a session uses, once its seed and mode are checked."""
+    """The table and the cached tree a session uses, once its seed, mode and inputs are checked."""
     session_seed(seed)  # range check
     if cooperation not in COOPERATION_MODES:
         raise ValueError(f"cooperation must be one of {COOPERATION_MODES}")
+    _input_pair((alice, bob))
     return load_table() if table is None else table, _session_tree(_input_bits(alice, bob), alice, bob)
 
 

@@ -19,9 +19,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -78,7 +77,6 @@ __all__ = [
     "noncooperation_fidelity",
     "prepare_channel",
     "prepare_full_state",
-    "walk_round",
 ]
 
 CHANNEL_LABELS = ("a1", "b1", "b2", "a2", "a3", "b3")
@@ -188,11 +186,23 @@ def encode(full: Register) -> Register:
 Pair = tuple[EprInput, EprInput]  # (alice, bob)
 
 
+def _input_pair(pair: object) -> Pair:
+    """``pair``, if it is (alice, bob), two :class:`EprInput`; else ValueError naming what is not."""
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+        raise ValueError(f"an input pair must be (alice, bob), got {pair!r}")
+    for epr in pair:
+        if not isinstance(epr, EprInput):
+            raise ValueError(f"an input must be an EprInput, got {epr!r}")
+    return pair
+
+
 def _input_rows(pairs: Sequence[Pair]) -> np.ndarray:
     """Each pair's inputs on their receivers' payload labels, as :meth:`EprInput.register` writes them
     (:func:`qsim._normalized`): ``(2, n, 4)``, Alice's first.  The one writer of the targets deliveries score."""
-    if not pairs:
+    if not _sequence(pairs, "pairs"):
         raise ValueError("expected at least one input pair")
+    for pair in pairs:
+        _input_pair(pair)
     rows = np.zeros((2, len(pairs), 4), dtype=complex)
     rows[..., (0, 3)] += [[(epr.c0, epr.c1) for epr in inputs] for inputs in zip(*pairs)]
     return _normalized(rows)
@@ -237,21 +247,6 @@ def _walk_rows(
         labels, rows = tuple(l for l in labels if l != qubit), rows.reshape(probs.size, -1)
     steps = [b.repeat(len(rows) // len(b)) for b in born]
     return labels, rows, np.stack(steps, axis=1) if steps else np.empty((len(rows), 0))
-
-
-def walk_round(
-    state: Register, plan: Sequence[tuple[str, str]]
-) -> Iterator[tuple[tuple, tuple[float, ...], Register]]:
-    """Measure ``plan`` in order and yield every resulting leaf.
-
-    Each leaf is (outcomes, step probabilities, register), every step
-    branching over both outcomes, 0/"+" first, so ``math.prod`` of the
-    probabilities is the leaf's probability.  It is :func:`_walk_rows` of one
-    row; each register is a read-only view of one array.
-    """
-    labels, rows, probs = _walk_rows(state.labels, state.amps[None], plan)
-    outcomes = product(*(_alphabet(basis) for _, basis in plan))
-    return zip(outcomes, map(tuple, probs.tolist()), Register._rows(labels, rows))
 
 
 #: :func:`prepare_channel`'s amplitudes, built once: the read-only row every encoding starts from.

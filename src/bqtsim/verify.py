@@ -74,6 +74,10 @@ SIGMA_GATE = 4.0
 #: batch's arrays grow with its pairs, so this bounds the battery's peak memory.
 _CHUNK_PAIRS = 10
 
+#: Seeded sessions drawn by sampling-consistency, and cases per property of engine-properties.
+_SAMPLING_TRIALS = 4096
+_ENGINE_CASES = 1000
+
 _REGISTERED: list[str] = []  # criterion names, in definition (= battery) order
 
 
@@ -123,9 +127,9 @@ def _random_pairs(rng: np.random.Generator, n: int) -> Iterator[list[Pair]]:
 
 class _SharedWalk:
     """The seed's ``n_inputs`` (a positive int) random input pairs, walked in chunks, round by
-    round.  :func:`run_all` hands one to uniformity (:meth:`round_one`) and reconstruction
-    (:meth:`leaves`); a criterion alone makes its own.  A round that raises is not kept, so
-    each reader meets the error it meets alone."""
+    round: :func:`run_all` makes one and hands it to uniformity (:meth:`round_one`) and
+    reconstruction (:meth:`leaves`).  A round that raises is not kept, so each reader walks
+    it afresh and meets the error itself."""
 
     def __init__(self, seed: int, n_inputs: int = 100) -> None:
         if not isinstance(n_inputs, int) or isinstance(n_inputs, bool) or n_inputs < 1:
@@ -277,12 +281,9 @@ def criterion_swap_exhaustive() -> tuple[bool, str]:
 
 
 @_criterion("branch-uniformity", 10.0)
-def criterion_branch_uniformity(
-    seed: int, n_inputs: int = 100, *, shared: _SharedWalk | None = None
-) -> tuple[bool, str]:
+def criterion_branch_uniformity(walk: _SharedWalk) -> tuple[bool, str]:
     """All 16 first-round outcome combinations have probability exactly 1/16: each round-one
-    branch's product of Born sums, read from ``shared`` or from a walk of its own."""
-    walk = shared or _SharedWalk(seed, n_inputs)
+    branch's product of Born sums, read from ``walk``."""
     worst = 0.0
     for _, _, steps in walk.round_one():
         worst = max(worst, *np.abs(_product(steps.T) - 1 / 16).tolist())
@@ -292,8 +293,7 @@ def criterion_branch_uniformity(
 @_criterion("reference-branch-content")
 def criterion_reference_branches(seed: int) -> tuple[bool, str]:
     """Published branch rows match simulation under one fixed relabeling."""
-    rng = np.random.default_rng(seed)
-    alice, bob = _random_epr(rng), _random_epr(rng)
+    [[(alice, bob)]] = _random_pairs(np.random.default_rng(seed), 1)  # the seed's first pair
     perms = find_reference_permutations(alice, bob)
     if not perms:
         return False, "no slot permutation reproduces all sixteen branch rows"
@@ -324,16 +324,13 @@ def _worked_branch_factorization(tree: Tree) -> bool:
 
 
 @_criterion("bidirectional-reconstruction", 60.0)
-def criterion_reconstruction(
-    seed: int, n_inputs: int = 100, table: Table | None = None, *, shared: _SharedWalk | None = None
-) -> tuple[bool, str]:
+def criterion_reconstruction(walk: _SharedWalk, table: Table | None = None) -> tuple[bool, str]:
     """All 64 corrected leaves reach fidelity 1 in both directions.
 
-    The table is read before any walk.  Each chunk's leaves, from ``shared`` or from a walk of
-    its own, are then delivered as :func:`enumerate_batch` delivers them.
+    The table is read before any walk.  Each chunk's leaves, from ``walk``, are then
+    delivered as :func:`enumerate_batch` delivers them.
     """
     ops = _leaf_ops(table)
-    walk = shared or _SharedWalk(seed, n_inputs)
     worst = 1.0
     for chunk in walk.leaves():
         batch = _delivered(ops, *chunk)
@@ -377,8 +374,8 @@ def criterion_noncooperation() -> tuple[bool, str]:
 
 
 @_criterion("sampling-consistency")
-def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
-    """Seeded sessions hit every leaf uniformly and replay byte-identically.
+def criterion_sampling(seed: int) -> tuple[bool, str]:
+    """``_SAMPLING_TRIALS`` seeded sessions hit every leaf uniformly and replay byte-identically.
 
     The sessions are drawn in one batch (:func:`run_sessions`).  The replay
     compares two computations: one session played against the cached tree
@@ -386,24 +383,22 @@ def criterion_sampling(seed: int, trials: int = 4096) -> tuple[bool, str]:
     """
     alice, bob = EprInput(0.6, 0.8), EprInput.normalized(1, 1)
     table = load_table()  # always the packaged one: an injected table feeds reconstruction
-    counts = np.bincount(run_sessions(alice, bob, seed, trials, table=table)[0], minlength=64)
+    counts = np.bincount(run_sessions(alice, bob, seed, _SAMPLING_TRIALS, table=table)[0], minlength=64)
     max_z, uniform = leaf_histogram_gate(counts)
     warm = run_session(alice, bob, seed, table=table).transcript.to_json()
     _session_tree.cache_clear()  # the replay walks a freshly built tree, not the cached one
     replay = warm == run_session(alice, bob, seed, table=table).transcript.to_json()
     return uniform and replay, (
-        f"{trials} sessions, max |z| = {max_z:.2f} (gate {SIGMA_GATE}); "
+        f"{_SAMPLING_TRIALS} sessions, max |z| = {max_z:.2f} (gate {SIGMA_GATE}); "
         f"byte-identical replay: {replay}"
     )
 
 
 @_criterion("engine-properties", 30.0)
-def criterion_engine_properties(seed: int, cases: int = 1000) -> tuple[bool, str]:
-    """Gate unitarity, Born completeness, collapse norms, partial-trace purity."""
-    if cases < 1:
-        raise ValueError(f"cases must be a positive integer, got {cases!r}")
-    worst = max(_engine_worsts(seed, cases))
-    return worst <= ATOL, f"{cases} cases per property, max deviation {worst:.2e}"
+def criterion_engine_properties(seed: int) -> tuple[bool, str]:
+    """Gate unitarity, Born completeness, collapse norms, partial-trace purity: ``_ENGINE_CASES`` cases each."""
+    worst = max(_engine_worsts(seed, _ENGINE_CASES))
+    return worst <= ATOL, f"{_ENGINE_CASES} cases per property, max deviation {worst:.2e}"
 
 
 def _engine_worsts(seed: int, cases: int) -> tuple[float, float, float]:
@@ -523,15 +518,15 @@ def _trace_worst(rng: np.random.Generator, cases: int) -> float:
 
 def run_all(seed: int = DEFAULT_SEED, table: Table | None = None) -> list[CriterionResult]:
     """Execute the full battery in criterion order, once :func:`session_seed` accepts ``seed``;
-    uniformity and reconstruction share a :class:`_SharedWalk`: each result is the criterion's."""
+    uniformity and reconstruction read one :class:`_SharedWalk` of the seed's pairs."""
     session_seed(seed)
-    shared = _SharedWalk(seed)
+    walk = _SharedWalk(seed)
     return [
         criterion_swap_reference(),
         criterion_swap_exhaustive(),
-        criterion_branch_uniformity(seed, shared=shared),
+        criterion_branch_uniformity(walk),
         criterion_reference_branches(seed),
-        criterion_reconstruction(seed, table=table, shared=shared),
+        criterion_reconstruction(walk, table),
         criterion_correction_rules(),
         criterion_noncooperation(),
         criterion_sampling(seed),

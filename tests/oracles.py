@@ -26,11 +26,16 @@ the public gate path, whose matrix products may turn a negated zero into
 ``0.0``.
 
 ``walk_round`` also gives the event-by-event session oracle of
-``tests/test_parties.py`` its Born probabilities, so sessions, which pick
-against their tree's step probabilities, are never checked against the
-tree they draw on.  ``draw_leaf`` is the scalar pick rule that sessions
-drew with before ``parties._draw_leaves`` picked every session's leaf: one
+``tests/test_parties.py`` its Born probabilities and its round-two
+leaves, so sessions, which pick against their tree's step probabilities,
+are never checked against the tree they draw on, nor against its kernel.
+``draw_leaf`` is the scalar pick rule that sessions drew with before
+``parties._draw_leaves`` picked every session's leaf: one
 ``rng.random()`` per step, picked with ``qsim._pick``.
+
+``fast_walk`` is no oracle: it reads ``protocol._walk_rows`` of one
+register back as ``walk_round``'s leaves, for the tests of that kernel
+itself, which check it against ``qsim.measure`` or published literals.
 
 ``ownership_check`` is the transcript audit that the one-pass audit of
 ``bqtsim.parties`` replaced: at every message and correction it rebuilds
@@ -50,6 +55,7 @@ became the one-row form of ``ghz._swap_rows``; ``swap_exhaustive`` is the
 and ``of_kind`` lists a transcript's events of one kind.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -58,7 +64,7 @@ from bqtsim import ghz, qsim
 from bqtsim.corrections import LEAF_KEYS, MEASUREMENT_PLAN, PLAN_QUBITS, apply_ops, correction_key, load_table, parse_ops
 from bqtsim.ghz import GHZ_OUTCOMES, SwapOutcome
 from bqtsim.parties import ALICE, BOB, OWNED, _BITS, _MEASURES, _RECEIVES
-from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS, PAYLOAD_LABELS
+from bqtsim.protocol import ALICE_PAYLOAD_LABELS, BOB_PAYLOAD_LABELS, PAYLOAD_LABELS, _walk_rows
 from bqtsim.qsim import (
     ATOL,
     DensityMatrix,
@@ -89,6 +95,14 @@ def tree_leaves(tree):
     over PAYLOAD_LABELS viewing a copy of its row."""
     payloads = Register._rows(PAYLOAD_LABELS, tree.payloads)
     return dict(zip(LEAF_KEYS, zip(map(tuple, tree.steps.tolist()), payloads)))
+
+
+def fast_walk(state, plan):
+    """Every leaf (outcomes, step probabilities, register) of ``protocol._walk_rows`` of the one row
+    ``state``, 0/"+" first at every step: the kernel under test, never an oracle."""
+    labels, rows, probs = _walk_rows(state.labels, state.amps[None], plan)
+    outcomes = itertools.product(*(_alphabet(basis) for _, basis in plan))
+    return list(zip(outcomes, map(tuple, probs.tolist()), Register._rows(labels, rows)))
 
 
 def weighted(leaves, round_one=True):

@@ -9,6 +9,7 @@ probabilities and amplitudes at 1e-12, reconstruction fidelity at
 
 from bqtsim.verify import (
     DEFAULT_SEED,
+    _SharedWalk,
     criterion_branch_uniformity,
     criterion_correction_rules,
     criterion_engine_properties,
@@ -38,7 +39,7 @@ def test_swap_exhaustive():
 
 def test_branch_uniformity():
     """Each first-round outcome combination has probability 1/16, input-independently."""
-    _gate(criterion_branch_uniformity(DEFAULT_SEED))
+    _gate(criterion_branch_uniformity(_SharedWalk(DEFAULT_SEED)))
 
 
 def test_reference_branch_content():
@@ -48,7 +49,7 @@ def test_reference_branch_content():
 
 def test_bidirectional_reconstruction():
     """All 64 corrected leaves reach fidelity 1 in both directions."""
-    _gate(criterion_reconstruction(DEFAULT_SEED))
+    _gate(criterion_reconstruction(_SharedWalk(DEFAULT_SEED)))
 
 
 def test_correction_rules():

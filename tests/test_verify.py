@@ -65,10 +65,6 @@ def test_leaf_histogram_gate():
         with pytest.raises(ValueError) as raised:
             leaf_histogram_gate(counts)
         assert str(raised.value) == message
-    # so the sampling criterion fails on no trials with that line, not a ZeroDivisionError
-    result = criterion_sampling(1, trials=0)
-    assert not result.passed
-    assert result.detail == "raised ValueError: leaf counts must have a positive total, got 0"
 
 
 def test_the_gates_false_alarm_rate_is_0_6791_percent():
@@ -141,7 +137,7 @@ def test_permutation_search_excludes_register_order():
 
 
 def test_reconstruction_criterion_passes_with_packaged_table():
-    result = criterion_reconstruction(DEFAULT_SEED, n_inputs=2)
+    result = criterion_reconstruction(verify._SharedWalk(DEFAULT_SEED, 2))
     assert result.passed
     assert result.name == "bidirectional-reconstruction"
     assert result.line().startswith("PASS  bidirectional-reconstruction")
@@ -150,7 +146,7 @@ def test_reconstruction_criterion_passes_with_packaged_table():
 def test_reconstruction_criterion_fails_with_corrupted_table():
     table = dict(load_table())
     table[(0, "+", 0, "+", "+", "+")] = ("XX", "II")  # sabotage one leaf
-    result = criterion_reconstruction(DEFAULT_SEED, n_inputs=1, table=table)
+    result = criterion_reconstruction(verify._SharedWalk(DEFAULT_SEED, 1), table)
     assert not result.passed
     assert result.line().startswith("FAIL")
 
@@ -158,7 +154,7 @@ def test_reconstruction_criterion_fails_with_corrupted_table():
 def test_reconstruction_criterion_fails_on_crash():
     table = dict(load_table())
     del table[(0, "+", 0, "+", "+", "+")]  # missing key crashes enumeration
-    result = criterion_reconstruction(DEFAULT_SEED, n_inputs=1, table=table)
+    result = criterion_reconstruction(verify._SharedWalk(DEFAULT_SEED, 1), table)
     assert not result.passed
     assert "KeyError" in result.detail
 
@@ -184,9 +180,9 @@ def test_run_all_propagates_bad_table():
 
 
 def test_sampling_criterion_wraps_seeds_past_2_64():
-    # sessions 1..63 of this battery seed wrap to 0..62 instead of raising
-    result = criterion_sampling(2**64 - 1, trials=64)
-    assert result.detail.startswith("64 sessions, max |z|"), result.detail
+    # sessions 1..4095 of this battery seed wrap to 0..4094 instead of raising
+    result = criterion_sampling(2**64 - 1)
+    assert result.detail.startswith("4096 sessions, max |z|"), result.detail
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +194,14 @@ def _rows(results):
 
 
 def _alone(seed, table=None):
-    """Each criterion called on its own, in battery order, as ``run_all`` calls them."""
+    """Each criterion called on its own, in battery order, as ``run_all`` calls them: uniformity
+    and reconstruction each handed a walk of the seed's pairs of its own."""
     return [
         criterion_swap_reference(),
         criterion_swap_exhaustive(),
-        criterion_branch_uniformity(seed),
+        criterion_branch_uniformity(verify._SharedWalk(seed)),
         criterion_reference_branches(seed),
-        criterion_reconstruction(seed, table=table),
+        criterion_reconstruction(verify._SharedWalk(seed), table),
         criterion_correction_rules(),
         criterion_noncooperation(),
         criterion_sampling(seed),
@@ -244,21 +241,21 @@ def test_a_failed_shared_walk_is_not_kept(monkeypatch):
     shared = verify._SharedWalk(DEFAULT_SEED)
     with monkeypatch.context() as patched:
         patched.setattr(qsim, "MIN_FORCE_PROB", 0.6)
-        alone = criterion_branch_uniformity(DEFAULT_SEED)
-        failed = criterion_branch_uniformity(DEFAULT_SEED, shared=shared)
+        alone = criterion_branch_uniformity(verify._SharedWalk(DEFAULT_SEED))
+        failed = criterion_branch_uniformity(shared)
     assert not failed.passed and failed.detail == alone.detail
     assert failed.detail.startswith("raised ValueError: outcome 0 on ('a1',)")
     # with the floor back, the next reader walks afresh and passes as the criterion alone does
-    assert _rows([criterion_reconstruction(DEFAULT_SEED, shared=shared)]) == _rows(
-        [criterion_reconstruction(DEFAULT_SEED)]
+    assert _rows([criterion_reconstruction(shared)]) == _rows(
+        [criterion_reconstruction(verify._SharedWalk(DEFAULT_SEED))]
     )
     assert shared._round_one is not None and shared.round_one() is shared._round_one
 
 
 def test_a_shared_walk_failing_in_round_two_leaves_uniformity_as_it_is_alone(monkeypatch):
     # At seed 32 the least round-one step probability is 0.4999999999999998 and a round-two
-    # one is an ulp lower, so at this floor only the whole walk raises: uniformity alone
-    # walks round one and passes, and so it does in the battery.
+    # one is an ulp lower, so at this floor only the whole walk raises: uniformity, on a walk
+    # of its own, reads round one and passes, and so it does in the battery.
     monkeypatch.setattr(qsim, "MIN_FORCE_PROB", 0.4999999999999998)
     battery = _rows(run_all(32))
     assert battery == _rows(_alone(32))
@@ -279,11 +276,10 @@ def test_the_battery_refuses_a_bad_seed_before_any_criterion_runs(monkeypatch, s
 
 
 @pytest.mark.parametrize("n_inputs", [0, -5, True, 1.5], ids=repr)
-@pytest.mark.parametrize("criterion", [criterion_branch_uniformity, criterion_reconstruction])
-def test_a_walk_of_no_pairs_fails_its_criterion(criterion, n_inputs):
-    result = criterion(7, n_inputs=n_inputs)
-    assert not result.passed
-    assert result.detail == f"raised ValueError: n_inputs must be a positive integer, got {n_inputs!r}"
+def test_a_walk_of_no_pairs_is_refused(n_inputs):
+    with pytest.raises(ValueError) as raised:
+        verify._SharedWalk(7, n_inputs)
+    assert str(raised.value) == f"n_inputs must be a positive integer, got {n_inputs!r}"
 
 
 @pytest.mark.parametrize("n_inputs", [1, verify._CHUNK_PAIRS, 23, 100])
@@ -318,10 +314,10 @@ def test_each_round_is_walked_once_per_chunk(monkeypatch):
     assert all(result.passed for result in run_all(DEFAULT_SEED))
     assert walks == one + two
     walks.clear()
-    assert criterion_branch_uniformity(DEFAULT_SEED).passed  # alone, it never walks round two
+    assert criterion_branch_uniformity(verify._SharedWalk(DEFAULT_SEED)).passed  # alone, it never walks round two
     assert walks == one
     walks.clear()
-    assert criterion_reconstruction(DEFAULT_SEED).passed
+    assert criterion_reconstruction(verify._SharedWalk(DEFAULT_SEED)).passed
     assert walks == one + two
 
 
@@ -350,8 +346,8 @@ def test_each_battery_encodes_its_seeds_pairs_once(monkeypatch, seed):
     assert len(chunks) == 10 and encoded() == [1] * 10
     run_all(seed)  # no walk outlives its battery: the same seed is walked again
     assert encoded() == [2] * 10
-    criterion_branch_uniformity(seed)  # a criterion alone walks its own pairs
-    criterion_reconstruction(seed)
+    criterion_branch_uniformity(verify._SharedWalk(seed))  # a walk of its own each: its own encodings
+    criterion_reconstruction(verify._SharedWalk(seed))
     assert encoded() == [4] * 10
 
 
@@ -390,13 +386,6 @@ def test_engine_criterion_matches_the_loop_at_1000_cases(seed):
 def test_engine_worsts_match_the_loop_past_1000_cases():
     for cases in (1001, 2500):
         assert _hex(verify._engine_worsts(11, cases)) == _hex(oracles.engine_properties(11, cases)), cases
-
-
-def test_engine_criterion_with_no_cases():
-    # an empty sample shows nothing, so the criterion fails; its worsts over no cases stay legal
-    result = criterion_engine_properties(DEFAULT_SEED, cases=0)
-    assert not result.passed
-    assert result.detail == "raised ValueError: cases must be a positive integer, got 0"
 
 
 @pytest.mark.parametrize(
