@@ -400,11 +400,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", metavar="RE,IM,RE,IM",
-                     help="Alice's payload amplitudes (default 0.6,0,0.8,0)")
+                     help="Alice's payload amplitudes (default 0.6,0,0.8,0); "
+                          "a negative first value needs the = form, --alpha=-0.6,0,0.8,0")
     sub.add_argument("--beta", metavar="RE,IM,RE,IM",
-                     help="Bob's payload amplitudes (default balanced)")
+                     help="Bob's payload amplitudes (default balanced); "
+                          "a negative first value needs the = form, --beta=-0.6,0,0.8,0")
     sub.add_argument("--angles", metavar="THETA,PHI[,THETA,PHI]",
-                     help="angle-form inputs; one pair sets both payloads")
+                     help="angle-form inputs; one pair sets both payloads; "
+                          "a negative first value needs the = form, --angles=-1,0")
 
 
 def _add_output_flags(sub: argparse.ArgumentParser, default_format: str = "json") -> None:

@@ -317,8 +317,8 @@ def _correct_rows(rows: np.ndarray, labels: tuple[str, str], ops: Sequence[str])
     order.  Rows that share an ops string are gathered once and corrected
     as one group: each gate reorders (X) or negates (Z) the whole group by
     its map and normalizes each row (:func:`qsim._normalized`), by reciprocals
-    where :meth:`qsim.Register._trusted` divides after every gate, so each
-    row equals :func:`corrections.apply_ops` on its register bit for bit.
+    where the :class:`qsim.Register` constructor divides after every gate, so
+    each row equals :func:`corrections.apply_ops` on its register bit for bit.
     """
     fixed = rows.copy()
     for gates, members in _row_groups(labels, tuple(ops)):

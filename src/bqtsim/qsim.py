@@ -5,8 +5,8 @@ unit-norm amplitude vector; ``labels[0]`` is the most significant bit of
 the basis-state index.  Every operation is a pure function that returns a
 fresh register, so values can be shared between threads without locking.
 
-Public constructors validate their input; results computed from registers
-that are already valid are built with the ``_trusted`` constructors.
+Every register and density matrix is built by its validating constructor,
+except :meth:`Register._rows`: read-only views of rows the row kernels have normalized.
 A measurement of one register collapses in :func:`_collapse`, the walk's rows all at once in
 :func:`_collapse_rows`, with the same bits: :func:`measure` is the oracle tests check them against.
 """
@@ -114,21 +114,6 @@ class Register:
         self.amps = vec
 
     @classmethod
-    def _trusted(cls, labels: tuple[str, ...], vec: np.ndarray) -> "Register":
-        """Register from parts derived from valid registers: normalized, not re-checked.
-
-        ``vec`` must be a flat complex vector of the right size with a
-        nonzero, finite norm; the normalising arithmetic is the public
-        constructor's, so the amplitudes are bit-identical.
-        """
-        reg = object.__new__(cls)
-        vec = vec / float(np.linalg.norm(vec))
-        vec.flags.writeable = False
-        reg.labels = labels
-        reg.amps = vec
-        return reg
-
-    @classmethod
     def _rows(cls, labels: tuple[str, ...], rows: np.ndarray) -> list["Register"]:
         """A register viewing each row of a read-only copy of ``rows``, whose rows are normalized."""
         batch = rows.copy()  # owns its memory, so no writable base is left behind the views
@@ -189,21 +174,13 @@ class DensityMatrix:
             raise ValueError(f"expected a {dim}x{dim} matrix for {self.labels!r}")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
+        trace = np.trace(mat)
+        if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
             raise ValueError("density matrix must have unit trace")
         if float(np.linalg.eigvalsh(mat)[0]) < PSD_FLOOR:
             raise ValueError("density matrix must be positive semidefinite")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def _trusted(cls, labels: tuple[str, ...], mat: np.ndarray) -> "DensityMatrix":
-        """Density matrix built as ``psi psi^dagger`` (or a convex sum of them): not re-checked."""
-        rho = object.__new__(cls)
-        mat.flags.writeable = False
-        object.__setattr__(rho, "labels", labels)
-        object.__setattr__(rho, "mat", mat)
-        return rho
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
@@ -232,10 +209,7 @@ def tensor(first: Register, second: Register) -> Register:
         raise ValueError(
             f"label collision: {sorted(set(first.labels) & set(second.labels))}"
         )
-    labels = first.labels + second.labels
-    if len(labels) > MAX_QUBITS:
-        raise ValueError(f"{len(labels)} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    return Register._trusted(labels, np.kron(first.amps, second.amps))
+    return Register(first.labels + second.labels, np.kron(first.amps, second.amps))
 
 
 @lru_cache(maxsize=256)  # bounded: labels come from callers' registers
@@ -273,14 +247,14 @@ def apply_gate1(reg: Register, qubit: str, gate: str) -> Register:
     """Apply a named single-qubit gate (one of I, X, Z, H)."""
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(GATES)}")
-    return Register._trusted(reg.labels, _apply_rows(reg.amps[None], reg.labels, (qubit,), GATES[gate])[0])
+    return Register(reg.labels, _apply_rows(reg.amps[None], reg.labels, (qubit,), GATES[gate])[0])
 
 
 def apply_cnot(reg: Register, control: str, target: str) -> Register:
     """Apply a controlled-NOT from ``control`` onto ``target``."""
     if control == target:
         raise ValueError("control and target must differ")
-    return Register._trusted(reg.labels, _apply_rows(reg.amps[None], reg.labels, (control, target), _CNOT)[0])
+    return Register(reg.labels, _apply_rows(reg.amps[None], reg.labels, (control, target), _CNOT)[0])
 
 
 def _alphabet(basis: str, force: object = None) -> tuple:
@@ -329,7 +303,7 @@ def _reciprocals(d: np.ndarray) -> np.ndarray:
 
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
-    """Each row (last axis) over its own norm, bit for bit as :meth:`Register._trusted` divides."""
+    """Each row (last axis) over its own norm, bit for bit as the :class:`Register` constructor divides."""
     return rows * _reciprocals(_row_norms(rows))[..., None]
 
 
@@ -386,7 +360,7 @@ def _collapse(
     if prob < MIN_FORCE_PROB:
         raise ValueError(f"outcome {alphabet[pick]!r} on {measured!r} has probability {prob:.3e}")
     remaining = tuple(l for l in labels if l not in measured)
-    collapsed = Register._trusted(remaining, branches[pick] / math.sqrt(prob))
+    collapsed = Register(remaining, branches[pick] / math.sqrt(prob))
     return MeasureResult(alphabet[pick], prob, collapsed)
 
 
@@ -424,7 +398,7 @@ def reduced_density(reg: Register, keep: Sequence[str]) -> DensityMatrix:
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate labels in keep list {keep!r}")
     psi = _front(reg, keep)
-    return DensityMatrix._trusted(keep, psi @ psi.conj().T)
+    return DensityMatrix(keep, psi @ psi.conj().T)
 
 
 def fidelity_pure(rho: DensityMatrix, target: Register) -> float:
@@ -444,4 +418,4 @@ def permute(reg: Register, new_order: Sequence[str]) -> Register:
         raise ValueError(f"{new_order!r} is not a permutation of {reg.labels!r}")
     if new_order == reg.labels:
         return reg
-    return Register._trusted(new_order, _front(reg, new_order).reshape(-1))
+    return Register(new_order, _front(reg, new_order).reshape(-1))

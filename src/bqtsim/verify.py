@@ -10,6 +10,7 @@ the given seed, so a verification run is reproducible end to end.
 from __future__ import annotations
 
 import functools
+import inspect
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -155,13 +156,17 @@ def _criterion(name: str, budget: float | None = None):
 
     The decorated check returns (passed, detail); calling it times the
     check and returns a :class:`CriterionResult`.  A check that raises, or
-    that runs past ``budget`` seconds, fails.
+    that runs past ``budget`` seconds, fails.  A call that does not fit the
+    check's signature raises its ``TypeError`` to the caller, before any check runs.
     """
     _REGISTERED.append(name)
 
     def decorate(check: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
+        signature = inspect.signature(check)
+
         @functools.wraps(check)
         def timed(*args, **kwargs) -> CriterionResult:
+            signature.bind(*args, **kwargs)
             start = time.perf_counter()
             try:
                 ok, detail = check(*args, **kwargs)

@@ -207,7 +207,7 @@ def deprived_fidelities(leaves, withheld, target, table):
         group[1] += weight * reduced_density(fixed, labels).mat
         group[0] += weight
     return {
-        key: (total, fidelity_pure(DensityMatrix._trusted(labels, mixed / total), target))
+        key: (total, fidelity_pure(DensityMatrix(labels, mixed / total), target))
         for key, (total, mixed) in groups.items()
     }
 

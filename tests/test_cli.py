@@ -85,6 +85,14 @@ def test_alpha_needs_four_numbers(capsys):
         assert err.count("\n") == 1 and "must be finite" in err
 
 
+def test_a_negative_first_amplitude_needs_the_equals_form(capsys):
+    code, _out, err = run_cli(capsys, "run", "--trials", "1", "--alpha=-0.6,0,0.8,0", "--format", "text")
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "run", "--trials", "1", "--alpha", "-0.6,0,0.8,0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--alpha" in err, err
+
+
 def test_angles_exclusive_with_amplitudes(capsys):
     code, _out, err = run_cli(
         capsys, "run", "--angles", "0.5,0", "--alpha", "0.6,0,0.8,0"

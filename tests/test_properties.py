@@ -333,7 +333,7 @@ def test_enumerate_branches_agrees_with_the_einsum_kernel(alice, bob):
 @PROPERTY
 @given(payloads(), payloads())
 def test_walk_payloads_keep_register_invariants(alice, bob):
-    # payloads are built by the trusted constructor: check what validation used to
+    # payloads are Register._rows views, never validated: check what the constructor would
     tree = Tree(alice, bob)
     assert not tree.payloads.flags.writeable
     for _, payload in oracles.tree_leaves(tree).values():

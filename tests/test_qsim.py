@@ -432,12 +432,10 @@ def test_gates_table_is_unitary():
 
 
 # ---------------------------------------------------------------------------
-# trusted internal results
+# operation results
 # ---------------------------------------------------------------------------
 
-def test_trusted_results_keep_register_invariants():
-    # gates, tensor, permute and collapses skip re-validation; their results
-    # must still be what the public constructor would accept and produce
+def test_operation_results_are_read_only_finite_normalized_and_give_valid_densities():
     rng = np.random.default_rng(2024)
     for _ in range(30):
         reg = _rand_register(rng, int(rng.integers(2, 7)))

@@ -159,6 +159,19 @@ def test_reconstruction_criterion_fails_on_crash():
     assert "KeyError" in result.detail
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: criterion_sampling(7, trials=64), "unexpected keyword argument 'trials'"),
+        (lambda: criterion_swap_reference(1), "positional argument"),
+    ],
+    ids=["unknown-keyword", "extra-positional"],
+)
+def test_a_criterion_called_wrongly_raises_instead_of_failing(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
 def test_run_all_shape_and_names():
     results = run_all(seed=DEFAULT_SEED)
     assert tuple(r.name for r in results) == CRITERIA
