@@ -1,18 +1,26 @@
-"""Many seeds' first draws of ``np.random.default_rng(seed).random()`` at once.
+"""numpy's draws replayed faster than numpy makes them, bit for bit; numpy stays their oracle.
 
+Many seeds' first draws of ``np.random.default_rng(seed).random()`` at once:
 ``default_rng(seed)`` hashes the seed's 32-bit words into a four-word pool
 (``SeedSequence``), expands the pool into four 64-bit words, seeds PCG64
 from them, and draws each double from the top 53 bits of PCG64's next
 XSL-RR output.  :func:`uniforms` replays those steps for a whole array of
-seeds, bit for bit; numpy's own generator stays its oracle.
+seeds.  All its arithmetic is on uint64 arrays, never on numpy scalars
+(whose overflow warns).  A 32-bit word is a uint64 array masked to 32 bits,
+so the product of two words never overflows; a 128-bit number is four such
+limbs, least significant first.
 
-All arithmetic is on uint64 arrays, never on numpy scalars (whose overflow
-warns).  A 32-bit word is a uint64 array masked to 32 bits, so the product
-of two words never overflows; a 128-bit number is four such limbs, least
-significant first.
+One generator's bounded integers, one at a time: a scalar
+``Generator.integers(low, low + span)`` is Lemire's multiply-shift rule on
+the bit generator's next 32-bit word (D. Lemire, "Fast Random Integer
+Generation in an Interval", ACM TOMACS 2019).  :func:`_bounded` applies that
+rule, in Python ints, to the same words, which it takes through the bit
+generator's ``ctypes`` interface without numpy's per-call argument handling.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -130,3 +138,25 @@ def uniforms(seeds, n: int) -> np.ndarray:
     for start in range(0, len(seeds), _CHUNK):
         _chunk(seeds[start:start + _CHUNK], out[start:start + _CHUNK])
     return out
+
+
+def _bounded(rng: np.random.Generator) -> Callable[[int], int]:
+    """``draw(span)``: what ``rng.integers(low, low + span)`` returns, minus ``low``, from the same
+    words of ``rng``'s bit generator, for ``1 <= span < 2**32``.
+
+    numpy scales one 32-bit word by ``span`` and keeps the high half, unless
+    the low half is below ``2**32 % span``: then the word is drawn again.  A
+    span of 1 draws nothing.
+    """
+    interface = rng.bit_generator.ctypes
+    next_uint32, state = interface.next_uint32, interface.state
+
+    def draw(span: int) -> int:
+        if span == 1:
+            return 0
+        m = next_uint32(state) * span
+        while (m & _M32) < (1 << 32) % span:
+            m = next_uint32(state) * span
+        return m >> 32
+
+    return draw

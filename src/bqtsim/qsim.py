@@ -75,6 +75,12 @@ _CNOT = np.array(
 OUTCOMES = {"Z": (0, 1), "X": ("+", "-")}
 
 
+def _check_width(n_qubits: int) -> None:
+    """Refuse a register of more than ``MAX_QUBITS`` qubits."""
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap")
+
+
 class Register:
     """Pure state over named qubits; treat instances as immutable.
 
@@ -93,8 +99,7 @@ class Register:
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels in {labels!r}")
-        if len(labels) > MAX_QUBITS:
-            raise ValueError(f"{len(labels)} qubits exceeds the {MAX_QUBITS}-qubit cap")
+        _check_width(len(labels))
         vec = np.asarray(amps, dtype=complex).reshape(-1)
         if vec.size != 1 << len(labels):
             raise ValueError(
@@ -209,6 +214,7 @@ def tensor(first: Register, second: Register) -> Register:
         raise ValueError(
             f"label collision: {sorted(set(first.labels) & set(second.labels))}"
         )
+    _check_width(len(first.labels) + len(second.labels))  # before np.kron allocates the product
     return Register(first.labels + second.labels, np.kron(first.amps, second.amps))
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from ._draws import _bounded
 from .corrections import MEASUREMENT_PLAN, TABULATED_RULES, Table, leaf_index, load_table
 from .ghz import _swap_rows, entanglement_swap
 from .parties import _session_tree, run_session, run_sessions, session_seed
@@ -41,8 +42,6 @@ from . import qsim
 from .qsim import (
     ATOL,
     OUTCOMES,
-    _apply_rows,
-    _branch_rows,
     _normalized,
     _picks,
     _row_norms,
@@ -409,91 +408,121 @@ def criterion_engine_properties(seed: int) -> tuple[bool, str]:
 def _engine_worsts(seed: int, cases: int) -> tuple[float, float, float]:
     """Each property's worst deviation over ``cases`` cases: gates, Born rule, partial trace.
 
-    The cases are drawn in the order of a loop of one :mod:`qsim` call per gate, measurement
-    and partial trace, and each group of one shape (:func:`_case_groups`) is computed through
-    the row kernels, so each worst is the loop's to the bit.  Gate matrices and the forcing
-    floor are read from :mod:`qsim` when used, as its calls read them.
+    The cases are those of a loop of one :mod:`qsim` call per gate, measurement and partial
+    trace, drawn in its order: numpy draws the states and measurement draws, and
+    :func:`_draws._bounded` each bounded integer from the same words, so the generator ends as
+    the loop leaves it.  Each property's cases of one width run as one batch, through the
+    arithmetic of the calls the loop makes, so each worst is the loop's to the bit.  Gate
+    matrices and the forcing floor are read from :mod:`qsim` when used, as its calls read them.
     """
     rng = np.random.default_rng(seed)
     return _gate_worst(rng, cases), _born_worst(rng, cases), _trace_worst(rng, cases)
 
 
-def _case_groups(
-    rng: np.random.Generator, cases: int, draw: Callable[[np.random.Generator], tuple]
-) -> dict[tuple, list[np.ndarray]]:
-    """Draw ``cases`` cases in order with ``draw`` -> (key, fields), in one pass, grouped by
-    key: each group's case numbers and then each field, stacked in draw order.  A case holds
-    at most 64 amplitudes, so the battery's 1000 cases stay within about 1 MiB."""
-    groups: dict[tuple, list] = {}
-    for i in range(cases):
-        key, *fields = draw(rng)
-        groups.setdefault(key, []).append((i, *fields))
-    return {key: [np.array(column) for column in zip(*rows)] for key, rows in groups.items()}
+#: Widths of a gate or Born case, ``rng.integers(1, 7)``.
+_WIDTHS = range(1, 7)
 
 
-def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Real and imaginary parts of a random ``n``-qubit state's unnormalized amplitudes, as rows.
-
-    numpy fills the array in order, so these are the draws of
-    ``rng.normal(size=2**n)`` twice, in one call.
-    """
-    return rng.normal(size=(2, 1 << n))
-
-
-def _labels(n: int) -> tuple[str, ...]:
-    return tuple(f"q{k}" for k in range(n))
-
-
-def _states(parts: np.ndarray) -> np.ndarray:
-    """The registers of stacked ``_normals`` draws, one per row, as
+def _states(parts: list[np.ndarray]) -> np.ndarray:
+    """The registers of ``rng.normal(size=(2, 2**n))`` draws, one per row, as
     ``Register(labels, re + 1j * im)`` normalizes them."""
+    parts = np.array(parts)
     return _normalized(parts[:, 0] + 1j * parts[:, 1])
 
 
-def _gate_case(rng: np.random.Generator) -> tuple:
-    n = int(rng.integers(1, 7))
-    parts = _normals(rng, n)
-    return (n, int(rng.integers(0, n)), ("X", "Z", "H")[rng.integers(0, 3)]), parts
+@functools.lru_cache(maxsize=None)  # bounded: two entries per width
+def _fronting(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables over ``n``-qubit rows: ``table[k]`` lays a row out as ``qsim._axis_order``
+    transposes it to front qubit ``k`` (``width`` 1) or qubits ``k, k + 1 mod n`` (``width`` 2),
+    and ``inverse[k]`` lays it back."""
+    labels = tuple(f"q{k}" for k in range(n))
+    index = np.arange(1 << n).reshape((1,) + (2,) * n)
+    table = np.array([
+        index.transpose(qsim._axis_order(labels, tuple(labels[(k + j) % n] for j in range(width)))).reshape(-1)
+        for k in range(n)
+    ])
+    inverse = np.argsort(table, axis=1)
+    table.flags.writeable = inverse.flags.writeable = False  # shared by every call
+    return table, inverse
+
+
+def _gather(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Row ``r`` of ``rows`` laid out by ``tables[r]``."""
+    return rows.reshape(-1)[tables + np.arange(0, rows.size, rows.shape[1])[:, None]]
+
+
+def _apply_fronted(rows: np.ndarray, matrix: np.ndarray, table: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """``matrix`` (one, or one per row) on the qubits that ``table`` fronts in each row, normalized."""
+    psi = matrix @ _gather(rows, table).reshape(len(rows), matrix.shape[-1], -1)
+    return _normalized(_gather(psi.reshape(len(rows), -1), inverse))
 
 
 def _gate_worst(rng: np.random.Generator, cases: int) -> float:
     """Norms after one gate and one CNOT, and both involutions (the CNOT from
-    the gate's qubit onto the next one, on two qubits or more)."""
+    the gate's qubit onto the next one, on two qubits or more).
+
+    Each row is fronted as ``qsim._apply_rows`` fronts it, multiplied as it multiplies, and laid
+    back before it is normalized, since a row's norm sums in the register's order."""
+    draw, normal = _bounded(rng), rng.normal
+    drawn = {n: ([], [], []) for n in _WIDTHS}  # parts, qubit, gate
+    for _ in range(cases):
+        n = 1 + draw(6)
+        parts, qubits, gates = drawn[n]
+        parts.append(normal(size=(2, 1 << n)))
+        qubits.append(draw(n))
+        gates.append(draw(3))
+    matrices = np.stack([qsim.GATES[gate] for gate in ("X", "Z", "H")])
     worst = 0.0
-    for (n, k, gate), (_, parts) in _case_groups(rng, cases, _gate_case).items():
-        labels, rows = _labels(n), _states(parts)
-        words = [((labels[k],), qsim.GATES[gate])]
+    for n, (parts, qubits, gates) in drawn.items():
+        if not parts:
+            continue
+        rows = _states(parts)
+        words = [(1, matrices[gates])]
         if n >= 2:
-            words.append(((labels[k], labels[(k + 1) % n]), qsim._CNOT))
-        for qubits, matrix in words:
-            once = _normalized(_apply_rows(rows, labels, qubits, matrix))
-            twice = _normalized(_apply_rows(once, labels, qubits, matrix))
+            words.append((2, qsim._CNOT))
+        for width, matrix in words:
+            table, inverse = (t[qubits] for t in _fronting(n, width))
+            once = _apply_fronted(rows, matrix, table, inverse)
+            twice = _apply_fronted(once, matrix, table, inverse)
             worst = max(worst, np.max(np.abs(_row_norms(once) - 1.0)), np.max(np.abs(twice - rows)))
     return float(worst)
 
 
-def _born_case(rng: np.random.Generator) -> tuple:
-    n = int(rng.integers(1, 7))
-    parts = _normals(rng, n)
-    key = (n, int(rng.integers(0, n)), "ZX"[rng.integers(0, 2)])
-    return key, parts, rng.random()  # measure's one draw
-
-
 def _born_worst(rng: np.random.Generator, cases: int) -> float:
-    """Born completeness and the norm of the sampled outcome's collapse, as :func:`measure` picks
-    (by ``qsim._picks``, its rule for many draws) and collapses it (by reciprocals where it
-    divides).  A sampled outcome below ``MIN_FORCE_PROB`` raises :func:`measure`'s ValueError
-    for the first such case in draw order, the smallest case number over all groups."""
+    """Born completeness and the norm of the sampled outcome's collapse, as :func:`measure` splits
+    (fronting as ``qsim._branch_rows`` does), picks (by ``qsim._picks``, its rule for many draws)
+    and collapses it (by reciprocals where it divides).  A sampled outcome below
+    ``MIN_FORCE_PROB`` raises :func:`measure`'s ValueError for the first such case in draw order."""
+    draw, normal, random = _bounded(rng), rng.normal, rng.random
+    drawn = {n: ([], [], [], [], []) for n in _WIDTHS}  # case number, parts, qubit, basis, draw
+    for i in range(cases):
+        n = 1 + draw(6)
+        index, parts, qubits, bases, draws = drawn[n]
+        index.append(i)
+        parts.append(normal(size=(2, 1 << n)))
+        qubits.append(draw(n))
+        bases.append(draw(2))
+        draws.append(random())  # measure's one draw
     worst, unlikely = 0.0, []
-    for (n, k, basis), (index, parts, draws) in _case_groups(rng, cases, _born_case).items():
-        branches = _branch_rows(_states(parts), _labels(n), f"q{k}", basis)
+    for n, (index, parts, qubits, bases, draws) in drawn.items():
+        if not parts:
+            continue
+        rows, qubits, x = _states(parts), np.array(qubits), np.array(bases, dtype=bool)
+        branches = _gather(rows, _fronting(n, 1)[0][qubits]).reshape(len(rows), 2, -1)
+        branches[x] = np.stack(qsim._split(branches[x], "X"), axis=1)
         probs = np.vecdot(branches, branches).real
-        at, picks = np.arange(len(draws)), _picks(probs[:, 0], draws)
+        # A Z split of the last of two or more qubits is a view of every other amplitude, in
+        # _branch_rows as in measure, and BLAS sums a strided vector in another order.
+        strided = ~x & (qubits == n - 1) & (n > 1)
+        if strided.any():
+            view = rows[strided].reshape(-1, 1 << (n - 1), 2).transpose(0, 2, 1)
+            probs[strided] = np.vecdot(view, view).real
+        at, picks = np.arange(len(rows)), _picks(probs[:, 0], np.array(draws))
         prob = probs[at, picks]
         collapsed = _normalized(branches[at, picks] * qsim._reciprocals(np.sqrt(prob))[:, None])
         for r in np.flatnonzero(prob < qsim.MIN_FORCE_PROB)[:1]:
-            outcome = OUTCOMES[basis][picks[r]]
-            unlikely.append((index[r], f"outcome {outcome!r} on ('q{k}',) has probability {prob[r]:.3e}"))
+            outcome = OUTCOMES["ZX"[bases[r]]][picks[r]]
+            unlikely.append((index[r], f"outcome {outcome!r} on ('q{qubits[r]}',) has probability {prob[r]:.3e}"))
         sums, norms = probs[:, 0] + probs[:, 1], _row_norms(collapsed)
         worst = max(worst, np.max(np.abs(sums - 1.0)), np.max(np.abs(norms - 1.0)))
     if unlikely:
@@ -501,20 +530,24 @@ def _born_worst(rng: np.random.Generator, cases: int) -> float:
     return float(worst)
 
 
-def _trace_case(rng: np.random.Generator) -> tuple:
-    n_left = int(rng.integers(1, 4))
-    left = _normals(rng, n_left)
-    n_right = int(rng.integers(1, 4))
-    return (n_left, n_right), left, _normals(rng, n_right)
-
-
 def _trace_worst(rng: np.random.Generator, cases: int) -> float:
     """Purity of the left factor traced out of a product of two random states."""
+    draw, normal = _bounded(rng), rng.normal
+    drawn = {shape: ([], []) for shape in product(range(1, 4), repeat=2)}  # left, right parts
+    for _ in range(cases):
+        n_left = 1 + draw(3)
+        left = normal(size=(2, 1 << n_left))
+        n_right = 1 + draw(3)
+        lefts, rights = drawn[n_left, n_right]
+        lefts.append(left)
+        rights.append(normal(size=(2, 1 << n_right)))
     worst = 0.0
-    for _, left, right in _case_groups(rng, cases, _trace_case).values():
+    for left, right in drawn.values():
+        if not left:
+            continue
         left, right = _states(left), _states(right)
-        product = left[:, :, None] * right[:, None, :]  # np.kron per row
-        psi = _normalized(product.reshape(len(product), -1)).reshape(product.shape)
+        joint = left[:, :, None] * right[:, None, :]  # np.kron per row
+        psi = _normalized(joint.reshape(len(joint), -1)).reshape(joint.shape)
         rho = psi @ psi.conj().transpose(0, 2, 1)
         purity = np.trace(rho @ rho, axis1=1, axis2=2).real
         worst = max(worst, np.max(np.abs(purity - 1.0)))

@@ -46,7 +46,7 @@ the same two helpers.
 
 ``engine_properties`` is the ``engine-properties`` criterion's case-by-case
 loop, one public ``qsim`` call per gate, measurement and partial trace; the
-criterion groups its cases and computes each group through the row kernels.
+criterion batches its cases by qubit count and must match it to the bit.
 ``entanglement_swap`` swaps one channel pair at a time, one register and one
 ``_collapse`` per outcome, as ``bqtsim.ghz.entanglement_swap`` did before it
 became the one-row form of ``ghz._swap_rows``; ``swap_exhaustive`` is the

@@ -1,9 +1,13 @@
-"""The vectorised draw kernel against numpy's own generator.
+"""The draw replays against numpy's own generator.
 
 ``bqtsim._draws.uniforms`` replays ``np.random.default_rng(seed)``'s
 seeding (``SeedSequence``, then PCG64) and its ``random()`` draws on
 arrays of seeds.  Its oracle is numpy itself, one generator per seed; the
 two are compared by bytes, so a difference in the last bit fails.
+
+``bqtsim._draws._bounded`` replays a scalar ``Generator.integers`` on the
+bit generator's 32-bit words.  Its oracle is ``integers`` on a twin
+generator; the two must return the same values and leave the same state.
 """
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqtsim._draws import _CHUNK, uniforms
+from bqtsim._draws import _CHUNK, _bounded, uniforms
 
 
 def _oracle(seeds, n: int) -> np.ndarray:
@@ -54,3 +58,43 @@ def test_an_empty_batch():
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), st.integers(1, 8))
 def test_any_seeds_draw_what_default_rng_draws(seeds, n):
     assert uniforms(seeds, n).tobytes() == _oracle(seeds, n).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# bounded integers, one at a time
+# ---------------------------------------------------------------------------
+
+def _twins(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**64 - 1), st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)), max_size=40))
+def test_bounded_draws_what_integers_draws_between_other_draws(seed, steps):
+    ours, theirs = _twins(seed)
+    draw = _bounded(ours)
+    for span, between in steps:
+        low = span - 1  # any low: the replay returns the offset from it
+        assert low + draw(span) == theirs.integers(low, low + span)
+        if between == 1:
+            assert ours.normal(size=(2, span)).tobytes() == theirs.normal(size=(2, span)).tobytes()
+        elif between == 2:
+            assert ours.random() == theirs.random()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("span", [2, 3, 4, 5, 6])
+def test_a_rejected_word_is_drawn_again_as_integers_draws_it(span):
+    # The buffered 32-bit word 0 scales to 0, below 2**32 % span for spans 3, 5
+    # and 6, so both sides reject it and draw again; for 2 and 4 nothing is rejected.
+    ours, theirs = _twins(17)
+    draw = _bounded(ours)
+    for rng in (ours, theirs):
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+    assert draw(span) == theirs.integers(0, span)
+    rejected = (1 << 32) % span > 0
+    # a redraw takes a fresh 64-bit word and buffers its other half
+    assert ours.bit_generator.state["has_uint32"] == int(rejected)
+    assert ours.bit_generator.state == theirs.bit_generator.state

@@ -466,6 +466,16 @@ def test_tensor_keeps_the_qubit_cap():
         )
 
 
+def test_an_over_cap_tensor_refuses_before_it_builds_the_product(monkeypatch):
+    def kron(*args):
+        raise AssertionError("np.kron reached")
+
+    monkeypatch.setattr(np, "kron", kron)
+    wide = [Register(tuple(f"{side}{k}" for k in range(MAX_QUBITS)), np.ones(1 << MAX_QUBITS)) for side in "ab"]
+    with pytest.raises(ValueError, match=f"^{2 * MAX_QUBITS} qubits exceeds the {MAX_QUBITS}-qubit cap$"):
+        tensor(*wide)
+
+
 # ---------------------------------------------------------------------------
 # the row kernels' exact reciprocals
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ def test_non_cooperation_walks_its_six_pairs_in_one_batch(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# engine-properties: grouped cases against the case-by-case loop
+# engine-properties: batched cases against the case-by-case loop
 # ---------------------------------------------------------------------------
 
 def _hex(worsts):
@@ -394,6 +394,22 @@ def test_engine_criterion_matches_the_loop_at_1000_cases(seed):
     assert _hex(verify._engine_worsts(seed, 1000)) == _hex(want)
     result = criterion_engine_properties(seed)
     assert result.passed and result.detail == _engine_detail(1000, want)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+@pytest.mark.parametrize("cases", [0, 1, 1000])
+def test_engine_draws_leave_the_generator_where_the_loop_leaves_it(monkeypatch, seed, cases):
+    made, default_rng = [], np.random.default_rng
+
+    def recording(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    verify._engine_worsts(seed, cases)
+    oracles.engine_properties(seed, cases)
+    ours, loop = made
+    assert ours.bit_generator.state == loop.bit_generator.state
 
 
 def test_engine_worsts_match_the_loop_past_1000_cases():
