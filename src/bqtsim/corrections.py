@@ -204,7 +204,10 @@ def write_table(table: Table, path: str | Path) -> None:
 
 @lru_cache(maxsize=8)
 def _parse_table(text: str) -> Table:
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
     if not isinstance(payload, dict) or payload.get("schema") != TABLE_SCHEMA:
         raise ValueError(f"not a {TABLE_SCHEMA} document")
     return MappingProxyType(records_to_table(payload.get("entries", [])))

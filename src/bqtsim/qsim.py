@@ -237,14 +237,14 @@ def _front(reg: Register, qubits: Sequence[str]) -> np.ndarray:
 def _apply_rows(
     rows: np.ndarray, labels: tuple[str, ...], qubits: Sequence[str], matrix: np.ndarray
 ) -> np.ndarray:
-    """Apply ``matrix`` to the listed qubits of every row; returns the new ``(n, 2**len(labels))`` rows.
+    """Apply ``matrix`` (or a stack, one per row) to the listed qubits of every row; returns the new rows.
 
     Each row is one ``matrix @`` call on its own :func:`_front` matrix, so
-    every row is bit-identical to applying the gate to its register alone.
+    every row is bit-identical to applying its gate to its register alone.
     """
     order = _axis_order(labels, tuple(qubits))
     shape = (len(rows),) + (2,) * len(labels)
-    psi = matrix @ rows.reshape(shape).transpose(order).reshape(len(rows), len(matrix), -1)
+    psi = matrix @ rows.reshape(shape).transpose(order).reshape(len(rows), matrix.shape[-1], -1)
     back = sorted(range(len(order)), key=order.__getitem__)
     return psi.reshape(shape).transpose(back).reshape(len(rows), -1)
 

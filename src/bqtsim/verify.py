@@ -210,7 +210,12 @@ _SIGN_ROWS: dict[tuple[str, str], tuple[int, int, int, int]] = {
 def reference_branch_terms(
     a1: int, A2: str, b3: int, B2: str
 ) -> list[tuple[int, tuple[int, int], str]]:
-    """(sign, (i, j), ket string) rows of the published table for one branch."""
+    """(sign, (i, j), ket string) rows of the published table for one branch; raises
+    ValueError naming the first argument that is not an outcome of its qubit's basis."""
+    for (qubit, basis), outcome in zip(MEASUREMENT_PLAN[0], (a1, A2, b3, B2)):
+        alphabet = OUTCOMES[basis]
+        if type(outcome) is not type(alphabet[0]) or outcome not in alphabet:
+            raise ValueError(f"{qubit} must be one of {alphabet!r}, got {outcome!r}")
     kets = _BLOCK_KETS[(a1, b3)]
     signs = _SIGN_ROWS[(A2, B2)]
     coeffs = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -411,16 +416,13 @@ def _engine_worsts(seed: int, cases: int) -> tuple[float, float, float]:
     The cases are those of a loop of one :mod:`qsim` call per gate, measurement and partial
     trace, drawn in its order: numpy draws the states and measurement draws, and
     :func:`_draws._bounded` each bounded integer from the same words, so the generator ends as
-    the loop leaves it.  Each property's cases of one width run as one batch, through the
-    arithmetic of the calls the loop makes, so each worst is the loop's to the bit.  Gate
+    the loop leaves it.  The gate and Born cases of one qubit count and qubit run as one batch
+    through the row kernels under the loop's calls (the trace's, of one pair of factor sizes,
+    through its arithmetic), so each worst is the loop's to the bit.  Gate
     matrices and the forcing floor are read from :mod:`qsim` when used, as its calls read them.
     """
     rng = np.random.default_rng(seed)
     return _gate_worst(rng, cases), _born_worst(rng, cases), _trace_worst(rng, cases)
-
-
-#: Widths of a gate or Born case, ``rng.integers(1, 7)``.
-_WIDTHS = range(1, 7)
 
 
 def _states(parts: list[np.ndarray]) -> np.ndarray:
@@ -430,99 +432,59 @@ def _states(parts: list[np.ndarray]) -> np.ndarray:
     return _normalized(parts[:, 0] + 1j * parts[:, 1])
 
 
-@functools.lru_cache(maxsize=None)  # bounded: two entries per width
-def _fronting(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables over ``n``-qubit rows: ``table[k]`` lays a row out as ``qsim._axis_order``
-    transposes it to front qubit ``k`` (``width`` 1) or qubits ``k, k + 1 mod n`` (``width`` 2),
-    and ``inverse[k]`` lays it back."""
-    labels = tuple(f"q{k}" for k in range(n))
-    index = np.arange(1 << n).reshape((1,) + (2,) * n)
-    table = np.array([
-        index.transpose(qsim._axis_order(labels, tuple(labels[(k + j) % n] for j in range(width)))).reshape(-1)
-        for k in range(n)
-    ])
-    inverse = np.argsort(table, axis=1)
-    table.flags.writeable = inverse.flags.writeable = False  # shared by every call
-    return table, inverse
-
-
-def _gather(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Row ``r`` of ``rows`` laid out by ``tables[r]``."""
-    return rows.reshape(-1)[tables + np.arange(0, rows.size, rows.shape[1])[:, None]]
-
-
-def _apply_fronted(rows: np.ndarray, matrix: np.ndarray, table: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """``matrix`` (one, or one per row) on the qubits that ``table`` fronts in each row, normalized."""
-    psi = matrix @ _gather(rows, table).reshape(len(rows), matrix.shape[-1], -1)
-    return _normalized(_gather(psi.reshape(len(rows), -1), inverse))
-
-
 def _gate_worst(rng: np.random.Generator, cases: int) -> float:
     """Norms after one gate and one CNOT, and both involutions (the CNOT from
     the gate's qubit onto the next one, on two qubits or more).
 
-    Each row is fronted as ``qsim._apply_rows`` fronts it, multiplied as it multiplies, and laid
-    back before it is normalized, since a row's norm sums in the register's order."""
+    The cases of one qubit count and qubit run through ``qsim._apply_rows``, the kernel of
+    :func:`apply_gate1` and :func:`apply_cnot`, with one gate matrix per row, and each row is
+    normalized as the :class:`Register` constructor normalizes it."""
     draw, normal = _bounded(rng), rng.normal
-    drawn = {n: ([], [], []) for n in _WIDTHS}  # parts, qubit, gate
+    drawn = {}  # (qubit count, qubit): parts, gate
     for _ in range(cases):
         n = 1 + draw(6)
-        parts, qubits, gates = drawn[n]
-        parts.append(normal(size=(2, 1 << n)))
-        qubits.append(draw(n))
+        part = normal(size=(2, 1 << n))
+        parts, gates = drawn.setdefault((n, draw(n)), ([], []))
+        parts.append(part)
         gates.append(draw(3))
     matrices = np.stack([qsim.GATES[gate] for gate in ("X", "Z", "H")])
     worst = 0.0
-    for n, (parts, qubits, gates) in drawn.items():
-        if not parts:
-            continue
-        rows = _states(parts)
-        words = [(1, matrices[gates])]
+    for (n, k), (parts, gates) in drawn.items():
+        rows, labels = _states(parts), tuple(f"q{j}" for j in range(n))
+        words = [((labels[k],), matrices[gates])]
         if n >= 2:
-            words.append((2, qsim._CNOT))
-        for width, matrix in words:
-            table, inverse = (t[qubits] for t in _fronting(n, width))
-            once = _apply_fronted(rows, matrix, table, inverse)
-            twice = _apply_fronted(once, matrix, table, inverse)
+            words.append(((labels[k], labels[(k + 1) % n]), qsim._CNOT))
+        for qubits, matrix in words:
+            once = _normalized(qsim._apply_rows(rows, labels, qubits, matrix))
+            twice = _normalized(qsim._apply_rows(once, labels, qubits, matrix))
             worst = max(worst, np.max(np.abs(_row_norms(once) - 1.0)), np.max(np.abs(twice - rows)))
     return float(worst)
 
 
 def _born_worst(rng: np.random.Generator, cases: int) -> float:
     """Born completeness and the norm of the sampled outcome's collapse, as :func:`measure` splits
-    (fronting as ``qsim._branch_rows`` does), picks (by ``qsim._picks``, its rule for many draws)
-    and collapses it (by reciprocals where it divides).  A sampled outcome below
-    ``MIN_FORCE_PROB`` raises :func:`measure`'s ValueError for the first such case in draw order."""
+    (by ``qsim._branch_rows``, one call per qubit count, qubit and basis), picks (by ``qsim._picks``,
+    its rule for many draws) and collapses it (by reciprocals where it divides).  A sampled outcome
+    below ``MIN_FORCE_PROB`` raises :func:`measure`'s ValueError for the first such case in draw order."""
     draw, normal, random = _bounded(rng), rng.normal, rng.random
-    drawn = {n: ([], [], [], [], []) for n in _WIDTHS}  # case number, parts, qubit, basis, draw
+    drawn = {}  # (qubit count, qubit, basis): case number, parts, draw
     for i in range(cases):
         n = 1 + draw(6)
-        index, parts, qubits, bases, draws = drawn[n]
+        part = normal(size=(2, 1 << n))
+        index, parts, draws = drawn.setdefault((n, draw(n), "ZX"[draw(2)]), ([], [], []))  # qubit, then basis
         index.append(i)
-        parts.append(normal(size=(2, 1 << n)))
-        qubits.append(draw(n))
-        bases.append(draw(2))
+        parts.append(part)
         draws.append(random())  # measure's one draw
     worst, unlikely = 0.0, []
-    for n, (index, parts, qubits, bases, draws) in drawn.items():
-        if not parts:
-            continue
-        rows, qubits, x = _states(parts), np.array(qubits), np.array(bases, dtype=bool)
-        branches = _gather(rows, _fronting(n, 1)[0][qubits]).reshape(len(rows), 2, -1)
-        branches[x] = np.stack(qsim._split(branches[x], "X"), axis=1)
+    for (n, k, basis), (index, parts, draws) in drawn.items():
+        branches = qsim._branch_rows(_states(parts), tuple(f"q{j}" for j in range(n)), f"q{k}", basis)
         probs = np.vecdot(branches, branches).real
-        # A Z split of the last of two or more qubits is a view of every other amplitude, in
-        # _branch_rows as in measure, and BLAS sums a strided vector in another order.
-        strided = ~x & (qubits == n - 1) & (n > 1)
-        if strided.any():
-            view = rows[strided].reshape(-1, 1 << (n - 1), 2).transpose(0, 2, 1)
-            probs[strided] = np.vecdot(view, view).real
-        at, picks = np.arange(len(rows)), _picks(probs[:, 0], np.array(draws))
+        at, picks = np.arange(len(probs)), _picks(probs[:, 0], np.array(draws))
         prob = probs[at, picks]
         collapsed = _normalized(branches[at, picks] * qsim._reciprocals(np.sqrt(prob))[:, None])
         for r in np.flatnonzero(prob < qsim.MIN_FORCE_PROB)[:1]:
-            outcome = OUTCOMES["ZX"[bases[r]]][picks[r]]
-            unlikely.append((index[r], f"outcome {outcome!r} on ('q{qubits[r]}',) has probability {prob[r]:.3e}"))
+            outcome = OUTCOMES[basis][picks[r]]
+            unlikely.append((index[r], f"outcome {outcome!r} on ('q{k}',) has probability {prob[r]:.3e}"))
         sums, norms = probs[:, 0] + probs[:, 1], _row_norms(collapsed)
         worst = max(worst, np.max(np.abs(sums - 1.0)), np.max(np.abs(norms - 1.0)))
     if unlikely:

@@ -489,6 +489,15 @@ def test_verify_rejects_a_table_that_is_not_json(tmp_path, capsys, content):
     assert err.count("\n") == 1 and err.startswith("error: --correction-table:")
 
 
+def test_verify_rejects_a_table_nested_past_the_parser(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    code, out, err = run_cli(capsys, "verify", "--correction-table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --correction-table:")
+
+
 def test_verify_rejects_non_integer_z_outcomes(tmp_path, capsys):
     payload = {"schema": "bqtsim.correction-table/1",
                "entries": table_to_records(load_table())}

@@ -388,6 +388,14 @@ def test_load_table_rejects_wrong_schema(tmp_path):
         load_table(path)
 
 
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_load_table_rejects_json_nested_past_the_parser(tmp_path, depth):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_table(path)
+
+
 def test_load_table_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_table(tmp_path / "nope.json")

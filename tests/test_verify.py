@@ -109,6 +109,22 @@ def test_reference_branch_terms_sign_rows():
     assert kets == ["001111", "011100", "100011", "110000"]
 
 
+@pytest.mark.parametrize(
+    "branch, name",
+    [
+        ((2, "+", 0, "+"), "a1"),
+        ((0, "x", 0, "+"), "A2"),
+        ((0, "+", True, "+"), "b3"),
+        ((0, "+", 0, None), "B2"),
+        (([0], "+", 0, "+"), "a1"),
+    ],
+    ids=["out-of-range", "bad-sign", "bool", "none", "unhashable"],
+)
+def test_reference_branch_terms_rejects_a_bad_branch(branch, name):
+    with pytest.raises(ValueError, match=f"^{name} must be one of"):
+        reference_branch_terms(*branch)
+
+
 def test_permutation_search_finds_canonical_assignment():
     rng = np.random.default_rng(DEFAULT_SEED)
     v = rng.normal(size=8)
@@ -435,6 +451,20 @@ def test_engine_criterion_fails_on_a_broken_engine_as_the_loop_does(monkeypatch,
     assert _hex(verify._engine_worsts(DEFAULT_SEED, 1000)) == _hex(want)
     result = criterion_engine_properties(DEFAULT_SEED)
     assert not result.passed and result.detail == _engine_detail(1000, want)
+
+
+def test_engine_criterion_runs_the_row_kernel_of_the_walk(monkeypatch):
+    # A kernel that leaves every row in its fronted order, never laid back.
+    def fronted(rows, labels, qubits, matrix):
+        shape = (len(rows),) + (2,) * len(labels)
+        psi = rows.reshape(shape).transpose(qsim._axis_order(labels, tuple(qubits)))
+        psi = matrix @ psi.reshape(len(rows), matrix.shape[-1], -1)
+        return psi.reshape(len(rows), -1)
+
+    monkeypatch.setattr(qsim, "_apply_rows", fronted)
+    result = criterion_engine_properties(7)
+    assert not result.passed
+    assert float(result.detail.rsplit(" ", 1)[1]) > 1.0
 
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2, 3])
