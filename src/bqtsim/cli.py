@@ -22,6 +22,7 @@ large for memory, which are reported on one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ import numpy as np
 
 from .corrections import load_table
 from .ghz import entanglement_swap
-from .parties import WITHHELD, Transcript, _trial_seeds, run_sessions, session_seed
+from .parties import WITHHELD, Event, Transcript, _trial_seeds, run_sessions, session_seed
 from .protocol import DIRECTIONS, FIDELITY_FLOOR, EprInput, enumerate_branches
 from .qsim import ATOL
 from .verify import DEFAULT_SEED, SIGMA_GATE, leaf_histogram_gate, run_all
@@ -140,6 +141,12 @@ def _dumps(value, depth: int = 0) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
+def _item(value, depth: int) -> str:
+    """``value`` as an item of a spliced list (:func:`_splice`): its text ``depth``
+    levels deep after its own leading separator, a comma and a line break."""
+    return f",\n{'  ' * depth}{_dumps(value, depth)}"
+
+
 def _open(value: dict, later, depth: int) -> str:
     """The text of a dict ``depth`` levels deep that is ``value`` plus the
     fields named in ``later``, up to where the first of those goes: ``value``'s
@@ -151,57 +158,61 @@ def _open(value: dict, later, depth: int) -> str:
 
 
 def _trial_rows(heads: dict[int, str], leaves: list[int], base: int) -> list[str]:
-    """The rendered ``run`` trial rows: trial ``i`` is its leaf's head, rendered
-    by :func:`_open` two levels deep, with its "seed" and "trial" spliced in."""
+    """The ``run`` trial rows as spliced items (:func:`_item`): trial ``i`` is its leaf's
+    head, rendered by :func:`_open` two levels deep, with its "seed" and "trial" spliced in."""
     seeds = _trial_seeds(base, len(leaves)).tolist()
-    return [f'{heads[leaf]},\n      "seed": {seed},\n      "trial": {i}\n    }}'
+    return [f',\n    {heads[leaf]},\n      "seed": {seed},\n      "trial": {i}\n    }}'
             for i, (leaf, seed) in enumerate(zip(leaves, seeds))]
 
 
-def _splice(value: dict, lists: dict[str, list[str]], depth: int) -> list[str]:
-    """The text of a dict ``depth`` levels deep, as parts to join: ``value``,
-    with each list named in ``lists`` holding the items given there, each
-    already rendered ``depth + 2`` levels deep.
+def _splice(text: str, lists: dict[str, list[str]], depth: int) -> list[str]:
+    """``text``, the :func:`_dumps` text of a dict ``depth`` levels deep, as parts to
+    join, one per item and one more: each list named in ``lists`` gets its items,
+    rendered ``depth + 2`` levels deep after their own separators (:func:`_item`).
 
-    ``value`` holds each of those lists empty, so ``json`` lays out every
-    field in its sorted place, and the text is cut open at each.  The cut is
-    exact: ``json`` escapes every line break inside a string, so a line that
-    starts ``depth + 1`` levels deep with a quote is one of ``value``'s own
-    keys.  A list that ``value`` does not hold empty raises ValueError.
+    The dict holds each of those lists empty, so ``json`` lays out every field
+    in its sorted place, and the text is cut open at each.  The cut is exact:
+    ``json`` escapes every line break inside a string, so a line that starts
+    ``depth + 1`` levels deep with a quote is one of the dict's own keys.  A
+    list that the dict does not hold empty raises ValueError.
     """
     pad = "\n" + "  " * (depth + 1)
-    parts, rest = [], _dumps(value, depth)
+    parts, rest = [], text
     for name in sorted(lists):
         field = f"{pad}{json.dumps(name)}: ["
         head, rest = rest.split(field + "]")
-        parts += head, field
-        for i, text in enumerate(lists[name]):
-            parts += f"{',' if i else ''}{pad}  ", text
-        parts.append(f"{pad}]" if lists[name] else "]")
+        if items := lists[name]:  # the first item's comma cut off
+            parts += [head + field + items[0][1:], *items[1:]]
+            rest = f"{pad}]{rest}"
+        else:
+            rest = f"{head}{field}]{rest}"
     parts.append(rest)
     return parts
 
 
 def _transcript_texts(transcripts: Iterable[Transcript]) -> list[str]:
-    """Each of ``transcripts`` as report JSON two levels deep, rendering each
-    distinct event once: a transcript is :meth:`Transcript.to_json_obj` of no
-    events, with its events' texts spliced in (:func:`_splice`).
+    """Each of ``transcripts`` as a spliced item two levels deep (:func:`_item`): the
+    frame, :meth:`Transcript.to_json_obj` of no events, rendered once, with its
+    events' items spliced in (:func:`_splice`), each distinct event rendered once.
 
-    Events that are ``==`` can still render differently, since ``0.0 ==
-    -0.0`` and ``1 == 1.0 == True``.  So each text is keyed on its event's
-    ``repr``, which tells those apart: events with equal reprs render alike.
+    Transcripts share many event objects, so an event is looked up by identity,
+    then by ``repr``: events that are ``==`` can still render differently (``0.0
+    == -0.0``, ``1 == 1.0 == True``), and their reprs tell them apart.  An
+    identity entry holds its event, so no other object takes its ``id``.
     """
-    empty = Transcript().to_json_obj()
+    frame = _item(Transcript().to_json_obj(), 2)
     texts: dict[str, str] = {}
+    known: dict[int, tuple[Event, str]] = {}
     rendered = []
     for transcript in transcripts:
         events = []
         for e in transcript.events:
-            key = repr(e)
-            if key not in texts:
-                texts[key] = _dumps(e.to_dict(), 4)
-            events.append(texts[key])
-        rendered.append("".join(_splice(empty, {"events": events}, 2)))
+            if (entry := known.get(id(e))) is None:
+                if (key := repr(e)) not in texts:
+                    texts[key] = _item(e.to_dict(), 4)
+                entry = known[id(e)] = e, texts[key]
+            events.append(entry[1])
+        rendered.append("".join(_splice(frame, {"events": events}, 2)))
     return rendered
 
 
@@ -212,25 +223,20 @@ def _report(
     """Write one report to stdout or ``--out``; return the exit status, 0 when ``ok``.
 
     The JSON report is ``body`` plus the fields every report carries, which
-    are set here only, plus ``spliced``: lists whose items are already
-    rendered two levels deep (:func:`_splice`).  The text report is
-    ``lines``.  The report is built as parts.  stdout gets them joined, in
-    one write: a reader that closes the pipe early then ends the program
-    quietly, where ``writelines`` prints a BrokenPipeError traceback.  A
-    file gets them unjoined, through a 1 MiB buffer, so a large report is
-    written in writes of about 1 MiB and never copied whole, in place: ext4
-    flushes a file truncated to zero on close.  A failed write leaves its tail.
+    are set here only, plus ``spliced``: lists of items already rendered two
+    levels deep (:func:`_item`).  The text report is ``lines``.  The report
+    is built as parts, one per spliced item and one more (:func:`_splice`).
+    stdout gets them joined, in one write: a reader that closes the pipe
+    early then ends the program quietly, where ``writelines`` prints a
+    BrokenPipeError traceback.  A file gets them unjoined, through a 1 MiB
+    buffer, so a large report is written in writes of about 1 MiB and never
+    copied whole, in place: ext4 flushes a file truncated to zero on close.
+    A failed write leaves its tail.
     """
     if args.format == "json":
-        report = {
-            "schema": schema,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "config": config,
-            **body,
-            "pass": ok,
-            **{name: [] for name in spliced},
-        }
-        parts = _splice(report, spliced, 0) + ["\n"]
+        report = {"schema": schema, "timestamp": datetime.now(timezone.utc).isoformat(), "config": config,
+                  **body, "pass": ok, **{name: [] for name in spliced}}
+        parts = _splice(_dumps(report) + "\n", spliced, 0)
     else:
         parts = ["\n".join(lines) + "\n"]
     if args.out is None:
@@ -323,22 +329,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"chi-square {chi_square:.1f} on 63 dof"
     )
     lines.append("PASS" if ok else "FAIL")
-    config = {
-        **_inputs_config(alpha, beta),
-        "seed": args.seed,
-        "trials": args.trials,
-        "cooperation": cooperation,
-    }
-    body = {
-        "histogram": {
-            "counts": [int(c) for c in counts],
-            "expected_count": expected_count,
-            "max_abs_z": max_z,
-            "within_4_sigma": within,
-            "chi_square": chi_square,
-            "degrees_of_freedom": 63,
-        },
-    }
+    config = {**_inputs_config(alpha, beta), "seed": args.seed, "trials": args.trials, "cooperation": cooperation}
+    body = {"histogram": {"counts": [int(c) for c in counts], "expected_count": expected_count, "max_abs_z": max_z,
+                          "within_4_sigma": within, "chi_square": chi_square, "degrees_of_freedom": 63}}
     spliced = {}
     if args.format == "json":
         # the inputs, mode and table are fixed within one call, so a session's
@@ -417,7 +410,8 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str = "json"
                      help=f"report format (default {default_format})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # main builds its parser once per process
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bqtsim",
         description="Bidirectional EPR-payload teleportation over two GHZ triples.",
@@ -461,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

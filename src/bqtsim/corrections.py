@@ -31,7 +31,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
-from .qsim import OUTCOMES, Register, _alphabet, apply_gate1
+from .qsim import OUTCOMES, Register, apply_gate1
 
 __all__ = [
     "FACTORS",
@@ -97,10 +97,13 @@ Table = Mapping[TableKey, tuple[str, str]]
 
 
 def leaf_index(a1: int, A2: str, b3: int, B2: str, A1: str, B1: str) -> int:
-    """Pack the six outcomes into 0..63 (plan order, 0/"+" = zero bit)."""
+    """Pack the six outcomes into 0..63 (plan order, 0/"+" = zero bit); any other outcome, None too, is a ValueError."""
     idx = 0
-    for (_, basis), outcome in zip(_PLAN, (a1, A2, b3, B2, A1, B1)):
-        idx = (idx << 1) | _alphabet(basis, outcome).index(outcome)
+    for (qubit, basis), outcome in zip(_PLAN, (a1, A2, b3, B2, A1, B1)):
+        alphabet = OUTCOMES[basis]  # typed, since True == 1 == 1.0 but only 1 is a Z result
+        if type(outcome) is not type(alphabet[0]) or outcome not in alphabet:
+            raise ValueError(f"{qubit}: outcome {outcome!r} not in {alphabet!r}")
+        idx = (idx << 1) | alphabet.index(outcome)
     return idx
 
 

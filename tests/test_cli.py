@@ -7,6 +7,7 @@ problems (including argparse usage errors), 1 covers failed checks, 0
 success.
 """
 
+import argparse
 import json
 import os
 import stat
@@ -19,7 +20,7 @@ import pytest
 
 import bqtsim
 from bqtsim import cli
-from bqtsim.cli import INPUT_NORM_TOL, OUTPUT_DIR_ENV, _dumps, _transcript_texts, main
+from bqtsim.cli import INPUT_NORM_TOL, OUTPUT_DIR_ENV, _item, _transcript_texts, main
 from bqtsim.corrections import LEAF_KEYS, load_table, table_to_records, write_table
 from bqtsim.parties import COOPERATION_MODES, Event, Transcript, _records, run_session, session_seed
 from bqtsim.protocol import EprInput, Tree
@@ -55,6 +56,17 @@ def test_no_command_is_usage_error(capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _out, _err = run_cli(capsys, "teleport")
     assert code == 2
+
+
+def test_main_builds_its_parser_once_and_each_call_starts_from_the_defaults(capsys, monkeypatch):
+    assert run_cli(capsys, "run", "--trials", "2", "--transcripts")[0] == 0
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    code, out, _err = run_cli(capsys, "run", "--trials", "2")
+    assert code == 0 and "transcripts" not in json.loads(out)
+    assert run_cli(capsys, "verify", "--help")[0] == 0
+    assert built == []
 
 
 def test_bad_swap_index_is_usage_error(capsys):
@@ -357,7 +369,7 @@ def test_transcript_texts_match_json_of_each_transcript(mode, edited):
         table[LEAF_KEYS[37]] = ("XI", table[LEAF_KEYS[37]][1])  # legal, but no Pauli frame
     tree = Tree(EprInput.normalized(0.6, 0.8j), EprInput.normalized(1 - 2j, 0.5))
     transcripts = [r.transcript for r in _records(tree, list(range(64)), [0] * 64, mode, table)]
-    assert _transcript_texts(transcripts) == [_dumps(t.to_json_obj(), 2) for t in transcripts]
+    assert _transcript_texts(transcripts) == [_item(t.to_json_obj(), 2) for t in transcripts]
 
 
 def test_transcript_texts_tell_equal_events_apart():
@@ -368,8 +380,53 @@ def test_transcript_texts_tell_equal_events_apart():
     assert len(set(events)) == 4
     transcripts = [Transcript([e]) for e in events] + [Transcript(events)]
     texts = _transcript_texts(transcripts)
-    assert texts == [_dumps(t.to_json_obj(), 2) for t in transcripts]
+    assert texts == [_item(t.to_json_obj(), 2) for t in transcripts]
     assert len(set(texts)) == len(texts)
+
+
+class _CountedParts:
+    """A file that counts the parts it is handed, each ``write`` one and each ``writelines`` item one."""
+
+    def __init__(self, fh, counts: list[int]):
+        self.fh, self.counts = fh, counts
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, text):
+        self.counts.append(1)
+        return self.fh.write(text)
+
+    def writelines(self, parts):
+        parts = list(parts)
+        self.counts.append(len(parts))
+        self.fh.writelines(parts)
+
+
+def test_a_file_report_renders_per_leaf_and_takes_one_part_per_item(tmp_path, monkeypatch):
+    # 4096 and 16384 trials of one seed reach all 64 leaves, so both render the same leaf and
+    # event texts, and each trial row and transcript reaches the file as one part
+    dumps, parts, made = json.dumps, [], []
+    monkeypatch.setattr(cli.json, "dumps", lambda *args, **kwargs: made.append(1) or dumps(*args, **kwargs))
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _CountedParts(open(*args, **kwargs), parts),
+                        raising=False)
+    target, rendered = tmp_path / "run.json", []
+    for trials in (4096, 16384):
+        made.clear()
+        parts.clear()
+        assert main(["run", "--trials", str(trials), "--transcripts", "--format", "json", "--seed", "7",
+                     "--out", str(target)]) == 0
+        assert target.stat().st_size > 0
+        target.unlink()
+        assert 2 * trials < sum(parts) <= 2 * trials + 4
+        rendered.append(len(made))
+    assert rendered[0] == rendered[1]
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")

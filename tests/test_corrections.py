@@ -445,3 +445,16 @@ def test_correction_key_defaults_only_withheld_announcements():
 def test_leaf_index_rejects_outcomes_of_the_wrong_type(a1):
     with pytest.raises(ValueError, match="not in"):
         leaf_index(a1, "+", 0, "+", "+", "+")
+
+
+@pytest.mark.parametrize("outcomes, message", [
+    ((None, "+", 0, "+", "+", "+"), "a1: outcome None not in (0, 1)"),
+    ((0, "+", 0, "+", "+", None), "B1: outcome None not in ('+', '-')"),
+    ((0, "+", 2, "+", "+", "+"), "b3: outcome 2 not in (0, 1)"),
+    ((0, "x", 0, "+", "+", "+"), "A2: outcome 'x' not in ('+', '-')"),
+], ids=["a1-none", "B1-none", "b3-two", "A2-x"])
+def test_leaf_index_names_the_outcome_it_refuses(outcomes, message):
+    # None means "not forced" to measure, but a leaf has every outcome
+    with pytest.raises(ValueError) as raised:
+        leaf_index(*outcomes)
+    assert str(raised.value) == message

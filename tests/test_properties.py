@@ -34,7 +34,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from bqtsim.cli import _dumps, _open, _report, _trial_rows
+from bqtsim.cli import _dumps, _item, _open, _report, _trial_rows
 from bqtsim.corrections import FACTORS, LEAF_KEYS, OUTCOMES, PLAN_QUBITS, apply_ops, leaf_index, load_table, parse_ops
 from bqtsim.parties import COOPERATION_MODES, _input_bits, _session_tree, run_session, session_seed
 from bqtsim.protocol import (
@@ -405,7 +405,7 @@ def test_templated_trial_rows_render_as_their_plain_dicts(capsys, expected, base
     plain = [{**heads[leaf], "seed": session_seed(base, i), "trial": i} for i, leaf in enumerate(leaves)]
     assert [row["seed"] for row in plain[7:9]] == [(base + 7) % 2**64, (base + 8) % 2**64]
     args = argparse.Namespace(format="json", out=None)
-    spliced = {"trials": rows, "transcripts": [_dumps(head, 2) for head in heads], "unused": []}
+    spliced = {"trials": rows, "transcripts": [_item(head, 2) for head in heads], "unused": []}
     assert _report(args, "s/1", {"base": base}, {"histogram": {"z": [expected]}}, True, [], spliced) == 0
     lines = capsys.readouterr().out.splitlines(keepends=True)
     stamped = [line for line in lines if line.startswith('  "timestamp": ')]
